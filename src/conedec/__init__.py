@@ -8,7 +8,7 @@ and machine-verifies every identity against brute-force oracles.
 """
 
 from .corpus import CorpusEntry, build_corpus, pentagon_cone, pyramid
-from .deform import (LiftedTriangulation, LocalContribution,
+from .deform import (LiftedTriangulation, LocalContribution, SimpleConeFrame,
                      compatible_decomposition, compatible_from_dual,
                      delta_invariance_check, local_contribution,
                      local_contributions, nonsimple_decomposition,
@@ -26,9 +26,9 @@ from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          weighted_indicator, whole_space_piece)
 from .linalg import (determinant, frac, kernel_basis, mat_inverse, primitive,
                      rank, smith_normal_form, solve_linear)
-from .polar import (GenericityError, SimplicityError, VertexPolarization,
-                    is_generic, lv_decomposition, partition_check,
-                    polarization, polarized_tangent_cone, rearrange_for_vertex,
+from .polar import (GenericityError, SimplicityError, is_generic,
+                    lv_decomposition, partition_check, polarization,
+                    polarized_tangent_cone, rearrange_for_vertex,
                     weighted_lv_decomposition, weighted_polarized_piece_value)
 from .polyhedra import (Cone, DegenerateInput, Face, Halfspace, Polytope,
                         center_at_barycenter, halfspace, is_simple_polytope,

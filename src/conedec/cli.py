@@ -15,24 +15,25 @@ import time
 from fractions import Fraction
 
 from . import corpus as corpus_mod
-from .deform import (compatible_decomposition, delta_invariance_check,
+from .deform import (compatible_decomposition, local_contribution,
                      local_contributions, nonsimple_decomposition,
                      positive_conic_check, seeded_dual_heights, t_sigma,
                      vertex_triangulation)
 from .genfunc import (brion_gf, count_lattice_points, gf_brute_force,
                       gf_equal_as_functions, lattice_points)
-from .indicators import (default_box, gram_decomposition,
-                         indicator_of_polytope, indicator_of_interior,
+from .indicators import (ONE, IndicatorSum, VerificationReport, default_box,
+                         gram_decomposition, indicator_of_polytope,
+                         indicator_of_interior, piece, tangent_cone_piece,
                          verify_identity, verify_identity_exact,
                          weighted_indicator)
 from .jsonio import (gf_to_json, indicator_sum_to_json, polytope_from_json,
                      rat_str)
 from .linalg import frac
 from .polar import (GenericityError, SimplicityError, is_generic,
-                    lv_decomposition, partition_check, rearrange_for_vertex,
+                    lv_decomposition, partition_identity, rearrange_for_vertex,
                     weighted_lv_decomposition)
 from .polyhedra import (DegenerateInput, Polytope, center_at_barycenter,
-                        is_simple_polytope, is_simple_vertex)
+                        is_simple_vertex)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -225,9 +226,11 @@ def cmd_verify(args) -> int:
     samples = args.samples
     seed = args.seed
     ident = args.identity
+    if args.exact_cells and ident in ("brion", "positive-conic"):
+        raise InputError(f"--exact-cells does not apply to {ident}")
     one = indicator_of_polytope(p)
 
-    def vrfy(lhs, rhs, name):
+    def vrfy(lhs, rhs, name, box=box):
         if args.exact_cells:
             return verify_identity_exact(lhs, rhs, name=name)
         return verify_identity(lhs, rhs, box, step, samples, seed, name=name)
@@ -240,7 +243,6 @@ def cmd_verify(args) -> int:
         g2 = gf_brute_force(p)
         c1, c2 = count_lattice_points(g1), count_lattice_points(g2)
         same = gf_equal_as_functions(g1, g2, trials=4, seed=seed) and c1 == c2
-        from .indicators import VerificationReport
         rep = VerificationReport(
             "brion", {"seed": seed}, 4, same,
             None if same else {"brion_count": c1, "brute_count": c2})
@@ -271,34 +273,24 @@ def cmd_verify(args) -> int:
         return _report_exit(reports, args.json)
 
     if ident == "partition":
-        reports = [partition_check(p, vid, box, step, samples, seed)
+        reports = [vrfy(*partition_identity(p, vid), f"partition@v{vid}")
                    for vid in range(len(p.vertices))]
         return _report_exit(reports, args.json)
 
     if ident == "eq6":
         heights = _parse_heights(args.heights, p)
-        from .indicators import VerificationReport, grid_points
         reports = []
         for vid in range(len(p.vertices)):
             if is_simple_vertex(p, vid):
                 continue
             tri = vertex_triangulation(p, vid, heights.get(vid), seed)
-            cones = [t_sigma(p, vid, cell, tri) for cell in tri.cells]
-            tangent = [p.facets[i] for i in p.tight_facets(vid)]
-            t0 = time.monotonic()
-            checked, bad = 0, None
-            for nums, den in grid_points(box, step):
-                x = tuple(Fraction(n, den) for n in nums)
-                lhs = all(c.contains(x) for c in cones)
-                rhs = all(h.satisfied(x) for h in tangent)
-                checked += 1
-                if lhs != rhs:
-                    bad = {"point": [rat_str(c) for c in x],
-                           "lhs": str(int(lhs)), "rhs": str(int(rhs))}
-                    break
-            reports.append(VerificationReport(
-                f"cell-intersection@v{vid}", {"step": str(step)}, checked,
-                bad is None, bad, time.monotonic() - t0))
+            walls = [h for cell in tri.cells
+                     for h in t_sigma(p, vid, cell, tri).constraints]
+            cells = piece(p.dim, walls, witness=p.vertices[vid])
+            tangent = tangent_cone_piece(p, p.face_of_vertex(vid))
+            reports.append(vrfy(IndicatorSum(p.dim, ((ONE, cells),)),
+                                IndicatorSum(p.dim, ((ONE, tangent),)),
+                                f"cell-intersection@v{vid}"))
         if not reports:
             raise InputError("eq6 needs a non-simple vertex; this polytope "
                              "is simple")
@@ -322,8 +314,9 @@ def cmd_verify(args) -> int:
             for vid in range(len(p.vertices)):
                 tri1 = vertex_triangulation(p, vid, heights.get(vid), seed)
                 tri2 = vertex_triangulation(p, vid, None, seed + 1)
-                reports.append(delta_invariance_check(
-                    p, vid, x, tri1, tri2, box, step, samples, seed))
+                reports.append(vrfy(local_contribution(p, vid, tri1, x).sum,
+                                    local_contribution(p, vid, tri2, x).sum,
+                                    f"delta-invariance@v{vid}"))
             return reports
 
         xi, reports = _with_generic_xi(p, seed, run_all, given)
@@ -348,9 +341,8 @@ def cmd_verify(args) -> int:
         xi, dec = _with_generic_xi(
             shifted, seed, lambda x: compatible_decomposition(shifted, x, dh),
             given)
-        sbox = _parse_box(args.box, shifted)
-        rep = verify_identity(dec, indicator_of_polytope(shifted), sbox, step,
-                              samples, seed, name="compatible")
+        rep = vrfy(dec, indicator_of_polytope(shifted), "compatible",
+                   _parse_box(args.box, shifted))
         extra = {"xi": list(xi)}
         if shift:
             extra["shift"] = [rat_str(s) for s in shift]
@@ -415,13 +407,9 @@ def cmd_corpus(args) -> int:
             gram_ok = verify_identity(
                 gram_decomposition(p), indicator_of_polytope(p),
                 default_box(p), Fraction(1, 2), 50, args.seed, "gram").success
-            if is_simple_polytope(p):
-                _xi, dec = _with_generic_xi(
-                    p, args.seed, lambda x: lv_decomposition(p, x))
-            else:
-                _xi, dec = _with_generic_xi(
-                    p, args.seed,
-                    lambda x: nonsimple_decomposition(p, x, None, seed=args.seed))
+            _xi, dec = _with_generic_xi(
+                p, args.seed,
+                lambda x: nonsimple_decomposition(p, x, None, seed=args.seed))
             dec_ok = verify_identity(
                 dec, indicator_of_polytope(p), default_box(p), Fraction(1, 2),
                 50, args.seed, "decomposition").success

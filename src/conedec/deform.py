@@ -4,10 +4,13 @@ A non-simple vertex is handled by regular-triangulating its normal cone:
 each simplicial cell of normals defines a simple cone containing the tangent
 cone, the functional is written in the cell's basis, negative coefficients
 flip their inequalities strict, and the signed cell sum is the vertex's
-local contribution.  The headline fact, that the contribution does not
-depend on the triangulation, is machine-checked here, together with the
-compatible (polar-dual) construction and the positivity/conicity uniqueness
-criterion.
+local contribution.  A simple vertex is the one-cell case.  The headline
+fact, that the contribution does not depend on the triangulation, is
+machine-checked here, together with the compatible (polar-dual)
+construction and the positivity/conicity uniqueness criterion.
+
+Every polarized simple cone of the library, here and in `polar`, is built
+from one SimpleConeFrame by one piece builder, frame_piece.
 """
 
 from __future__ import annotations
@@ -19,14 +22,101 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .feasibility import feasible_point
-from .indicators import (IndicatorSum, VerificationReport, ZPoly, default_box,
-                         piece, verify_identity)
-from .linalg import (IntVector, Vector, dot, frac, mat_inverse, primitive,
-                     solve_linear, transpose, vadd, vec, vneg)
-from .polar import GenericityError, as_functional
+from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
+                         ZPoly, default_box, piece, verify_identity)
+from .linalg import (IntVector, Vector, dot, frac, primitive,
+                     simplicial_cone_facet_normals, solve_linear, transpose,
+                     vadd, vec, vneg, vsub)
 from .polyhedra import Cone, DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
                             triangulation_with_retries)
+
+
+class GenericityError(ValueError):
+    """The functional vanishes on an edge or triangulation ray."""
+
+
+def as_functional(xi: Sequence) -> IntVector:
+    return primitive(vec(xi))
+
+
+# ---------------------------------------------------------------------------
+# Polarized simple cones
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SimpleConeFrame:
+    """A simple cone {x : normals[i]·x ≥ normals[i]·apex} and a functional.
+
+    rays[i] is the edge of the cone off facet i alone: normals[j]·rays[i]
+    is 0 for j ≠ i and positive for j = i.  alpha[i] is the coefficient of
+    normals[i] when the functional is written in the normals' basis, and
+    index counts the negative coefficients.  Without a functional alpha is
+    empty and index 0.
+    """
+    apex: Vector
+    normals: tuple[IntVector, ...]
+    rays: tuple[IntVector, ...]
+    alpha: tuple[Fraction, ...]
+    index: int
+
+
+def simple_cone_frame(apex: Sequence, normals, xi: Optional[Sequence] = None,
+                      where: str = "") -> SimpleConeFrame:
+    """Frame of the simple cone cut out by d independent normals at an apex.
+
+    A zero coefficient means the functional is constant on a ray of the
+    cone; that is rejected as non-generic, naming the ray (and `where`).
+    """
+    normals = tuple(normals)
+    alpha: tuple[Fraction, ...] = ()
+    if xi is not None:
+        alpha = solve_linear(transpose(normals), xi)
+        if alpha is None:
+            raise AssertionError(f"cone normals {normals} are not a basis")
+    rays = simplicial_cone_facet_normals(normals)
+    bad = [r for r, a in zip(rays, alpha) if a == 0]
+    if bad:
+        raise GenericityError(f"functional {tuple(xi)} is constant on ray(s) "
+                              f"{bad} {where}".rstrip())
+    return SimpleConeFrame(vec(apex), normals, rays, tuple(alpha),
+                           sum(1 for a in alpha if a < 0))
+
+
+# What frame_piece does with facet i, normals[i]·x ≥ normals[i]·apex.
+CLOSED = "closed"    # keep it
+STRICT = "strict"    # keep it, strict
+FLIPPED = "flipped"  # flip it to the strict opposite side
+EQUAL = "equal"      # replace it by the hyperplane
+
+
+def frame_piece(frame: SimpleConeFrame, pattern: Sequence[str]
+                ) -> LocallyClosedPiece:
+    """The piece a per-facet pattern cuts out of the frame's hyperplanes.
+
+    Its witness is apex + Σ ±rays[i]: + on a kept facet, − on a flipped
+    one, nothing on an equality.
+    """
+    cons = []
+    witness = frame.apex
+    for n, r, how in zip(frame.normals, frame.rays, pattern):
+        c = dot(n, frame.apex)
+        neg = tuple(-a for a in n)
+        if how == EQUAL:
+            cons += [Halfspace(n, c, False), Halfspace(neg, -c, False)]
+        elif how == FLIPPED:
+            cons.append(Halfspace(neg, -c, True))
+            witness = vsub(witness, r)
+        else:
+            cons.append(Halfspace(n, c, how == STRICT))
+            witness = vadd(witness, r)
+    return piece(len(frame.apex), cons, witness=witness)
+
+
+def polarized_piece(frame: SimpleConeFrame) -> LocallyClosedPiece:
+    """Keep the facets with positive coefficient, flip the others strict."""
+    return frame_piece(frame, [CLOSED if a > 0 else FLIPPED
+                               for a in frame.alpha])
 
 
 @dataclass(frozen=True)
@@ -71,54 +161,29 @@ def t_sigma(p: Polytope, vid: int, cell: Sequence[int],
     v = p.vertices[vid]
     normals = [tri.rays[j] for j in cell]
     constraints = tuple(Halfspace(n, dot(n, v), False) for n in normals)
-    dual = tuple(primitive(col) for col in transpose(mat_inverse(normals)))
-    cone = Cone(vec(v), dual, constraints, 0)
-    return cone
+    return Cone(vec(v), simplicial_cone_facet_normals(normals), constraints, 0)
 
 
 def local_contribution(p: Polytope, vid: int, tri: LiftedTriangulation,
                        xi: Sequence) -> LocalContribution:
     """Signed sum over triangulation cells of the polarized simple cones.
 
-    For each cell the functional is written in the basis of the cell's
-    normals; zero coefficients mean the functional is constant on a ray of
-    the cell's cone and are rejected as non-generic.
+    Each cell is a simple-cone frame with the functional written in the
+    basis of the cell's normals; a functional constant on a ray of a cell's
+    cone is rejected as non-generic.
     """
     xi = as_functional(xi)
     v = p.vertices[vid]
     if set(tri.rays) != set(normal_cone_rays(p, vid)):
         raise ValueError("triangulation rays do not match the normal cone "
                          f"of vertex {v}")
-    terms = []
-    indices = []
-    for cell in tri.cells:
-        normals = [tri.rays[j] for j in cell]
-        alpha = solve_linear(transpose(normals), xi)
-        if alpha is None:
-            raise AssertionError("cell normals are not a basis")
-        if any(a == 0 for a in alpha):
-            dual = tuple(primitive(col) for col in transpose(mat_inverse(normals)))
-            bad = [dual[i] for i, a in enumerate(alpha) if a == 0]
-            raise GenericityError(
-                f"functional {xi} is constant on triangulation ray(s) {bad} "
-                f"of cell {cell} at vertex {v}")
-        cons = []
-        witness = v
-        dual = tuple(primitive(col) for col in transpose(mat_inverse(normals)))
-        for i, (n, a) in enumerate(zip(normals, alpha)):
-            c = dot(n, v)
-            if a > 0:
-                cons.append(Halfspace(n, c, False))
-                witness = vadd(witness, tuple(Fraction(x) for x in dual[i]))
-            else:
-                cons.append(Halfspace(tuple(-x for x in n), -c, True))
-                witness = vadd(witness, tuple(-Fraction(x) for x in dual[i]))
-        index = sum(1 for a in alpha if a < 0)
-        indices.append(index)
-        terms.append((ZPoly.const((-1) ** index),
-                      piece(p.dim, cons, witness=witness)))
-    return LocalContribution(vid, vec(v), xi, tuple(indices),
-                             IndicatorSum(p.dim, tuple(terms)))
+    frames = [simple_cone_frame(v, (tri.rays[j] for j in cell), xi,
+                                f"of triangulation cell {cell} at vertex {v}")
+              for cell in tri.cells]
+    terms = tuple((ZPoly.const((-1) ** f.index), polarized_piece(f))
+                  for f in frames)
+    return LocalContribution(vid, vec(v), xi, tuple(f.index for f in frames),
+                             IndicatorSum(p.dim, terms))
 
 
 def local_contributions(p: Polytope, xi: Sequence,
@@ -351,8 +416,6 @@ def flip_one_constraint(lc: LocalContribution, term_index: int = 0,
     coeff, pc = terms[term_index]
     cons = list(pc.constraints)
     cons[constraint_index] = cons[constraint_index].complement()
-    from .indicators import LocallyClosedPiece
-    terms[term_index] = (coeff, LocallyClosedPiece(pc.dim, tuple(
-        sorted(cons, key=lambda h: (h.normal, h.offset, h.strict)))))
+    terms[term_index] = (coeff, LocallyClosedPiece(pc.dim, tuple(sorted(cons))))
     return LocalContribution(lc.vertex_id, lc.vertex, lc.xi, lc.cell_indices,
                              IndicatorSum(lc.sum.dim, tuple(terms)))

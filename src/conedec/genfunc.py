@@ -18,11 +18,10 @@ from typing import Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece
 from .linalg import (IntVector, dot, frac, int_matrix_inverse, mat_inverse,
-                     mat_vec, primitive, rank, smith_normal_form,
-                     solve_linear, vec, vsub)
+                     mat_vec, primitive, rank, simplicial_cone_facet_normals,
+                     smith_normal_form, solve_linear, vec, vsub)
 from .polyhedra import Polytope, cone_constraints_from_rays, extreme_rays
-from .triangulation import (half_open_flags, simplicial_cone_facet_normals,
-                            triangulation_with_retries)
+from .triangulation import half_open_flags, triangulation_with_retries
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import Vector, dot, frac, vec
+from .linalg import dot, frac, vec
 from .polyhedra import Face, Halfspace, Polytope
 
 
@@ -170,8 +170,7 @@ def piece(dim: int, constraints: Iterable[Halfspace],
         else:
             binding[key] = (h.offset, h.strict)
             order.append(key)
-    canon = tuple(sorted((Halfspace(n, *binding[n]) for n in order),
-                         key=lambda h: (h.normal, h.offset, h.strict)))
+    canon = tuple(sorted(Halfspace(n, *binding[n]) for n in order))
     pc = LocallyClosedPiece(dim, canon)
     if witness is not None:
         if not pc.contains(witness):
@@ -256,9 +255,13 @@ def indicator_of_interior(p: Polytope) -> IndicatorSum:
     return IndicatorSum(p.dim, ((ONE, pc),))
 
 
-def _face_barycenter(p: Polytope, f: Face) -> Vector:
-    pts = [p.vertices[i] for i in f.vertex_ids]
-    return tuple(sum(q[i] for q in pts) / len(pts) for i in range(p.dim))
+def tangent_cone_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
+    """Tangent cone of a face: the facets tight on it (all of space for the
+    polytope itself)."""
+    if f.dim == p.dim:
+        return whole_space_piece(p.dim)
+    return piece(p.dim, (p.facets[i] for i in f.facet_ids),
+                 witness=p.barycenter(f))
 
 
 def gram_decomposition(p: Polytope) -> IndicatorSum:
@@ -266,16 +269,9 @@ def gram_decomposition(p: Polytope) -> IndicatorSum:
 
     Evaluates to the indicator function of the polytope everywhere.
     """
-    terms = []
-    for f in p.faces:
-        sign = -1 if f.dim % 2 else 1
-        if f.dim == p.dim:
-            pc = whole_space_piece(p.dim)
-        else:
-            pc = piece(p.dim, (p.facets[i] for i in f.facet_ids),
-                       witness=_face_barycenter(p, f))
-        terms.append((ZPoly.const(sign), pc))
-    return IndicatorSum(p.dim, tuple(terms))
+    return IndicatorSum(p.dim, tuple(
+        (ZPoly.const(-1 if f.dim % 2 else 1), tangent_cone_piece(p, f))
+        for f in p.faces))
 
 
 def relative_interior_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
@@ -288,7 +284,7 @@ def relative_interior_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
             cons.append(Halfspace(tuple(-a for a in h.normal), -h.offset, False))
         else:
             cons.append(Halfspace(h.normal, h.offset, True))
-    return piece(p.dim, cons, witness=_face_barycenter(p, f))
+    return piece(p.dim, cons, witness=p.barycenter(f))
 
 
 def weighted_indicator(p: Polytope) -> IndicatorSum:

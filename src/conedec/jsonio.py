@@ -81,8 +81,7 @@ def indicator_sum_from_json(obj: list, dim: int) -> IndicatorSum:
             h = halfspace([frac(x) for x in c["normal"]], frac(c["offset"]),
                           c.get("sense", "ge") == "gt")
             cons.append(h)
-        terms.append((coeff, LocallyClosedPiece(dim, tuple(sorted(
-            cons, key=lambda h: (h.normal, h.offset, h.strict))))))
+        terms.append((coeff, LocallyClosedPiece(dim, tuple(sorted(cons)))))
     return IndicatorSum(dim, tuple(terms))
 
 

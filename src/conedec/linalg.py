@@ -278,6 +278,14 @@ def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(m[i][n:]) for i in range(n))
 
 
+def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector, ...]:
+    """Inward facet normals h_i of a simplicial cone: h_i·r_j = 0 for j ≠ i
+    and h_i·r_i > 0."""
+    cols = tuple(zip(*rays))  # matrix with the rays as columns
+    inv = mat_inverse(cols)
+    return tuple(primitive(row) for row in inv)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

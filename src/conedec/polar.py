@@ -4,45 +4,39 @@ Given a generic linear functional, each vertex cone of a simple polytope is
 "polarized": edge directions on which the functional decreases get flipped
 and their facets turned strict.  The signed sum of the polarized cones over
 all vertices is the indicator function of the polytope; a weighted variant
-refines this face by face.
+refines this face by face.  A simple vertex is the one-cell case of the
+non-simple construction in `deform`, so the plain decomposition is that
+construction restricted to simple polytopes, and every cone here is built
+from the same simple-cone frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
+from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, GenericityError,
+                     SimpleConeFrame, as_functional, frame_piece,
+                     nonsimple_decomposition, polarized_piece,
+                     simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
-                         ZPoly, default_box, piece, verify_identity,
-                         whole_space_piece)
-from .linalg import (IntVector, Vector, dot, mat_inverse, primitive,
-                     solve_linear, transpose, vadd, vec, vsub)
-from .polyhedra import (Face, Halfspace, Polytope, is_simple_polytope,
-                        is_simple_vertex)
-
-
-class GenericityError(ValueError):
-    """The functional vanishes on an edge or triangulation ray."""
+                         ZPoly, default_box, tangent_cone_piece,
+                         verify_identity, whole_space_piece)
+from .linalg import IntVector, dot, simplicial_cone_facet_normals, vsub
+from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
 
 class SimplicityError(ValueError):
     """A vertex is not simple; use the virtual-deformation machinery instead."""
 
 
-def as_functional(xi: Sequence) -> IntVector:
-    return primitive(vec(xi))
-
-
 def is_generic(xi: Sequence, p: Polytope) -> bool:
     """True when the functional is nonconstant on every edge."""
-    xi = as_functional(xi)
-    for e in p.edges:
-        a, b = e.vertex_ids
-        t = vsub(p.vertices[b], p.vertices[a])
-        if dot(xi, t) == 0:
-            return False
+    try:
+        require_generic(xi, p)
+    except GenericityError:
+        return False
     return True
 
 
@@ -58,107 +52,56 @@ def require_generic(xi: Sequence, p: Polytope) -> IntVector:
     return xi
 
 
-@dataclass(frozen=True)
-class VertexPolarization:
-    """Edge directions, facet coefficients and the index at a simple vertex.
+def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
+    """Frame of the tangent cone at a simple vertex, checked against its edges.
 
-    alpha[i] is the coefficient of the i-th tight facet normal when the
-    functional is written in that basis; sign[i] is the sign of the
-    functional on the matching edge direction.  The two ways of counting the
-    index (negative alphas / downhill edges) agree and that is asserted on
-    construction.
+    Each edge direction must leave exactly one tight facet and be that
+    facet's ray, and the functional must increase along it exactly when the
+    facet's coefficient is positive: the two ways of counting the index
+    (negative alphas / downhill edges) agree, and that is asserted.
     """
-    vertex_id: int
-    vertex: Vector
-    facet_ids: tuple[int, ...]
-    normals: tuple[IntVector, ...]
-    edge_dirs: tuple[IntVector, ...]
-    alpha: tuple[Fraction, ...]
-    signs: tuple[int, ...]
-    index: int
-
-
-def polarization(p: Polytope, vid: int, xi: Sequence) -> VertexPolarization:
-    """Solve for the facet coefficients of the functional at a simple vertex."""
     if not is_simple_vertex(p, vid):
         raise SimplicityError(f"vertex {p.vertices[vid]} is not simple")
     xi = as_functional(xi)
     v = p.vertices[vid]
-    facet_ids = p.tight_facets(vid)
-    normals = tuple(p.facets[i].normal for i in facet_ids)
-    alpha = solve_linear(transpose(normals), xi)
-    if alpha is None:
-        raise AssertionError("tight normals at a simple vertex must be a basis")
-    if any(a == 0 for a in alpha):
-        bad = [normals[i] for i, a in enumerate(alpha) if a == 0]
-        raise GenericityError(f"functional {xi} lies on the facet hyperplane "
-                              f"spanned against normal(s) {bad}")
-    # pair each edge direction with the unique facet it leaves
+    frame = simple_cone_frame(
+        v, (p.facets[i].normal for i in p.tight_facets(vid)), xi,
+        f"at vertex {v}")
     dirs = p.edge_directions(vid)
     if len(dirs) != p.dim:
         raise SimplicityError(f"vertex {v} has {len(dirs)} edges in dim {p.dim}")
-    ordered: list[Optional[IntVector]] = [None] * p.dim
-    signs: list[int] = [0] * p.dim
+    paired = set()
     for t in dirs:
-        hits = [i for i, n in enumerate(normals) if dot(n, t) != 0]
-        if len(hits) != 1:
-            raise AssertionError("edge direction off more than one tight facet")
+        hits = [i for i, n in enumerate(frame.normals) if dot(n, t) != 0]
+        if len(hits) != 1 or frame.rays[hits[0]] != t:
+            raise AssertionError(f"edge direction {t} at vertex {v} is not "
+                                 "the ray off a single tight facet")
         i = hits[0]
-        ordered[i] = t
-        s = dot(xi, t)
-        if s == 0:
-            raise GenericityError(f"functional {xi} is constant on the edge "
-                                  f"direction {t} at vertex {v}")
-        signs[i] = 1 if s > 0 else -1
-    if any(t is None for t in ordered):
-        raise AssertionError("edge/facet pairing incomplete")
-    for i in range(p.dim):
-        if (alpha[i] > 0) != (signs[i] > 0):
+        paired.add(i)
+        if (frame.alpha[i] > 0) != (dot(xi, t) > 0):
             raise AssertionError("index definitions disagree: "
-                                 f"alpha={alpha} signs={signs}")
-    index = sum(1 for s in signs if s < 0)
-    return VertexPolarization(vid, v, facet_ids, normals, tuple(ordered),
-                              alpha, tuple(signs), index)
-
-
-def _polarized_constraints(pol: VertexPolarization) -> list[Halfspace]:
-    """Keep facets with positive coefficient, flip the others to strict."""
-    cons = []
-    for n, a in zip(pol.normals, pol.alpha):
-        c = dot(n, pol.vertex)
-        if a > 0:
-            cons.append(Halfspace(n, c, False))
-        else:
-            cons.append(Halfspace(tuple(-x for x in n), -c, True))
-    return cons
-
-
-def _polarized_witness(pol: VertexPolarization) -> Vector:
-    x = pol.vertex
-    for t, s in zip(pol.edge_dirs, pol.signs):
-        x = vadd(x, tuple(Fraction(s) * c for c in t))
-    return x
+                                 f"alpha={frame.alpha} on edge {t}")
+    if len(paired) != p.dim:
+        raise AssertionError("edge/facet pairing incomplete")
+    return frame
 
 
 def polarized_tangent_cone(p: Polytope, vid: int, xi: Sequence
                            ) -> LocallyClosedPiece:
     """Locally closed polarized vertex cone.
 
-    Built twice, once from the flipped facet inequalities and once from the
-    flipped edge directions; the two constructions are asserted identical.
+    Built twice from the vertex frame, once from the flipped facet
+    inequalities and once as the cone over the flipped edge directions with
+    the facets opposite flipped edges strict; the two constructions are
+    asserted identical.
     """
-    pol = polarization(p, vid, xi)
-    by_facets = piece(p.dim, _polarized_constraints(pol),
-                      witness=_polarized_witness(pol))
-    # dual route: flip downhill edge directions, keep track of open facets
-    gens = tuple(t if s > 0 else tuple(-a for a in t)
-                 for t, s in zip(pol.edge_dirs, pol.signs))
-    inv = mat_inverse(transpose(gens))
-    cons = []
-    for row, s in zip(inv, pol.signs):
-        n = primitive(row)
-        cons.append(Halfspace(n, dot(n, pol.vertex), s < 0))
-    by_edges = piece(p.dim, cons, witness=_polarized_witness(pol))
+    frame = polarization(p, vid, xi)
+    by_facets = polarized_piece(frame)
+    gens = [r if a > 0 else tuple(-x for x in r)
+            for r, a in zip(frame.rays, frame.alpha)]
+    by_edges = frame_piece(
+        simple_cone_frame(frame.apex, simplicial_cone_facet_normals(gens)),
+        [CLOSED if a > 0 else STRICT for a in frame.alpha])
     if by_edges != by_facets:
         raise AssertionError("polarized cone constructions disagree: "
                              f"{by_facets} vs {by_edges}")
@@ -166,20 +109,18 @@ def polarized_tangent_cone(p: Polytope, vid: int, xi: Sequence
 
 
 def lv_decomposition(p: Polytope, xi: Sequence) -> IndicatorSum:
-    """Signed sum of polarized vertex cones equal to the polytope indicator."""
+    """Signed sum of polarized vertex cones equal to the polytope indicator.
+
+    Every vertex of a simple polytope is a one-cell local contribution, so
+    this is the non-simple decomposition restricted to simple polytopes.
+    """
     if not is_simple_polytope(p):
         raise SimplicityError("polytope has a non-simple vertex; "
                               "use 'nonsimple' instead")
-    xi = require_generic(xi, p)
-    terms = []
-    for vid in range(len(p.vertices)):
-        pol = polarization(p, vid, xi)
-        pc = polarized_tangent_cone(p, vid, xi)
-        terms.append((ZPoly.const((-1) ** pol.index), pc))
-    return IndicatorSum(p.dim, tuple(terms))
+    return nonsimple_decomposition(p, require_generic(xi, p))
 
 
-def weighted_polarized_piece_value(pol: VertexPolarization,
+def weighted_polarized_piece_value(pol: SimpleConeFrame,
                                    equality_set: Sequence[int]) -> ZPoly:
     """z^{k+}·(1-z)^{k-} for a face of the closed polarized cone.
 
@@ -188,12 +129,6 @@ def weighted_polarized_piece_value(pol: VertexPolarization,
     k_plus = sum(1 for i in equality_set if pol.alpha[i] > 0)
     k_minus = sum(1 for i in equality_set if pol.alpha[i] < 0)
     return ZPoly.z_power(k_plus) * ZPoly.one_minus_z_power(k_minus)
-
-
-def _dual_rays(pol: VertexPolarization) -> tuple[IntVector, ...]:
-    """r_i with n_j·r_i = 0 for j ≠ i and n_i·r_i > 0."""
-    inv = mat_inverse(pol.normals)
-    return tuple(primitive(col) for col in transpose(inv))
 
 
 def weighted_lv_decomposition(p: Polytope, xi: Sequence) -> IndicatorSum:
@@ -212,34 +147,14 @@ def weighted_lv_decomposition(p: Polytope, xi: Sequence) -> IndicatorSum:
     for vid in range(len(p.vertices)):
         pol = polarization(p, vid, xi)
         sign = ZPoly.const((-1) ** pol.index)
-        rays = _dual_rays(pol)
+        interior = [STRICT if a > 0 else FLIPPED for a in pol.alpha]
         for r in range(p.dim + 1):
             for eq_set in combinations(range(p.dim), r):
-                cons: list[Halfspace] = []
-                witness = pol.vertex
-                for i, (n, a) in enumerate(zip(pol.normals, pol.alpha)):
-                    c = dot(n, pol.vertex)
-                    if i in eq_set:
-                        cons.append(Halfspace(n, c, False))
-                        cons.append(Halfspace(tuple(-x for x in n), -c, False))
-                    else:
-                        if a > 0:
-                            cons.append(Halfspace(n, c, True))
-                        else:
-                            cons.append(Halfspace(tuple(-x for x in n), -c, True))
-                        s = 1 if a > 0 else -1
-                        witness = vadd(witness, tuple(Fraction(s) * x for x in rays[i]))
+                pattern = [EQUAL if i in eq_set else how
+                           for i, how in enumerate(interior)]
                 w = weighted_polarized_piece_value(pol, eq_set)
-                terms.append((sign * w, piece(p.dim, cons, witness=witness)))
+                terms.append((sign * w, frame_piece(pol, pattern)))
     return IndicatorSum(p.dim, tuple(terms))
-
-
-def _tangent_cone_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
-    if f.dim == p.dim:
-        return whole_space_piece(p.dim)
-    pts = [p.vertices[i] for i in f.vertex_ids]
-    bary = tuple(sum(q[i] for q in pts) / len(pts) for i in range(p.dim))
-    return piece(p.dim, (p.facets[i] for i in f.facet_ids), witness=bary)
 
 
 def rearrange_for_vertex(p: Polytope, vid: int, xi: Sequence
@@ -262,7 +177,7 @@ def rearrange_for_vertex(p: Polytope, vid: int, xi: Sequence
         others = [dot(xi_p, p.vertices[w]) for w in f.vertex_ids if w != vid]
         if any(o >= val for o in others):
             continue
-        terms.append((ZPoly.const((-1) ** f.dim), _tangent_cone_piece(p, f)))
+        terms.append((ZPoly.const((-1) ** f.dim), tangent_cone_piece(p, f)))
     return lhs, IndicatorSum(p.dim, tuple(terms))
 
 
@@ -270,23 +185,21 @@ def partition_pieces(p: Polytope, vid: int) -> list[LocallyClosedPiece]:
     """The 2^d sign-pattern pieces of the facet hyperplanes at a simple vertex."""
     if not is_simple_vertex(p, vid):
         raise SimplicityError(f"vertex {p.vertices[vid]} is not simple")
-    v = p.vertices[vid]
-    facet_ids = p.tight_facets(vid)
-    normals = [p.facets[i].normal for i in facet_ids]
-    rays = tuple(primitive(col) for col in transpose(mat_inverse(normals)))
-    out = []
-    for mask in range(2 ** p.dim):
-        cons = []
-        witness = v
-        for i, n in enumerate(normals):
-            c = dot(n, v)
-            if mask & (1 << i):
-                cons.append(Halfspace(tuple(-x for x in n), -c, True))
-                witness = vadd(witness, tuple(-Fraction(x) for x in rays[i]))
-            else:
-                cons.append(Halfspace(n, c, False))
-        out.append(piece(p.dim, cons, witness=witness))
-    return out
+    frame = simple_cone_frame(
+        p.vertices[vid], (p.facets[i].normal for i in p.tight_facets(vid)))
+    return [frame_piece(frame, [FLIPPED if mask & (1 << i) else CLOSED
+                                for i in range(p.dim)])
+            for mask in range(2 ** p.dim)]
+
+
+def partition_identity(p: Polytope, vid: int
+                       ) -> tuple[IndicatorSum, IndicatorSum]:
+    """Both sides of the tiling identity at a vertex: the plain sum of the
+    sign-pattern pieces, and the whole space."""
+    lhs = IndicatorSum(p.dim, tuple((ZPoly.const(1), pc)
+                                    for pc in partition_pieces(p, vid)))
+    rhs = IndicatorSum(p.dim, ((ZPoly.const(1), whole_space_piece(p.dim)),))
+    return lhs, rhs
 
 
 def partition_check(p: Polytope, vid: int, box=None, step=Fraction(1, 2),
@@ -296,9 +209,7 @@ def partition_check(p: Polytope, vid: int, box=None, step=Fraction(1, 2),
     Every witness point must land in exactly one piece, i.e. the plain sum
     of the pieces evaluates to the constant 1.
     """
-    pieces = partition_pieces(p, vid)
-    lhs = IndicatorSum(p.dim, tuple((ZPoly.const(1), pc) for pc in pieces))
-    rhs = IndicatorSum(p.dim, ((ZPoly.const(1), whole_space_piece(p.dim)),))
+    lhs, rhs = partition_identity(p, vid)
     if box is None:
         box = default_box(p)
     return verify_identity(lhs, rhs, box, step, extra_samples, seed,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
 from .linalg import (DimensionError, IntVector, Vector, dot, frac, kernel_basis,
@@ -22,12 +22,14 @@ class DegenerateInput(ValueError):
     """Input polytope/cone is empty, unbounded, or not full-dimensional."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Halfspace:
     """The set ``normal·x ≥ offset`` (``>`` when strict).
 
     The normal is a primitive integer vector; together with the offset this
-    makes the representation of a rational halfspace unique.
+    makes the representation of a rational halfspace unique.  Halfspaces
+    sort by (normal, offset, strict), the canonical constraint order of a
+    piece.
     """
     normal: IntVector
     offset: Fraction
@@ -96,9 +98,6 @@ class Cone:
 
     def contains(self, x: Sequence) -> bool:
         return all(h.satisfied(x) for h in self.constraints)
-
-    def is_pointed(self) -> bool:
-        return self.lineality_dim == 0
 
     def is_simplicial(self) -> bool:
         return (self.lineality_dim == 0 and len(self.generators) == self.dim
@@ -239,12 +238,11 @@ class Polytope:
                 dirs.append(primitive(vsub(self.vertices[other[0]], v)))
         return tuple(dirs)
 
-    def barycenter(self) -> Vector:
-        n = len(self.vertices)
-        acc = tuple(Fraction(0) for _ in range(self.dim))
-        for v in self.vertices:
-            acc = vadd(acc, v)
-        return vscale(Fraction(1, n), acc)
+    def barycenter(self, face: Optional[Face] = None) -> Vector:
+        """Average of the vertices of the polytope, or of one of its faces."""
+        ids = range(len(self.vertices)) if face is None else face.vertex_ids
+        pts = [self.vertices[i] for i in ids]
+        return tuple(sum(q[i] for q in pts) / len(pts) for i in range(self.dim))
 
     def bounding_box(self, inflate: int = 0) -> list[tuple[Fraction, Fraction]]:
         box = []
@@ -452,8 +450,7 @@ def tangent_cone(p: Polytope, f: Face) -> Cone:
             gens.append(e)
             gens.append(tuple(-a for a in e))
         return Cone(p.barycenter(), tuple(gens), (), p.dim)
-    pts = [p.vertices[i] for i in f.vertex_ids]
-    apex = vscale(Fraction(1, len(pts)), [sum(c[i] for c in pts) for i in range(p.dim)])
+    apex = p.barycenter(f)
     constraints = tuple(p.facets[i] for i in f.facet_ids)
     if f.dim == 0:
         gens = p.edge_directions(f.vertex_ids[0])
@@ -526,14 +523,6 @@ def polar_dual(p: Polytope) -> Polytope:
     if set(dual.vertices) != expected or len(dual.facets) != len(p.vertices):
         raise AssertionError("polar dual bijection failed")
     return dual
-
-
-def dual_vertex_of_facet(p: Polytope, facet_id: int) -> Vector:
-    """Vertex of the polar dual corresponding to a facet (origin interior)."""
-    h = p.facets[facet_id]
-    if h.offset >= 0:
-        raise DegenerateInput("facet offset must be negative (origin inside)")
-    return vscale(1 / h.offset, h.normal)
 
 
 def center_at_barycenter(p: Polytope) -> tuple[Polytope, Vector]:

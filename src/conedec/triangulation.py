@@ -17,8 +17,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, dot, frac, mat_inverse, primitive,
-                     rank, solve_linear, vec, vscale)
+from .linalg import (IntVector, Vector, dot, frac, primitive, rank,
+                     simplicial_cone_facet_normals, solve_linear, vec, vscale)
 from .polyhedra import Cone, DegenerateInput, cone_from_rays
 
 
@@ -140,14 +140,6 @@ def triangulation_with_retries(rays: Sequence, seed: int,
         except DegenerateHeights:
             continue
     raise DegenerateHeights(f"no simplicial lift found after {retries} draws")
-
-
-def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector, ...]:
-    """Inward facet normals h_i of a simplicial cone: h_i·r_j = 0 for j ≠ i
-    and h_i·r_i > 0."""
-    cols = tuple(zip(*rays))  # matrix with the rays as columns
-    inv = mat_inverse(cols)
-    return tuple(primitive(row) for row in inv)
 
 
 def generic_interior_point(rays: Sequence[IntVector],

@@ -114,6 +114,27 @@ class TestVerify:
         assert main(["verify", "--input", segment_file, "--identity", "lv",
                      "--xi", "1", "--exact-cells"]) == 0
 
+    @pytest.mark.parametrize("identity, fixture, extra", [
+        ("partition", "cube_file", []),
+        ("delta-invariance", "pyramid_file", ["--xi", "4,2,0"]),
+        ("compatible", "pyramid_file", ["--xi", "4,2,1"]),
+        ("eq6", "pyramid_file", []),
+    ], ids=["partition", "delta-invariance", "compatible", "eq6"])
+    def test_exact_cells_honoured(self, identity, fixture, extra, request,
+                                  capsys):
+        path = request.getfixturevalue(fixture)
+        assert main(["verify", "--input", path, "--identity", identity,
+                     "--exact-cells", "--json"] + extra) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert reports
+        for r in reports:
+            assert r["parameters"] == {"mode": "exact-cells"}, r["identity"]
+
+    def test_exact_cells_refused_without_indicator_sums(self, pyramid_file):
+        for identity in ("brion", "positive-conic"):
+            assert main(["verify", "--input", pyramid_file, "--identity",
+                         identity, "--xi", "4,2,0", "--exact-cells"]) == 2
+
     def test_weighted_cube(self, cube_file):
         assert main(["verify", "--input", cube_file, "--identity", "weighted",
                      "--xi", "1,2,4", "--samples", "40"]) == 0

@@ -103,6 +103,20 @@ class TestLVDecomposition:
         with pytest.raises(SimplicityError):
             lv_decomposition(pyramid_poly, (4, 2, 0))
 
+    def test_terms_are_the_cross_checked_vertex_cones(self, corpus):
+        # lv runs through the non-simple path; each of its terms must still
+        # be the signed polarized cone built by both the facet and edge route
+        for entry, p in corpus:
+            if not entry.simple:
+                continue
+            for xi in seeded_generic_functionals(p, 2, seed=7):
+                expected = tuple(
+                    (ZPoly.const((-1) ** polarization(p, vid, xi).index),
+                     polarized_tangent_cone(p, vid, xi))
+                    for vid in range(len(p.vertices)))
+                assert lv_decomposition(p, xi).terms == expected, \
+                    (entry.name, xi)
+
 
 class TestWeighted:
     def test_piece_values(self):
