@@ -3,13 +3,15 @@
 Subcommands: count, decompose, verify, corpus.  All output is deterministic
 given (input, flags, seed); JSON reports omit wall-clock time for exactly
 that reason.  Exit codes: 0 success, 1 mathematical counterexample, 2 bad
-input or usage.
+input or usage, 3 internal error (a broken invariant: a bug, not bad input).
+An option value may start with a minus sign: ``--xi -1,2`` is ``--xi=-1,2``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -38,6 +40,7 @@ from .polyhedra import (DegenerateInput, Polytope, center_at_barycenter,
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(Exception):
@@ -448,8 +451,17 @@ def cmd_corpus(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument such as "-1,2" as a value, not as an option."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="conedec",
         description="Exact conic decompositions of rational polytopes and "
                     "lattice-point counting, with machine-checked identities.")
@@ -519,6 +531,9 @@ def main(argv=None) -> int:
     except (DegenerateInput, GenericityError, SimplicityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except AssertionError as exc:
+        print(f"internal error: AssertionError: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # malformed input must never escape as a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -26,7 +26,7 @@ from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, default_box, piece, verify_identity)
 from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, solve_linear, transpose,
-                     vadd, vec, vneg, vsub)
+                     vadd, vec, vec_str, vneg, vsub)
 from .polyhedra import Cone, DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
                             triangulation_with_retries)
@@ -176,9 +176,10 @@ def local_contribution(p: Polytope, vid: int, tri: LiftedTriangulation,
     v = p.vertices[vid]
     if set(tri.rays) != set(normal_cone_rays(p, vid)):
         raise ValueError("triangulation rays do not match the normal cone "
-                         f"of vertex {v}")
+                         f"of vertex {vec_str(v)}")
     frames = [simple_cone_frame(v, (tri.rays[j] for j in cell), xi,
-                                f"of triangulation cell {cell} at vertex {v}")
+                                f"of triangulation cell {cell} at vertex "
+                                f"{vec_str(v)}")
               for cell in tri.cells]
     terms = tuple((ZPoly.const((-1) ** f.index), polarized_piece(f))
                   for f in frames)

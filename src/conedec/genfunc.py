@@ -20,7 +20,8 @@ from .indicators import IndicatorSum, LocallyClosedPiece
 from .linalg import (IntVector, dot, frac, int_matrix_inverse, mat_inverse,
                      mat_vec, primitive, rank, simplicial_cone_facet_normals,
                      smith_normal_form, solve_linear, vec, vsub)
-from .polyhedra import Polytope, cone_constraints_from_rays, extreme_rays
+from .polyhedra import (Polytope, cone_constraints_from_rays, cone_facets,
+                        lineality_of_normals)
 from .triangulation import half_open_flags, triangulation_with_retries
 
 
@@ -353,13 +354,6 @@ def gf_equal_as_functions(g1: RationalGF, g2: RationalGF, trials: int = 4,
 # From indicator sums to generating functions
 # ---------------------------------------------------------------------------
 
-def piece_lineality(pc: LocallyClosedPiece) -> int:
-    normals = [h.normal for h in pc.constraints]
-    if not normals:
-        return pc.dim
-    return pc.dim - rank(normals)
-
-
 def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
     """Generating function of a locally closed piece that is a shifted cone.
 
@@ -368,14 +362,14 @@ def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
     concurrent); pointed pieces are triangulated if necessary, with strict
     constraints turning the matching facets open.
     """
-    if piece_lineality(pc) > 0:
-        return zero_gf(pc.dim)
     normals = [h.normal for h in pc.constraints]
+    if lineality_of_normals(normals, pc.dim) > 0:
+        return zero_gf(pc.dim)
     offsets = [h.offset for h in pc.constraints]
     apex = solve_linear(normals, offsets)
     if apex is None:
         raise ValueError("piece is not a shifted cone (no common apex)")
-    rays = extreme_rays(pc.constraints, pc.dim)
+    rays = cone_facets(normals, pc.dim)
     if rank(rays) != pc.dim:
         raise ValueError("piece is not full-dimensional")
     strict_normals = {h.normal for h in pc.constraints if h.strict}

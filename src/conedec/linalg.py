@@ -72,6 +72,11 @@ def vscale(c, u: Sequence) -> Vector:
     return tuple(c * frac(a) for a in u)
 
 
+def vec_str(v: Sequence) -> str:
+    """A vector as written in messages: ``(0, 1/2, -3)``."""
+    return "(" + ", ".join(str(x) for x in v) + ")"
+
+
 def is_zero_vector(u: Sequence) -> bool:
     return all(frac(a) == 0 for a in u)
 
@@ -129,6 +134,39 @@ def _int_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], Fraction]:
     return out, factor
 
 
+def _bareiss(m: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Brings m to row echelon form and returns its pivot columns (one per
+    nonzero row, in row order) and the sign of the row permutation.  Every
+    entry stays an integer minor of the input, so each division is exact.
+    With ``reduce`` the entries above each pivot are cleared too
+    (fraction-free Gauss–Jordan) and every pivot entry equals the last one,
+    so row i, divided by its pivot, is row i of the reduced row echelon form.
+    """
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        piv, prow = m[r][c], m[r]
+        for i in (range(len(m)) if reduce else range(r + 1, len(m))):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(a * piv - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = piv
+        pivots.append(c)
+    return pivots, sign
+
+
 def determinant(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(rows)
@@ -137,23 +175,9 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
     if n == 0:
         return Fraction(1)
     m, factor = _int_rows(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = piv
+    pivots, sign = _bareiss(m)
+    if len(pivots) < n:
+        return Fraction(0)
     return Fraction(sign * m[n - 1][n - 1], 1) / factor
 
 
@@ -162,8 +186,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
 
     Accepts square or overdetermined systems.  Returns the unique solution,
     or None when the system is inconsistent or underdetermined (no unique
-    solution).  Forward elimination is fraction-free on the integer-scaled
-    augmented matrix; back substitution is done in Fractions.
+    solution).  The integer-scaled augmented matrix is reduced fraction-free.
     """
     rows = [list(r) for r in a]
     if len(rows) != len(b):
@@ -171,96 +194,35 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     if not rows:
         return ()
     ncols = len(rows[0])
-    aug = [list(r) + [rhs] for r, rhs in zip(rows, b)]
-    m, _ = _int_rows(aug)
-    nrows = len(m)
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        m[r], m[piv_row] = m[piv_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols + 1):
-                m[i][j] = (m[i][j] * piv - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if any(m[i][j] != 0 for j in range(ncols)):
-            raise AssertionError("echelon failed")  # pragma: no cover
-        if m[i][ncols] != 0:
-            return None  # inconsistent
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    x: list[Fraction] = [Fraction(0)] * ncols
-    for (i, c) in reversed(pivots):
-        s = Fraction(m[i][ncols])
-        for j in range(c + 1, ncols):
-            s -= m[i][j] * x[j]
-        x[c] = s / m[i][c]
-    return tuple(x)
-
-
-def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    m = [[frac(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, _ = _int_rows([r + [rhs] for r, rhs in zip(rows, b)])
+    pivots, _ = _bareiss(m, reduce=True)
+    if pivots != list(range(ncols)):
+        return None  # underdetermined, or inconsistent (the rhs is a pivot)
+    return tuple(Fraction(m[i][ncols], m[i][i]) for i in range(ncols))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return len(_rref(rows)[1])
+    return len(_bareiss(_int_rows(rows)[0])[0])
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[Vector]:
-    """Basis of the right kernel {x : a·x = 0}, as rational vectors."""
+    """Basis of the right kernel {x : a·x = 0}, as rational vectors.
+
+    One vector per free column f, with x_f = 1 and zeros on the other free
+    columns.
+    """
     if not rows:
         raise ValueError("kernel_basis: need the ambient dimension, got no rows")
     ncols = len(rows[0])
-    m, pivots = _rref(rows)
+    m, _ = _int_rows(rows)
+    pivots, _ = _bareiss(m, reduce=True)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
         for i, c in enumerate(pivots):
-            x[c] = -m[i][f]
+            x[c] = Fraction(-m[i][f], m[i][c])
         basis.append(tuple(x))
     return basis
 
@@ -270,12 +232,12 @@ def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("mat_inverse: matrix is not square")
-    aug = [list(vec(r)) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, r in enumerate(rows)]
-    m, pivots = _rref(aug)
+    m, _ = _int_rows([list(r) + [1 if i == j else 0 for j in range(n)]
+                      for i, r in enumerate(rows)])
+    pivots, _ = _bareiss(m, reduce=True)
     if pivots != list(range(n)):
         raise ValueError("mat_inverse: singular matrix")
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, m[i][i]) for x in m[i][n:]) for i in range(n))
 
 
 def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector, ...]:

@@ -23,7 +23,8 @@ from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, GenericityError,
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, default_box, tangent_cone_piece,
                          verify_identity, whole_space_piece)
-from .linalg import IntVector, dot, simplicial_cone_facet_normals, vsub
+from .linalg import (IntVector, dot, simplicial_cone_facet_normals, vec_str,
+                     vsub)
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
 
@@ -48,7 +49,7 @@ def require_generic(xi: Sequence, p: Polytope) -> IntVector:
         if dot(xi, t) == 0:
             raise GenericityError(
                 f"functional {xi} is constant on the edge through vertices "
-                f"{p.vertices[a]} and {p.vertices[b]}")
+                f"{vec_str(p.vertices[a])} and {vec_str(p.vertices[b])}")
     return xi
 
 
@@ -61,26 +62,27 @@ def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
     (negative alphas / downhill edges) agree, and that is asserted.
     """
     if not is_simple_vertex(p, vid):
-        raise SimplicityError(f"vertex {p.vertices[vid]} is not simple")
+        raise SimplicityError(f"vertex {vec_str(p.vertices[vid])} is not simple")
     xi = as_functional(xi)
     v = p.vertices[vid]
     frame = simple_cone_frame(
         v, (p.facets[i].normal for i in p.tight_facets(vid)), xi,
-        f"at vertex {v}")
+        f"at vertex {vec_str(v)}")
     dirs = p.edge_directions(vid)
     if len(dirs) != p.dim:
-        raise SimplicityError(f"vertex {v} has {len(dirs)} edges in dim {p.dim}")
+        raise SimplicityError(f"vertex {vec_str(v)} has {len(dirs)} edges "
+                              f"in dim {p.dim}")
     paired = set()
     for t in dirs:
         hits = [i for i, n in enumerate(frame.normals) if dot(n, t) != 0]
         if len(hits) != 1 or frame.rays[hits[0]] != t:
-            raise AssertionError(f"edge direction {t} at vertex {v} is not "
-                                 "the ray off a single tight facet")
+            raise AssertionError(f"edge direction {t} at vertex {vec_str(v)} "
+                                 "is not the ray off a single tight facet")
         i = hits[0]
         paired.add(i)
         if (frame.alpha[i] > 0) != (dot(xi, t) > 0):
             raise AssertionError("index definitions disagree: "
-                                 f"alpha={frame.alpha} on edge {t}")
+                                 f"alpha={vec_str(frame.alpha)} on edge {t}")
     if len(paired) != p.dim:
         raise AssertionError("edge/facet pairing incomplete")
     return frame
@@ -184,7 +186,7 @@ def rearrange_for_vertex(p: Polytope, vid: int, xi: Sequence
 def partition_pieces(p: Polytope, vid: int) -> list[LocallyClosedPiece]:
     """The 2^d sign-pattern pieces of the facet hyperplanes at a simple vertex."""
     if not is_simple_vertex(p, vid):
-        raise SimplicityError(f"vertex {p.vertices[vid]} is not simple")
+        raise SimplicityError(f"vertex {vec_str(p.vertices[vid])} is not simple")
     frame = simple_cone_frame(
         p.vertices[vid], (p.facets[i].normal for i in p.tight_facets(vid)))
     return [frame_piece(frame, [FLIPPED if mask & (1 << i) else CLOSED

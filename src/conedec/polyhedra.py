@@ -14,8 +14,9 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (DimensionError, IntVector, Vector, dot, frac, kernel_basis,
-                     primitive, rank, vadd, vec, vneg, vscale, vsub)
+from .linalg import (DimensionError, IntVector, Vector, dot, frac, idot,
+                     kernel_basis, primitive, rank, vadd, vec, vec_str, vneg,
+                     vscale, vsub)
 
 
 class DegenerateInput(ValueError):
@@ -109,35 +110,34 @@ def lineality_dim(c: Cone) -> int:
     return c.lineality_dim
 
 
-def _lineality_of_normals(normals: Sequence[IntVector], dim: int) -> int:
-    if not normals:
-        return dim
+def lineality_of_normals(normals: Sequence[IntVector], dim: int) -> int:
+    """Dimension of the lineality space of {y : n·y ≥ 0 for each normal}."""
     return dim - rank(normals)
 
 
-def extreme_rays(constraints: Sequence[Halfspace], dim: int) -> tuple[IntVector, ...]:
-    """Extreme rays of the pointed cone {y : n·y ≥ 0 for each constraint normal}.
+def cone_facets(gens: Sequence[IntVector], dim: int) -> tuple[IntVector, ...]:
+    """Primitive inner facet normals of the cone spanned by integer vectors
+    that span the space.
 
-    Rays are found as kernels of (dim-1)-subsets of the normals, filtered by
-    feasibility; this is the same exhaustive style as vertex enumeration.
+    A (dim−1)-subset of the generators whose span is a hyperplane with every
+    generator on one side gives that hyperplane's normal, pointing to the
+    generators; normals come in the order of their first subset.  By
+    polarity these are also the extreme rays of {y : g·y ≥ 0 for each g}.
     """
-    normals = [h.normal for h in constraints]
-    rays: list[IntVector] = []
-    seen = set()
-    subsets = combinations(range(len(normals)), dim - 1) if dim > 1 else [()]
-    for subset in subsets:
-        rows = [normals[i] for i in subset] or [(0,) * dim]
-        ker = kernel_basis(rows)
+    out: list[IntVector] = []
+    for subset in combinations(gens, dim - 1):
+        ker = kernel_basis(list(subset) or [(0,) * dim])
         if len(ker) != 1:
             continue
-        r = primitive(ker[0])
-        for cand in (r, tuple(-a for a in r)):
-            if cand in seen:
+        h = primitive(ker[0])
+        sides = [idot(h, g) for g in gens]
+        if any(s < 0 for s in sides):
+            if any(s > 0 for s in sides):
                 continue
-            if all(dot(n, cand) >= 0 for n in normals):
-                seen.add(cand)
-                rays.append(cand)
-    return tuple(rays)
+            h = tuple(-a for a in h)
+        if h not in out:
+            out.append(h)
+    return tuple(out)
 
 
 def cone_constraints_from_rays(rays: Sequence[IntVector], dim: int,
@@ -146,26 +146,7 @@ def cone_constraints_from_rays(rays: Sequence[IntVector], dim: int,
     if rank(rays) != dim:
         raise DegenerateInput("cone is not full-dimensional")
     apex = vec(apex) if apex is not None else tuple(Fraction(0) for _ in range(dim))
-    out: list[Halfspace] = []
-    seen = set()
-    subsets = combinations(range(len(rays)), dim - 1) if dim > 1 else [()]
-    for subset in subsets:
-        rows = [rays[i] for i in subset] or [(0,) * dim]
-        ker = kernel_basis(rows)
-        if len(ker) != 1:
-            continue
-        h = primitive(ker[0])
-        sides = [dot(h, r) for r in rays]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            h = tuple(-a for a in h)
-        else:
-            continue
-        if h not in seen:
-            seen.add(h)
-            out.append(Halfspace(h, dot(h, apex), False))
-    return tuple(out)
+    return tuple(Halfspace(h, dot(h, apex), False) for h in cone_facets(rays, dim))
 
 
 def cone_from_rays(apex: Sequence, rays: Sequence[IntVector]) -> Cone:
@@ -316,7 +297,8 @@ def _build(dim: int, vertices: list[Vector], facets: list[Halfspace]) -> Polytop
     for i, v in enumerate(vertices):
         normals = [facets[j].normal for j, t in enumerate(tights) if i in t]
         if rank(normals) != dim:
-            raise AssertionError(f"point {v} is not a vertex of the result")
+            raise AssertionError(f"point {vec_str(v)} is not a vertex of "
+                                 "the result")
     faces = _face_lattice(len(vertices), tights, vertices)
     if len([f for f in faces if f.dim == 0]) != len(vertices):
         raise AssertionError("face lattice lost a vertex")
@@ -324,11 +306,11 @@ def _build(dim: int, vertices: list[Vector], facets: list[Halfspace]) -> Polytop
 
 
 def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:
-    """Exact V-to-H conversion by exhaustive hyperplane enumeration.
+    """Exact V-to-H conversion.
 
-    Facet hyperplanes are found as affine spans of d-subsets of the input
-    points that leave all points on one side; redundant (non-extreme) input
-    points are discarded.
+    The facets are those of the cone over the points lifted to height 1: a
+    facet normal (n, −c) of that cone is the facet n·x ≥ c.  Redundant
+    (non-extreme) input points are discarded.
     """
     pts: list[Vector] = []
     for p in points:
@@ -343,32 +325,8 @@ def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:
     if _affine_rank(pts) != dim:
         raise DegenerateInput("points do not affinely span the space; "
                               "the polytope would be lower-dimensional")
-    halfspaces: list[Halfspace] = []
-    seen = set()
-    for subset in combinations(range(len(pts)), dim):
-        chosen = [pts[i] for i in subset]
-        rows = [vsub(p, chosen[0]) for p in chosen[1:]]
-        if dim == 1:
-            ker = [(Fraction(1),)]
-        else:
-            if rank(rows) != dim - 1:
-                continue
-            ker = kernel_basis(rows)
-            if len(ker) != 1:
-                continue
-        n = primitive(ker[0])
-        c = dot(n, chosen[0])
-        sides = [dot(n, p) - c for p in pts]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            n = tuple(-a for a in n)
-            c = -c
-        else:
-            continue
-        if (n, c) not in seen:
-            seen.add((n, c))
-            halfspaces.append(Halfspace(n, c, False))
+    lifted = [primitive(p + (1,)) for p in pts]
+    halfspaces = [halfspace(h[:-1], -h[-1]) for h in cone_facets(lifted, dim + 1)]
     kept = []
     for v in pts:
         tight_normals = [h.normal for h in halfspaces if h.tight_at(v)]
@@ -378,10 +336,14 @@ def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:
 
 
 def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
-    """Exact H-to-V conversion by solving all d-subsets of tight systems.
+    """Exact H-to-V conversion.
 
-    Rejects unbounded, empty and lower-dimensional intersections.  Redundant
-    inequalities (those not supporting a facet) are dropped.
+    The homogenization {(x, t) : n·x ≥ c·t, t ≥ 0} has extreme rays (x, t);
+    by polarity they are the facet normals of the cone over the rows
+    (n, −c) and (0, …, 0, 1).  A ray with t > 0 is the vertex x/t, and one
+    with t = 0 is a recession direction.  Rejects unbounded, empty and
+    lower-dimensional intersections.  Redundant inequalities (those not
+    supporting a facet) are dropped.
     """
     hs: list[Halfspace] = []
     for h in halfspaces:
@@ -393,32 +355,15 @@ def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
     if not hs:
         raise DegenerateInput("no halfspaces given")
     dim = len(hs[0].normal)
-    normals = [h.normal for h in hs]
-    if rank(normals) != dim:
+    if rank([h.normal for h in hs]) != dim:
         raise DegenerateInput("unbounded: facet normals do not span")
-    # recession cone must be {0}
-    subsets = combinations(range(len(hs)), dim - 1) if dim > 1 else [()]
-    for subset in subsets:
-        rows = [normals[i] for i in subset] or [(0,) * dim]
-        ker = kernel_basis(rows)
-        if len(ker) != 1:
-            continue
-        r = ker[0]
-        for cand in (r, vneg(r)):
-            if all(dot(n, cand) >= 0 for n in normals):
-                raise DegenerateInput(f"unbounded along direction {primitive(cand)}")
+    rows = [primitive(h.normal + (-h.offset,)) for h in hs]
     verts: list[Vector] = []
-    for subset in combinations(range(len(hs)), dim):
-        a = [normals[i] for i in subset]
-        b = [hs[i].offset for i in subset]
-        x = None
-        if rank(a) == dim:
-            from .linalg import solve_linear
-            x = solve_linear(a, b)
-        if x is None:
-            continue
-        if x not in verts and all(h.satisfied(x) for h in hs):
-            verts.append(x)
+    for ray in cone_facets(rows + [(0,) * dim + (1,)], dim + 1):
+        x, t = ray[:-1], ray[-1]
+        if t == 0:
+            raise DegenerateInput(f"unbounded along direction {x}")
+        verts.append(tuple(Fraction(a, t) for a in x))
     if not verts:
         raise DegenerateInput("empty intersection")
     if _affine_rank(verts) != dim:
@@ -464,7 +409,7 @@ def tangent_cone(p: Polytope, f: Face) -> Cone:
                     gens.append(g)
         gens = tuple(gens)
     cone = Cone(apex, gens, constraints,
-                _lineality_of_normals([h.normal for h in constraints], p.dim))
+                lineality_of_normals([h.normal for h in constraints], p.dim))
     _check_cone(cone)
     if f.dim == 0 and len(gens) == p.dim and rank(gens) != p.dim:
         raise AssertionError("simple vertex with dependent edge directions")

@@ -170,6 +170,25 @@ class TestVerify:
         main(args)
         assert first == capsys.readouterr().out
 
+    def test_negative_values_as_separate_arguments(self, pyramid_file, capsys):
+        args = ["verify", "--input", pyramid_file, "--identity", "compatible",
+                "--samples", "0", "--json"]
+        values = [("--xi", "-3,-5,7"), ("--dual-heights", "-1,2,-3,5,7"),
+                  ("--box", "-2,2")]
+        spaced = [x for pair in values for x in pair]
+        joined = [f"{flag}={value}" for flag, value in values]
+        assert main(args + spaced) == 0
+        first = capsys.readouterr().out
+        assert main(args + joined) == 0
+        assert first == capsys.readouterr().out
+
+    def test_error_prints_vertices_as_rationals(self, pyramid_file, capsys):
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "partition"]) == 2
+        err = capsys.readouterr().err
+        assert "vertex (0, 0, 0) is not simple" in err
+        assert "Fraction(" not in err
+
 
 class TestBadInput:
     def test_missing_file(self, capsys):
@@ -198,6 +217,20 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--identity", "gram"])  # --input missing
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("exc, code", [
+        (AssertionError("broken invariant"), 3),
+        (MemoryError(), 2),
+        (RuntimeError("unexpected"), 2),
+    ], ids=["assertion", "memory", "runtime"])
+    def test_internal_errors(self, exc, code, pyramid_file, monkeypatch,
+                             capsys):
+        def fail(p):
+            raise exc
+        monkeypatch.setattr("conedec.cli.gram_decomposition", fail)
+        assert main(["verify", "--input", pyramid_file,
+                     "--identity", "gram"]) == code
+        assert capsys.readouterr().err.startswith("internal error: ")
 
 
 class TestCorpus:

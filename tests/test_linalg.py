@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -144,3 +146,137 @@ class TestHelpers:
     def test_frac_rejects_floats(self):
         with pytest.raises(TypeError):
             frac(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Reference: Fraction Gauss–Jordan elimination
+# ---------------------------------------------------------------------------
+
+def _rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
+    m = [[frac(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """Small rational matrices; some rows are combinations of earlier rows
+    (rank-deficient) and some are zero."""
+    nrows = draw(st.integers(1, 4)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 4)) if ncols is None else ncols
+    rows: list[list[Fraction]] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free"] * 5 + ["combination", "zero"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(small_rationals, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)),
+                             Fraction(0)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(small_rationals, min_size=ncols,
+                                      max_size=ncols)))
+    return draw(st.permutations(rows))
+
+
+class TestAgainstReferenceElimination:
+    @given(rational_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank(self, a):
+        assert rank(a) == len(_rref(a)[1])
+
+    @given(rational_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_basis(self, a):
+        ncols = len(a[0])
+        m, pivots = _rref(a)
+        expect = []
+        for f in (c for c in range(ncols) if c not in pivots):
+            x = [Fraction(0)] * ncols
+            x[f] = Fraction(1)
+            for i, c in enumerate(pivots):
+                x[c] = -m[i][f]
+            expect.append(tuple(x))
+        assert kernel_basis(a) == expect
+
+    @given(st.integers(1, 4).flatmap(lambda n: rational_matrices(n, n)))
+    @settings(max_examples=100, deadline=None)
+    def test_mat_inverse(self, a):
+        n = len(a)
+        m, pivots = _rref([list(r) + [Fraction(int(i == j)) for j in range(n)]
+                           for i, r in enumerate(a)])
+        if pivots != list(range(n)):
+            with pytest.raises(ValueError):
+                mat_inverse(a)
+        else:
+            assert mat_inverse(a) == tuple(tuple(m[i][n:]) for i in range(n))
+
+    @given(rational_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_solve_linear(self, a, data):
+        ncols = len(a[0])
+        x = data.draw(st.lists(small_rationals, min_size=ncols, max_size=ncols))
+        b = data.draw(st.one_of(
+            st.just([sum(r[j] * x[j] for j in range(ncols)) for r in a]),
+            st.lists(small_rationals, min_size=len(a), max_size=len(a))))
+        m, pivots = _rref([list(r) + [rhs] for r, rhs in zip(a, b)])
+        if pivots != list(range(ncols)):
+            assert solve_linear(a, b) is None
+        else:
+            assert solve_linear(a, b) == tuple(m[i][ncols] for i in range(ncols))
+
+    @given(st.integers(1, 4).flatmap(lambda n: rational_matrices(n, n)))
+    @settings(max_examples=100, deadline=None)
+    def test_determinant(self, a):
+        det = determinant(a)
+        assert det == _leibniz_det(a)
+        assert (det == 0) == (len(_rref(a)[1]) < len(a))
+
+    def test_no_rows(self):
+        assert rank([]) == len(_rref([])[1]) == 0
+        assert solve_linear([], []) == ()
+        assert mat_inverse([]) == ()
+        assert determinant([]) == 1

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from conedec.linalg import determinant, dot, vsub
+from conedec.linalg import determinant, dot, primitive, rank, vsub
 from conedec.polyhedra import (DegenerateInput, Halfspace, center_at_barycenter,
+                               cone_constraints_from_rays, cone_facets,
                                halfspace, is_simple_polytope, is_simple_vertex,
                                lineality_dim, normal_cone, polar_dual,
                                polytope_from_halfspaces, polytope_from_vertices,
@@ -77,6 +79,63 @@ class TestFromHalfspaces:
         assert len(p.facets) == 2
 
 
+def random_polytope(rng, dim, n_points, min_vertices=0):
+    """Hull of seeded random integer points with at least min_vertices."""
+    while True:
+        pts = [tuple(rng.randint(-5, 5) for _ in range(dim))
+               for _ in range(n_points)]
+        try:
+            p = polytope_from_vertices(pts)
+        except DegenerateInput:
+            continue
+        if len(p.vertices) >= min_vertices:
+            return p
+
+
+class TestConeFacets:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_vertices_halfspaces_roundtrip(self, dim):
+        rng = random.Random(dim)
+        for _ in range(3):
+            p = random_polytope(rng, dim, dim + 4)
+            q = polytope_from_halfspaces(p.facets)
+            assert set(q.vertices) == set(p.vertices)
+            assert q.facets == p.facets
+
+    @pytest.mark.parametrize("dim, n_rays", [(2, 2), (3, 3), (3, 5), (4, 4),
+                                             (4, 6)])
+    def test_polar_facets_are_the_extreme_rays(self, dim, n_rays):
+        """The cone over a (dim−1)-polytope at height 1 is pointed, with one
+        extreme ray per vertex; n_rays > dim makes it non-simplicial."""
+        rng = random.Random(10 * dim + n_rays)
+        for _ in range(3):
+            base = random_polytope(rng, dim - 1, n_rays, n_rays)
+            rays = [primitive(v + (1,)) for v in base.vertices]
+            normals = [h.normal for h in cone_constraints_from_rays(rays, dim)]
+            assert set(cone_facets(normals, dim)) == set(rays)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_unbounded_names_a_recession_direction(self, dim):
+        rng = random.Random(20 + dim)
+        for _ in range(5):
+            r0 = (0,) * dim
+            while not any(r0):
+                r0 = tuple(rng.randint(-3, 3) for _ in range(dim))
+            normals = []
+            while len(normals) < dim + 2 or rank(normals) < dim:
+                n = tuple(rng.randint(-4, 4) for _ in range(dim))
+                if any(n) and dot(n, r0) >= 0:
+                    normals.append(n)
+            hs = [halfspace(n, rng.randint(-5, 5)) for n in normals]
+            with pytest.raises(DegenerateInput,
+                               match="unbounded along direction") as exc:
+                polytope_from_halfspaces(hs)
+            text = re.search(r"direction \((.*)\)", str(exc.value)).group(1)
+            r = tuple(int(x) for x in text.split(", "))
+            assert any(r)
+            assert all(dot(h.normal, r) >= 0 for h in hs)
+
+
 class TestCorpusInvariants:
     def test_roundtrip_everywhere(self, corpus):
         for entry, p in corpus:
@@ -141,10 +200,10 @@ class TestTangentCone:
         assert lineality_dim(c) == 1
 
     def test_halfplane_lineality(self):
-        from conedec.polyhedra import _lineality_of_normals
-        assert _lineality_of_normals([(1, 0)], 2) == 1
-        assert _lineality_of_normals([], 2) == 2
-        assert _lineality_of_normals([(1,)], 1) == 0
+        from conedec.polyhedra import lineality_of_normals
+        assert lineality_of_normals([(1, 0)], 2) == 1
+        assert lineality_of_normals([], 2) == 2
+        assert lineality_of_normals([(1,)], 1) == 0
 
 
 class TestNormalCone:
