@@ -25,7 +25,7 @@ from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          verify_identity, verify_identity_exact,
                          weighted_indicator, whole_space_piece)
 from .linalg import (determinant, frac, kernel_basis, mat_inverse, primitive,
-                     rank, smith_normal_form, solve_linear)
+                     rank, solve_linear)
 from .polar import (GenericityError, SimplicityError, is_generic,
                     lv_decomposition, partition_check, polarization,
                     polarized_tangent_cone, rearrange_for_vertex,

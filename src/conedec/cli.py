@@ -421,6 +421,8 @@ def cmd_corpus(args) -> int:
                    "brute": brute, "brion": brion, "gram": gram_ok,
                    "decomposition": dec_ok, "ok": ok,
                    "seconds": round(time.monotonic() - t0, 3)}
+        except AssertionError:
+            raise  # a broken invariant is a bug, not a failing entry
         except Exception as exc:
             ok = False
             row = {"name": name, "ok": False, "error": str(exc),

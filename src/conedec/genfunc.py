@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, factorial, floor
 from typing import Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece
-from .linalg import (IntVector, dot, frac, int_matrix_inverse, mat_inverse,
-                     mat_vec, primitive, rank, simplicial_cone_facet_normals,
-                     smith_normal_form, solve_linear, vec, vsub)
+from .linalg import (IntVector, dot, frac, idot, mat_inverse, mat_vec,
+                     primitive, rank, residue_box,
+                     simplicial_cone_facet_normals, solve_linear, vec, vsub)
 from .polyhedra import (Polytope, cone_constraints_from_rays, cone_facets,
                         lineality_of_normals)
 from .triangulation import half_open_flags, triangulation_with_retries
@@ -81,9 +81,6 @@ class RationalGF:
         return RationalGF(self.dim, tuple(
             GFTerm(c * t.coeff, t.numerators, t.denominators) for t in self.terms))
 
-    def is_structurally_zero(self) -> bool:
-        return all(t.coeff == 0 or not t.numerators for t in self.terms)
-
 
 def zero_gf(dim: int) -> RationalGF:
     return RationalGF(dim, ())
@@ -100,9 +97,9 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     """Lattice points of the half-open cell apex + Σ λ_i·t_i.
 
     λ_i runs over [0,1) where the flag is False and (0,1] where it is True.
-    Enumeration walks the |det| residues of Z^d modulo the generator lattice
-    (via the Smith normal form) and lifts each one into the cell, so the cost
-    is exactly the number of points.
+    Enumeration walks a residue box of Z^d modulo the generator lattice (one
+    point per class) and lifts each point into the cell, so the cost is
+    exactly the number of points.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     d = len(gens[0])
@@ -111,14 +108,9 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     apex = vec(apex)
     flags = tuple(open_flags) if open_flags is not None else (False,) * d
     cols = tuple(zip(*gens))  # generator matrix: column i is generator i
-    u, dd, v = smith_normal_form([list(r) for r in cols])
-    diag = [dd[i][i] for i in range(d)]
-    u_inv = int_matrix_inverse(u)
     cols_inv = mat_inverse(cols)
     points = []
-    idx = [0] * d
-    while True:
-        r = tuple(sum(u_inv[i][j] * idx[j] for j in range(d)) for i in range(d))
+    for r in product(*(range(h) for h in residue_box(cols))):
         lam = mat_vec(cols_inv, vsub(r, apex))
         mu = []
         for lam_i, open_i in zip(lam, flags):
@@ -134,15 +126,6 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
                 raise AssertionError("parallelepiped point not integral")
             pt.append(int(x))
         points.append(tuple(pt))
-        j = 0
-        while j < d:
-            idx[j] += 1
-            if idx[j] < diag[j]:
-                break
-            idx[j] = 0
-            j += 1
-        if j == d:
-            break
     points.sort()
     return points
 
@@ -182,22 +165,32 @@ def gf_brute_force(p: Polytope) -> RationalGF:
     return RationalGF(p.dim, (make_term(1, pts, ()),))
 
 
-def vertex_cone_gf(p: Polytope, vid: int, seed: int = 0) -> RationalGF:
-    """Generating function of the tangent cone at one vertex.
-
-    Non-simple vertices are triangulated; the cells are made half-open so
-    their generating functions add up with no inclusion–exclusion.
-    """
-    v = p.vertices[vid]
-    rays = p.edge_directions(vid)
-    if len(rays) == p.dim:
-        return gf_simplicial_cone(v, rays, None)
-    tri = triangulation_with_retries(rays, seed)
-    flags = half_open_flags(tri.rays, tri.cells)
-    acc = zero_gf(p.dim)
-    for cell, fl in zip(tri.cells, flags):
-        acc = acc + gf_simplicial_cone(v, [tri.rays[j] for j in cell], fl)
+def _half_open_cone_gf(apex: Sequence, rays: Sequence[Sequence[int]],
+                       strict_normals: set, seed: int) -> RationalGF:
+    """Generating function of the cone apex + cone(rays), triangulated if
+    not simplicial.  The cells are made half-open so their generating
+    functions add up with no inclusion–exclusion; a cell facet whose normal
+    is in strict_normals is open as well."""
+    dim = len(rays[0])
+    if len(rays) == dim:
+        ray_list, cells = rays, [tuple(range(dim))]
+    else:
+        tri = triangulation_with_retries(rays, seed)
+        ray_list, cells = tri.rays, list(tri.cells)
+    acc = zero_gf(dim)
+    for cell, flags in zip(cells, half_open_flags(ray_list, cells)):
+        cell_rays = [ray_list[j] for j in cell]
+        if strict_normals:
+            flags = tuple(f or h in strict_normals for f, h in
+                          zip(flags, simplicial_cone_facet_normals(cell_rays)))
+        acc = acc + gf_simplicial_cone(apex, cell_rays, flags)
     return acc
+
+
+def vertex_cone_gf(p: Polytope, vid: int, seed: int = 0) -> RationalGF:
+    """Generating function of the tangent cone at one vertex."""
+    return _half_open_cone_gf(p.vertices[vid], p.edge_directions(vid),
+                              set(), seed)
 
 
 def brion_gf(p: Polytope, seed: int = 0) -> RationalGF:
@@ -242,25 +235,9 @@ def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
     return out
 
 
-def _exp_series(c: Fraction, order: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    fact = 1
-    for k in range(1, order + 1):
-        fact *= k
-        out.append(c ** k / fact)
-    return out
-
-
 def _eulerish_series(beta: Fraction, order: int) -> list[Fraction]:
     """(1 - exp(β·s)) = -β·s·E(s) with E(s) = Σ β^k s^k/(k+1)!; returns E."""
-    return [beta ** k / _factorial(k + 1) for k in range(order + 1)]
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return [beta ** k / factorial(k + 1) for k in range(order + 1)]
 
 
 def specialize(gf: RationalGF, direction: Sequence[int], order: int
@@ -279,11 +256,10 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
     for t in gf.terms:
         k = len(t.denominators)
         work = k + order
-        num = [Fraction(0)] * (work + 1)
-        for a in t.numerators:
-            e = _exp_series(Fraction(dot(lam, a)), work)
-            for i in range(work + 1):
-                num[i] += e[i]
+        # Σ_a exp(s·⟨λ,a⟩) = Σ_i s^i·p_i/i! with p_i the i-th power sum
+        dots = [idot(lam, a) for a in t.numerators]
+        num = [Fraction(sum(x ** i for x in dots), factorial(i))
+               for i in range(work + 1)]
         prefactor = t.coeff
         for b in t.denominators:
             beta = Fraction(dot(lam, b))
@@ -380,22 +356,7 @@ def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
             raise ValueError("strict constraint does not support a facet of "
                              "the piece; its lattice points are not a "
                              "half-open cone")
-    if len(rays) == pc.dim:
-        cells = [tuple(range(pc.dim))]
-        ray_list = rays
-    else:
-        tri = triangulation_with_retries(rays, seed)
-        ray_list = tri.rays
-        cells = list(tri.cells)
-    vis_flags = half_open_flags(ray_list, [tuple(c) for c in cells])
-    acc = zero_gf(pc.dim)
-    for cell, vis in zip(cells, vis_flags):
-        cell_rays = [ray_list[j] for j in cell]
-        facet_normals = simplicial_cone_facet_normals(cell_rays)
-        flags = tuple(v or (h in strict_normals)
-                      for v, h in zip(vis, facet_normals))
-        acc = acc + gf_simplicial_cone(apex, cell_rays, flags)
-    return acc
+    return _half_open_cone_gf(apex, rays, strict_normals, seed)
 
 
 def gf_of_indicator_sum(s: IndicatorSum, seed: int = 0) -> RationalGF:

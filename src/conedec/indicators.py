@@ -17,7 +17,7 @@ from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import dot, frac, vec
+from .linalg import frac, vec
 from .polyhedra import Face, Halfspace, Polytope
 
 
@@ -144,12 +144,6 @@ class LocallyClosedPiece:
                 return False
         return True
 
-    def translate(self, shift: Sequence) -> "LocallyClosedPiece":
-        s = vec(shift)
-        return LocallyClosedPiece(self.dim, tuple(
-            Halfspace(h.normal, h.offset + dot(h.normal, s), h.strict)
-            for h in self.constraints))
-
 
 def piece(dim: int, constraints: Iterable[Halfspace],
           witness: Optional[Sequence] = None) -> LocallyClosedPiece:
@@ -225,10 +219,6 @@ class IndicatorSum:
     def scaled(self, c) -> "IndicatorSum":
         cp = ZPoly.const(c) if isinstance(c, int) else c
         return IndicatorSum(self.dim, tuple((cp * co, p) for co, p in self.terms))
-
-    def translate(self, shift: Sequence) -> "IndicatorSum":
-        return IndicatorSum(self.dim, tuple((c, p.translate(shift))
-                                            for c, p in self.terms))
 
     def substitute(self, z_value: int) -> "IndicatorSum":
         """Specialize every coefficient at an integer value of z."""

@@ -9,13 +9,13 @@ rounds, ever.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
-IntMatrix = tuple[IntVector, ...]
 
 
 class DimensionError(ValueError):
@@ -100,10 +100,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionError("mat: ragged rows")
     return m
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(a: Sequence[Sequence]) -> tuple:
@@ -248,117 +244,28 @@ def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector,
     return tuple(primitive(row) for row in inv)
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
+def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:
+    """Sides h_0..h_{d-1} of a box {x : 0 <= x_i < h_i} holding exactly one
+    point of each class of Z^d modulo the lattice spanned by the columns.
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, dst, src, q):
-    """row[dst] += q * row[src]"""
-    m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
-
-
-def _add_col(m, dst, src, q):
-    for row in m:
-        row[dst] += q * row[src]
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]
-                      ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form of an integer matrix with full column rank.
-
-    Returns unimodular U (m×m), diagonal D (m×n), unimodular V (n×n) with
-    U·A·V = D and d_1 | d_2 | ... | d_n, all d_i > 0.  Uses plain gcd
-    row/column reduction; fine for the small matrices this library meets.
-
-    Raises ValueError if the matrix does not have full column rank.
+    The h_i are the diagonal of the lattice's lower-triangular Hermite
+    normal form: h_0···h_{k-1} is the gcd of the k×k minors of the first k
+    rows, which unimodular column operations do not change.  Subtracting
+    Hermite columns moves any integer point into the box one coordinate at a
+    time, and the box has |det| points, so no two of them are congruent.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if any(len(r) != ncols for r in a):
-        raise DimensionError("smith_normal_form: ragged rows")
-    if any(not isinstance(x, int) for r in a for x in r):
-        raise TypeError("smith_normal_form: entries must be int")
-    d = [list(r) for r in a]
-    u = [list(r) for r in identity_matrix(nrows)]
-    v = [list(r) for r in identity_matrix(ncols)]
-
-    def pivot_at(t: int) -> Optional[tuple[int, int]]:
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    for t in range(min(nrows, ncols)):
-        while True:
-            pos = pivot_at(t)
-            if pos is None:
+    ncols = len(cols[0]) if cols else 0
+    sides: list[int] = []
+    prev = 1
+    for k in range(1, len(cols) + 1):
+        g = 0
+        for sub in combinations(range(ncols), k):
+            g = gcd(g, int(determinant([[row[j] for j in sub]
+                                        for row in cols[:k]])))
+            if g == prev:  # every k×k minor is a multiple of prev
                 break
-            i, j = pos
-            if i != t:
-                _swap_rows(d, t, i)
-                _swap_rows(u, t, i)
-            if j != t:
-                _swap_cols(d, t, j)
-                _swap_cols(v, t, j)
-            piv = d[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if d[i][t] != 0:
-                    q = d[i][t] // piv
-                    _add_row(d, i, t, -q)
-                    _add_row(u, i, t, -q)
-                    if d[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if d[t][j] != 0:
-                    q = d[t][j] // piv
-                    _add_col(d, j, t, -q)
-                    _add_col(v, j, t, -q)
-                    if d[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot clean; enforce divisibility of the remaining block
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if d[i][j] % piv != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _add_row(d, t, offender, 1)
-            _add_row(u, t, offender, 1)
-        if t < ncols and d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-    for t in range(ncols):
-        if t >= nrows or d[t][t] == 0:
-            raise ValueError("smith_normal_form: matrix is rank-deficient")
-    return (tuple(tuple(r) for r in u),
-            tuple(tuple(r) for r in d),
-            tuple(tuple(r) for r in v))
-
-
-def int_matrix_inverse(a: Sequence[Sequence[int]]) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = mat_inverse(a)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("int_matrix_inverse: matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+        if g == 0:
+            raise ValueError("residue_box: columns do not span a full-rank lattice")
+        sides.append(g // prev)
+        prev = g
+    return tuple(sides)

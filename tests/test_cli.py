@@ -251,6 +251,20 @@ class TestCorpus:
         assert main(["corpus", "--input", str(path)]) == 1
         assert "square-lying" in capsys.readouterr().out
 
+    def test_broken_invariant_is_internal_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        def fail(p):
+            raise AssertionError("broken invariant")
+        monkeypatch.setattr("conedec.cli.gram_decomposition", fail)
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{
+            "name": "seg", "expected_count": 9,
+            "polytope": {"dim": 1, "vertices": [["-3"], ["5"]]}}]))
+        assert main(["corpus", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: AssertionError: broken invariant\n"
+        assert "ERROR" not in captured.out
+
     def test_empty_corpus_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("[]")

@@ -76,19 +76,20 @@ class TestParallelepiped:
         with pytest.raises(ValueError):
             enumerate_parallelepiped([(1, 0), (2, 0)], (0, 0))
 
-    @given(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                     st.integers(-3, 3), st.integers(-3, 3)),
-           st.tuples(st.fractions(min_value=-2, max_value=2, max_denominator=3),
-                     st.fractions(min_value=-2, max_value=2, max_denominator=3)),
-           st.tuples(st.booleans(), st.booleans()))
-    @settings(max_examples=80, deadline=None)
-    def test_random_cells_match_brute_oracle(self, entries, apex, flags):
-        a, b, c, d = entries
-        if a * d - b * c == 0:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_random_cells_match_brute_oracle(self, data):
+        # in 3-d the later Hermite sides of the residue box are non-trivial
+        d = data.draw(st.sampled_from([2, 3]))
+        gens = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                                  min_size=d, max_size=d))
+        if determinant(gens) == 0:
             return
-        gens = [(a, b), (c, d)]
+        apex = data.draw(st.tuples(*[st.fractions(
+            min_value=-2, max_value=2, max_denominator=3)] * d))
+        flags = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
         assert enumerate_parallelepiped(gens, apex, flags) == \
-            brute_parallelepiped(gens, apex, list(flags))
+            brute_parallelepiped(gens, apex, flags)
 
 
 class TestSimplicialConeGF:

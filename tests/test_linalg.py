@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import floor, prod
 from typing import Sequence
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec.linalg import (DimensionError, determinant, frac, kernel_basis,
-                            mat_inverse, mat_mul, primitive, rank,
-                            smith_normal_form, solve_linear)
+                            mat_inverse, mat_mul, mat_vec, primitive, rank,
+                            residue_box, solve_linear)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -79,50 +80,43 @@ class TestExactArithmetic:
             assert (a * 3) / 3 == a and a / a == 1
 
 
-class TestSmithNormalForm:
-    def assert_certificate(self, a):
-        u, d, v = smith_normal_form(a)
-        m, n = len(a), len(a[0])
-        # U·A·V = D
-        prod = mat_mul(mat_mul(u, a), v)
-        assert [[int(x) for x in row] for row in prod] == [list(r) for r in d]
-        # diagonal with divisibility chain
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
-        diag = [d[i][i] for i in range(min(m, n))]
-        for x, y in zip(diag, diag[1:]):
-            if y != 0:
-                assert x != 0 and y % x == 0
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
-        return diag
+def nonsingular_matrix(n, bound):
+    return square_matrix(n, st.integers(min_value=-bound, max_value=bound)
+                         ).filter(lambda a: determinant(a) != 0)
 
-    def test_identity(self):
-        u, d, v = smith_normal_form([[1, 0], [0, 1]])
-        assert d == ((1, 0), (0, 1))
 
-    def test_diag_2_3_becomes_1_6(self):
-        diag = self.assert_certificate([[2, 0], [0, 3]])
-        assert diag == [1, 6]
+class TestResidueBox:
+    def assert_complete_residue_system(self, a):
+        """|det| box points, no two congruent: x ≡ y exactly when
+        a⁻¹·x and a⁻¹·y have the same fractional parts."""
+        sides = residue_box(a)
+        assert all(h > 0 for h in sides)
+        assert prod(sides) == abs(determinant(a))
+        inv = mat_inverse(a)
+        classes = {tuple(c - floor(c) for c in mat_vec(inv, x))
+                   for x in product(*(range(h) for h in sides))}
+        assert len(classes) == prod(sides)
+        return sides
 
-    def test_upper_triangular(self):
-        diag = self.assert_certificate([[2, 4], [0, 2]])
-        assert diag == [2, 2]
+    def test_known_sides(self):
+        assert self.assert_complete_residue_system([[1, 0], [5, 1]]) == (1, 1)
+        assert self.assert_complete_residue_system([[2, 0], [0, 3]]) == (2, 3)
+        # columns (1, 1) and (0, 2): row 0 alone has gcd 1, det is 2
+        assert self.assert_complete_residue_system([[1, 0], [1, 2]]) == (1, 2)
 
-    def test_rank_deficient_rejected(self):
+    def test_singular_rejected(self):
         with pytest.raises(ValueError):
-            smith_normal_form([[1, 2], [2, 4]])
+            residue_box([[1, 2], [2, 4]])
 
-    @given(square_matrix(3, st.integers(min_value=-6, max_value=6)))
+    @given(nonsingular_matrix(3, 6))
     @settings(max_examples=60, deadline=None)
-    def test_certificate_random(self, a):
-        if rank(a) < 3:
-            with pytest.raises(ValueError):
-                smith_normal_form(a)
-        else:
-            self.assert_certificate(a)
+    def test_random_3x3(self, a):
+        self.assert_complete_residue_system(a)
+
+    @given(nonsingular_matrix(4, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_random_4x4(self, a):
+        self.assert_complete_residue_system(a)
 
 
 class TestHelpers:
