@@ -30,12 +30,11 @@ from .polar import (GenericityError, SimplicityError, is_generic,
                     lv_decomposition, partition_check, polarization,
                     polarized_tangent_cone, rearrange_for_vertex,
                     weighted_lv_decomposition, weighted_polarized_piece_value)
-from .polyhedra import (Cone, DegenerateInput, Face, Halfspace, Polytope,
+from .polyhedra import (DegenerateInput, Face, Halfspace, Polytope,
                         center_at_barycenter, halfspace, is_simple_polytope,
-                        is_simple_vertex, lineality_dim, normal_cone,
-                        polar_dual, polytope_from_halfspaces,
-                        polytope_from_vertices, tangent_cone)
+                        is_simple_vertex, polar_dual, polytope_from_halfspaces,
+                        polytope_from_vertices)
 from .triangulation import (DegenerateHeights, regular_triangulation,
-                            triangulate_cone, triangulation_with_retries)
+                            triangulation_with_retries)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

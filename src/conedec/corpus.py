@@ -27,10 +27,6 @@ class CorpusEntry:
     expected_count: int
     build: Callable[[], Polytope]
 
-    @property
-    def tags(self) -> dict:
-        return {"dim": self.dim, "simple": self.simple}
-
 
 def _cube(d: int) -> Callable[[], Polytope]:
     return lambda: polytope_from_vertices(list(product((0, 1), repeat=d)))

@@ -27,7 +27,7 @@ from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
 from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, solve_linear, transpose,
                      vadd, vec, vec_str, vneg, vsub)
-from .polyhedra import Cone, DegenerateInput, Halfspace, Polytope
+from .polyhedra import DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
                             triangulation_with_retries)
 
@@ -153,15 +153,13 @@ def vertex_triangulation(p: Polytope, vid: int,
 
 
 def t_sigma(p: Polytope, vid: int, cell: Sequence[int],
-            tri: LiftedTriangulation) -> Cone:
+            tri: LiftedTriangulation) -> LocallyClosedPiece:
     """Simple cone of a triangulation cell: the tangent-cone inequalities
     restricted to the cell's normals."""
     if tuple(cell) not in tri.cells:
         raise ValueError(f"{tuple(cell)} is not a cell of the triangulation")
-    v = p.vertices[vid]
-    normals = [tri.rays[j] for j in cell]
-    constraints = tuple(Halfspace(n, dot(n, v), False) for n in normals)
-    return Cone(vec(v), simplicial_cone_facet_normals(normals), constraints, 0)
+    frame = simple_cone_frame(p.vertices[vid], (tri.rays[j] for j in cell))
+    return frame_piece(frame, [CLOSED] * p.dim)
 
 
 def local_contribution(p: Polytope, vid: int, tri: LiftedTriangulation,

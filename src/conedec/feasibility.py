@@ -112,7 +112,3 @@ def feasible_point(constraints: Sequence[Constraint], dim: int
             else:
                 point.append((lo[0] + hi[0]) / 2)
     return tuple(point)
-
-
-def is_feasible(constraints: Sequence[Constraint], dim: int) -> bool:
-    return feasible_point(constraints, dim) is not None

@@ -20,8 +20,7 @@ from .indicators import IndicatorSum, LocallyClosedPiece
 from .linalg import (IntVector, dot, frac, idot, mat_inverse, mat_vec,
                      primitive, rank, residue_box,
                      simplicial_cone_facet_normals, solve_linear, vec, vsub)
-from .polyhedra import (Polytope, cone_constraints_from_rays, cone_facets,
-                        lineality_of_normals)
+from .polyhedra import Polytope, cone_facets, lineality_of_normals
 from .triangulation import half_open_flags, triangulation_with_retries
 
 
@@ -349,13 +348,9 @@ def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
     if rank(rays) != pc.dim:
         raise ValueError("piece is not full-dimensional")
     strict_normals = {h.normal for h in pc.constraints if h.strict}
-    if strict_normals:
-        facet_normals = {h.normal
-                         for h in cone_constraints_from_rays(rays, pc.dim)}
-        if not strict_normals <= facet_normals:
-            raise ValueError("strict constraint does not support a facet of "
-                             "the piece; its lattice points are not a "
-                             "half-open cone")
+    if strict_normals and not strict_normals <= set(cone_facets(rays, pc.dim)):
+        raise ValueError("strict constraint does not support a facet of the "
+                         "piece; its lattice points are not a half-open cone")
     return _half_open_cone_gf(apex, rays, strict_normals, seed)
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, prod
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
@@ -85,9 +85,6 @@ class ZPoly:
 
     def at_one(self) -> int:
         return sum(self.coeffs)
-
-    def at_zero(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -296,6 +293,9 @@ def weighted_indicator(p: Polytope) -> IndicatorSum:
 
 Box = Sequence[tuple[Fraction, Fraction]]
 
+# Most grid points one verification may check.
+GRID_POINT_BUDGET = 10 ** 7
+
 
 @dataclass
 class VerificationReport:
@@ -328,19 +328,24 @@ def default_box(p: Polytope, inflate: int = 1) -> Box:
 def grid_points(box: Box, step: Fraction):
     """Lattice step·Z^d clipped to the box, in lexicographic order.
 
-    Yields (nums, den) pairs: the point is nums/den coordinatewise.
+    Returns an iterator of (nums, den) pairs: the point is nums/den
+    coordinatewise.  A grid of more than GRID_POINT_BUDGET points is
+    refused before any point is made.
     """
     step = frac(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    axes = []
-    for lo, hi in box:
-        k0 = ceil(Fraction(lo) / step)
-        k1 = floor(Fraction(hi) / step)
-        axes.append(range(k0, k1 + 1))
+    ends = [(ceil(Fraction(lo) / step), floor(Fraction(hi) / step))
+            for lo, hi in box]
+    size = prod(max(0, k1 - k0 + 1) for k0, k1 in ends)
+    if size > GRID_POINT_BUDGET:
+        sides = " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
+        raise ValueError(f"grid of {size} points (box {sides}, step {step}) "
+                         f"exceeds the budget of {GRID_POINT_BUDGET}; use a "
+                         "coarser --step, a smaller --box or --exact-cells")
     p, q = step.numerator, step.denominator
-    for ks in product(*axes):
-        yield tuple(k * p for k in ks), q
+    axes = [range(k0, k1 + 1) for k0, k1 in ends]
+    return ((tuple(k * p for k in ks), q) for ks in product(*axes))
 
 
 def random_rational_points(box: Box, count: int, seed: int):

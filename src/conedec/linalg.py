@@ -110,11 +110,6 @@ def mat_vec(a: Sequence[Sequence], x: Sequence) -> Vector:
     return tuple(dot(row, x) for row in a)
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def _int_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], Fraction]:
     """Clear denominators row by row; return int rows and the product of the
     scaling factors (the determinant of the original equals det(int)/factor)."""

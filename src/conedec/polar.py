@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, GenericityError,
                      SimpleConeFrame, as_functional, frame_piece,
-                     nonsimple_decomposition, polarized_piece,
-                     simple_cone_frame)
+                     nonsimple_decomposition, normal_cone_rays,
+                     polarized_piece, simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, default_box, tangent_cone_piece,
                          verify_identity, whole_space_piece)
@@ -65,9 +65,8 @@ def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
         raise SimplicityError(f"vertex {vec_str(p.vertices[vid])} is not simple")
     xi = as_functional(xi)
     v = p.vertices[vid]
-    frame = simple_cone_frame(
-        v, (p.facets[i].normal for i in p.tight_facets(vid)), xi,
-        f"at vertex {vec_str(v)}")
+    frame = simple_cone_frame(v, normal_cone_rays(p, vid), xi,
+                              f"at vertex {vec_str(v)}")
     dirs = p.edge_directions(vid)
     if len(dirs) != p.dim:
         raise SimplicityError(f"vertex {vec_str(v)} has {len(dirs)} edges "
@@ -187,8 +186,7 @@ def partition_pieces(p: Polytope, vid: int) -> list[LocallyClosedPiece]:
     """The 2^d sign-pattern pieces of the facet hyperplanes at a simple vertex."""
     if not is_simple_vertex(p, vid):
         raise SimplicityError(f"vertex {vec_str(p.vertices[vid])} is not simple")
-    frame = simple_cone_frame(
-        p.vertices[vid], (p.facets[i].normal for i in p.tight_facets(vid)))
+    frame = simple_cone_frame(p.vertices[vid], normal_cone_rays(p, vid))
     return [frame_piece(frame, [FLIPPED if mask & (1 << i) else CLOSED
                                 for i in range(p.dim)])
             for mask in range(2 ** p.dim)]

@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .feasibility import feasible_point
 from .linalg import (DimensionError, IntVector, Vector, dot, frac, idot,
                      kernel_basis, primitive, rank, vadd, vec, vec_str, vneg,
                      vscale, vsub)
@@ -81,35 +80,6 @@ class Face:
     facet_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A (possibly shifted) polyhedral cone with both representations.
-
-    Every constraint hyperplane passes through the apex, so the cone equals
-    apex + {nonnegative combinations of the generators}.
-    """
-    apex: Vector
-    generators: tuple[IntVector, ...]
-    constraints: tuple[Halfspace, ...]
-    lineality_dim: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.apex)
-
-    def contains(self, x: Sequence) -> bool:
-        return all(h.satisfied(x) for h in self.constraints)
-
-    def is_simplicial(self) -> bool:
-        return (self.lineality_dim == 0 and len(self.generators) == self.dim
-                and rank(self.generators) == self.dim)
-
-
-def lineality_dim(c: Cone) -> int:
-    """Dimension of the largest linear subspace contained in the cone."""
-    return c.lineality_dim
-
-
 def lineality_of_normals(normals: Sequence[IntVector], dim: int) -> int:
     """Dimension of the lineality space of {y : n·y ≥ 0 for each normal}."""
     return dim - rank(normals)
@@ -138,33 +108,6 @@ def cone_facets(gens: Sequence[IntVector], dim: int) -> tuple[IntVector, ...]:
         if h not in out:
             out.append(h)
     return tuple(out)
-
-
-def cone_constraints_from_rays(rays: Sequence[IntVector], dim: int,
-                               apex: Sequence = None) -> tuple[Halfspace, ...]:
-    """Facet inequalities of the full-dimensional pointed cone spanned by rays."""
-    if rank(rays) != dim:
-        raise DegenerateInput("cone is not full-dimensional")
-    apex = vec(apex) if apex is not None else tuple(Fraction(0) for _ in range(dim))
-    return tuple(Halfspace(h, dot(h, apex), False) for h in cone_facets(rays, dim))
-
-
-def cone_from_rays(apex: Sequence, rays: Sequence[IntVector]) -> Cone:
-    """Full-dimensional pointed cone from its extreme ray directions."""
-    apex = vec(apex)
-    dim = len(apex)
-    rays = tuple(primitive(r) for r in rays)
-    constraints = cone_constraints_from_rays(rays, dim, apex)
-    cone = Cone(apex, rays, constraints, 0)
-    _check_cone(cone)
-    return cone
-
-
-def _check_cone(c: Cone) -> None:
-    for g in c.generators:
-        for h in c.constraints:
-            if dot(h.normal, g) < 0:
-                raise AssertionError(f"cone generator {g} violates {h}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,70 +317,6 @@ def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
         if tight and _affine_rank(tight) == dim - 1:
             kept_facets.append(h)
     return _build(dim, verts, kept_facets)
-
-
-# ---------------------------------------------------------------------------
-# Cones attached to a polytope
-# ---------------------------------------------------------------------------
-
-def tangent_cone(p: Polytope, f: Face) -> Cone:
-    """Cone of directions into the polytope from (the relative interior of) a face.
-
-    Constraints are the facets tight on the whole face; the apex is the face
-    barycenter.  For the full polytope as a face this is all of space.
-    """
-    if f not in p.faces:
-        raise ValueError("face does not belong to this polytope")
-    if f.dim == p.dim:
-        gens = []
-        for i in range(p.dim):
-            e = tuple(1 if j == i else 0 for j in range(p.dim))
-            gens.append(e)
-            gens.append(tuple(-a for a in e))
-        return Cone(p.barycenter(), tuple(gens), (), p.dim)
-    apex = p.barycenter(f)
-    constraints = tuple(p.facets[i] for i in f.facet_ids)
-    if f.dim == 0:
-        gens = p.edge_directions(f.vertex_ids[0])
-    else:
-        gens = []
-        for v in p.vertices:
-            d = vsub(v, apex)
-            if not all(x == 0 for x in d):
-                g = primitive(d)
-                if g not in gens:
-                    gens.append(g)
-        gens = tuple(gens)
-    cone = Cone(apex, gens, constraints,
-                lineality_of_normals([h.normal for h in constraints], p.dim))
-    _check_cone(cone)
-    if f.dim == 0 and len(gens) == p.dim and rank(gens) != p.dim:
-        raise AssertionError("simple vertex with dependent edge directions")
-    return cone
-
-
-def normal_cone(p: Polytope, vid: int) -> Cone:
-    """Cone spanned by the primitive inner facet normals tight at a vertex.
-
-    Lives in the dual space; pointed because the polytope is full-dimensional.
-    Generator order follows facet order.
-    """
-    if not 0 <= vid < len(p.vertices):
-        raise ValueError(f"no vertex with index {vid}")
-    tight = p.tight_facets(vid)
-    if rank([p.facets[i].normal for i in tight]) != p.dim:
-        raise ValueError(f"vertex {vid}: tight normals do not span")
-    rays = tuple(p.facets[i].normal for i in tight)
-    origin = tuple(Fraction(0) for _ in range(p.dim))
-    constraints = cone_constraints_from_rays(rays, p.dim, origin)
-    # pointedness: some strictly positive functional must exist
-    w = feasible_point([(tuple(Fraction(a) for a in r), Fraction(1), False)
-                        for r in rays], p.dim)
-    if w is None:
-        raise AssertionError("normal cone is not pointed")
-    cone = Cone(origin, rays, constraints, 0)
-    _check_cone(cone)
-    return cone
 
 
 def is_simple_vertex(p: Polytope, vid: int) -> bool:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .feasibility import feasible_point
 from .linalg import (IntVector, Vector, dot, frac, primitive, rank,
                      simplicial_cone_facet_normals, solve_linear, vec, vscale)
-from .polyhedra import Cone, DegenerateInput, cone_from_rays
+from .polyhedra import DegenerateInput
 
 
 class DegenerateHeights(ValueError):
@@ -179,16 +179,3 @@ def half_open_flags(rays: Sequence[IntVector], cells: Sequence[tuple[int, ...]],
         flags.append(tuple(dot(h, q) < 0 for h in normals))
     return flags
 
-
-def triangulate_cone(cone: Cone, seed: int = 0) -> list[Cone]:
-    """Split a pointed cone into simplicial cones sharing its apex.
-
-    Simplicial input comes back unchanged as a single cell.
-    """
-    if cone.lineality_dim > 0:
-        raise DegenerateInput("cannot triangulate a cone containing a line")
-    if cone.is_simplicial():
-        return [cone]
-    tri = triangulation_with_retries(cone.generators, seed)
-    return [cone_from_rays(cone.apex, tuple(tri.rays[j] for j in cell))
-            for cell in tri.cells]

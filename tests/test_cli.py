@@ -1,7 +1,12 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import conedec
 from conedec.cli import main
 from conedec.corpus import pyramid
 from conedec.jsonio import polytope_to_json
@@ -212,6 +217,33 @@ class TestBadInput:
                 {"normal": ["1", "0"], "offset": "0"},
                 {"normal": ["0", "1"], "offset": "0"}]}))
         assert main(["count", "--input", str(path)]) == 2
+
+    def test_oversized_grid_is_input_error(self, tmp_path):
+        """A thin triangle 10^9 long would need a grid of ~10^10 points.
+
+        Run under a 2 GiB address-space limit, so that materializing the
+        grid fails fast with a MemoryError instead of exhausting the host.
+        """
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [
+            ["0", "0"], [str(10 ** 9), "0"], ["0", "1"]]}))
+        script = ("import sys, time; from conedec.cli import main; "
+                  "t = time.perf_counter(); code = main(sys.argv[1:]); "
+                  "print(time.perf_counter() - t); sys.exit(code)")
+        src = os.path.dirname(os.path.dirname(conedec.__file__))
+        limit = 2 * 1024 ** 3
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        run = subprocess.run(
+            [sys.executable, "-c", script, "verify", "--input", str(path),
+             "--identity", "gram"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: grid of ")
+        assert float(run.stdout) < 1.0
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             uniqueness_crosscheck, vertex_triangulation)
 from conedec.indicators import (default_box, grid_points,
                                 indicator_of_polytope, verify_identity)
-from conedec.linalg import dot, solve_linear, transpose
+from conedec.linalg import determinant, dot, solve_linear, transpose
 from conedec.polar import GenericityError, lv_decomposition
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
                                polytope_from_vertices)
@@ -116,7 +116,8 @@ class TestTSigma:
     def test_cells_are_simple_cones(self, pyramid_poly):
         tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
         c = t_sigma(pyramid_poly, 0, tri.cells[0], tri)
-        assert len(c.constraints) == 3 and c.is_simplicial()
+        assert len(c.constraints) == 3
+        assert determinant([h.normal for h in c.constraints]) != 0
 
     def test_intersection_is_tangent_cone(self, pyramid_poly):
         p = pyramid_poly

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedec.feasibility import feasible_point, is_feasible
+from conedec.feasibility import feasible_point
 
 F = Fraction
 
@@ -19,12 +19,12 @@ def test_box_witness():
 
 
 def test_empty_closed_interval():
-    assert not is_feasible([con((1,), 1), con((-1,), 0)], 1)
+    assert feasible_point([con((1,), 1), con((-1,), 0)], 1) is None
 
 
 def test_point_interval_needs_closed():
-    assert is_feasible([con((1,), 1), con((-1,), -1)], 1)
-    assert not is_feasible([con((1,), 1, True), con((-1,), -1)], 1)
+    assert feasible_point([con((1,), 1), con((-1,), -1)], 1) is not None
+    assert feasible_point([con((1,), 1, True), con((-1,), -1)], 1) is None
 
 
 def test_strict_open_box_witness_is_interior():

@@ -12,9 +12,9 @@ from conedec.genfunc import (RationalGF, brion_gf, count_lattice_points,
                              lattice_points, make_term, specialize, zero_gf)
 from conedec.indicators import gram_decomposition, whole_space_piece
 from conedec.linalg import determinant, mat_vec, mat_inverse, vsub
-from conedec.polyhedra import polytope_from_vertices
-from conedec.triangulation import triangulate_cone
-from conedec.polyhedra import tangent_cone
+from conedec.polyhedra import DegenerateInput, polytope_from_vertices
+from conedec.triangulation import (half_open_flags, regular_triangulation,
+                                   triangulation_with_retries)
 
 SEG = polytope_from_vertices([(-3,), (5,)])
 
@@ -221,30 +221,28 @@ class TestIndicatorImage:
 class TestTriangulateCone:
     def test_simplicial_unchanged(self):
         tri = polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
-        c = tangent_cone(tri, tri.face_of_vertex(0))
-        assert triangulate_cone(c) == [c]
+        t = triangulation_with_retries(tri.edge_directions(0), 0)
+        assert t.cells == ((0, 1),)
+        assert half_open_flags(t.rays, t.cells) == [(False, False)]
 
     def test_pyramid_apex_two_cells(self, pyramid_poly):
-        c = tangent_cone(pyramid_poly,
-                         pyramid_poly.face_of_vertex(
-                             pyramid_poly.vertex_index((0, 0, 0))))
-        cells = triangulate_cone(c)
-        assert len(cells) == 2
-        assert all(cell.is_simplicial() for cell in cells)
+        vid = pyramid_poly.vertex_index((0, 0, 0))
+        t = triangulation_with_retries(pyramid_poly.edge_directions(vid), 0)
+        assert len(t.cells) == 2
+        for cell in t.cells:
+            assert len(cell) == 3
+            assert determinant([t.rays[j] for j in cell]) != 0
 
     def test_pentagon_cone_three_cells(self, pentagon_cone_poly):
         p = pentagon_cone_poly
-        c = tangent_cone(p, p.face_of_vertex(p.vertex_index((1, 1, 0))))
-        assert len(c.generators) == 5
-        cells = triangulate_cone(c)
-        assert len(cells) == 3  # rays - dim + 1
+        rays = p.edge_directions(p.vertex_index((1, 1, 0)))
+        assert len(rays) == 5
+        t = triangulation_with_retries(rays, 0)
+        assert len(t.cells) == 3  # rays - dim + 1
 
     def test_line_containing_cone_rejected(self):
-        tri = polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
-        whole = [f for f in tri.faces if f.dim == 2][0]
-        c = tangent_cone(tri, whole)
-        with pytest.raises(Exception):
-            triangulate_cone(c)
+        with pytest.raises(DegenerateInput, match="do not span"):
+            regular_triangulation([(1, 0), (-1, 0)], [0, 1])
 
 
 class TestSpecialize:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conedec.indicators import (IndicatorSum, ZPoly, default_box,
-                                gram_decomposition, grid_points,
+from conedec.indicators import (GRID_POINT_BUDGET, IndicatorSum, ZPoly,
+                                default_box, gram_decomposition, grid_points,
                                 indicator_of_interior, indicator_of_polytope,
                                 piece, verify_identity, verify_identity_exact,
                                 weighted_indicator, whole_space_piece)
@@ -22,7 +22,7 @@ class TestZPoly:
         z = ZPoly.z_power(1)
         p = (ONE - z) * (ONE - z)
         assert p.coeffs == (1, -2, 1)
-        assert p.at_one() == 0 and p.at_zero() == 1
+        assert p.at_one() == 0 and p(0) == 1
         assert p(Fraction(1, 2)) == Fraction(1, 4)
 
     def test_repr(self):
@@ -150,6 +150,18 @@ class TestVerifyIdentity:
         r1 = verify_identity(s, s, default_box(SEG), Fraction(1, 2), 25, 9)
         r2 = verify_identity(s, s, default_box(SEG), Fraction(1, 2), 25, 9)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    def test_oversized_grid_refused_before_iterating(self):
+        with pytest.raises(ValueError, match="grid of 1000000000000000001 "
+                           "points") as exc:
+            grid_points([(0, 10 ** 18)], 1)
+        assert "--step" in str(exc.value) and "--exact-cells" in str(exc.value)
+        # a grid of exactly the budget is accepted, one more layer is not
+        box = [(1, 1000), (1, 1000), (1, GRID_POINT_BUDGET // 10 ** 6)]
+        assert next(grid_points(box, 1)) == ((1, 1, 1), 1)
+        box[2] = (0, GRID_POINT_BUDGET // 10 ** 6)
+        with pytest.raises(ValueError, match="budget"):
+            grid_points(box, 1)
 
     def test_exact_cells_mode(self):
         s01 = indicator(1, halfspace((1,), 0), halfspace((-1,), -1))

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conedec.deform import normal_cone_rays
+from conedec.indicators import tangent_cone_piece
 from conedec.linalg import determinant, dot, primitive, rank, vsub
 from conedec.polyhedra import (DegenerateInput, Halfspace, center_at_barycenter,
-                               cone_constraints_from_rays, cone_facets,
-                               halfspace, is_simple_polytope, is_simple_vertex,
-                               lineality_dim, normal_cone, polar_dual,
-                               polytope_from_halfspaces, polytope_from_vertices,
-                               tangent_cone)
+                               cone_facets, halfspace, is_simple_polytope,
+                               is_simple_vertex, lineality_of_normals,
+                               polar_dual, polytope_from_halfspaces,
+                               polytope_from_vertices)
 
 PYRAMID_VERTICES = [(0, 0, 0), (1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
 
@@ -111,7 +112,7 @@ class TestConeFacets:
         for _ in range(3):
             base = random_polytope(rng, dim - 1, n_rays, n_rays)
             rays = [primitive(v + (1,)) for v in base.vertices]
-            normals = [h.normal for h in cone_constraints_from_rays(rays, dim)]
+            normals = cone_facets(rays, dim)
             assert set(cone_facets(normals, dim)) == set(rays)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -162,45 +163,48 @@ class TestCorpusInvariants:
             assert is_simple_polytope(p) == entry.simple, entry.name
 
 
+def piece_lineality(pc):
+    return lineality_of_normals([h.normal for h in pc.constraints], pc.dim)
+
+
 class TestTangentCone:
     def test_segment_endpoint(self):
         p = polytope_from_vertices([(-3,), (5,)])
-        f = p.face_of_vertex(p.vertex_index((-3,)))
-        c = tangent_cone(p, f)
-        assert c.constraints == (Halfspace((1,), Fraction(-3)),)
-        assert c.generators == ((1,),)
+        vid = p.vertex_index((-3,))
+        pc = tangent_cone_piece(p, p.face_of_vertex(vid))
+        assert pc.constraints == (Halfspace((1,), Fraction(-3)),)
+        assert p.edge_directions(vid) == ((1,),)
 
     def test_whole_polytope_is_everything(self):
         p = polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
         f = [f for f in p.faces if f.dim == 2][0]
-        c = tangent_cone(p, f)
-        assert c.constraints == () and c.lineality_dim == 2
+        pc = tangent_cone_piece(p, f)
+        assert pc.constraints == () and piece_lineality(pc) == 2
 
     def test_pyramid_apex_four_constraints(self, pyramid_poly):
         p = pyramid_poly
-        f = p.face_of_vertex(p.vertex_index((0, 0, 0)))
-        c = tangent_cone(p, f)
-        assert len(c.constraints) == 4 and c.lineality_dim == 0
-        assert len(c.generators) == 4
-        for g in c.generators:
-            assert all(dot(h.normal, g) >= 0 for h in c.constraints)
+        vid = p.vertex_index((0, 0, 0))
+        pc = tangent_cone_piece(p, p.face_of_vertex(vid))
+        assert len(pc.constraints) == 4 and piece_lineality(pc) == 0
+        gens = p.edge_directions(vid)
+        assert len(gens) == 4
+        for g in gens:
+            assert all(dot(h.normal, g) >= 0 for h in pc.constraints)
 
     def test_simple_vertices_have_d_independent_generators(self, corpus):
         for entry, p in corpus:
             for vid in range(len(p.vertices)):
                 if not is_simple_vertex(p, vid):
                     continue
-                c = tangent_cone(p, p.face_of_vertex(vid))
-                assert len(c.generators) == p.dim, entry.name
-                assert determinant(c.generators) != 0, entry.name
+                gens = p.edge_directions(vid)
+                assert len(gens) == p.dim, entry.name
+                assert determinant(gens) != 0, entry.name
 
     def test_edge_tangent_cone_has_lineality(self, pyramid_poly):
         e = pyramid_poly.edges[0]
-        c = tangent_cone(pyramid_poly, e)
-        assert lineality_dim(c) == 1
+        assert piece_lineality(tangent_cone_piece(pyramid_poly, e)) == 1
 
     def test_halfplane_lineality(self):
-        from conedec.polyhedra import lineality_of_normals
         assert lineality_of_normals([(1, 0)], 2) == 1
         assert lineality_of_normals([], 2) == 2
         assert lineality_of_normals([(1,)], 1) == 0
@@ -209,32 +213,33 @@ class TestTangentCone:
 class TestNormalCone:
     def test_pyramid_apex_rays(self, pyramid_poly):
         p = pyramid_poly
-        c = normal_cone(p, p.vertex_index((0, 0, 0)))
-        assert set(c.generators) == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
-        assert c.lineality_dim == 0
+        rays = normal_cone_rays(p, p.vertex_index((0, 0, 0)))
+        assert set(rays) == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
+        # pointed: the cone's own facet normals span
+        assert lineality_of_normals(cone_facets(rays, 3), 3) == 0
 
     def test_cube_corner_orthant(self):
         p = polytope_from_vertices(
             [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-        c = normal_cone(p, p.vertex_index((0, 0, 0)))
-        assert set(c.generators) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        rays = normal_cone_rays(p, p.vertex_index((0, 0, 0)))
+        assert set(rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_pyramid_simple_vertex_three_rays(self, pyramid_poly):
         p = pyramid_poly
-        c = normal_cone(p, p.vertex_index((1, 1, 1)))
-        assert len(c.generators) == 3
+        assert len(normal_cone_rays(p, p.vertex_index((1, 1, 1)))) == 3
 
     def test_normal_cones_tile_dual_space(self, corpus):
         rng = random.Random(4)
         for entry, p in corpus:
             if p.dim > 3:
                 continue
-            cones = [normal_cone(p, v) for v in range(len(p.vertices))]
+            cones = [cone_facets(normal_cone_rays(p, v), p.dim)
+                     for v in range(len(p.vertices))]
             for _ in range(20):
                 xi = tuple(rng.randint(-7, 7) for _ in range(p.dim))
                 if not any(xi):
                     continue
-                hits = [c for c in cones if c.contains(xi)]
+                hits = [c for c in cones if all(dot(n, xi) >= 0 for n in c)]
                 assert len(hits) >= 1, entry.name
                 generic = all(
                     dot(xi, vsub(p.vertices[a], p.vertices[b])) != 0
