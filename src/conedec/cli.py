@@ -3,7 +3,8 @@
 Subcommands: count, decompose, verify, corpus.  All output is deterministic
 given (input, flags, seed); JSON reports omit wall-clock time for exactly
 that reason.  Exit codes: 0 success, 1 mathematical counterexample, 2 bad
-input or usage, 3 internal error (a broken invariant: a bug, not bad input).
+input or usage, 3 internal error (a broken invariant or another unexpected
+failure such as running out of memory: never bad input).
 An option value may start with a minus sign: ``--xi -1,2`` is ``--xi=-1,2``.
 """
 
@@ -533,12 +534,9 @@ def main(argv=None) -> int:
     except (DegenerateInput, GenericityError, SimplicityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except AssertionError as exc:
-        print(f"internal error: AssertionError: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # malformed input must never escape as a traceback
+    except Exception as exc:  # a broken invariant or a resource failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

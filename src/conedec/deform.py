@@ -6,8 +6,9 @@ cone, the functional is written in the cell's basis, negative coefficients
 flip their inequalities strict, and the signed cell sum is the vertex's
 local contribution.  A simple vertex is the one-cell case.  The headline
 fact, that the contribution does not depend on the triangulation, is
-machine-checked here, together with the compatible (polar-dual)
-construction and the positivity/conicity uniqueness criterion.
+checked by comparing two contributions with `indicators.verify_identity`;
+this module adds the compatible (polar-dual) construction and the
+positivity/conicity checker behind the uniqueness criterion.
 
 Every polarized simple cone of the library, here and in `polar`, is built
 from one SimpleConeFrame by one piece builder, frame_piece.
@@ -22,8 +23,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .feasibility import feasible_point
-from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
-                         ZPoly, default_box, piece, verify_identity)
+from .indicators import IndicatorSum, LocallyClosedPiece, ZPoly, piece
 from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, solve_linear, transpose,
                      vadd, vec, vec_str, vneg, vsub)
@@ -207,20 +207,6 @@ def nonsimple_decomposition(p: Polytope, xi: Sequence,
     return acc
 
 
-def delta_invariance_check(p: Polytope, vid: int, xi: Sequence,
-                           tri1: LiftedTriangulation, tri2: LiftedTriangulation,
-                           box=None, step=Fraction(1, 2),
-                           extra_samples: int = 0, seed: int = 0
-                           ) -> VerificationReport:
-    """Local contributions of two triangulations must agree pointwise."""
-    a = local_contribution(p, vid, tri1, xi)
-    b = local_contribution(p, vid, tri2, xi)
-    if box is None:
-        box = default_box(p)
-    return verify_identity(a.sum, b.sum, box, step, extra_samples, seed,
-                           name=f"delta-invariance@v{vid}")
-
-
 # ---------------------------------------------------------------------------
 # Compatible triangulations from the polar dual
 # ---------------------------------------------------------------------------
@@ -277,7 +263,7 @@ def seeded_dual_heights(p: Polytope, seed: int, retries: int = 64) -> list[Fract
 
 
 # ---------------------------------------------------------------------------
-# Positive + conic checker and per-vertex uniqueness
+# Positive + conic checker
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -309,21 +295,18 @@ def _piece_direction_probes(pc, v: Vector, xi: IntVector) -> list[IntVector]:
     """Directions aimed at a piece: one in its relative interior, and one in
     the part of the piece where the functional decreases (if any)."""
     dim = len(v)
-    rows = []
-    for h in pc.constraints:
-        n = tuple(Fraction(a) for a in h.normal)
-        rows.append((n, Fraction(1), False))
+    rows = [Halfspace(h.normal, Fraction(1)) for h in pc.constraints]
     probes = []
     t = feasible_point(rows, dim)
     if t is None:
         # piece too thin for strict interior; settle for the closure
-        rows = [(tuple(Fraction(a) for a in h.normal), Fraction(0), h.strict)
+        rows = [Halfspace(h.normal, Fraction(0), h.strict)
                 for h in pc.constraints]
         t = feasible_point(rows, dim)
     if t is not None and any(t):
         probes.append(primitive(t))
-    neg = rows + [(tuple(Fraction(-a) for a in xi), Fraction(1), False)]
-    t = feasible_point(neg, dim)
+    decrease = Halfspace(tuple(-a for a in xi), Fraction(1))
+    t = feasible_point(rows + [decrease], dim)
     if t is not None and any(t):
         probes.append(primitive(t))
     return probes
@@ -385,23 +368,6 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
                     "kind": "positive", "vertex": [str(c) for c in v],
                     "direction": list(t), "value": repr(vals[1])})
     return PositiveConicReport(total_dirs, structural, violations)
-
-
-def uniqueness_crosscheck(p: Polytope, xi: Sequence,
-                          decomp_a: dict[int, LocalContribution],
-                          decomp_b: dict[int, LocalContribution],
-                          box=None, step=Fraction(1, 2),
-                          extra_samples: int = 0, seed: int = 0
-                          ) -> list[VerificationReport]:
-    """Vertexwise equality of two positive conic decompositions."""
-    if box is None:
-        box = default_box(p)
-    reports = []
-    for vid in sorted(decomp_a):
-        a, b = decomp_a[vid], decomp_b[vid]
-        reports.append(verify_identity(a.sum, b.sum, box, step, extra_samples,
-                                       seed, name=f"uniqueness@v{vid}"))
-    return reports
 
 
 def flip_one_constraint(lc: LocalContribution, term_index: int = 0,

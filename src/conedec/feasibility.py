@@ -1,103 +1,77 @@
 """Exact feasibility of mixed strict/closed rational linear systems.
 
-A constraint is a triple ``(coeffs, rhs, strict)`` standing for
-``coeffs·x ≥ rhs`` (``>`` when strict).  Fourier–Motzkin elimination is
-exponential in general but the systems in this library are tiny (a handful
-of constraints in dimension ≤ 4), and unlike LP solvers it needs no
-numerics and produces an exact rational witness.
+A system is a sequence of canonical ``Halfspace`` rows ``normal·x ≥ offset``
+(``>`` when strict).  Fourier–Motzkin elimination is exponential in general
+but the systems in this library are tiny (a handful of constraints in
+dimension ≤ 4), and unlike LP solvers it needs no numerics and produces an
+exact rational witness.  Every level keeps one row per normal
+(`polyhedra.binding`); a combined row whose normal vanishes is decided at
+once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
 
-Constraint = tuple[tuple[Fraction, ...], Fraction, bool]
+from .polyhedra import Halfspace, binding, halfspace
 
 
-def _canonical(con: Constraint) -> Constraint:
-    """Scale a row by a positive rational so (coeffs, rhs) is primitive integer."""
-    coeffs, rhs, strict = con
-    den = 1
-    for x in list(coeffs) + [rhs]:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in coeffs] + [int(rhs * den)]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(Fraction(a) for a in ints[:-1]), Fraction(ints[-1]), strict
-
-
-def _dedupe(cons: list[Constraint]) -> list[Constraint]:
-    """Drop tautologies and dominated parallel rows (same coeffs, weaker rhs)."""
-    best: dict[tuple, tuple[Fraction, bool]] = {}
-    order: list[tuple] = []
-    for con in cons:
-        coeffs, rhs, strict = _canonical(con)
-        if all(c == 0 for c in coeffs) and (rhs < 0 or (rhs == 0 and not strict)):
-            continue  # 0 ≥ negative: always true
-        if coeffs in best:
-            old_rhs, old_strict = best[coeffs]
-            if rhs > old_rhs or (rhs == old_rhs and strict and not old_strict):
-                best[coeffs] = (rhs, strict)
-        else:
-            best[coeffs] = (rhs, strict)
-            order.append(coeffs)
-    return [(key, best[key][0], best[key][1]) for key in order]
-
-
-def _eliminate_last(cons: list[Constraint], nvars: int) -> list[Constraint]:
-    """Project away variable nvars-1."""
+def _eliminate_last(rows: list[Halfspace], nvars: int
+                    ) -> Optional[list[Halfspace]]:
+    """Project away variable nvars-1; None when the projection is empty."""
     k = nvars - 1
     lowers, uppers, rest = [], [], []
-    for coeffs, rhs, strict in cons:
-        c = coeffs[k]
-        head = coeffs[:k]
+    for h in rows:
+        c = h.normal[k]
         if c > 0:
-            lowers.append((c, head, rhs, strict))
+            lowers.append(h)
         elif c < 0:
-            uppers.append((-c, head, rhs, strict))
+            uppers.append(h)
         else:
-            rest.append((head, rhs, strict))
-    for cl, al, bl, sl in lowers:
-        for cu, au, bu, su in uppers:
-            coeffs = tuple(cl * au_i + cu * al_i for al_i, au_i in zip(al, au))
-            rhs = cu * bl + cl * bu
-            rest.append((coeffs, rhs, sl or su))
-    return _dedupe(rest)
+            rest.append(Halfspace(h.normal[:k], h.offset, h.strict))
+    for lo in lowers:
+        cl = lo.normal[k]
+        for up in uppers:
+            cu = -up.normal[k]
+            head = tuple(cu * a + cl * b
+                         for a, b in zip(lo.normal[:k], up.normal[:k]))
+            off = cu * lo.offset + cl * up.offset
+            strict = lo.strict or up.strict
+            if any(head):
+                rest.append(halfspace(head, off, strict))
+            elif off > 0 or (off == 0 and strict):
+                return None  # 0 ≥ off (or 0 > off) fails
+    return binding(rest)
 
 
-def feasible_point(constraints: Sequence[Constraint], dim: int
+def feasible_point(system: Sequence[Halfspace], dim: int
                    ) -> Optional[tuple[Fraction, ...]]:
-    """Exact rational point satisfying all constraints, or None if empty."""
-    cur = _dedupe([(tuple(Fraction(c) for c in co), Fraction(r), s)
-                   for co, r, s in constraints])
-    levels: list[list[Constraint]] = [[] for _ in range(dim + 1)]
-    levels[dim] = cur
+    """Exact rational point in every halfspace of the system, or None if
+    their intersection is empty."""
+    levels = [binding(system)]
     for nv in range(dim, 0, -1):
-        cur = _eliminate_last(cur, nv)
-        levels[nv - 1] = cur
-    for _coeffs, rhs, strict in levels[0]:
-        if rhs > 0 or (rhs == 0 and strict):
+        cur = _eliminate_last(levels[-1], nv)
+        if cur is None:
             return None
+        levels.append(cur)
+    levels.reverse()  # levels[k]: the projection onto the first k variables
     point: list[Fraction] = []
     for k in range(dim):
         lo: Optional[tuple[Fraction, bool]] = None
         hi: Optional[tuple[Fraction, bool]] = None
-        for coeffs, rhs, strict in levels[k + 1]:
-            c = coeffs[k]
+        for h in levels[k + 1]:
+            c = h.normal[k]
             if c == 0:
                 continue
-            bound = (rhs - sum(a * x for a, x in zip(coeffs[:k], point))) / c
+            known = sum(a * x for a, x in zip(h.normal[:k], point))
+            bound = (h.offset - known) / c
             if c > 0:
-                if lo is None or bound > lo[0] or (bound == lo[0] and strict):
-                    lo = (bound, strict)
+                if lo is None or bound > lo[0] or (bound == lo[0] and h.strict):
+                    lo = (bound, h.strict)
             else:
-                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
-                    hi = (bound, strict)
+                if hi is None or bound < hi[0] or (bound == hi[0] and h.strict):
+                    hi = (bound, h.strict)
         if lo is None and hi is None:
             point.append(Fraction(0))
         elif hi is None:

@@ -12,13 +12,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil, floor, prod
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
 from .linalg import frac, vec
-from .polyhedra import Face, Halfspace, Polytope
+from .polyhedra import Face, Halfspace, Polytope, binding
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +149,13 @@ def piece(dim: int, constraints: Iterable[Halfspace],
     the binding one.  Nonemptiness is certified either by the supplied
     witness or by exact feasibility search.
     """
-    binding: dict[tuple, tuple[Fraction, bool]] = {}
-    order: list[tuple] = []
-    for h in constraints:
-        key = h.normal
-        if key in binding:
-            off, strict = binding[key]
-            if h.offset > off or (h.offset == off and h.strict and not strict):
-                binding[key] = (h.offset, h.strict)
-        else:
-            binding[key] = (h.offset, h.strict)
-            order.append(key)
-    canon = tuple(sorted(Halfspace(n, *binding[n]) for n in order))
+    canon = tuple(sorted(binding(constraints)))
     pc = LocallyClosedPiece(dim, canon)
     if witness is not None:
         if not pc.contains(witness):
             raise ValueError(f"piece witness {witness} not inside the piece")
-    else:
-        rows = [(tuple(Fraction(a) for a in h.normal), h.offset, h.strict)
-                for h in canon]
-        if feasible_point(rows, dim) is None:
-            raise ValueError("piece is empty")
+    elif feasible_point(canon, dim) is None:
+        raise ValueError("piece is empty")
     return pc
 
 
@@ -225,10 +210,6 @@ class IndicatorSum:
             if v != 0:
                 out.append((ZPoly.const(int(v)), p))
         return IndicatorSum(self.dim, tuple(out))
-
-
-def evaluate(s: IndicatorSum, x: Sequence) -> ZPoly:
-    return s.evaluate(x)
 
 
 def indicator_of_polytope(p: Polytope) -> IndicatorSum:
@@ -344,8 +325,21 @@ def grid_points(box: Box, step: Fraction):
                          f"exceeds the budget of {GRID_POINT_BUDGET}; use a "
                          "coarser --step, a smaller --box or --exact-cells")
     p, q = step.numerator, step.denominator
-    axes = [range(k0, k1 + 1) for k0, k1 in ends]
-    return ((tuple(k * p for k in ks), q) for ks in product(*axes))
+    axes = [range(k0 * p, k1 * p + 1, p) for k0, k1 in ends]
+    return ((nums, q) for nums in _lattice(axes))
+
+
+def _lattice(axes: Sequence[range], prefix: tuple = ()):
+    """The product of the ranges in lexicographic order, made lazily:
+    itertools.product would first store every axis as a tuple."""
+    if not axes:
+        yield prefix
+    elif len(axes) == 1:
+        for k in axes[0]:
+            yield prefix + (k,)
+    else:
+        for k in axes[0]:
+            yield from _lattice(axes[1:], prefix + (k,))
 
 
 def random_rational_points(box: Box, count: int, seed: int):
@@ -408,20 +402,10 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
     """
     t0 = time.monotonic()
     dim = lhs.dim
-    planes: list[tuple[tuple[int, ...], Fraction]] = []
-    seen = set()
-    for s in (lhs, rhs):
-        for _c, pc in s.terms:
-            for h in pc.constraints:
-                n, off = h.normal, h.offset
-                for k, a in enumerate(n):
-                    if a:
-                        if a < 0:
-                            n, off = tuple(-x for x in n), -off
-                        break
-                if (n, off) not in seen:
-                    seen.add((n, off))
-                    planes.append((n, off))
+    # each hyperplane once, as a closed halfspace with leading coordinate > 0
+    ups = (max(h, h.complement()) for s in (lhs, rhs) for _c, pc in s.terms
+           for h in pc.constraints)
+    planes = list(dict.fromkeys(Halfspace(h.normal, h.offset) for h in ups))
     checked = 0
     bad: Optional[dict] = None
     stack: list[tuple[int, list]] = [(0, [])]
@@ -436,13 +420,12 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
             if a != b:
                 bad = {"point": [str(c) for c in w], "lhs": repr(a), "rhs": repr(b)}
             continue
-        n, off = planes[k]
-        nf = tuple(Fraction(a) for a in n)
-        neg_nf = tuple(-a for a in nf)
+        h = planes[k]
+        neg = Halfspace(tuple(-a for a in h.normal), -h.offset)
         branches = [
-            rows + [(nf, off, True)],                          # n·x > off
-            rows + [(nf, off, False), (neg_nf, -off, False)],  # n·x = off
-            rows + [(neg_nf, -off, True)],                     # n·x < off
+            rows + [neg.complement()],  # n·x > off
+            rows + [h, neg],            # n·x = off
+            rows + [h.complement()],    # n·x < off
         ]
         for br in reversed(branches):
             if feasible_point(br, dim) is not None:

@@ -25,14 +25,18 @@ class DimensionError(ValueError):
 def frac(x) -> Fraction:
     """Coerce an int, a string like ``"3/4"``, or a Fraction to Fraction.
 
-    Floats are rejected: this library is exact.
+    Floats are rejected: this library is exact.  A string with a zero
+    denominator is a ValueError like any other malformed string.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"expected exact rational, got {type(x).__name__}: {x!r}")
 
 

@@ -12,7 +12,6 @@ from the same simple-cone frame.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -20,9 +19,8 @@ from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, GenericityError,
                      SimpleConeFrame, as_functional, frame_piece,
                      nonsimple_decomposition, normal_cone_rays,
                      polarized_piece, simple_cone_frame)
-from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
-                         ZPoly, default_box, tangent_cone_piece,
-                         verify_identity, whole_space_piece)
+from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
+                         tangent_cone_piece, whole_space_piece)
 from .linalg import (IntVector, dot, simplicial_cone_facet_normals, vec_str,
                      vsub)
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
@@ -200,17 +198,3 @@ def partition_identity(p: Polytope, vid: int
                                     for pc in partition_pieces(p, vid)))
     rhs = IndicatorSum(p.dim, ((ZPoly.const(1), whole_space_piece(p.dim)),))
     return lhs, rhs
-
-
-def partition_check(p: Polytope, vid: int, box=None, step=Fraction(1, 2),
-                    extra_samples: int = 0, seed: int = 0) -> VerificationReport:
-    """Check that the sign-pattern pieces at a vertex tile the whole space.
-
-    Every witness point must land in exactly one piece, i.e. the plain sum
-    of the pieces evaluates to the constant 1.
-    """
-    lhs, rhs = partition_identity(p, vid)
-    if box is None:
-        box = default_box(p)
-    return verify_identity(lhs, rhs, box, step, extra_samples, seed,
-                           name=f"partition@v{vid}")

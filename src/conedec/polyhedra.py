@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (DimensionError, IntVector, Vector, dot, frac, idot,
@@ -60,16 +61,28 @@ class Halfspace:
 def halfspace(normal: Sequence, offset, strict: bool = False) -> Halfspace:
     """Canonical halfspace from a rational normal and offset."""
     n = vec(normal)
-    if all(a == 0 for a in n):
+    den = lcm(*(a.denominator for a in n))
+    ints = [int(a * den) for a in n]
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("halfspace: zero normal")
-    prim = primitive(n)
-    # primitive() scales by a positive rational; recover the factor from any
-    # nonzero coordinate to scale the offset consistently.
-    for a, b in zip(n, prim):
-        if a != 0:
-            scale = Fraction(b) / a
-            break
-    return Halfspace(prim, frac(offset) * scale, strict)
+    # scaling by the positive rational den/g keeps the set
+    return Halfspace(tuple(a // g for a in ints), frac(offset) * den / g, strict)
+
+
+def binding(halfspaces: Iterable[Halfspace]) -> list[Halfspace]:
+    """One halfspace per normal, in order of first appearance.
+
+    Parallel halfspaces collapse to the binding one: the larger offset wins,
+    and on a tie a strict halfspace beats a closed one.
+    """
+    best: dict[IntVector, Halfspace] = {}
+    for h in halfspaces:
+        old = best.get(h.normal)
+        if (old is None or h.offset > old.offset
+                or (h.offset == old.offset and h.strict)):
+            best[h.normal] = h
+    return list(best.values())
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .feasibility import feasible_point
 from .linalg import (IntVector, Vector, dot, frac, primitive, rank,
                      simplicial_cone_facet_normals, solve_linear, vec, vscale)
-from .polyhedra import DegenerateInput
+from .polyhedra import DegenerateInput, halfspace
 
 
 class DegenerateHeights(ValueError):
@@ -59,8 +59,7 @@ class LiftedTriangulation:
 
 def positive_functional(rays: Sequence[IntVector], dim: int) -> Optional[Vector]:
     """Some w with w·r > 0 for every ray; None when the cone is not pointed."""
-    rows = [(tuple(Fraction(a) for a in r), Fraction(1), False) for r in rays]
-    return feasible_point(rows, dim)
+    return feasible_point([halfspace(r, 1) for r in rays], dim)
 
 
 def regular_triangulation(rays: Sequence, heights: Sequence,
@@ -97,19 +96,20 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         g = solve_linear(mtx, [heights[j] for j in subset])
         if g is None:
             continue
-        is_cell = True
+        on_face = []
         for k, p in enumerate(points):
             if k in subset:
                 continue
             val = dot(g, p)
             if val > heights[k]:
-                is_cell = False
-                break
+                break  # a point below: not a lower face
             if val == heights[k]:
+                on_face.append(k)
+        else:
+            if on_face:
                 raise DegenerateHeights(
-                    f"heights are not generic: slice point {k} lies on the "
-                    f"lower-hull face of {subset}")
-        if is_cell:
+                    f"heights are not generic: slice point {on_face[0]} lies "
+                    f"on the lower-hull face of {subset}")
             cells.append(subset)
             certs.append(g)
     if not cells:

@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 
 from conedec.deform import (compatible_decomposition, compatible_from_dual,
-                            delta_invariance_check, flip_one_constraint,
-                            local_contribution, local_contributions,
-                            nonsimple_decomposition, normal_cone_rays,
-                            positive_conic_check, seeded_dual_heights,
-                            vertex_triangulation)
+                            flip_one_constraint, local_contribution,
+                            local_contributions, nonsimple_decomposition,
+                            normal_cone_rays, positive_conic_check,
+                            seeded_dual_heights, vertex_triangulation)
 from conedec.genfunc import (brion_gf, count_lattice_points, gf_brute_force,
                              gf_equal_as_functions, gf_of_indicator_sum,
                              gf_of_piece, lattice_points, make_term)
@@ -23,8 +22,9 @@ from conedec.indicators import (default_box, gram_decomposition,
                                 verify_identity, weighted_indicator,
                                 whole_space_piece)
 from conedec.linalg import dot
-from conedec.polar import (GenericityError, lv_decomposition, partition_check,
-                           rearrange_for_vertex, weighted_lv_decomposition)
+from conedec.polar import (GenericityError, lv_decomposition,
+                           partition_identity, rearrange_for_vertex,
+                           weighted_lv_decomposition)
 from conedec.polyhedra import center_at_barycenter, polytope_from_vertices
 from conedec.triangulation import regular_triangulation
 
@@ -97,7 +97,8 @@ def test_criterion_04_polar_decomposition_simple(corpus):
                 assert rep.success, (entry.name, vid, xi, rep.counterexample)
                 pairs += 1
         for vid in range(len(p.vertices)):
-            rep = partition_check(p, vid, extra_samples=20)
+            rep = verify_identity(*partition_identity(p, vid), box,
+                                  Fraction(1, 2), 20, 0)
             assert rep.success, (entry.name, vid, rep.counterexample)
     report(4, f"polar decomposition ok ({lv_points} points), "
               f"vertex grouping ok for {pairs} (vertex, functional) pairs, "
@@ -140,7 +141,7 @@ def test_criterion_06_pyramid_nonsimple_example(pyramid_poly):
     assert lc2.cell_indices == (1, 2)
     assert lc1.sum.evaluate((3, 0, 0)).at_one() == -1
     assert lc2.sum.evaluate((3, 0, 0)).at_one() == -1
-    rep = delta_invariance_check(p, 0, xi, tri1, tri2, BOX6, Fraction(1, 2))
+    rep = verify_identity(lc1.sum, lc2.sum, BOX6, Fraction(1, 2))
     assert rep.success and rep.points_checked == 25 ** 3
     apex_order = normal_cone_rays(p, 0)
     heights = {0: [[1, 1, 0, 0][APEX_RAYS.index(r)] for r in apex_order]}
@@ -174,8 +175,10 @@ def test_criterion_07_octahedron_nonsimple():
             for vid in range(len(octa.vertices)):
                 t1 = vertex_triangulation(octa, vid, seed=0)
                 t2 = vertex_triangulation(octa, vid, seed=5)
-                rep = delta_invariance_check(octa, vid, xi, t1, t2, box,
-                                             Fraction(1, 2), 40, 0)
+                rep = verify_identity(
+                    local_contribution(octa, vid, t1, xi).sum,
+                    local_contribution(octa, vid, t2, xi).sum, box,
+                    Fraction(1, 2), 40, 0)
                 assert rep.success, (xi, vid, rep.counterexample)
         except GenericityError:
             continue

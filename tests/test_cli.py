@@ -218,6 +218,22 @@ class TestBadInput:
                 {"normal": ["0", "1"], "offset": "0"}]}))
         assert main(["count", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--input", "{bad}"],
+        ["verify", "--input", "{pyramid}", "--identity", "gram",
+         "--step", "1/0"],
+        ["verify", "--input", "{pyramid}", "--identity", "gram",
+         "--box", "0,1/0"],
+    ], ids=["json-vertex", "step", "box"])
+    def test_zero_denominator_is_input_error(self, argv, pyramid_file,
+                                             tmp_path, capsys):
+        bad = tmp_path / "zero-den.json"
+        bad.write_text(json.dumps({"dim": 2, "vertices": [
+            ["0", "0"], ["1/0", "0"], ["0", "1"]]}))
+        argv = [a.format(bad=bad, pyramid=pyramid_file) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_oversized_grid_is_input_error(self, tmp_path):
         """A thin triangle 10^9 long would need a grid of ~10^10 points.
 
@@ -252,8 +268,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("exc, code", [
         (AssertionError("broken invariant"), 3),
-        (MemoryError(), 2),
-        (RuntimeError("unexpected"), 2),
+        (MemoryError(), 3),
+        (RuntimeError("unexpected"), 3),
     ], ids=["assertion", "memory", "runtime"])
     def test_internal_errors(self, exc, code, pyramid_file, monkeypatch,
                              capsys):

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conedec.deform import (compatible_decomposition, compatible_from_dual,
-                            delta_invariance_check, flip_one_constraint,
-                            local_contribution, local_contributions,
-                            nonsimple_decomposition, normal_cone_rays,
-                            positive_conic_check, seeded_dual_heights, t_sigma,
-                            uniqueness_crosscheck, vertex_triangulation)
+                            flip_one_constraint, local_contribution,
+                            local_contributions, nonsimple_decomposition,
+                            normal_cone_rays, positive_conic_check,
+                            seeded_dual_heights, t_sigma, vertex_triangulation)
 from conedec.indicators import (default_box, grid_points,
                                 indicator_of_polytope, verify_identity)
 from conedec.linalg import determinant, dot, solve_linear, transpose
@@ -56,6 +55,15 @@ class TestRegularTriangulation:
     def test_degenerate_heights_rejected(self):
         with pytest.raises(DegenerateHeights):
             regular_triangulation(APEX_RAYS, [1, 1, 1, 1])
+
+    def test_point_on_a_hyperplane_that_is_no_lower_face(self,
+                                                         pentagon_cone_poly):
+        # slice point 0 lies on the lifted plane of rays (2, 3, 4), which
+        # another point lies below, so that plane bounds no lower face
+        rays = normal_cone_rays(pentagon_cone_poly, 0)
+        tri = regular_triangulation(rays, [1, 0, 1, 1, 1])
+        assert tri.cells == ((0, 1, 2), (1, 2, 3), (1, 3, 4))
+        assert tri.verify_certificates()
 
     def test_non_pointed_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -140,12 +148,18 @@ class TestTSigma:
             set(p.facets[i].normal for i in p.tight_facets(vid))
 
 
+def contribution_sums(p, vid, xi, *tris):
+    """The local contributions of one vertex under several triangulations."""
+    return [local_contribution(p, vid, tri, xi).sum for tri in tris]
+
+
 class TestDeltaInvariance:
     def test_pyramid_reference_pair(self, pyramid_poly):
         t1 = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
         t2 = regular_triangulation(APEX_RAYS, [0, 0, 1, 1])
-        rep = delta_invariance_check(pyramid_poly, 0, (4, 2, 0), t1, t2,
-                                     BOX6, Fraction(1, 2))
+        rep = verify_identity(*contribution_sums(pyramid_poly, 0, (4, 2, 0),
+                                                 t1, t2),
+                              BOX6, Fraction(1, 2))
         assert rep.success and rep.points_checked == 25 ** 3
 
     def test_simple_vertex_trivial(self, pyramid_poly):
@@ -153,8 +167,8 @@ class TestDeltaInvariance:
         vid = p.vertex_index((1, 1, 1))
         t1 = vertex_triangulation(p, vid, seed=0)
         t2 = vertex_triangulation(p, vid, seed=1)
-        rep = delta_invariance_check(p, vid, (4, 2, 0), t1, t2,
-                                     default_box(p), Fraction(1, 2))
+        rep = verify_identity(*contribution_sums(p, vid, (4, 2, 0), t1, t2),
+                              default_box(p), Fraction(1, 2))
         assert rep.success
 
     def test_octahedron_diagonal_pair(self):
@@ -170,9 +184,9 @@ class TestDeltaInvariance:
             t2 = triangulation_with_retries(rays, seed=seed)
             found.add(t2.cells)
             seed += 1
-        rep = delta_invariance_check(octa, vid, (4, 2, 1), t1, t2,
-                                     default_box(octa), Fraction(1, 2),
-                                     extra_samples=60)
+        rep = verify_identity(*contribution_sums(octa, vid, (4, 2, 1), t1, t2),
+                              default_box(octa), Fraction(1, 2),
+                              extra_samples=60)
         assert rep.success
 
 
@@ -215,6 +229,14 @@ class TestNonsimpleDecomposition:
     def test_pentagon_cone_identity(self, pentagon_cone_poly):
         p = pentagon_cone_poly
         dec = nonsimple_decomposition(p, (5, 3, 1))
+        rep = verify_identity(dec, indicator_of_polytope(p), default_box(p),
+                              Fraction(1, 2), 80, 9)
+        assert rep.success
+
+    def test_pentagon_cone_apex_heights_with_a_point_on_a_non_face(
+            self, pentagon_cone_poly):
+        p = pentagon_cone_poly
+        dec = nonsimple_decomposition(p, (5, 3, 1), {0: [1, 0, 1, 1, 1]})
         rep = verify_identity(dec, indicator_of_polytope(p), default_box(p),
                               Fraction(1, 2), 80, 9)
         assert rep.success
@@ -312,14 +334,15 @@ class TestUniqueness:
         p = pyramid_poly
         a = local_contributions(p, (4, 2, 0), {0: pyramid_heights(p, [1, 1, 0, 0])})
         b = local_contributions(p, (4, 2, 0), {0: pyramid_heights(p, [0, 0, 1, 1])})
-        reports = uniqueness_crosscheck(p, (4, 2, 0), a, b, BOX6, Fraction(1, 2))
+        reports = [verify_identity(a[v].sum, b[v].sum, BOX6, Fraction(1, 2))
+                   for v in sorted(a)]
         assert len(reports) == 5 and all(r.success for r in reports)
 
     def test_identical_inputs(self, pyramid_poly):
         p = pyramid_poly
         a = local_contributions(p, (4, 2, 0))
-        reports = uniqueness_crosscheck(p, (4, 2, 0), a, a,
-                                        default_box(p), Fraction(1, 2))
+        reports = [verify_identity(a[v].sum, a[v].sum, default_box(p),
+                                   Fraction(1, 2)) for v in sorted(a)]
         assert all(r.success for r in reports)
 
     def test_dual_family_vs_adhoc_family(self):
@@ -332,7 +355,7 @@ class TestUniqueness:
         b = local_contributions(octa, xi, seed=13)
         for fam in (a, b):
             assert positive_conic_check(fam, xi, 8, 2).success
-        reports = uniqueness_crosscheck(octa, xi, a, b,
-                                        default_box(octa), Fraction(1, 2),
-                                        extra_samples=40)
+        reports = [verify_identity(a[v].sum, b[v].sum, default_box(octa),
+                                   Fraction(1, 2), extra_samples=40)
+                   for v in sorted(a)]
         assert all(r.success for r in reports)

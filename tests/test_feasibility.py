@@ -3,19 +3,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fm_oracle
 from conedec.feasibility import feasible_point
+from conedec.polyhedra import halfspace
 
 F = Fraction
 
 
 def con(coeffs, rhs, strict=False):
-    return (tuple(F(c) for c in coeffs), F(rhs), strict)
+    return halfspace(coeffs, rhs, strict)
 
 
 def test_box_witness():
     rows = [con((1, 0), 0), con((-1, 0), -1), con((0, 1), 0), con((0, -1), -1)]
     w = feasible_point(rows, 2)
-    assert all(c[0][0] * w[0] + c[0][1] * w[1] >= c[1] for c in rows)
+    assert all(h.satisfied(w) for h in rows)
 
 
 def test_empty_closed_interval():
@@ -48,8 +50,14 @@ def test_degenerate_equality_chain():
     assert w == (F(1, 3), F(1, 3), F(1, 3))
 
 
+def test_scaled_parallel_rows_bind_once():
+    # 2x ≥ 1 and x ≥ 1 are one constraint, x ≥ 1, with x ≤ 1 forcing x = 1
+    rows = [con((2,), 1), con((1,), 1), con((-1,), -1)]
+    assert feasible_point(rows, 1) == (F(1),)
+
+
 @given(st.lists(
-    st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=2),
+    st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=2).filter(any),
               st.integers(-6, 6), st.booleans()),
     min_size=1, max_size=6))
 @settings(max_examples=120, deadline=None)
@@ -57,6 +65,30 @@ def test_witness_soundness(rows_raw):
     rows = [con(c, r, s) for c, r, s in rows_raw]
     w = feasible_point(rows, 2)
     if w is not None:
-        for coeffs, rhs, strict in rows:
-            val = coeffs[0] * w[0] + coeffs[1] * w[1]
-            assert val > rhs if strict else val >= rhs
+        for h in rows:
+            assert h.satisfied(w)
+
+
+@st.composite
+def systems(draw):
+    """(dim, rows) with rows (normal, offset, strict) in 1–4 variables, some
+    of them positive multiples of an earlier normal with their own offset."""
+    dim = draw(st.integers(1, 4))
+    normal = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    offset = st.fractions(-6, 6, max_denominator=3)
+    rows = draw(st.lists(st.tuples(normal, offset, st.booleans()),
+                         min_size=1, max_size=6))
+    dups = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(2, 3),
+                                   offset, st.booleans()), max_size=3))
+    rows += [(tuple(k * a for a in n), off, s)
+             for (n, _off, _s), k, off, s in dups]
+    return dim, rows
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_matches_triple_oracle(system):
+    dim, rows = system
+    triples = [(tuple(F(a) for a in n), F(off), s) for n, off, s in rows]
+    assert (feasible_point([con(n, off, s) for n, off, s in rows], dim)
+            == fm_oracle.feasible_point(triples, dim))

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -162,6 +164,25 @@ class TestVerifyIdentity:
         box[2] = (0, GRID_POINT_BUDGET // 10 ** 6)
         with pytest.raises(ValueError, match="budget"):
             grid_points(box, 1)
+
+    def test_grid_order_matches_product(self):
+        box = [(Fraction(-3, 2), 1), (0, Fraction(2, 3)), (Fraction(1, 3), 2)]
+        step = Fraction(2, 3)
+        axes = [[k for k in range(-10, 10) if lo <= k * step <= hi]
+                for lo, hi in box]
+        want = [(tuple(k * 2 for k in ks), 3) for ks in product(*axes)]
+        assert list(grid_points(box, step)) == want
+        assert list(grid_points([(0, 1), (Fraction(1, 3), Fraction(2, 3))],
+                                1)) == []
+
+    def test_long_axis_is_not_stored(self):
+        tracemalloc.start()
+        try:
+            assert next(grid_points([(0, 10 ** 6 - 1)], 1)) == ((0,), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_exact_cells_mode(self):
         s01 = indicator(1, halfspace((1,), 0), halfspace((-1,), -1))

@@ -6,7 +6,7 @@ from conedec.indicators import (ZPoly, default_box, indicator_of_interior,
                                 indicator_of_polytope, verify_identity,
                                 weighted_indicator)
 from conedec.polar import (GenericityError, SimplicityError, is_generic,
-                           lv_decomposition, partition_check, polarization,
+                           lv_decomposition, partition_identity, polarization,
                            polarized_tangent_cone, rearrange_for_vertex,
                            weighted_lv_decomposition,
                            weighted_polarized_piece_value)
@@ -188,21 +188,27 @@ class TestRearrange:
                     assert rep.success, (entry.name, vid, xi)
 
 
+def partition_holds(p, vid, extra_samples=0):
+    """The sign-pattern pieces at a vertex sum to 1 on the default box."""
+    return verify_identity(*partition_identity(p, vid), default_box(p),
+                           Fraction(1, 2), extra_samples, 0).success
+
+
 class TestPartition:
     def test_segment(self):
-        assert partition_check(SEG, 0).success
-        assert partition_check(SEG, 1).success
+        assert partition_holds(SEG, 0)
+        assert partition_holds(SEG, 1)
 
     def test_square_and_cube(self):
         for vid in range(4):
-            assert partition_check(SQUARE, vid).success
+            assert partition_holds(SQUARE, vid)
         for vid in range(8):
-            assert partition_check(CUBE, vid).success
+            assert partition_holds(CUBE, vid)
 
     def test_all_simple_corpus_vertices(self, corpus):
         for entry, p in corpus:
             if not entry.simple or p.dim > 3:
                 continue
             for vid in range(len(p.vertices)):
-                assert partition_check(p, vid, extra_samples=20).success, \
+                assert partition_holds(p, vid, extra_samples=20), \
                     (entry.name, vid)

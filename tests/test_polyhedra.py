@@ -7,8 +7,9 @@ import pytest
 from conedec.deform import normal_cone_rays
 from conedec.indicators import tangent_cone_piece
 from conedec.linalg import determinant, dot, primitive, rank, vsub
-from conedec.polyhedra import (DegenerateInput, Halfspace, center_at_barycenter,
-                               cone_facets, halfspace, is_simple_polytope,
+from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
+                               center_at_barycenter, cone_facets, halfspace,
+                               is_simple_polytope,
                                is_simple_vertex, lineality_of_normals,
                                polar_dual, polytope_from_halfspaces,
                                polytope_from_vertices)
@@ -307,3 +308,25 @@ class TestHalfspaceCanonicalization:
         assert c.normal == (-1, 0) and c.offset == -2 and c.strict
         assert not h.satisfied((1, 0)) and c.satisfied((1, 0))
         assert h.satisfied((2, 0)) and not c.satisfied((2, 0))
+
+    def test_zero_normal_rejected(self):
+        with pytest.raises(ValueError, match="zero normal"):
+            halfspace((0, Fraction(0)), 1)
+
+
+class TestBinding:
+    def test_parallel_rows_collapse_in_first_appearance_order(self):
+        y1, x1 = halfspace((0, 1), 1), halfspace((1, 0), 1)
+        x2 = halfspace((2, 0), 1)
+        # 2x ≥ 1 is x ≥ 1/2, weaker than x ≥ 1, whichever comes first
+        assert binding([y1, x2, x1]) == [y1, x1]
+        assert binding([x1, y1, x2]) == [x1, y1]
+
+    def test_strict_beats_closed_on_a_tie(self):
+        closed, strict = halfspace((1,), 1), halfspace((1,), 1, True)
+        assert binding([closed, strict]) == [strict]
+        assert binding([strict, closed]) == [strict]
+
+    def test_opposite_normals_are_kept(self):
+        h = halfspace((1, 1), 0)
+        assert binding([h, h.complement(), h]) == [h, h.complement()]
