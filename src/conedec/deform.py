@@ -28,8 +28,8 @@ from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, solve_linear, transpose,
                      vadd, vec, vec_str, vneg, vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
-from .triangulation import (LiftedTriangulation, regular_triangulation,
-                            triangulation_with_retries)
+from .triangulation import (DegenerateHeights, LiftedTriangulation,
+                            regular_triangulation, triangulation_with_retries)
 
 
 class GenericityError(ValueError):
@@ -257,7 +257,7 @@ def seeded_dual_heights(p: Polytope, seed: int, retries: int = 64) -> list[Fract
         try:
             compatible_from_dual(p, heights)
             return heights
-        except Exception:
+        except DegenerateHeights:
             continue
     raise ValueError("no generic dual heights found")
 

@@ -13,10 +13,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import frac, vec
+from .linalg import dot, frac, vec
 from .polyhedra import Face, Halfspace, Polytope, binding
 
 
@@ -134,12 +135,6 @@ class LocallyClosedPiece:
     def contains(self, x: Sequence) -> bool:
         return all(h.satisfied(x) for h in self.constraints)
 
-    def contains_scaled(self, nums: Sequence[int], den: int) -> bool:
-        for h in self.constraints:
-            if not h.satisfied_scaled(nums, den):
-                return False
-        return True
-
 
 def piece(dim: int, constraints: Iterable[Halfspace],
           witness: Optional[Sequence] = None) -> LocallyClosedPiece:
@@ -180,13 +175,6 @@ class IndicatorSum:
         acc = ZERO
         for coeff, pc in self.terms:
             if pc.contains(x):
-                acc = acc + coeff
-        return acc
-
-    def evaluate_scaled(self, nums: Sequence[int], den: int) -> ZPoly:
-        acc = ZERO
-        for coeff, pc in self.terms:
-            if pc.contains_scaled(nums, den):
                 acc = acc + coeff
         return acc
 
@@ -272,10 +260,67 @@ def weighted_indicator(p: Polytope) -> IndicatorSum:
 # Verification harness
 # ---------------------------------------------------------------------------
 
+class Arrangement:
+    """The distinct constraint hyperplanes of some indicator sums, and each
+    sum's value as a function of a point's sign vector on them.
+
+    A piece contains a point iff the point lies on the side of each plane
+    that the piece's constraint there asks for, so every sum is constant on
+    each cell of the arrangement and one evaluation per cell decides it.
+    """
+
+    def __init__(self, sums: Sequence[IndicatorSum]):
+        index: dict[Halfspace, int] = {}
+        # each sum as (coefficient, requirements) terms; a requirement
+        # (i, o, t) holds iff o·(sign at plane i) ≥ t, t = 1 when strict
+        self._sums: list[list[tuple[ZPoly, tuple]]] = []
+        for s in sums:
+            terms = []
+            for coeff, pc in s.terms:
+                reqs = []
+                for h in pc.constraints:
+                    up = max(h, h.complement())  # leading coordinate > 0
+                    i = index.setdefault(Halfspace(up.normal, up.offset),
+                                         len(index))
+                    reqs.append((i, 1 if up.normal == h.normal else -1,
+                                 int(h.strict)))
+                terms.append((coeff, tuple(reqs)))
+            self._sums.append(terms)
+        # closed halfspaces n·x ≥ off, one per hyperplane, in first-use order
+        self.planes: list[Halfspace] = list(index)
+        # n·x ≥ p/q scaled to q·n·x ≥ p: a point nums/den needs integers only
+        self._rows = [(tuple(a * h.offset.denominator for a in h.normal),
+                       h.offset.numerator) for h in self.planes]
+
+    def signs(self, nums: Sequence[int], den: int) -> tuple[int, ...]:
+        """The side (1, 0 or -1) of each plane on which nums/den lies."""
+        out = []
+        for n, p in self._rows:
+            v = sum(map(mul, n, nums)) - p * den
+            out.append((v > 0) - (v < 0))
+        return tuple(out)
+
+    def values(self, signs: Sequence[int]) -> tuple[ZPoly, ...]:
+        """Each sum's value on the cell with the given sign vector."""
+        out = []
+        for terms in self._sums:
+            acc = ZERO
+            for coeff, reqs in terms:
+                if all(o * signs[i] >= t for i, o, t in reqs):
+                    acc = acc + coeff
+            out.append(acc)
+        return tuple(out)
+
+
 Box = Sequence[tuple[Fraction, Fraction]]
 
 # Most grid points one verification may check.
 GRID_POINT_BUDGET = 10 ** 7
+
+# Most arrangement cells whose values one grid verification keeps; the memo
+# is cleared when full.  Grid order visits neighbouring cells in runs, so a
+# small memo keeps almost every hit.
+CELL_MEMO_CAP = 256
 
 
 @dataclass
@@ -361,7 +406,10 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
     """Compare two indicator sums on the grid plus seeded random points.
 
     Sound for refutation: the first mismatch (in lexicographic grid order,
-    random samples afterwards) is reported with both values.
+    random samples afterwards) is reported with both values.  Each point
+    costs one integer dot product per distinct hyperplane; both sides are
+    evaluated once per arrangement cell, kept for the last CELL_MEMO_CAP
+    cells met.
     """
     t0 = time.monotonic()
     step = frac(step)
@@ -371,14 +419,21 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
         "extra_samples": extra_samples,
         "seed": seed,
     }
+    cells = Arrangement((lhs, rhs))
+    memo: dict[tuple[int, ...], tuple[ZPoly, ...]] = {}
     checked = 0
 
     def run(points) -> Optional[dict]:
         nonlocal checked
         for nums, den in points:
-            a = lhs.evaluate_scaled(nums, den)
-            b = rhs.evaluate_scaled(nums, den)
+            key = cells.signs(nums, den)
+            vals = memo.get(key)
+            if vals is None:
+                if len(memo) >= CELL_MEMO_CAP:
+                    memo.clear()
+                vals = memo[key] = cells.values(key)
             checked += 1
+            a, b = vals
             if a != b:
                 pt = [str(Fraction(n, den)) for n in nums]
                 return {"point": pt, "lhs": repr(a), "rhs": repr(b)}
@@ -396,39 +451,42 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
     """Decide an identity exactly by enumerating arrangement cells.
 
     Splits space by every constraint hyperplane appearing on either side and
-    checks one witness per nonempty sign cell; both sides are constant on
-    cells, so this is a complete decision procedure.  Exponential in the
-    number of hyperplanes; intended for small identities (--exact-cells).
+    checks each nonempty sign cell once; both sides are constant on cells,
+    so this is a complete decision procedure.  Exponential in the number of
+    hyperplanes; intended for small identities (--exact-cells).  Each branch
+    carries a witness point: the parent's witness settles the branch it lies
+    in, and only the other branches need a feasibility search.
     """
     t0 = time.monotonic()
     dim = lhs.dim
-    # each hyperplane once, as a closed halfspace with leading coordinate > 0
-    ups = (max(h, h.complement()) for s in (lhs, rhs) for _c, pc in s.terms
-           for h in pc.constraints)
-    planes = list(dict.fromkeys(Halfspace(h.normal, h.offset) for h in ups))
+    cells = Arrangement((lhs, rhs))
+    planes = cells.planes
     checked = 0
     bad: Optional[dict] = None
-    stack: list[tuple[int, list]] = [(0, [])]
+    # (plane index, rows, sign vector so far, a point satisfying the rows)
+    stack: list[tuple[int, list, tuple[int, ...], Sequence]] = [
+        (0, [], (), (Fraction(0),) * dim)]
     while stack and bad is None:
-        k, rows = stack.pop()
+        k, rows, signs, w = stack.pop()
         if k == len(planes):
-            w = feasible_point(rows, dim)
-            if w is None:
-                continue
             checked += 1
-            a, b = lhs.evaluate(w), rhs.evaluate(w)
+            a, b = cells.values(signs)
             if a != b:
+                w = feasible_point(rows, dim)  # the cell's canonical witness
                 bad = {"point": [str(c) for c in w], "lhs": repr(a), "rhs": repr(b)}
             continue
         h = planes[k]
         neg = Halfspace(tuple(-a for a in h.normal), -h.offset)
+        v = dot(h.normal, w) - h.offset
+        side = (v > 0) - (v < 0)
         branches = [
-            rows + [neg.complement()],  # n·x > off
-            rows + [h, neg],            # n·x = off
-            rows + [h.complement()],    # n·x < off
+            (1, rows + [neg.complement()]),  # n·x > off
+            (0, rows + [h, neg]),            # n·x = off
+            (-1, rows + [h.complement()]),   # n·x < off
         ]
-        for br in reversed(branches):
-            if feasible_point(br, dim) is not None:
-                stack.append((k + 1, br))
+        for s, br in reversed(branches):
+            x = w if s == side else feasible_point(br, dim)
+            if x is not None:
+                stack.append((k + 1, br, signs + (s,), x))
     return VerificationReport(name, {"mode": "exact-cells"}, checked,
                               bad is None, bad, time.monotonic() - t0)

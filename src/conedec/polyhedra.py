@@ -40,15 +40,6 @@ class Halfspace:
         s = dot(self.normal, x)
         return s > self.offset if self.strict else s >= self.offset
 
-    def satisfied_scaled(self, nums: Sequence[int], den: int) -> bool:
-        """Test the point (nums/den) using integer arithmetic only."""
-        lhs = sum(n * a for n, a in zip(self.normal, nums))
-        rhs = self.offset
-        # lhs/den ≥ rhs  ⟺  lhs·rhs.den ≥ rhs.num·den   (den > 0)
-        left = lhs * rhs.denominator
-        right = rhs.numerator * den
-        return left > right if self.strict else left >= right
-
     def complement(self) -> "Halfspace":
         """The complementary halfspace (closed flips to strict and back)."""
         return Halfspace(tuple(-a for a in self.normal), -self.offset,

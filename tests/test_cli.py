@@ -280,6 +280,17 @@ class TestBadInput:
                      "--identity", "gram"]) == code
         assert capsys.readouterr().err.startswith("internal error: ")
 
+    def test_broken_invariant_in_dual_heights_is_internal(
+            self, pyramid_file, monkeypatch, capsys):
+        # only degenerate heights are redrawn; any other failure surfaces
+        def fail(*args, **kwargs):
+            raise AssertionError("broken invariant")
+        monkeypatch.setattr("conedec.deform.regular_triangulation", fail)
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "compatible", "--xi", "4,2,0"]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: AssertionError: broken invariant\n")
+
 
 class TestCorpus:
     def test_bundled_passes(self, capsys):

@@ -2,9 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conedec.deform import nonsimple_decomposition
 from conedec.genfunc import (RationalGF, brion_gf, count_lattice_points,
                              enumerate_parallelepiped, gf_brute_force,
                              gf_equal_as_functions, gf_of_indicator_sum,
@@ -12,9 +13,12 @@ from conedec.genfunc import (RationalGF, brion_gf, count_lattice_points,
                              lattice_points, make_term, specialize, zero_gf)
 from conedec.indicators import gram_decomposition, whole_space_piece
 from conedec.linalg import determinant, mat_vec, mat_inverse, vsub
+from conedec.polar import lv_decomposition
 from conedec.polyhedra import DegenerateInput, polytope_from_vertices
 from conedec.triangulation import (half_open_flags, regular_triangulation,
                                    triangulation_with_retries)
+
+from conftest import seeded_generic_functionals
 
 SEG = polytope_from_vertices([(-3,), (5,)])
 
@@ -216,6 +220,39 @@ class TestIndicatorImage:
                 continue
             image = gf_of_indicator_sum(gram_decomposition(p))
             assert count_lattice_points(image) == entry.expected_count, entry.name
+
+
+@st.composite
+def small_polytopes(draw):
+    """Polygons with vertex denominators up to 3, and tetrahedra with
+    half-integral vertices: simple polytopes, small enough that every
+    route stays fast."""
+    dim = draw(st.sampled_from((2, 2, 3)))
+    bound, den = (3, 3) if dim == 2 else (2, 2)
+    coord = st.fractions(-bound, bound, max_denominator=den)
+    n = draw(st.integers(3, 6)) if dim == 2 else 4
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    try:
+        return polytope_from_vertices(pts)
+    except DegenerateInput:
+        assume(False)
+
+
+class TestDifferentialCounting:
+    @given(small_polytopes())
+    @settings(max_examples=25, deadline=None)
+    def test_counting_routes_agree(self, p):
+        xi = seeded_generic_functionals(p, 1)[0]
+        counts = {
+            "brion": count_lattice_points(brion_gf(p)),
+            "gram": count_lattice_points(
+                gf_of_indicator_sum(gram_decomposition(p))),
+            "lv": count_lattice_points(
+                gf_of_indicator_sum(lv_decomposition(p, xi))),
+            "nonsimple": count_lattice_points(
+                gf_of_indicator_sum(nonsimple_decomposition(p, xi))),
+        }
+        assert counts == dict.fromkeys(counts, len(lattice_points(p)))
 
 
 class TestTriangulateCone:

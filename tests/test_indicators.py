@@ -3,9 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conedec.indicators import (GRID_POINT_BUDGET, IndicatorSum, ZPoly,
-                                default_box, gram_decomposition, grid_points,
+import indicator_oracle
+from conedec.indicators import (CELL_MEMO_CAP, GRID_POINT_BUDGET, Arrangement,
+                                IndicatorSum, ZPoly, default_box,
+                                gram_decomposition, grid_points,
                                 indicator_of_interior, indicator_of_polytope,
                                 piece, verify_identity, verify_identity_exact,
                                 weighted_indicator, whole_space_piece)
@@ -70,10 +74,12 @@ class TestPieces:
 
     def test_scaled_membership_agrees(self, corpus):
         for entry, p in corpus:
-            s = gram_decomposition(p)
+            sums = (gram_decomposition(p), weighted_indicator(p))
+            cells = Arrangement(sums)
             for nums, den in list(grid_points(default_box(p), Fraction(1)))[:40]:
                 x = tuple(Fraction(n, den) for n in nums)
-                assert s.evaluate(x) == s.evaluate_scaled(nums, den), entry.name
+                want = tuple(s.evaluate(x) for s in sums)
+                assert cells.values(cells.signs(nums, den)) == want, entry.name
 
 
 class TestGram:
@@ -184,6 +190,23 @@ class TestVerifyIdentity:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_cell_memo_is_bounded(self):
+        # lines x = k and y = k for k < 16 cut the box into 33 × 33 cells,
+        # nearly one per grid point and far more than the memo keeps
+        walls = IndicatorSum(2, tuple(
+            (ONE, piece(2, [halfspace(n, k)]))
+            for k in range(16) for n in ((1, 0), (0, 1))))
+        box = [(Fraction(-1), Fraction(16))] * 2
+        assert 33 * 33 > 4 * CELL_MEMO_CAP
+        tracemalloc.start()
+        try:
+            rep = verify_identity(walls, walls, box, Fraction(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.success and rep.points_checked == 35 * 35
+        assert peak < 2 ** 18  # ~0.7 MB when every cell is kept
+
     def test_exact_cells_mode(self):
         s01 = indicator(1, halfspace((1,), 0), halfspace((-1,), -1))
         s02 = indicator(1, halfspace((1,), 0), halfspace((-1,), -2))
@@ -200,3 +223,105 @@ class TestVerifyIdentity:
                          halfspace((1, 0), 0), halfspace((-1, 0), -1))
         rep = verify_identity_exact(thin, base)
         assert not rep.success
+
+
+@st.composite
+def identities(draw):
+    """(dim, lhs, rhs): indicator sums in 1–3 variables over a small pool of
+    hyperplanes, with strict and closed rows on either side of each plane
+    and parallel planes that share a normal; rhs is lhs reordered and, when
+    drawn so, perturbed so that the identity may fail."""
+    dim = draw(st.integers(1, 3))
+    normal = st.lists(st.integers(-2, 2), min_size=dim,
+                      max_size=dim).filter(any)
+    offset = st.fractions(-2, 2, max_denominator=3)
+    pool = draw(st.lists(st.tuples(normal, offset), min_size=2, max_size=4))
+    pool += [(tuple(k * a for a in n), off) for (n, _off), k, off in draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((-2, 1, 3)),
+                           offset), max_size=2))]
+    row = st.tuples(st.integers(0, len(pool) - 1), st.sampled_from((1, -1)),
+                    st.booleans())
+    coeff = st.tuples(st.integers(-2, 2), st.integers(0, 1))
+    rows = st.lists(row, min_size=1, max_size=3)
+    raw = draw(st.lists(st.tuples(coeff, rows), min_size=2, max_size=5))
+    other = draw(st.permutations(raw))
+    change = draw(st.sampled_from(("none", "drop", "strictness", "coeff")))
+    j = draw(st.integers(0, len(other) - 1))
+    (c0, c1), rows = other[j]
+    if change == "drop":
+        other = other[:j] + other[j + 1:]
+    elif change == "strictness" and rows:
+        i, o, strict = rows[0]
+        other[j] = ((c0, c1), [(i, o, not strict)] + rows[1:])
+    elif change == "coeff":
+        other[j] = ((c0 + 1, c1), rows)
+
+    def build(terms):
+        out = []
+        for (c0, c1), rows in terms:
+            cons = [halfspace(tuple(o * a for a in pool[i][0]),
+                              o * pool[i][1], strict) for i, o, strict in rows]
+            try:
+                pc = piece(dim, cons)
+            except ValueError:  # an empty piece
+                continue
+            out.append((ZPoly.const(c0) + ZPoly.z_power(1) * c1, pc))
+        return IndicatorSum(dim, tuple(out))
+
+    return dim, build(raw), build(other)
+
+
+class TestAgainstOracle:
+    """The arrangement-based checks give the reports of the per-point and
+    from-scratch checks they replaced (tests/indicator_oracle.py)."""
+
+    @given(identities(), st.sampled_from((1, Fraction(1, 2), Fraction(2, 3))),
+           st.integers(0, 5), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_grid_reports_match(self, ident, step, samples, seed):
+        dim, lhs, rhs = ident
+        box = [(Fraction(-2), Fraction(2))] * dim
+        got = verify_identity(lhs, rhs, box, step, samples, seed)
+        want = indicator_oracle.verify_identity(lhs, rhs, box, step, samples,
+                                                seed)
+        assert got.to_json_dict() == want.to_json_dict()
+
+    @given(identities())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_reports_match(self, ident):
+        _dim, lhs, rhs = ident
+        assert (verify_identity_exact(lhs, rhs).to_json_dict()
+                == indicator_oracle.verify_identity_exact(lhs, rhs)
+                .to_json_dict())
+
+    def test_exact_counterexample_off_the_origin(self):
+        # the sides differ where y > -3; the first such cell, x > 1 and
+        # y > -3, inherits the witness (2, 0) of its parent x > 1, yet the
+        # report names the point a search on the cell itself finds
+        lhs = indicator(2, halfspace((1, 0), 1))
+        rhs = lhs + indicator(2, halfspace((0, 1), -3, True))
+        rep = verify_identity_exact(lhs, rhs)
+        assert rep.counterexample == {"point": ["2", "-2"], "lhs": "1",
+                                      "rhs": "2"}
+        want = indicator_oracle.verify_identity_exact(lhs, rhs)
+        assert rep.to_json_dict() == want.to_json_dict()
+
+    def test_exact_witness_reuse_halves_feasibility_calls(
+            self, pyramid_poly, monkeypatch):
+        import conedec.indicators
+        from conedec.feasibility import feasible_point
+        calls = []
+
+        def counted(system, dim):
+            calls.append(1)
+            return feasible_point(system, dim)
+        monkeypatch.setattr(conedec.indicators, "feasible_point", counted)
+        monkeypatch.setattr(indicator_oracle, "feasible_point", counted)
+        lhs = gram_decomposition(pyramid_poly)
+        rhs = indicator_of_polytope(pyramid_poly)
+        got = verify_identity_exact(lhs, rhs)
+        ours = len(calls)
+        want = indicator_oracle.verify_identity_exact(lhs, rhs)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.points_checked == 101
+        assert 2 * ours <= len(calls) - ours
