@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+XI_ATTEMPTS = 50  # seeded functionals tried before asking for --xi
 
 
 class InputError(Exception):
@@ -203,7 +204,7 @@ def _seeded_generic_xi(p: Polytope, seed: int):
     raise InputError("could not find a generic functional; supply --xi")
 
 
-def _with_generic_xi(p: Polytope, seed: int, fn, xi=None, attempts: int = 50):
+def _with_generic_xi(p: Polytope, seed: int, fn, xi=None):
     """Run fn(xi); when xi is seeded, redraw on genericity failures.
 
     Edge-genericity is necessary but not sufficient for the triangulated
@@ -213,13 +214,13 @@ def _with_generic_xi(p: Polytope, seed: int, fn, xi=None, attempts: int = 50):
     if xi is not None:
         return xi, fn(xi)
     last: Exception | None = None
-    for k in range(attempts):
+    for k in range(XI_ATTEMPTS):
         cand = _seeded_generic_xi(p, seed + 101 * k)
         try:
             return cand, fn(cand)
         except GenericityError as exc:
             last = exc
-    raise InputError(f"no generic functional found after {attempts} draws "
+    raise InputError(f"no generic functional found after {XI_ATTEMPTS} draws "
                      f"(last: {last}); supply --xi")
 
 

@@ -28,7 +28,7 @@ from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, solve_linear, transpose,
                      vadd, vec, vec_str, vneg, vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
-from .triangulation import (DegenerateHeights, LiftedTriangulation,
+from .triangulation import (RETRIES, DegenerateHeights, LiftedTriangulation,
                             regular_triangulation, triangulation_with_retries)
 
 
@@ -232,10 +232,9 @@ def compatible_from_dual(p: Polytope, dual_heights: Sequence
                          f"({len(p.facets)}), got {len(heights)}")
     out = {}
     for vid, v in enumerate(p.vertices):
-        tight = p.tight_facets(vid)
-        rays = [p.facets[i].normal for i in tight]
-        restricted = [heights[i] for i in tight]
-        out[vid] = regular_triangulation(rays, restricted, slice_normal=vneg(v))
+        restricted = [heights[i] for i in p.tight_facets(vid)]
+        out[vid] = regular_triangulation(normal_cone_rays(p, vid), restricted,
+                                         slice_normal=vneg(v))
     return out
 
 
@@ -249,10 +248,10 @@ def compatible_decomposition(p: Polytope, xi: Sequence, dual_heights: Sequence
     return acc
 
 
-def seeded_dual_heights(p: Polytope, seed: int, retries: int = 64) -> list[Fraction]:
+def seeded_dual_heights(p: Polytope, seed: int) -> list[Fraction]:
     """Dual heights drawn until every facet restriction is simplicial."""
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(RETRIES):
         heights = [Fraction(rng.randint(0, 8 * len(p.facets))) for _ in p.facets]
         try:
             compatible_from_dual(p, heights)

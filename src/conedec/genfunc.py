@@ -278,10 +278,10 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
     return total[max_pole:max_pole + order + 1]
 
 
-def counting_direction(gf: RationalGF, start: int = 1) -> list[int]:
+def counting_direction(gf: RationalGF) -> list[int]:
     """First moment-curve direction (t, t², …, t^d) clearing all denominators."""
     dens = {b for t in gf.terms for b in t.denominators}
-    t = start
+    t = 1
     while True:
         lam = [t ** (j + 1) for j in range(gf.dim)]
         if all(dot(lam, b) != 0 for b in dens):
@@ -344,11 +344,12 @@ def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
     apex = solve_linear(normals, offsets)
     if apex is None:
         raise ValueError("piece is not a shifted cone (no common apex)")
-    rays = cone_facets(normals, pc.dim)
+    rays = tuple(r for r, _ in cone_facets(normals, pc.dim))
     if rank(rays) != pc.dim:
         raise ValueError("piece is not full-dimensional")
     strict_normals = {h.normal for h in pc.constraints if h.strict}
-    if strict_normals and not strict_normals <= set(cone_facets(rays, pc.dim)):
+    if strict_normals and not strict_normals <= {
+            n for n, _ in cone_facets(rays, pc.dim)}:
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
     return _half_open_cone_gf(apex, rays, strict_normals, seed)

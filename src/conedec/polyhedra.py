@@ -45,9 +45,6 @@ class Halfspace:
         return Halfspace(tuple(-a for a in self.normal), -self.offset,
                          not self.strict)
 
-    def tight_at(self, x: Sequence) -> bool:
-        return dot(self.normal, x) == self.offset
-
 
 def halfspace(normal: Sequence, offset, strict: bool = False) -> Halfspace:
     """Canonical halfspace from a rational normal and offset."""
@@ -89,16 +86,18 @@ def lineality_of_normals(normals: Sequence[IntVector], dim: int) -> int:
     return dim - rank(normals)
 
 
-def cone_facets(gens: Sequence[IntVector], dim: int) -> tuple[IntVector, ...]:
-    """Primitive inner facet normals of the cone spanned by integer vectors
-    that span the space.
+def cone_facets(gens: Sequence[IntVector], dim: int
+                ) -> tuple[tuple[IntVector, frozenset[int]], ...]:
+    """Facets of the cone spanned by integer vectors that span the space, as
+    (primitive inner normal, indices of the generators on the facet).
 
     A (dim−1)-subset of the generators whose span is a hyperplane with every
     generator on one side gives that hyperplane's normal, pointing to the
-    generators; normals come in the order of their first subset.  By
-    polarity these are also the extreme rays of {y : g·y ≥ 0 for each g}.
+    generators; facets come in the order of their first subset.  By polarity
+    the normals are also the extreme rays of {y : g·y ≥ 0 for each g}, and
+    g lies on a facet exactly when its inequality is tight at that ray.
     """
-    out: list[IntVector] = []
+    out: dict[IntVector, frozenset[int]] = {}
     for subset in combinations(gens, dim - 1):
         ker = kernel_basis(list(subset) or [(0,) * dim])
         if len(ker) != 1:
@@ -110,8 +109,8 @@ def cone_facets(gens: Sequence[IntVector], dim: int) -> tuple[IntVector, ...]:
                 continue
             h = tuple(-a for a in h)
         if h not in out:
-            out.append(h)
-    return tuple(out)
+            out[h] = frozenset(i for i, s in enumerate(sides) if s == 0)
+    return tuple(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +126,13 @@ class Polytope:
     """
 
     def __init__(self, dim: int, vertices: tuple[Vector, ...],
-                 facets: tuple[Halfspace, ...], faces: tuple[Face, ...]):
+                 facets: tuple[Halfspace, ...], faces: tuple[Face, ...],
+                 tight: tuple[tuple[int, ...], ...]):
         self.dim = dim
         self.vertices = vertices
         self.facets = facets
         self.faces = faces
-        self._tight: list[tuple[int, ...]] = [
-            tuple(i for i, h in enumerate(facets) if h.tight_at(v))
-            for v in vertices]
+        self._tight = tight
 
     # -- queries ------------------------------------------------------------
 
@@ -197,7 +195,7 @@ class Polytope:
         verts = tuple(vadd(v, s) for v in self.vertices)
         facets = tuple(Halfspace(h.normal, h.offset + dot(h.normal, s), h.strict)
                        for h in self.facets)
-        return Polytope(self.dim, verts, facets, self.faces)
+        return Polytope(self.dim, verts, facets, self.faces, self._tight)
 
     def __repr__(self) -> str:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -238,18 +236,18 @@ def _face_lattice(nverts: int, tights: list[frozenset[int]],
     return tuple(faces)
 
 
-def _build(dim: int, vertices: list[Vector], facets: list[Halfspace]) -> Polytope:
-    tights = [frozenset(i for i, v in enumerate(vertices) if h.tight_at(v))
-              for h in facets]
-    for i, v in enumerate(vertices):
-        normals = [facets[j].normal for j, t in enumerate(tights) if i in t]
-        if rank(normals) != dim:
+def _build(dim: int, vertices: list[Vector], facets: list[Halfspace],
+           tights: list[frozenset[int]]) -> Polytope:
+    tight = tuple(tuple(j for j, t in enumerate(tights) if i in t)
+                  for i in range(len(vertices)))
+    for v, fids in zip(vertices, tight):
+        if rank([facets[j].normal for j in fids]) != dim:
             raise AssertionError(f"point {vec_str(v)} is not a vertex of "
                                  "the result")
     faces = _face_lattice(len(vertices), tights, vertices)
     if len([f for f in faces if f.dim == 0]) != len(vertices):
         raise AssertionError("face lattice lost a vertex")
-    return Polytope(dim, tuple(vertices), tuple(facets), faces)
+    return Polytope(dim, tuple(vertices), tuple(facets), faces, tight)
 
 
 def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:
@@ -273,13 +271,15 @@ def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:
         raise DegenerateInput("points do not affinely span the space; "
                               "the polytope would be lower-dimensional")
     lifted = [primitive(p + (1,)) for p in pts]
-    halfspaces = [halfspace(h[:-1], -h[-1]) for h in cone_facets(lifted, dim + 1)]
-    kept = []
-    for v in pts:
-        tight_normals = [h.normal for h in halfspaces if h.tight_at(v)]
-        if rank(tight_normals) == dim:
-            kept.append(v)
-    return _build(dim, kept, halfspaces)
+    facets = cone_facets(lifted, dim + 1)
+    halfspaces = [halfspace(h[:-1], -h[-1]) for h, _ in facets]
+    kept = [i for i in range(len(pts))
+            if rank([h.normal for h, (_, on) in zip(halfspaces, facets)
+                     if i in on]) == dim]
+    new_id = {i: k for k, i in enumerate(kept)}
+    tights = [frozenset(new_id[i] for i in on if i in new_id)
+              for _, on in facets]
+    return _build(dim, [pts[i] for i in kept], halfspaces, tights)
 
 
 def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
@@ -305,8 +305,9 @@ def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
     if rank([h.normal for h in hs]) != dim:
         raise DegenerateInput("unbounded: facet normals do not span")
     rows = [primitive(h.normal + (-h.offset,)) for h in hs]
+    rays = cone_facets(rows + [(0,) * dim + (1,)], dim + 1)
     verts: list[Vector] = []
-    for ray in cone_facets(rows + [(0,) * dim + (1,)], dim + 1):
+    for ray, _ in rays:
         x, t = ray[:-1], ray[-1]
         if t == 0:
             raise DegenerateInput(f"unbounded along direction {x}")
@@ -315,12 +316,13 @@ def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
         raise DegenerateInput("empty intersection")
     if _affine_rank(verts) != dim:
         raise DegenerateInput("intersection is lower-dimensional")
-    kept_facets = []
-    for h in hs:
-        tight = [v for v in verts if h.tight_at(v)]
-        if tight and _affine_rank(tight) == dim - 1:
+    kept_facets, tights = [], []
+    for j, h in enumerate(hs):
+        tight = frozenset(i for i, (_, on) in enumerate(rays) if j in on)
+        if tight and _affine_rank([verts[i] for i in sorted(tight)]) == dim - 1:
             kept_facets.append(h)
-    return _build(dim, verts, kept_facets)
+            tights.append(tight)
+    return _build(dim, verts, kept_facets, tights)
 
 
 def is_simple_vertex(p: Polytope, vid: int) -> bool:

@@ -3,6 +3,8 @@
 A cone is cut by a transversal hyperplane {w·x = 1}; each ray lands at a
 slice point, slice points get lifted to their heights, and the cells are the
 lower-hull simplices of the lifted configuration, coned back at the apex.
+The lower hull is read off ``polyhedra.cone_facets`` of the lifted points:
+a facet whose normal has a positive last coordinate is a lower face.
 Each cell carries a linear certificate: the affine span of its lifted points
 lies strictly below every other lifted point.  Heights that produce a
 non-simplicial subdivision are rejected.
@@ -13,13 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .feasibility import feasible_point
 from .linalg import (IntVector, Vector, dot, frac, primitive, rank,
                      simplicial_cone_facet_normals, solve_linear, vec, vscale)
-from .polyhedra import DegenerateInput, halfspace
+from .polyhedra import DegenerateInput, cone_facets, halfspace
+
+RETRIES = 64  # height draws before a seeded triangulation gives up
 
 
 class DegenerateHeights(ValueError):
@@ -89,38 +92,35 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         if any(dot(w, r) <= 0 for r in rays):
             raise ValueError("slice normal must be strictly positive on all rays")
     points = tuple(vscale(1 / dot(w, r), r) for r in rays)
-    cells: list[tuple[int, ...]] = []
-    certs: list[Vector] = []
-    for subset in combinations(range(len(rays)), dim):
-        mtx = [points[j] for j in subset]
-        g = solve_linear(mtx, [heights[j] for j in subset])
-        if g is None:
-            continue
-        on_face = []
-        for k, p in enumerate(points):
-            if k in subset:
-                continue
-            val = dot(g, p)
-            if val > heights[k]:
-                break  # a point below: not a lower face
-            if val == heights[k]:
-                on_face.append(k)
-        else:
-            if on_face:
-                raise DegenerateHeights(
-                    f"heights are not generic: slice point {on_face[0]} lies "
-                    f"on the lower-hull face of {subset}")
-            cells.append(subset)
-            certs.append(g)
+    lifted = [primitive(p + (h,)) for p, h in zip(points, heights)]
+    if rank(lifted) == dim:  # heights linear on the slice: one lower face
+        faces = [frozenset(range(len(rays)))]
+    else:
+        faces = [on for n, on in cone_facets(lifted, dim + 1) if n[-1] > 0]
+    wide = [(_greedy_basis(rays, f), f) for f in faces if len(f) > dim]
+    if wide:  # name the lexicographically first d-subset on a wide face
+        subset, face = min(wide)
+        raise DegenerateHeights(
+            f"heights are not generic: slice point {min(face - set(subset))} "
+            f"lies on the lower-hull face of {subset}")
+    cells = [tuple(sorted(face)) for face in faces]
+    certs = [solve_linear([points[j] for j in c], [heights[j] for j in c])
+             for c in cells]
     if not cells:
         raise AssertionError("no lower-hull cell found")
-    used = set()
-    for c in cells:
-        used.update(c)
-    if used != set(range(len(rays))):
+    if set().union(*cells) != set(range(len(rays))):
         raise AssertionError("a ray is missing from every cell")
     return LiftedTriangulation(rays, heights, w, points,
                                tuple(cells), tuple(certs))
+
+
+def _greedy_basis(rays: Sequence[IntVector], ids) -> tuple[int, ...]:
+    """Lexicographically first basis of the rays at ids: greedy by index."""
+    basis: list[int] = []
+    for j in sorted(ids):
+        if rank([rays[i] for i in basis + [j]]) > len(basis):
+            basis.append(j)
+    return tuple(basis)
 
 
 def seeded_heights(n: int, seed: int) -> tuple[Fraction, ...]:
@@ -128,18 +128,15 @@ def seeded_heights(n: int, seed: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(0, 4 * n + 8)) for _ in range(n))
 
 
-def triangulation_with_retries(rays: Sequence, seed: int,
-                               slice_normal: Optional[Sequence] = None,
-                               retries: int = 64) -> LiftedTriangulation:
+def triangulation_with_retries(rays: Sequence, seed: int) -> LiftedTriangulation:
     """Seeded random heights, redrawn until the subdivision is simplicial."""
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         try:
             return regular_triangulation(
-                rays, seeded_heights(len(rays), seed + 7919 * attempt),
-                slice_normal)
+                rays, seeded_heights(len(rays), seed + 7919 * attempt))
         except DegenerateHeights:
             continue
-    raise DegenerateHeights(f"no simplicial lift found after {retries} draws")
+    raise DegenerateHeights(f"no simplicial lift found after {RETRIES} draws")
 
 
 def generic_interior_point(rays: Sequence[IntVector],

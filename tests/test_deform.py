@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import triangulation_oracle
 from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             flip_one_constraint, local_contribution,
                             local_contributions, nonsimple_decomposition,
@@ -10,7 +13,7 @@ from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             seeded_dual_heights, t_sigma, vertex_triangulation)
 from conedec.indicators import (default_box, grid_points,
                                 indicator_of_polytope, verify_identity)
-from conedec.linalg import determinant, dot, solve_linear, transpose
+from conedec.linalg import determinant, dot, primitive, solve_linear, transpose
 from conedec.polar import GenericityError, lv_decomposition
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
                                polytope_from_vertices)
@@ -89,6 +92,42 @@ class TestRegularTriangulation:
                          for l, f in zip(lam, fl))
                 hits += ok
             assert hits == 1, y
+
+
+@st.composite
+def lifted_cones(draw):
+    """Pointed cones (last coordinate ≥ 1 on every ray) with heights from a
+    small range, so that non-generic heights occur, and a slice normal that
+    is left to the search, is the last axis, or is skewed."""
+    dim = draw(st.integers(2, 4))
+    ray = st.tuples(*[st.integers(-3, 3)] * (dim - 1), st.integers(1, 3))
+    rays = draw(st.lists(ray, min_size=max(3, dim), max_size=8,
+                         unique_by=primitive))
+    heights = draw(st.lists(st.integers(0, 3), min_size=len(rays),
+                            max_size=len(rays)))
+    w = draw(st.sampled_from([None, (0,) * (dim - 1) + (1,),
+                              (1,) + (0,) * (dim - 2) + (4,)]))
+    return rays, heights, w
+
+
+def triangulation_outcome(fn, rays, heights, w):
+    try:
+        t = fn(rays, heights, w)
+    except (DegenerateHeights, DegenerateInput, ValueError,
+            AssertionError) as exc:  # a ray inside the cone can be unused
+        return type(exc).__name__, str(exc)
+    return t.rays, t.heights, t.slice_normal, t.slice_points, t.cells, \
+        t.certificates
+
+
+@given(lifted_cones())
+@settings(max_examples=300, deadline=None)
+def test_triangulation_matches_subset_oracle(cone):
+    """Cells, certificates and slice points equal the subset-loop oracle's,
+    and so does every DegenerateHeights message."""
+    oracle = triangulation_oracle.regular_triangulation
+    assert triangulation_outcome(regular_triangulation, *cone) == \
+        triangulation_outcome(oracle, *cone)
 
 
 class TestLocalContribution:

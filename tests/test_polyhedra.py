@@ -6,7 +6,7 @@ import pytest
 
 from conedec.deform import normal_cone_rays
 from conedec.indicators import tangent_cone_piece
-from conedec.linalg import determinant, dot, primitive, rank, vsub
+from conedec.linalg import determinant, dot, idot, primitive, rank, vsub
 from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                center_at_barycenter, cone_facets, halfspace,
                                is_simple_polytope,
@@ -34,7 +34,7 @@ class TestFromVertices:
         p = polytope_from_vertices(pts)
         assert len(p.facets) == 6
         for i, h in enumerate(p.facets):
-            tight = [v for v in p.vertices if h.tight_at(v)]
+            tight = [v for v in p.vertices if dot(h.normal, v) == h.offset]
             assert len(tight) == 4
 
     def test_redundant_point_discarded(self):
@@ -113,8 +113,42 @@ class TestConeFacets:
         for _ in range(3):
             base = random_polytope(rng, dim - 1, n_rays, n_rays)
             rays = [primitive(v + (1,)) for v in base.vertices]
-            normals = cone_facets(rays, dim)
-            assert set(cone_facets(normals, dim)) == set(rays)
+            facets = cone_facets(rays, dim)
+            normals = [n for n, _ in facets]
+            dual = dict(cone_facets(normals, dim))
+            assert set(dual) == set(rays)
+            # polarity swaps incidence: ray i lies on facet j exactly when
+            # normal j lies on the dual facet of ray i
+            for j, (_, on) in enumerate(facets):
+                assert on == {i for i, r in enumerate(rays) if j in dual[r]}
+
+    def test_incidence_is_the_zero_sides(self, corpus):
+        """Each facet's generator set equals a re-test of every generator,
+        for the lifted points of V-inputs and the rows of H-inputs."""
+        rng = random.Random(7)
+        seeded = [random_polytope(rng, d, d + 4) for d in (2, 3, 4)
+                  for _ in range(2)]
+        inputs = []
+        for p in [p for _, p in corpus] + seeded:
+            inputs.append([primitive(v + (1,)) for v in p.vertices])
+            rows = [primitive(h.normal + (-h.offset,)) for h in p.facets]
+            inputs.append(rows + [(0,) * p.dim + (1,)])
+        for gens in inputs:
+            facets = cone_facets(gens, len(gens[0]))
+            assert facets
+            for n, on in facets:
+                assert on == {i for i, g in enumerate(gens) if idot(n, g) == 0}
+
+    def test_tight_facets_match_dot_products(self, corpus):
+        shift = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2), Fraction(1))
+        for entry, p in corpus:
+            for q in (p, polytope_from_vertices(p.vertices),
+                      polytope_from_halfspaces(p.facets),
+                      p.translate(shift[:p.dim])):
+                for vid, v in enumerate(q.vertices):
+                    assert q.tight_facets(vid) == tuple(
+                        i for i, h in enumerate(q.facets)
+                        if dot(h.normal, v) == h.offset), entry.name
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_unbounded_names_a_recession_direction(self, dim):
@@ -155,8 +189,9 @@ class TestCorpusInvariants:
                 if f.facet_ids:
                     tight = set(range(len(p.vertices)))
                     for i in f.facet_ids:
+                        h = p.facets[i]
                         tight &= {j for j, v in enumerate(p.vertices)
-                                  if p.facets[i].tight_at(v)}
+                                  if dot(h.normal, v) == h.offset}
                     assert tight == set(f.vertex_ids), entry.name
 
     def test_simplicity_tags(self, corpus):
@@ -217,7 +252,8 @@ class TestNormalCone:
         rays = normal_cone_rays(p, p.vertex_index((0, 0, 0)))
         assert set(rays) == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
         # pointed: the cone's own facet normals span
-        assert lineality_of_normals(cone_facets(rays, 3), 3) == 0
+        assert lineality_of_normals([n for n, _ in cone_facets(rays, 3)],
+                                    3) == 0
 
     def test_cube_corner_orthant(self):
         p = polytope_from_vertices(
@@ -234,7 +270,7 @@ class TestNormalCone:
         for entry, p in corpus:
             if p.dim > 3:
                 continue
-            cones = [cone_facets(normal_cone_rays(p, v), p.dim)
+            cones = [[n for n, _ in cone_facets(normal_cone_rays(p, v), p.dim)]
                      for v in range(len(p.vertices))]
             for _ in range(20):
                 xi = tuple(rng.randint(-7, 7) for _ in range(p.dim))
