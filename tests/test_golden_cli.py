@@ -33,6 +33,9 @@ def commands(xi: str) -> list[list[str]]:
            for m in ("gram", "nonsimple") for s in ("0", "1")]
     out += [["verify", "--identity", i, f"--xi={xi}", "--json"]
             for i in ("nonsimple", "compatible")]
+    out += [["count", "--json"]]
+    out += [["decompose", "--method", "brion-gf", "--seed", s]
+            for s in ("0", "1")]
     return out
 
 
