@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from math import ceil, factorial, floor
+from math import ceil, comb, factorial, floor, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece
-from .linalg import (IntVector, dot, frac, idot, mat_inverse, mat_vec,
-                     primitive, rank, residue_box,
-                     simplicial_cone_facet_normals, solve_linear, vec, vsub)
+from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
+                     rank, residue_box, simplicial_cone_facet_normals,
+                     solve_linear, vec)
 from .polyhedra import Polytope, cone_facets, lineality_of_normals
 from .triangulation import half_open_flags, triangulation_with_retries
 
@@ -93,38 +95,35 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
                              apex: Sequence,
                              open_flags: Optional[Sequence[bool]] = None
                              ) -> list[IntVector]:
-    """Lattice points of the half-open cell apex + Σ λ_i·t_i.
+    """Lattice points of the half-open cell apex + Σ λ_i·t_i, sorted.
 
     λ_i runs over [0,1) where the flag is False and (0,1] where it is True.
-    Enumeration walks a residue box of Z^d modulo the generator lattice (one
-    point per class) and lifts each point into the cell, so the cost is
-    exactly the number of points.
+    Each point r of a residue box of Z^d modulo the generator lattice (one
+    per class) moves into the cell as r − Σ k_i·t_i, k_i = ⌊λ_i(r)⌋ (or
+    ⌈λ_i(r)⌉ − 1 on an open facet), with λ(r) = n/s for n, s in ``int``.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     d = len(gens[0])
-    if len(gens) != d or rank(gens) != d:
+    cols = tuple(zip(*gens))  # generator matrix: column i is generator i
+    inv = integer_inverse(cols) if len(gens) == d else None
+    if inv is None:
         raise ValueError("generators must be d linearly independent vectors")
+    det, adj = inv
+    box = residue_box(cols)
+    if prod(box) != abs(det):
+        raise AssertionError(f"residue box {box} does not hold |det| classes")
     apex = vec(apex)
     flags = tuple(open_flags) if open_flags is not None else (False,) * d
-    cols = tuple(zip(*gens))  # generator matrix: column i is generator i
-    cols_inv = mat_inverse(cols)
+    q = lcm(*(a.denominator for a in apex))
+    s, sq = abs(det) * q, (q if det > 0 else -q)
+    # n = sq·adj·(r − apex) is an int vector, and k_i = (n_i − open_i) // s
+    steps = [[sq * x for x in row] for row in adj]
+    shift = [int(dot(row, apex)) + f for row, f in zip(steps, flags)]
     points = []
-    for r in product(*(range(h) for h in residue_box(cols))):
-        lam = mat_vec(cols_inv, vsub(r, apex))
-        mu = []
-        for lam_i, open_i in zip(lam, flags):
-            if open_i:
-                mu.append(lam_i - (ceil(lam_i) - 1))
-            else:
-                mu.append(lam_i - floor(lam_i))
-        m = [a + sum(c * mu_j for c, mu_j in zip(row, mu))
-             for a, row in zip(apex, cols)]
-        pt = []
-        for x in m:
-            if x.denominator != 1:
-                raise AssertionError("parallelepiped point not integral")
-            pt.append(int(x))
-        points.append(tuple(pt))
+    for r in product(*(range(h) for h in box)):
+        k = [(sum(map(mul, row, r)) - b) // s for row, b in zip(steps, shift)]
+        points.append(tuple([x - sum(map(mul, k, row))
+                             for x, row in zip(r, cols)]))
     points.sort()
     return points
 
@@ -220,23 +219,11 @@ def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fracti
     return out
 
 
-def _series_inv(a: list[Fraction], order: int) -> list[Fraction]:
-    if a[0] == 0:
-        raise ZeroDivisionError("series has zero constant term")
-    inv0 = 1 / a[0]
-    out = [inv0] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        s = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(a):
-                s += a[j] * out[k - j]
-        out[k] = -inv0 * s
-    return out
-
-
-def _eulerish_series(beta: Fraction, order: int) -> list[Fraction]:
-    """(1 - exp(β·s)) = -β·s·E(s) with E(s) = Σ β^k s^k/(k+1)!; returns E."""
-    return [beta ** k / factorial(k + 1) for k in range(order + 1)]
+@cache
+def _bernoulli(n: int) -> Fraction:
+    """B_n with B_1 = −1/2, from Σ_{j≤n} C(n+1, j)·B_j = 0 for n ≥ 1."""
+    return Fraction(1) if n == 0 else -sum(
+        comb(n + 1, j) * _bernoulli(j) for j in range(n)) / (n + 1)
 
 
 def specialize(gf: RationalGF, direction: Sequence[int], order: int
@@ -265,8 +252,9 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
             if beta == 0:
                 raise ValueError(f"direction {lam} degenerates denominator {b}")
             prefactor *= Fraction(-1) / beta
-            num = _series_mul(num, _series_inv(_eulerish_series(beta, work), work),
-                              work)
+            # 1/(1 − exp(β·s)) = −1/(β·s) · Σ_i B_i·(β·s)^i/i!
+            num = _series_mul(num, [_bernoulli(i) * beta ** i / factorial(i)
+                                    for i in range(work + 1)], work)
         # term = prefactor · s^{-k} · num(s)
         for i in range(work + 1):
             total[max_pole - k + i] += prefactor * num[i]

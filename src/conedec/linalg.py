@@ -224,15 +224,26 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[Vector]:
 
 def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
     """Exact inverse of a square nonsingular matrix."""
+    q = lcm(*(frac(x).denominator for r in rows for x in r))
+    inv = integer_inverse([[int(frac(x) * q) for x in r] for r in rows])
+    if inv is None:
+        raise ValueError("mat_inverse: singular matrix")
+    return tuple(tuple(Fraction(q * x, inv[0]) for x in r) for r in inv[1])
+
+
+def integer_inverse(rows: Sequence[Sequence[int]]
+                    ) -> Optional[tuple[int, tuple[IntVector, ...]]]:
+    """(det, adj) of a square integer matrix, with rows·adj = det·I, from one
+    fraction-free Gauss–Jordan elimination of [rows | I]; None if singular."""
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise DimensionError("mat_inverse: matrix is not square")
-    m, _ = _int_rows([list(r) + [1 if i == j else 0 for j in range(n)]
-                      for i, r in enumerate(rows)])
-    pivots, _ = _bareiss(m, reduce=True)
+        raise DimensionError("integer_inverse: matrix is not square")
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, sign = _bareiss(m, reduce=True)
     if pivots != list(range(n)):
-        raise ValueError("mat_inverse: singular matrix")
-    return tuple(tuple(Fraction(x, m[i][i]) for x in m[i][n:]) for i in range(n))
+        return None
+    det = sign * m[-1][n - 1] if n else 1  # the right block is sign·det·rows⁻¹
+    return det, tuple(tuple(sign * x for x in r[n:]) for r in m)
 
 
 def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector, ...]:
@@ -259,8 +270,8 @@ def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:
     for k in range(1, len(cols) + 1):
         g = 0
         for sub in combinations(range(ncols), k):
-            g = gcd(g, int(determinant([[row[j] for j in sub]
-                                        for row in cols[:k]])))
+            m = [[row[j] for j in sub] for row in cols[:k]]
+            g = gcd(g, m[-1][-1] if len(_bareiss(m)[0]) == k else 0)  # ±minor
             if g == prev:  # every k×k minor is a multiple of prev
                 break
         if g == 0:

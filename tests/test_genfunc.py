@@ -1,24 +1,29 @@
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conedec.deform import nonsimple_decomposition
-from conedec.genfunc import (RationalGF, brion_gf, count_lattice_points,
-                             enumerate_parallelepiped, gf_brute_force,
-                             gf_equal_as_functions, gf_of_indicator_sum,
-                             gf_of_piece, gf_pretty, gf_simplicial_cone,
-                             lattice_points, make_term, specialize, zero_gf)
+import conedec.genfunc as genfunc
+from conedec.genfunc import (RationalGF, _bernoulli, _series_mul, brion_gf,
+                             count_lattice_points, enumerate_parallelepiped,
+                             gf_brute_force, gf_equal_as_functions,
+                             gf_of_indicator_sum, gf_of_piece, gf_pretty,
+                             gf_simplicial_cone, lattice_points, make_term,
+                             specialize, zero_gf)
 from conedec.indicators import gram_decomposition, whole_space_piece
-from conedec.linalg import determinant, mat_vec, mat_inverse, vsub
+from conedec.linalg import (determinant, mat_vec, mat_inverse, residue_box,
+                            vsub)
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import DegenerateInput, polytope_from_vertices
 from conedec.triangulation import (half_open_flags, regular_triangulation,
                                    triangulation_with_retries)
 
 from conftest import seeded_generic_functionals
+import parallelepiped_oracle
 
 SEG = polytope_from_vertices([(-3,), (5,)])
 
@@ -94,6 +99,32 @@ class TestParallelepiped:
         flags = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
         assert enumerate_parallelepiped(gens, apex, flags) == \
             brute_parallelepiped(gens, apex, flags)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_cells_match_fraction_oracle(self, data):
+        d = data.draw(st.integers(1, 4))
+        gens = data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d),
+                                  min_size=d, max_size=d))
+        apex = data.draw(st.tuples(*[st.fractions(
+            min_value=-3, max_value=3, max_denominator=7)] * d))
+        flags = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        if determinant(gens) == 0:
+            for enumerate_cell in (enumerate_parallelepiped,
+                                   parallelepiped_oracle.enumerate_parallelepiped):
+                with pytest.raises(ValueError, match="linearly independent"):
+                    enumerate_cell(gens, apex, flags)
+        else:
+            assert enumerate_parallelepiped(gens, apex, flags) == \
+                parallelepiped_oracle.enumerate_parallelepiped(gens, apex, flags)
+
+    def test_short_residue_box_is_a_broken_invariant(self, monkeypatch):
+        def one_short(cols):
+            *head, last = residue_box(cols)
+            return (*head, last - 1)
+        monkeypatch.setattr(genfunc, "residue_box", one_short)
+        with pytest.raises(AssertionError, match="residue box"):
+            enumerate_parallelepiped([(1, 0), (1, 2)], (0, 0))
 
 
 class TestSimplicialConeGF:
@@ -254,6 +285,14 @@ class TestDifferentialCounting:
         }
         assert counts == dict.fromkeys(counts, len(lattice_points(p)))
 
+    def test_nonsimple_image_of_rational_bipyramid(self):
+        # its polarized cell cones have far larger index than its vertex cones
+        h = Fraction(1, 2)
+        p = polytope_from_vertices([(-3 * h, 3, -3), (-2, 2, 0), (2, 2, h),
+                                    (1, 3 * h, -3), (-3 * h, -h, -2)])
+        image = gf_of_indicator_sum(nonsimple_decomposition(p, (3, 4, -8)))
+        assert count_lattice_points(image) == len(lattice_points(p)) == 14
+
 
 class TestTriangulateCone:
     def test_simplicial_unchanged(self):
@@ -283,6 +322,21 @@ class TestTriangulateCone:
 
 
 class TestSpecialize:
+    def test_bernoulli_numbers(self):
+        assert [_bernoulli(n) for n in range(9)] == [
+            1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0,
+            Fraction(1, 42), 0, Fraction(-1, 30)]
+
+    def test_bernoulli_series_inverts_e(self):
+        # E(s) = (exp(β·s) − 1)/(β·s) = Σ β^k s^k/(k+1)! has the inverse
+        # β·s/(exp(β·s) − 1) = Σ B_k β^k s^k/k!
+        order = 8
+        for beta in (Fraction(1), Fraction(-3), Fraction(2, 5), Fraction(7)):
+            e = [beta ** k / factorial(k + 1) for k in range(order + 1)]
+            b = [_bernoulli(k) * beta ** k / factorial(k)
+                 for k in range(order + 1)]
+            assert _series_mul(e, b, order) == [1] + [0] * order
+
     def test_laurent_polynomial_constant_term(self):
         g = gf_brute_force(SEG)
         assert specialize(g, [1], 0) == [Fraction(9)]

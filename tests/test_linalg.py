@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec.linalg import (DimensionError, determinant, dot, frac,
-                            kernel_basis, mat_inverse, mat_vec, primitive,
-                            rank, residue_box, solve_linear, transpose)
+                            integer_inverse, kernel_basis, mat_inverse,
+                            mat_vec, primitive, rank, residue_box,
+                            solve_linear, transpose)
 
 
 def mat_mul(a, b):
@@ -255,6 +256,18 @@ class TestAgainstReferenceElimination:
         else:
             assert mat_inverse(a) == tuple(tuple(m[i][n:]) for i in range(n))
 
+    @given(st.integers(1, 4).flatmap(square_matrix))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_inverse(self, a):
+        det, n = _leibniz_det(a), len(a)
+        if det == 0:
+            assert integer_inverse(a) is None
+        else:
+            d, adj = integer_inverse(a)
+            assert d == det
+            assert mat_mul(a, adj) == tuple(
+                tuple(det * int(i == j) for j in range(n)) for i in range(n))
+
     @given(rational_matrices(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_solve_linear(self, a, data):
@@ -280,4 +293,5 @@ class TestAgainstReferenceElimination:
         assert rank([]) == len(_rref([])[1]) == 0
         assert solve_linear([], []) == ()
         assert mat_inverse([]) == ()
+        assert integer_inverse([]) == (1, ())
         assert determinant([]) == 1
