@@ -15,15 +15,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import ceil, comb, factorial, floor, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece
 from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
-                     rank, residue_box, simplicial_cone_facet_normals,
-                     solve_linear, vec)
+                     rank, residue_box, solve_linear, vec)
 from .polyhedra import Polytope, cone_facets, lineality_of_normals
-from .triangulation import half_open_flags, triangulation_with_retries
+from .triangulation import half_open_cells, triangulation_with_retries
 
 
 @dataclass(frozen=True)
@@ -45,18 +44,20 @@ def make_term(coeff, numerators: Iterable[Sequence[int]],
               denominators: Iterable[Sequence[int]]) -> GFTerm:
     """Canonical term: every denominator exponent lex-positive, all sorted."""
     coeff = frac(coeff)
-    nums = [tuple(int(x) for x in a) for a in numerators]
-    dens = []
+    nums = [tuple(map(int, a)) for a in numerators]
+    dens, shift = [], None
     for b in denominators:
-        b = tuple(int(x) for x in b)
+        b = tuple(map(int, b))
         if all(x == 0 for x in b):
             raise ValueError("zero denominator exponent")
         if not _lex_positive(b):
             # 1/(1 - z^{-b}) = -z^{b} / (1 - z^{b})
             b = tuple(-x for x in b)
             coeff = -coeff
-            nums = [tuple(a_i + b_i for a_i, b_i in zip(a, b)) for a in nums]
+            shift = b if shift is None else tuple(map(add, shift, b))
         dens.append(b)
+    if shift is not None:
+        nums = [tuple(map(add, a, shift)) for a in nums]
     return GFTerm(coeff, tuple(sorted(nums)), tuple(sorted(dens)))
 
 
@@ -171,17 +172,18 @@ def _half_open_cone_gf(apex: Sequence, rays: Sequence[Sequence[int]],
     is in strict_normals is open as well."""
     dim = len(rays[0])
     if len(rays) == dim:
+        if not strict_normals:  # one closed cell
+            return gf_simplicial_cone(apex, rays)
         ray_list, cells = rays, [tuple(range(dim))]
     else:
         tri = triangulation_with_retries(rays, seed)
-        ray_list, cells = tri.rays, list(tri.cells)
+        ray_list, cells = tri.rays, tri.cells
     acc = zero_gf(dim)
-    for cell, flags in zip(cells, half_open_flags(ray_list, cells)):
-        cell_rays = [ray_list[j] for j in cell]
+    for cell, (normals, flags) in zip(cells, half_open_cells(ray_list, cells)):
         if strict_normals:
-            flags = tuple(f or h in strict_normals for f, h in
-                          zip(flags, simplicial_cone_facet_normals(cell_rays)))
-        acc = acc + gf_simplicial_cone(apex, cell_rays, flags)
+            flags = tuple(f or h in strict_normals
+                          for f, h in zip(flags, normals))
+        acc = acc + gf_simplicial_cone(apex, [ray_list[j] for j in cell], flags)
     return acc
 
 
@@ -207,15 +209,13 @@ def brion_gf(p: Polytope, seed: int = 0) -> RationalGF:
 # Specialization z_j := exp(s·λ_j)
 # ---------------------------------------------------------------------------
 
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    """Product of two integer power series, truncated after s^order."""
+    out = [0] * (order + 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b[:order + 1 - i]):
+                out[i + j] += x * y
     return out
 
 
@@ -226,15 +226,29 @@ def _bernoulli(n: int) -> Fraction:
         comb(n + 1, j) * _bernoulli(j) for j in range(n)) / (n + 1)
 
 
+@cache
+def _scaled_series(work: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(L, (work!/i!)_i, (L·work!·B_i/i!)_i) for i = 0..work, all in ``int``,
+    with L = lcm of the denominators of B_0..B_work."""
+    bern = [_bernoulli(i) for i in range(work + 1)]
+    den = lcm(*(b.denominator for b in bern))
+    ratios = tuple(factorial(work) // factorial(i) for i in range(work + 1))
+    return den, ratios, tuple(int(b * den) * f for b, f in zip(bern, ratios))
+
+
 def specialize(gf: RationalGF, direction: Sequence[int], order: int
                ) -> list[Fraction]:
     """Coefficients of s^0..s^order of gf(exp(s·λ)), as exact rationals.
 
     Each term with k denominator factors has a pole of order k at s = 0; the
-    series bookkeeping divides it out exactly.  The direction must satisfy
-    ⟨λ, b⟩ ≠ 0 for every denominator exponent b.  Raises ValueError if the
-    negative-order coefficients fail to cancel across terms (the input was
-    not the generating function of a bounded set).
+    series bookkeeping divides it out exactly.  The series run in ``int``:
+    with w = k + order, the numerator's power sums p_i are scaled by w!/i!
+    and each factor's Bernoulli series by lcm(den B_0..B_w)·w!, so a term's
+    product is one integer series over one common denominator.  The
+    direction must satisfy ⟨λ, b⟩ ≠ 0 for every denominator exponent b.
+    Raises ValueError if the negative-order coefficients fail to cancel
+    across terms (the input was not the generating function of a bounded
+    set).
     """
     lam = [int(x) for x in direction]
     max_pole = max((len(t.denominators) for t in gf.terms), default=0)
@@ -242,22 +256,26 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
     for t in gf.terms:
         k = len(t.denominators)
         work = k + order
+        den, ratios, bern = _scaled_series(work)
         # Σ_a exp(s·⟨λ,a⟩) = Σ_i s^i·p_i/i! with p_i the i-th power sum
-        dots = [idot(lam, a) for a in t.numerators]
-        num = [Fraction(sum(x ** i for x in dots), factorial(i))
-               for i in range(work + 1)]
-        prefactor = t.coeff
+        dots = [sum(map(mul, lam, a)) for a in t.numerators]
+        powers = [1] * len(dots)
+        num = []
+        for f in ratios:
+            num.append(sum(powers) * f)
+            powers = list(map(mul, powers, dots))
+        scale = factorial(work) * t.coeff.denominator  # num = work!·series
         for b in t.denominators:
-            beta = Fraction(dot(lam, b))
+            beta = idot(lam, b)
             if beta == 0:
                 raise ValueError(f"direction {lam} degenerates denominator {b}")
-            prefactor *= Fraction(-1) / beta
             # 1/(1 − exp(β·s)) = −1/(β·s) · Σ_i B_i·(β·s)^i/i!
-            num = _series_mul(num, [_bernoulli(i) * beta ** i / factorial(i)
-                                    for i in range(work + 1)], work)
-        # term = prefactor · s^{-k} · num(s)
-        for i in range(work + 1):
-            total[max_pole - k + i] += prefactor * num[i]
+            num = _series_mul(num, [x * beta ** i for i, x in enumerate(bern)],
+                              work)
+            scale *= -beta * den * factorial(work)
+        # term = coeff · s^{-k} · num(s) / scale
+        for i, c in enumerate(num):
+            total[max_pole - k + i] += Fraction(t.coeff.numerator * c, scale)
     for j in range(max_pole):
         if total[j] != 0:
             raise ValueError(
@@ -272,7 +290,7 @@ def counting_direction(gf: RationalGF) -> list[int]:
     t = 1
     while True:
         lam = [t ** (j + 1) for j in range(gf.dim)]
-        if all(dot(lam, b) != 0 for b in dens):
+        if all(idot(lam, b) != 0 for b in dens):
             return lam
         t += 1
 

@@ -88,6 +88,11 @@ def is_zero_vector(u: Sequence) -> bool:
 def primitive(v: Sequence) -> IntVector:
     """Scale a nonzero rational vector by a positive rational so it becomes
     an integer vector with gcd of entries equal to 1.  Direction is kept."""
+    if all(type(x) is int for x in v):
+        g = gcd(*v)
+        if g == 0:
+            raise ValueError("primitive: zero vector has no primitive form")
+        return tuple(a // g for a in v)
     w = vec(v)
     if is_zero_vector(w):
         raise ValueError("primitive: zero vector has no primitive form")
@@ -108,10 +113,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 
 def transpose(a: Sequence[Sequence]) -> tuple:
     return tuple(zip(*a)) if a else ()
-
-
-def mat_vec(a: Sequence[Sequence], x: Sequence) -> Vector:
-    return tuple(dot(row, x) for row in a)
 
 
 def _int_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], Fraction]:
@@ -162,20 +163,6 @@ def _bareiss(m: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionError("determinant: matrix is not square")
-    if n == 0:
-        return Fraction(1)
-    m, factor = _int_rows(rows)
-    pivots, sign = _bareiss(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1], 1) / factor
-
-
 def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     """Solve a·x = b exactly.
 
@@ -197,6 +184,8 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
+    if all(type(x) is int for r in rows for x in r):
+        return len(_bareiss([list(r) for r in rows])[0])
     return len(_bareiss(_int_rows(rows)[0])[0])
 
 
@@ -222,15 +211,6 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[Vector]:
     return basis
 
 
-def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
-    """Exact inverse of a square nonsingular matrix."""
-    q = lcm(*(frac(x).denominator for r in rows for x in r))
-    inv = integer_inverse([[int(frac(x) * q) for x in r] for r in rows])
-    if inv is None:
-        raise ValueError("mat_inverse: singular matrix")
-    return tuple(tuple(Fraction(q * x, inv[0]) for x in r) for r in inv[1])
-
-
 def integer_inverse(rows: Sequence[Sequence[int]]
                     ) -> Optional[tuple[int, tuple[IntVector, ...]]]:
     """(det, adj) of a square integer matrix, with rows·adj = det·I, from one
@@ -248,10 +228,16 @@ def integer_inverse(rows: Sequence[Sequence[int]]
 
 def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector, ...]:
     """Inward facet normals h_i of a simplicial cone: h_i·r_j = 0 for j ≠ i
-    and h_i·r_i > 0."""
-    cols = tuple(zip(*rays))  # matrix with the rays as columns
-    inv = mat_inverse(cols)
-    return tuple(primitive(row) for row in inv)
+    and h_i·r_i > 0.
+
+    Row i of the inverse of the ray matrix is such a normal, and so is row i
+    of sign(det)·adj, read from one ``integer_inverse``."""
+    inv = integer_inverse(tuple(zip(*rays)))  # the rays as columns
+    if inv is None:
+        raise ValueError("mat_inverse: singular matrix")
+    det, adj = inv
+    return tuple(primitive(row if det > 0 else tuple(-x for x in row))
+                 for row in adj)
 
 
 def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:

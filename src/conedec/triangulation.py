@@ -3,11 +3,13 @@
 A cone is cut by a transversal hyperplane {w·x = 1}; each ray lands at a
 slice point, slice points get lifted to their heights, and the cells are the
 lower-hull simplices of the lifted configuration, coned back at the apex.
-The lower hull is read off ``polyhedra.cone_facets`` of the lifted points:
-a facet whose normal has a positive last coordinate is a lower face.
-Each cell carries a linear certificate: the affine span of its lifted points
-lies strictly below every other lifted point.  Heights that produce a
-non-simplicial subdivision are rejected.
+The lower hull is read off ``polyhedra.cone_facets`` of the lifted rays: a
+facet whose normal has a positive last coordinate is a lower face.  Heights
+that produce a non-simplicial subdivision are rejected, and so is a ray that
+is not extreme once it lifts above the lower hull.
+
+``half_open_cells`` makes the cells half-open so that they tile the cone
+disjointly, reading each cell's facet normals once.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, dot, frac, primitive, rank,
-                     simplicial_cone_facet_normals, solve_linear, vec, vscale)
+from .linalg import (IntVector, Vector, dot, frac, idot, primitive, rank,
+                     simplicial_cone_facet_normals, vec, vec_str)
 from .polyhedra import DegenerateInput, cone_facets, halfspace
 
 RETRIES = 64  # height draws before a seeded triangulation gives up
@@ -31,33 +33,16 @@ class DegenerateHeights(ValueError):
 
 @dataclass(frozen=True)
 class LiftedTriangulation:
-    """Regular triangulation of the cone spanned by `rays`.
-
-    cells are index sets into `rays`; certificates[i] is the linear
-    functional g with g·p = height on cell i's slice points and g·p < height
-    on all the others.
-    """
+    """Regular triangulation of the cone spanned by `rays`; cells are index
+    sets into `rays`."""
     rays: tuple[IntVector, ...]
     heights: tuple[Fraction, ...]
     slice_normal: Vector
-    slice_points: tuple[Vector, ...]
     cells: tuple[tuple[int, ...], ...]
-    certificates: tuple[Vector, ...]
 
     @property
     def dim(self) -> int:
         return len(self.rays[0])
-
-    def verify_certificates(self) -> bool:
-        for cell, g in zip(self.cells, self.certificates):
-            for j, p in enumerate(self.slice_points):
-                val = dot(g, p)
-                if j in cell:
-                    if val != self.heights[j]:
-                        return False
-                elif val >= self.heights[j]:
-                    return False
-        return True
 
 
 def positive_functional(rays: Sequence[IntVector], dim: int) -> Optional[Vector]:
@@ -91,8 +76,11 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         w = vec(slice_normal)
         if any(dot(w, r) <= 0 for r in rays):
             raise ValueError("slice normal must be strictly positive on all rays")
-    points = tuple(vscale(1 / dot(w, r), r) for r in rays)
-    lifted = [primitive(p + (h,)) for p, h in zip(points, heights)]
+    # primitive(r/(w·r) + (h,)) is primitive(r + (h·(w·r),)): one Fraction
+    lifted = []
+    for r, h in zip(rays, heights):
+        t = h * dot(w, r)
+        lifted.append(primitive([x * t.denominator for x in r] + [t.numerator]))
     if rank(lifted) == dim:  # heights linear on the slice: one lower face
         faces = [frozenset(range(len(rays)))]
     else:
@@ -104,14 +92,22 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
             f"heights are not generic: slice point {min(face - set(subset))} "
             f"lies on the lower-hull face of {subset}")
     cells = [tuple(sorted(face)) for face in faces]
-    certs = [solve_linear([points[j] for j in c], [heights[j] for j in c])
-             for c in cells]
     if not cells:
         raise AssertionError("no lower-hull cell found")
-    if set().union(*cells) != set(range(len(rays))):
+    missing = set(range(len(rays))).difference(*cells)
+    if missing:
+        _reject_non_extreme(rays, dim, min(missing))
         raise AssertionError("a ray is missing from every cell")
-    return LiftedTriangulation(rays, heights, w, points,
-                               tuple(cells), tuple(certs))
+    return LiftedTriangulation(rays, heights, w, tuple(cells))
+
+
+def _reject_non_extreme(rays: Sequence[IntVector], dim: int, j: int) -> None:
+    """Raise DegenerateInput if ray j is not extreme: the facets through an
+    extreme ray have normals of rank dim − 1."""
+    through = [n for n, on in cone_facets(rays, dim) if j in on]
+    if rank(through) < dim - 1:
+        raise DegenerateInput(f"ray {vec_str(rays[j])} is not an extreme ray "
+                              "of the cone, and no cell uses it")
 
 
 def _greedy_basis(rays: Sequence[IntVector], ids) -> tuple[int, ...]:
@@ -139,40 +135,42 @@ def triangulation_with_retries(rays: Sequence, seed: int) -> LiftedTriangulation
     raise DegenerateHeights(f"no simplicial lift found after {RETRIES} draws")
 
 
-def generic_interior_point(rays: Sequence[IntVector],
-                           cells: Sequence[Sequence[int]]) -> Vector:
-    """Interior point of the cone avoiding every cell facet hyperplane."""
-    walls = []
-    for cell in cells:
-        cell_rays = [rays[j] for j in cell]
-        walls.extend(simplicial_cone_facet_normals(cell_rays))
-    for t in range(1, 1000):
-        q = [Fraction(0)] * len(rays[0])
-        for j, r in enumerate(rays):
-            c = Fraction((t + 1) ** j)
-            q = [a + c * b for a, b in zip(q, r)]
-        if all(dot(h, q) != 0 for h in walls):
-            return tuple(q)
-    raise AssertionError("no generic interior point found")  # pragma: no cover
-
-
-def half_open_flags(rays: Sequence[IntVector], cells: Sequence[tuple[int, ...]],
-                    ) -> list[tuple[bool, ...]]:
-    """Open/closed flags making the cells a disjoint cover of the cone.
+def half_open_cells(rays: Sequence[IntVector], cells: Sequence[Sequence[int]]
+                    ) -> list[tuple[tuple[IntVector, ...], tuple[bool, ...]]]:
+    """(facet normals, open flags) of each cell, making the cells a disjoint
+    cover of the cone.  Each cell's normals are computed once.
 
     A cell keeps a facet closed exactly when the reference point (generic in
     the cone, inside the first cell's side of every wall it is compatible
     with) lies on that facet's inner side; facets looking away from the
-    reference point are excluded.  Flag i refers to the facet opposite
-    generator i (True = generator coefficient must be strictly positive).
+    reference point are excluded.  Normal i and flag i refer to the facet
+    opposite generator i (True = generator coefficient must be strictly
+    positive).
     """
+    normals = [simplicial_cone_facet_normals([rays[j] for j in cell])
+               for cell in cells]
     if len(cells) == 1:
-        return [tuple(False for _ in cells[0])]
-    q = generic_interior_point(rays, cells)
-    flags = []
-    for cell in cells:
-        cell_rays = [rays[j] for j in cell]
-        normals = simplicial_cone_facet_normals(cell_rays)
-        flags.append(tuple(dot(h, q) < 0 for h in normals))
-    return flags
+        return [(normals[0], (False,) * len(cells[0]))]
+    q = generic_interior_point(rays, normals)
+    return [(ns, tuple(idot(h, q) < 0 for h in ns)) for ns in normals]
 
+
+def half_open_flags(rays: Sequence[IntVector], cells: Sequence[tuple[int, ...]],
+                    ) -> list[tuple[bool, ...]]:
+    """The open flags of ``half_open_cells``."""
+    return [flags for _, flags in half_open_cells(rays, cells)]
+
+
+def generic_interior_point(rays: Sequence[IntVector],
+                           normals: Sequence[Sequence[IntVector]]) -> IntVector:
+    """Interior point Σ_j (t+1)^j·r_j of the cone, for the least t ≥ 1 that
+    avoids every cell facet hyperplane (each cell's normals in `normals`)."""
+    walls = {h for ns in normals for h in ns}
+    for t in range(1, 1000):
+        q = [0] * len(rays[0])
+        for j, r in enumerate(rays):
+            c = (t + 1) ** j
+            q = [a + c * b for a, b in zip(q, r)]
+        if all(idot(h, q) != 0 for h in walls):
+            return tuple(q)
+    raise AssertionError("no generic interior point found")  # pragma: no cover

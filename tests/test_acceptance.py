@@ -29,6 +29,7 @@ from conedec.polyhedra import center_at_barycenter, polytope_from_vertices
 from conedec.triangulation import regular_triangulation
 
 from conftest import seeded_generic_functionals
+from triangulation_oracle import verify_certificates
 
 BOX6 = [(Fraction(-6), Fraction(6))] * 3
 APEX_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
@@ -192,7 +193,7 @@ def test_criterion_08_compatible_from_dual(pyramid_poly):
         [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
     dh = seeded_dual_heights(octa, 3)
     tris = compatible_from_dual(octa, dh)
-    assert all(t.verify_certificates() for t in tris.values())
+    assert all(verify_certificates(t) for t in tris.values())
     dec = compatible_decomposition(octa, (4, 2, 1), dh)
     rep = verify_identity(dec, indicator_of_polytope(octa), default_box(octa),
                           Fraction(1, 2), 100, 37)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conedec.triangulation as triangulation
 import triangulation_oracle
 from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             flip_one_constraint, local_contribution,
@@ -13,7 +14,7 @@ from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             seeded_dual_heights, t_sigma, vertex_triangulation)
 from conedec.indicators import (default_box, grid_points,
                                 indicator_of_polytope, verify_identity)
-from conedec.linalg import determinant, dot, primitive, solve_linear, transpose
+from conedec.linalg import dot, primitive, solve_linear, transpose
 from conedec.polar import GenericityError, lv_decomposition
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
                                polytope_from_vertices)
@@ -22,6 +23,7 @@ from conedec.triangulation import (DegenerateHeights, half_open_flags,
                                    triangulation_with_retries)
 
 from conftest import seeded_generic_functionals
+from linalg_oracle import determinant
 
 APEX_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
 BOX6 = [(Fraction(-6), Fraction(6))] * 3
@@ -49,7 +51,7 @@ class TestRegularTriangulation:
     def test_certificates_verify(self):
         for heights in ([1, 1, 0, 0], [0, 0, 1, 1], [5, 1, 2, 0]):
             tri = regular_triangulation(APEX_RAYS, heights)
-            assert tri.verify_certificates()
+            assert triangulation_oracle.verify_certificates(tri)
 
     def test_simplicial_cone_single_cell(self):
         tri = regular_triangulation([(1, 0), (1, 2)], [3, 7])
@@ -66,7 +68,26 @@ class TestRegularTriangulation:
         rays = normal_cone_rays(pentagon_cone_poly, 0)
         tri = regular_triangulation(rays, [1, 0, 1, 1, 1])
         assert tri.cells == ((0, 1, 2), (1, 2, 3), (1, 3, 4))
-        assert tri.verify_certificates()
+        assert triangulation_oracle.verify_certificates(tri)
+
+    def test_non_extreme_ray_rejected(self):
+        # (-1, 1) lies between the other two rays and lifts above them
+        with pytest.raises(DegenerateInput,
+                           match=r"ray \(-1, 1\) is not an extreme ray"):
+            regular_triangulation([(0, 1), (-1, 1), (-2, 1)], [0, 1, 0])
+
+    def test_missing_extreme_ray_is_a_broken_invariant(self, monkeypatch):
+        # drop the lower facet through ray 0 from the lifted hull
+        real = triangulation.cone_facets
+
+        def without_ray_0(gens, dim):
+            facets = real(gens, dim)
+            if dim == 3:
+                return tuple((n, on) for n, on in facets if 0 not in on)
+            return facets
+        monkeypatch.setattr(triangulation, "cone_facets", without_ray_0)
+        with pytest.raises(AssertionError, match="missing from every cell"):
+            regular_triangulation([(0, 1), (-1, 1), (-2, 1)], [0, -1, 0])
 
     def test_non_pointed_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -116,18 +137,26 @@ def triangulation_outcome(fn, rays, heights, w):
     except (DegenerateHeights, DegenerateInput, ValueError,
             AssertionError) as exc:  # a ray inside the cone can be unused
         return type(exc).__name__, str(exc)
-    return t.rays, t.heights, t.slice_normal, t.slice_points, t.cells, \
-        t.certificates
+    return t.rays, t.heights, t.slice_normal, \
+        triangulation_oracle.slice_points(t), t.cells, \
+        triangulation_oracle.certificates(t)
 
 
 @given(lifted_cones())
 @settings(max_examples=300, deadline=None)
 def test_triangulation_matches_subset_oracle(cone):
     """Cells, certificates and slice points equal the subset-loop oracle's,
-    and so does every DegenerateHeights message."""
+    and so does every DegenerateHeights message.  A ray that is not extreme
+    and lifts above the lower hull is a broken invariant to the oracle and
+    bad input to the program."""
     oracle = triangulation_oracle.regular_triangulation
-    assert triangulation_outcome(regular_triangulation, *cone) == \
-        triangulation_outcome(oracle, *cone)
+    ours = triangulation_outcome(regular_triangulation, *cone)
+    theirs = triangulation_outcome(oracle, *cone)
+    if theirs == ("AssertionError", "a ray is missing from every cell"):
+        assert ours[0] == "DegenerateInput"
+        assert "is not an extreme ray" in ours[1]
+    else:
+        assert ours == theirs
 
 
 class TestLocalContribution:
@@ -288,7 +317,7 @@ class TestCompatible:
         tris = compatible_from_dual(octa, dh)
         assert set(tris) == set(range(6))
         for tri in tris.values():
-            assert tri.verify_certificates()
+            assert triangulation_oracle.verify_certificates(tri)
         dec = compatible_decomposition(octa, (4, 2, 1), dh)
         rep = verify_identity(dec, indicator_of_polytope(octa),
                               default_box(octa), Fraction(1, 2), 100, 11)

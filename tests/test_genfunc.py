@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conedec.deform import nonsimple_decomposition
 import conedec.genfunc as genfunc
+import conedec.triangulation as triangulation
 from conedec.genfunc import (RationalGF, _bernoulli, _series_mul, brion_gf,
                              count_lattice_points, enumerate_parallelepiped,
                              gf_brute_force, gf_equal_as_functions,
@@ -15,15 +16,16 @@ from conedec.genfunc import (RationalGF, _bernoulli, _series_mul, brion_gf,
                              gf_simplicial_cone, lattice_points, make_term,
                              specialize, zero_gf)
 from conedec.indicators import gram_decomposition, whole_space_piece
-from conedec.linalg import (determinant, mat_vec, mat_inverse, residue_box,
-                            vsub)
+from conedec.linalg import residue_box, vsub
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import DegenerateInput, polytope_from_vertices
 from conedec.triangulation import (half_open_flags, regular_triangulation,
                                    triangulation_with_retries)
 
 from conftest import seeded_generic_functionals
+from linalg_oracle import determinant, mat_inverse, mat_vec
 import parallelepiped_oracle
+import specialize_oracle
 
 SEG = polytope_from_vertices([(-3,), (5,)])
 
@@ -172,6 +174,29 @@ class TestBrion:
                 continue
             assert gf_equal_as_functions(brion_gf(p), gf_brute_force(p)), \
                 entry.name
+
+    def test_cell_normals_computed_once_per_cell(self, corpus, monkeypatch):
+        # every octahedron vertex has 4 edges: each cone splits into 2 cells
+        octa = next(p for entry, p in corpus if entry.name == "octahedron")
+        calls, cells = [], []
+        real_normals = triangulation.simplicial_cone_facet_normals
+        real_triangulation = genfunc.triangulation_with_retries
+
+        def counted_normals(rays):
+            calls.append(rays)
+            return real_normals(rays)
+
+        def counted_triangulation(rays, seed):
+            tri = real_triangulation(rays, seed)
+            cells.append(len(tri.cells))
+            return tri
+        monkeypatch.setattr(triangulation, "simplicial_cone_facet_normals",
+                            counted_normals)
+        monkeypatch.setattr(genfunc, "triangulation_with_retries",
+                            counted_triangulation)
+        brion_gf(octa)
+        assert cells == [2] * 6
+        assert len(calls) == sum(cells)
 
 
 class TestCount:
@@ -341,6 +366,60 @@ class TestSpecialize:
         g = gf_brute_force(SEG)
         assert specialize(g, [1], 0) == [Fraction(9)]
 
+    def test_errors_match_fraction_oracle(self):
+        cone = gf_simplicial_cone((0, 0), [(1, 0), (1, 2)])
+        for direction, match in (([0, 1], "degenerates denominator"),
+                                 ([1, 1], "pole of order 2 does not cancel")):
+            with pytest.raises(ValueError, match=match) as ours:
+                specialize(cone, direction, 1)
+            with pytest.raises(ValueError) as theirs:
+                specialize_oracle.specialize(cone, direction, 1)
+            assert str(ours.value) == str(theirs.value)
+
     def test_pretty(self):
         assert gf_pretty(brion_gf(SEG)) == "x^-3/(1-x) - x^6/(1-x)"
         assert gf_pretty(zero_gf(2)) == "0"
+
+
+def specialize_outcome(fn, gf, direction, order):
+    try:
+        return fn(gf, direction, order)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@st.composite
+def cone_sums(draw):
+    """Signed sums of simplicial cone GFs with a rational apex and random
+    flags.  Summing all 2^d translates apex + Σ_{i∈S} t_i, with sign
+    (−1)^|S|, gives the GF of the half-open parallelepiped, so every pole
+    cancels; a random selection of translates leaves poles in general."""
+    d = draw(st.integers(1, 4))
+    bound = 2 if d == 4 else 3
+    gens = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * d),
+                         min_size=d, max_size=d).filter(determinant))
+    apex = draw(st.tuples(*[st.fractions(min_value=-3, max_value=3,
+                                         max_denominator=4)] * d))
+    flags = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    subsets = list(product((0, 1), repeat=d))
+    if not draw(st.booleans()):
+        subsets = draw(st.lists(st.sampled_from(subsets), min_size=1,
+                                max_size=4))
+    acc = zero_gf(d)
+    for eps in subsets:
+        shifted = [a + sum(e * g[i] for e, g in zip(eps, gens))
+                   for i, a in enumerate(apex)]
+        acc = acc + gf_simplicial_cone(shifted, gens, flags).scaled(
+            (-1) ** sum(eps))
+    scale = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6)
+                 .filter(lambda c: c != 0))
+    direction = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    return acc.scaled(scale), direction
+
+
+@given(cone_sums(), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_specialize_matches_fraction_oracle(case, order):
+    gf, direction = case
+    assert specialize_outcome(specialize, gf, direction, order) == \
+        specialize_outcome(specialize_oracle.specialize, gf, direction, order)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedec.linalg import (DimensionError, determinant, dot, frac,
-                            integer_inverse, kernel_basis, mat_inverse,
-                            mat_vec, primitive, rank, residue_box,
-                            solve_linear, transpose)
+from conedec.linalg import (DimensionError, dot, frac, integer_inverse,
+                            kernel_basis, primitive, rank, residue_box,
+                            simplicial_cone_facet_normals, solve_linear,
+                            transpose)
+from linalg_oracle import determinant, mat_inverse, mat_vec
 
 
 def mat_mul(a, b):
@@ -91,6 +92,27 @@ class TestExactArithmetic:
 def nonsingular_matrix(n, bound):
     return square_matrix(n, st.integers(min_value=-bound, max_value=bound)
                          ).filter(lambda a: determinant(a) != 0)
+
+
+class TestFacetNormals:
+    @given(st.integers(1, 4).flatmap(lambda n: nonsingular_matrix(n, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_primitive_rows_of_the_inverse(self, rays):
+        # negating one ray flips the sign of the determinant
+        flipped = [tuple(-x for x in rays[0])] + list(rays[1:])
+        for cone in (rays, flipped):
+            normals = simplicial_cone_facet_normals(cone)
+            assert normals == tuple(primitive(row) for row in
+                                    mat_inverse(transpose(cone)))
+            assert all(dot(h, r) > 0 if i == j else dot(h, r) == 0
+                       for i, h in enumerate(normals)
+                       for j, r in enumerate(cone))
+
+    def test_singular_input(self):
+        for rays in ([(0,)], [(1, 2), (2, 4)], [(1, 0, 1), (0, 1, 1), (1, 1, 2)]):
+            with pytest.raises(ValueError,
+                               match="^mat_inverse: singular matrix$"):
+                simplicial_cone_facet_normals(rays)
 
 
 class TestResidueBox:
@@ -229,6 +251,18 @@ class TestAgainstReferenceElimination:
     @settings(max_examples=100, deadline=None)
     def test_rank(self, a):
         assert rank(a) == len(_rref(a)[1])
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        min_size=1, max_size=5)))
+    @settings(max_examples=100, deadline=None)
+    def test_int_rows_take_the_same_answers(self, a):
+        # rank and primitive skip the Fraction round trip on int entries
+        as_fractions = [[Fraction(x) for x in r] for r in a]
+        assert rank(a) == rank(as_fractions) == len(_rref(as_fractions)[1])
+        for r, f in zip(a, as_fractions):
+            if any(r):
+                assert primitive(r) == primitive(f)
 
     @given(rational_matrices())
     @settings(max_examples=100, deadline=None)

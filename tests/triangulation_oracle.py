@@ -1,10 +1,13 @@
-"""Reference regular triangulation by enumerating every d-subset.
+"""Reference regular triangulation by enumerating every d-subset, and the
+certificates that check a triangulation's cells.
 
-This is the lower-hull search ``conedec.triangulation.regular_triangulation``
-used before it read the lower facets off ``polyhedra.cone_facets``, kept
-unchanged as an oracle: for the same rays, heights and slice normal both
-must return the same cells, certificates and slice points, or raise the
-same ``DegenerateHeights`` message.
+``regular_triangulation`` is the lower-hull search
+``conedec.triangulation.regular_triangulation`` used before it read the
+lower facets off ``polyhedra.cone_facets``, kept as an oracle: for the same
+rays, heights and slice normal both must return the same cells,
+certificates and slice points, or raise the same ``DegenerateHeights``
+message.  A cell's certificate is the linear functional g with g·p = height
+on the cell's slice points and g·p < height on all the others.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
             raise ValueError("slice normal must be strictly positive on all rays")
     points = tuple(vscale(1 / dot(w, r), r) for r in rays)
     cells: list[tuple[int, ...]] = []
-    certs: list[Vector] = []
     for subset in combinations(range(len(rays)), dim):
         mtx = [points[j] for j in subset]
         g = solve_linear(mtx, [heights[j] for j in subset])
@@ -68,7 +70,6 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
                     f"heights are not generic: slice point {on_face[0]} lies "
                     f"on the lower-hull face of {subset}")
             cells.append(subset)
-            certs.append(g)
     if not cells:
         raise AssertionError("no lower-hull cell found")
     used = set()
@@ -76,5 +77,33 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         used.update(c)
     if used != set(range(len(rays))):
         raise AssertionError("a ray is missing from every cell")
-    return LiftedTriangulation(rays, heights, w, points,
-                               tuple(cells), tuple(certs))
+    return LiftedTriangulation(rays, heights, w, tuple(cells))
+
+
+def slice_points(tri: LiftedTriangulation) -> tuple[Vector, ...]:
+    """Where each ray meets the slice {w·x = 1}; heights attach here."""
+    return tuple(vscale(1 / dot(tri.slice_normal, r), r) for r in tri.rays)
+
+
+def certificates(tri: LiftedTriangulation) -> tuple[Optional[Vector], ...]:
+    """Each cell's functional g with g·p = height on its slice points."""
+    points = slice_points(tri)
+    return tuple(solve_linear([points[j] for j in c],
+                              [tri.heights[j] for j in c]) for c in tri.cells)
+
+
+def verify_certificates(tri: LiftedTriangulation) -> bool:
+    """Every cell's affine span of lifted points lies strictly below every
+    other lifted point, so the cells are lower-hull faces."""
+    points = slice_points(tri)
+    for cell, g in zip(tri.cells, certificates(tri)):
+        if g is None:
+            return False
+        for j, p in enumerate(points):
+            val = dot(g, p)
+            if j in cell:
+                if val != tri.heights[j]:
+                    return False
+            elif val >= tri.heights[j]:
+                return False
+    return True
