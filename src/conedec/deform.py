@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .feasibility import feasible_point
+from .feasibility import project, witness
 from .indicators import IndicatorSum, LocallyClosedPiece, ZPoly, piece
 from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, solve_linear, transpose,
@@ -294,20 +294,17 @@ def _piece_direction_probes(pc, v: Vector, xi: IntVector) -> list[IntVector]:
     """Directions aimed at a piece: one in its relative interior, and one in
     the part of the piece where the functional decreases (if any)."""
     dim = len(v)
-    rows = [Halfspace(h.normal, Fraction(1)) for h in pc.constraints]
     probes = []
-    t = feasible_point(rows, dim)
-    if t is None:
+    levels = project((), [Halfspace(h.normal, Fraction(1))
+                          for h in pc.constraints], dim)
+    if levels is None:
         # piece too thin for strict interior; settle for the closure
-        rows = [Halfspace(h.normal, Fraction(0), h.strict)
-                for h in pc.constraints]
-        t = feasible_point(rows, dim)
-    if t is not None and any(t):
-        probes.append(primitive(t))
+        levels = project((), [Halfspace(h.normal, Fraction(0), h.strict)
+                              for h in pc.constraints], dim)
     decrease = Halfspace(tuple(-a for a in xi), Fraction(1))
-    t = feasible_point(rows + [decrease], dim)
-    if t is not None and any(t):
-        probes.append(primitive(t))
+    for lv in (levels, levels and project(levels, [decrease], dim)):
+        if lv is not None and any(t := witness(lv)):
+            probes.append(primitive(t))
     return probes
 
 

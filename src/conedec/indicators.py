@@ -16,7 +16,7 @@ from math import ceil, floor, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .feasibility import feasible_point
+from .feasibility import feasible_point, project, witness
 from .linalg import dot, frac, vec
 from .polyhedra import Face, Halfspace, Polytope, binding
 
@@ -453,9 +453,9 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
     Splits space by every constraint hyperplane appearing on either side and
     checks each nonempty sign cell once; both sides are constant on cells,
     so this is a complete decision procedure.  Exponential in the number of
-    hyperplanes; intended for small identities (--exact-cells).  Each branch
-    carries a witness point: the parent's witness settles the branch it lies
-    in, and only the other branches need a feasibility search.
+    hyperplanes; intended for small identities (--exact-cells).  A branch
+    extends its parent's projection, and solves for a witness only if the
+    parent's does not lie in it (it is then projected only when popped).
     """
     t0 = time.monotonic()
     dim = lhs.dim
@@ -463,30 +463,32 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
     planes = cells.planes
     checked = 0
     bad: Optional[dict] = None
-    # (plane index, rows, sign vector so far, a point satisfying the rows)
-    stack: list[tuple[int, list, tuple[int, ...], Sequence]] = [
-        (0, [], (), (Fraction(0),) * dim)]
+    # (sign vector so far, levels, rows not yet projected, a point in the cell)
+    stack = [((), (), [], (Fraction(0),) * dim)]
     while stack and bad is None:
-        k, rows, signs, w = stack.pop()
-        if k == len(planes):
+        signs, levels, rows, w = stack.pop()
+        if len(signs) == len(planes):
             checked += 1
             a, b = cells.values(signs)
             if a != b:
-                w = feasible_point(rows, dim)  # the cell's canonical witness
+                w = witness(project(levels, rows, dim))  # the canonical witness
                 bad = {"point": [str(c) for c in w], "lhs": repr(a), "rhs": repr(b)}
             continue
-        h = planes[k]
+        levels = project(levels, rows, dim)
+        h = planes[len(signs)]
         neg = Halfspace(tuple(-a for a in h.normal), -h.offset)
         v = dot(h.normal, w) - h.offset
         side = (v > 0) - (v < 0)
+        leaf = len(signs) + 1 == len(planes)
         branches = [
-            (1, rows + [neg.complement()]),  # n·x > off
-            (0, rows + [h, neg]),            # n·x = off
-            (-1, rows + [h.complement()]),   # n·x < off
+            (1, [neg.complement()]),  # n·x > off
+            (0, [h, neg]),            # n·x = off
+            (-1, [h.complement()]),   # n·x < off
         ]
         for s, br in reversed(branches):
-            x = w if s == side else feasible_point(br, dim)
-            if x is not None:
-                stack.append((k + 1, br, signs + (s,), x))
+            if s == side:
+                stack.append((signs + (s,), levels, br, w))
+            elif (lv := project(levels, br, dim)) is not None:
+                stack.append((signs + (s,), lv, [], None if leaf else witness(lv)))
     return VerificationReport(name, {"mode": "exact-cells"}, checked,
                               bad is None, bad, time.monotonic() - t0)

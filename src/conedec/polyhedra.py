@@ -58,17 +58,18 @@ def halfspace(normal: Sequence, offset, strict: bool = False) -> Halfspace:
     return Halfspace(tuple(a // g for a in ints), frac(offset) * den / g, strict)
 
 
-def binding(halfspaces: Iterable[Halfspace]) -> list[Halfspace]:
-    """One halfspace per normal, in order of first appearance.
+def binds(offset, strict: bool, old_offset, old_strict: bool) -> bool:
+    """Whether a row replaces a parallel one: the larger offset wins, a strict
+    row beats a closed one on a tie.  Both offsets may share a factor > 0."""
+    return (offset, strict) > (old_offset, old_strict)
 
-    Parallel halfspaces collapse to the binding one: the larger offset wins,
-    and on a tie a strict halfspace beats a closed one.
-    """
+
+def binding(halfspaces: Iterable[Halfspace]) -> list[Halfspace]:
+    """One halfspace per normal, the one that `binds`, in first-seen order."""
     best: dict[IntVector, Halfspace] = {}
     for h in halfspaces:
         old = best.get(h.normal)
-        if (old is None or h.offset > old.offset
-                or (h.offset == old.offset and h.strict)):
+        if old is None or binds(h.offset, h.strict, old.offset, old.strict):
             best[h.normal] = h
     return list(best.values())
 

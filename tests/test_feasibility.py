@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fm_oracle
-from conedec.feasibility import feasible_point
-from conedec.polyhedra import halfspace
+from conedec.feasibility import feasible_point, project, witness
+from conedec.polyhedra import Halfspace, halfspace
 
 F = Fraction
 
@@ -92,3 +92,52 @@ def test_matches_triple_oracle(system):
     triples = [(tuple(F(a) for a in n), F(off), s) for n, off, s in rows]
     assert (feasible_point([con(n, off, s) for n, off, s in rows], dim)
             == fm_oracle.feasible_point(triples, dim))
+
+
+def solve_in_chunks(rows, dim, cuts):
+    """Witness of rows added to the levels one chunk at a time."""
+    levels = ()
+    for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
+        levels = project(levels, rows[lo:hi], dim)
+        if levels is None:
+            return None
+    return witness(project(levels, [], dim))
+
+
+@given(systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_extending_levels_matches_one_shot_and_oracle(system, data):
+    dim, rows = system
+    hs = [con(n, off, s) for n, off, s in rows]
+    cuts = tuple(sorted(data.draw(st.lists(st.integers(0, len(hs)),
+                                           max_size=len(hs)))))
+    triples = [(tuple(F(a) for a in n), F(off), s) for n, off, s in rows]
+    want = fm_oracle.feasible_point(triples, dim)
+    assert feasible_point(hs, dim) == want
+    assert solve_in_chunks(hs, dim, cuts) == want
+    assert solve_in_chunks(hs, dim, tuple(range(1, len(hs)))) == want
+
+
+@given(systems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_witness_depends_only_on_the_set(system, data):
+    """Permuted, repeated, positively rescaled (left uncanonical) and
+    implied rows describe the same set, so they give the same witness."""
+    dim, rows = system
+    hs = [con(n, off, s) for n, off, s in rows]
+    want = feasible_point(hs, dim)
+    same = data.draw(st.permutations(hs))
+    same += data.draw(st.lists(st.sampled_from(hs), max_size=3))
+    for h, k in data.draw(st.lists(st.tuples(st.sampled_from(hs),
+                                             st.integers(2, 4)), max_size=3)):
+        same.append(Halfspace(tuple(k * a for a in h.normal), k * h.offset,
+                              h.strict))
+    # a positive combination of two rows, loosened, is implied by them
+    for i, j, a, b, slack in data.draw(st.lists(st.tuples(
+            st.integers(0, len(hs) - 1), st.integers(0, len(hs) - 1),
+            st.integers(1, 3), st.integers(1, 3),
+            st.fractions(0, 2, max_denominator=3)), max_size=3)):
+        n = tuple(a * x + b * y for x, y in zip(hs[i].normal, hs[j].normal))
+        if any(n):
+            same.append(halfspace(n, a * hs[i].offset + b * hs[j].offset - slack))
+    assert feasible_point(same, dim) == want

@@ -224,6 +224,14 @@ class TestVerifyIdentity:
         rep = verify_identity_exact(thin, base)
         assert not rep.success
 
+    def test_exact_cells_random_4d_gram(self, corpus):
+        # the 4-d exact-cells cliff: a few seconds when each branch extends
+        # its parent's levels, ~30 s when each solves its whole system
+        p = next(p for e, p in corpus if e.name == "random01-4d")
+        rep = verify_identity_exact(gram_decomposition(p),
+                                    indicator_of_polytope(p))
+        assert rep.success and rep.points_checked == 5515
+
 
 @st.composite
 def identities(draw):
@@ -308,20 +316,26 @@ class TestAgainstOracle:
 
     def test_exact_witness_reuse_halves_feasibility_calls(
             self, pyramid_poly, monkeypatch):
+        # each branch extends its parent's levels; a witness is solved only
+        # for a branch the parent's witness misses, against the oracle's one
+        # feasible_point call per branch
         import conedec.indicators
-        from conedec.feasibility import feasible_point
-        calls = []
+        from conedec.feasibility import feasible_point, witness
+        solved, calls = [], []
+
+        def counted_witness(levels):
+            solved.append(1)
+            return witness(levels)
 
         def counted(system, dim):
             calls.append(1)
             return feasible_point(system, dim)
-        monkeypatch.setattr(conedec.indicators, "feasible_point", counted)
+        monkeypatch.setattr(conedec.indicators, "witness", counted_witness)
         monkeypatch.setattr(indicator_oracle, "feasible_point", counted)
         lhs = gram_decomposition(pyramid_poly)
         rhs = indicator_of_polytope(pyramid_poly)
         got = verify_identity_exact(lhs, rhs)
-        ours = len(calls)
         want = indicator_oracle.verify_identity_exact(lhs, rhs)
         assert got.to_json_dict() == want.to_json_dict()
         assert got.points_checked == 101
-        assert 2 * ours <= len(calls) - ours
+        assert 0 < 3 * len(solved) <= len(calls)
