@@ -229,6 +229,8 @@ def cmd_verify(args) -> int:
     box = _parse_box(args.box, p)
     step = frac(args.step)
     samples = args.samples
+    if samples < 0:
+        raise InputError(f"--samples must be non-negative, got {samples}")
     seed = args.seed
     ident = args.identity
     if args.exact_cells and ident in ("brion", "positive-conic"):

@@ -3,7 +3,8 @@
 An IndicatorSum is a formal integer-polynomial combination of locally closed
 polyhedral pieces.  It can be evaluated exactly at any rational point, which
 is how every decomposition identity in this library gets machine-checked:
-evaluate both sides on a witness grid plus seeded random rational points.
+evaluate both sides on a witness grid, swept line by line in runs of one
+cell of the sides' hyperplane arrangement, plus seeded random rational points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point, project, witness
@@ -271,9 +272,9 @@ class Arrangement:
 
     def __init__(self, sums: Sequence[IndicatorSum]):
         index: dict[Halfspace, int] = {}
-        # each sum as (coefficient, requirements) terms; a requirement
+        # each sum as (coefficients, requirements) terms; a requirement
         # (i, o, t) holds iff o·(sign at plane i) ≥ t, t = 1 when strict
-        self._sums: list[list[tuple[ZPoly, tuple]]] = []
+        self._sums: list[list[tuple[tuple[int, ...], tuple]]] = []
         for s in sums:
             terms = []
             for coeff, pc in s.terms:
@@ -284,7 +285,7 @@ class Arrangement:
                                          len(index))
                     reqs.append((i, 1 if up.normal == h.normal else -1,
                                  int(h.strict)))
-                terms.append((coeff, tuple(reqs)))
+                terms.append((coeff.coeffs, tuple(reqs)))
             self._sums.append(terms)
         # closed halfspaces n·x ≥ off, one per hyperplane, in first-use order
         self.planes: list[Halfspace] = list(index)
@@ -304,11 +305,14 @@ class Arrangement:
         """Each sum's value on the cell with the given sign vector."""
         out = []
         for terms in self._sums:
-            acc = ZERO
-            for coeff, reqs in terms:
-                if all(o * signs[i] >= t for i, o, t in reqs):
-                    acc = acc + coeff
-            out.append(acc)
+            acc = [0] * max((len(cs) for cs, _reqs in terms), default=0)
+            for cs, reqs in terms:
+                for i, o, t in reqs:
+                    if o * signs[i] < t:
+                        break
+                else:
+                    acc[:len(cs)] = map(add, acc, cs)
+            out.append(ZPoly(_trim(acc)))
         return tuple(out)
 
 
@@ -352,12 +356,19 @@ def default_box(p: Polytope, inflate: int = 1) -> Box:
 
 
 def grid_points(box: Box, step: Fraction):
-    """Lattice step·Z^d clipped to the box, in lexicographic order.
+    """Lattice step·Z^d clipped to the box, in lexicographic order: (nums,
+    den) pairs, the point being nums/den, cut from the runs of the empty
+    arrangement, which are whole grid lines."""
+    p = frac(step).numerator
+    return ((nums[:-1] + (nums[-1] + k * p,), den) for nums, den, n, _
+            in grid_runs(Arrangement(()), box, step) for k in range(n))
 
-    Returns an iterator of (nums, den) pairs: the point is nums/den
-    coordinatewise.  A grid of more than GRID_POINT_BUDGET points is
-    refused before any point is made.
-    """
+
+def grid_runs(cells: Arrangement, box: Box, step):
+    """The grid points in runs along the last axis, in lexicographic order:
+    (nums, den, length, signs) stands for `length` points from nums/den on,
+    all with the sign vector `signs` on cells.planes.  A grid of more than
+    GRID_POINT_BUDGET points is refused before any point is made."""
     step = frac(step)
     if step <= 0:
         raise ValueError("step must be positive")
@@ -371,20 +382,37 @@ def grid_points(box: Box, step: Fraction):
                          "coarser --step, a smaller --box or --exact-cells")
     p, q = step.numerator, step.denominator
     axes = [range(k0 * p, k1 * p + 1, p) for k0, k1 in ends]
-    return ((nums, q) for nums in _lattice(axes))
+    grow = [[n[a] * p for n, _off in cells._rows] for a in range(len(axes))]
+    first = [sum(map(mul, n, (r.start for r in axes))) - off * q
+             for n, off in cells._rows]
+    return _runs(axes, grow, q, (), first) if size else iter(())
 
 
-def _lattice(axes: Sequence[range], prefix: tuple = ()):
-    """The product of the ranges in lexicographic order, made lazily:
-    itertools.product would first store every axis as a tuple."""
-    if not axes:
-        yield prefix
-    elif len(axes) == 1:
-        for k in axes[0]:
-            yield prefix + (k,)
-    else:
-        for k in axes[0]:
-            yield from _lattice(axes[1:], prefix + (k,))
+def _runs(axes: list[range], grow: list, q: int, prefix: tuple, vals: list):
+    """The runs of the lines through prefix; vals holds each plane's value
+    at their first point.  On a line, plane i is a + b·j at the j-th point,
+    so its sign can change only at ⌊−a/b⌋ + 1, or at r and r + 1 when
+    r = −a/b is an integer."""
+    if len(prefix) + 1 < len(axes):
+        for k in axes[len(prefix)]:
+            yield from _runs(axes, grow, q, prefix + (k,), vals)
+            vals = list(map(add, vals, grow[len(prefix)]))
+        return
+    last = axes[-1]
+    signs = [(a > 0) - (a < 0) for a in vals]
+    cuts: dict[int, list] = {}
+    for i, (a, b) in enumerate(zip(vals, grow[-1] if len(last) > 1 else ())):
+        if b:
+            r, rem = divmod(-a, b)
+            for c, sign in ((r, 0), (r + 1, 1 if b > 0 else -1))[bool(rem):]:
+                if 0 < c < len(last):
+                    cuts.setdefault(c, []).append((i, sign))
+    j = 0
+    for end in sorted(cuts) + [len(last)]:
+        yield prefix + (last[j],), q, end - j, tuple(signs)
+        for i, sign in cuts.get(end, ()):
+            signs[i] = sign
+        j = end
 
 
 def random_rational_points(box: Box, count: int, seed: int):
@@ -406,10 +434,10 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
     """Compare two indicator sums on the grid plus seeded random points.
 
     Sound for refutation: the first mismatch (in lexicographic grid order,
-    random samples afterwards) is reported with both values.  Each point
-    costs one integer dot product per distinct hyperplane; both sides are
-    evaluated once per arrangement cell, kept for the last CELL_MEMO_CAP
-    cells met.
+    random samples afterwards) is reported with both values.  grid_runs
+    sweeps each grid line in one pass over the distinct hyperplanes; each
+    run of one arrangement cell, and each sample, costs one lookup of both
+    sides' values, which are kept for the last CELL_MEMO_CAP cells met.
     """
     t0 = time.monotonic()
     step = frac(step)
@@ -423,25 +451,25 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
     memo: dict[tuple[int, ...], tuple[ZPoly, ...]] = {}
     checked = 0
 
-    def run(points) -> Optional[dict]:
+    def run(runs) -> Optional[dict]:
         nonlocal checked
-        for nums, den in points:
-            key = cells.signs(nums, den)
+        for nums, den, length, key in runs:
             vals = memo.get(key)
             if vals is None:
                 if len(memo) >= CELL_MEMO_CAP:
                     memo.clear()
                 vals = memo[key] = cells.values(key)
-            checked += 1
             a, b = vals
+            checked += length if a == b else 1
             if a != b:
                 pt = [str(Fraction(n, den)) for n in nums]
                 return {"point": pt, "lhs": repr(a), "rhs": repr(b)}
         return None
 
-    bad = run(grid_points(box, step))
+    bad = run(grid_runs(cells, box, step))
     if bad is None and extra_samples > 0:
-        bad = run(random_rational_points(box, extra_samples, seed))
+        bad = run((nums, den, 1, cells.signs(nums, den)) for nums, den
+                  in random_rational_points(box, extra_samples, seed))
     return VerificationReport(name, params, checked, bad is None, bad,
                               time.monotonic() - t0)
 

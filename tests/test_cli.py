@@ -234,6 +234,13 @@ class TestBadInput:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_samples_is_input_error(self, pyramid_file, capsys):
+        assert main(["verify", "--input", pyramid_file, "--identity", "gram",
+                     "--samples", "-3", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--samples" in captured.err
+
     def test_oversized_grid_is_input_error(self, tmp_path):
         """A thin triangle 10^9 long would need a grid of ~10^10 points.
 

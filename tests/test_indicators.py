@@ -233,17 +233,65 @@ class TestVerifyIdentity:
         assert rep.success and rep.points_checked == 5515
 
 
+class TestGridWork:
+    """The grid check sweeps lines in runs of one arrangement cell: no sign
+    vector is computed point by point, and each cell is evaluated once."""
+
+    @pytest.mark.parametrize("samples", [0, 37])
+    def test_sign_vectors_only_for_samples(self, pyramid_poly, monkeypatch,
+                                           samples):
+        calls = []
+        signs = Arrangement.signs
+
+        def counted(self, nums, den):
+            calls.append(nums)
+            return signs(self, nums, den)
+        monkeypatch.setattr(Arrangement, "signs", counted)
+        rep = verify_identity(gram_decomposition(pyramid_poly),
+                              indicator_of_polytope(pyramid_poly),
+                              default_box(pyramid_poly), Fraction(1, 2),
+                              samples, 5)
+        assert rep.success and rep.points_checked == 9 * 9 * 7 + samples
+        assert len(calls) == samples
+
+    def test_pyramid_grid_evaluates_each_cell_once(self, pyramid_poly,
+                                                   monkeypatch):
+        lhs = gram_decomposition(pyramid_poly)
+        rhs = indicator_of_polytope(pyramid_poly)
+        box, step = [(Fraction(-6), Fraction(6))] * 3, Fraction(1, 4)
+        cells = Arrangement((lhs, rhs))
+        met = {cells.signs(*pt) for pt in grid_points(box, step)}
+        assert len(met) <= CELL_MEMO_CAP  # so the memo is never cleared
+        evaluated = []
+        values = Arrangement.values
+
+        def counted(self, signs):
+            evaluated.append(signs)
+            return values(self, signs)
+        monkeypatch.setattr(Arrangement, "values", counted)
+        rep = verify_identity(lhs, rhs, box, step)
+        assert rep.success and rep.points_checked == 49 ** 3 == 117649
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == met
+
+
 @st.composite
-def identities(draw):
-    """(dim, lhs, rhs): indicator sums in 1–3 variables over a small pool of
-    hyperplanes, with strict and closed rows on either side of each plane
-    and parallel planes that share a normal; rhs is lhs reordered and, when
-    drawn so, perturbed so that the identity may fail."""
-    dim = draw(st.integers(1, 3))
+def identities(draw, max_dim=3, flat=False):
+    """(dim, lhs, rhs): indicator sums in 1–max_dim variables over a small
+    pool of hyperplanes, with strict and closed rows on either side of each
+    plane, parallel planes that share a normal and, when flat is set, planes
+    whose last normal coordinate is 0; rhs is lhs reordered and, when drawn
+    so, perturbed so that the identity may fail."""
+    dim = draw(st.integers(1, max_dim))
     normal = st.lists(st.integers(-2, 2), min_size=dim,
                       max_size=dim).filter(any)
     offset = st.fractions(-2, 2, max_denominator=3)
     pool = draw(st.lists(st.tuples(normal, offset), min_size=2, max_size=4))
+    if flat and dim > 1:
+        level = st.lists(st.integers(-2, 2), min_size=dim - 1,
+                         max_size=dim - 1).filter(any).map(lambda n: n + [0])
+        pool += draw(st.lists(st.tuples(level, offset), min_size=1,
+                              max_size=2))
     pool += [(tuple(k * a for a in n), off) for (n, _off), k, off in draw(
         st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((-2, 1, 3)),
                            offset), max_size=2))]
@@ -279,16 +327,43 @@ def identities(draw):
     return dim, build(raw), build(other)
 
 
+@st.composite
+def grid_boxes(draw, dim, step):
+    """Boxes drawn axis by axis: [-2, 2], an interval with rational ends
+    mostly off the grid, one grid point between ends that may lie off the
+    grid, or no grid point at all."""
+    box = []
+    quarter = st.sampled_from((0, Fraction(1, 4), Fraction(1, 2),
+                               Fraction(3, 4)))
+    for _ in range(dim):
+        kind = draw(st.sampled_from(("whole",) * 2 + ("span",) * 4
+                                    + ("point",) * 3 + ("none",)))
+        k = draw(st.integers(-2, 2)) * step  # a grid point
+        if kind == "whole":
+            box.append((Fraction(-2), Fraction(2)))
+        elif kind == "span":
+            ends = st.fractions(-2, 2, max_denominator=4)
+            box.append(tuple(sorted((draw(ends), draw(ends)))))
+        elif kind == "point":
+            box.append((k - draw(quarter) * step, k + draw(quarter) * step))
+        else:  # between two grid points, or the ends swapped
+            box.append((k + step / 4, k + draw(st.sampled_from(
+                (Fraction(-1, 2), Fraction(1, 4), Fraction(3, 4)))) * step))
+    return box
+
+
 class TestAgainstOracle:
     """The arrangement-based checks give the reports of the per-point and
     from-scratch checks they replaced (tests/indicator_oracle.py)."""
 
-    @given(identities(), st.sampled_from((1, Fraction(1, 2), Fraction(2, 3))),
-           st.integers(0, 5), st.integers(0, 3))
-    @settings(max_examples=80, deadline=None)
-    def test_grid_reports_match(self, ident, step, samples, seed):
+    @given(identities(max_dim=4, flat=True),
+           st.sampled_from((1, Fraction(1, 2), Fraction(2, 3),
+                            Fraction(3, 2))),
+           st.integers(0, 5), st.integers(0, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_reports_match(self, ident, step, samples, seed, data):
         dim, lhs, rhs = ident
-        box = [(Fraction(-2), Fraction(2))] * dim
+        box = data.draw(grid_boxes(dim, Fraction(step)))
         got = verify_identity(lhs, rhs, box, step, samples, seed)
         want = indicator_oracle.verify_identity(lhs, rhs, box, step, samples,
                                                 seed)
