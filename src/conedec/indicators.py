@@ -13,8 +13,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat, starmap, tee
 from math import ceil, floor, prod
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point, project, witness
@@ -356,19 +357,53 @@ def default_box(p: Polytope, inflate: int = 1) -> Box:
 
 
 def grid_points(box: Box, step: Fraction):
-    """Lattice step·Z^d clipped to the box, in lexicographic order: (nums,
-    den) pairs, the point being nums/den, cut from the runs of the empty
-    arrangement, which are whole grid lines."""
-    p = frac(step).numerator
-    return ((nums[:-1] + (nums[-1] + k * p,), den) for nums, den, n, _
-            in grid_runs(Arrangement(()), box, step) for k in range(n))
+    """Lattice step·Z^d clipped to the box, in lexicographic order.
+
+    Returns an iterator of (nums, den) pairs: the point is nums/den
+    coordinatewise.  A grid of more than GRID_POINT_BUDGET points is
+    refused before any point is made.
+    """
+    q, last, lines = _grid_lines((), box, step)
+    heads = map(repeat, map(itemgetter(0), lines), repeat(len(last)))
+    tails = map(zip, repeat(last))  # per line, the 1-tuples (k,) of its axis
+    return zip(map(add, chain.from_iterable(heads), chain.from_iterable(tails)),
+               repeat(q))
 
 
 def grid_runs(cells: Arrangement, box: Box, step):
-    """The grid points in runs along the last axis, in lexicographic order:
-    (nums, den, length, signs) stands for `length` points from nums/den on,
-    all with the sign vector `signs` on cells.planes.  A grid of more than
-    GRID_POINT_BUDGET points is refused before any point is made."""
+    """The points of grid_points(box, step) in runs along the last axis:
+    (length, signs) stands for the next `length` of them, all with the sign
+    vector `signs` on cells.planes.  On a line, plane i is a + b·j at the
+    j-th point, so its sign can change only at ⌊−a/b⌋ + 1, or at r and
+    r + 1 when r = −a/b is an integer."""
+    _q, last, lines = _grid_lines(cells._rows, box, step)
+    n = len(last)
+    grow = [row[-1] * last.step for row, _off in cells._rows] if n > 1 else []
+    for _prefix, vals in lines:
+        signs = [(a > 0) - (a < 0) for a in vals]
+        if not grow:
+            yield n, tuple(signs)
+            continue
+        cuts: dict[int, list] = {}
+        for i, (a, b) in enumerate(zip(vals, grow)):
+            if b:
+                r, rem = divmod(-a, b)
+                for c, sign in ((r, 0), (r + 1, 1 if b > 0 else -1))[bool(rem):]:
+                    if 0 < c < n:
+                        cuts.setdefault(c, []).append((i, sign))
+        j = 0
+        for end in sorted(cuts):
+            yield end - j, tuple(signs)
+            for i, sign in cuts[end]:
+                signs[i] = sign
+            j = end
+        yield n - j, tuple(signs)
+
+
+def _grid_lines(rows: Sequence, box: Box, step):
+    """(den, last axis, lines along it in lexicographic order): a line is
+    (prefix, vals), vals[i] = n·nums − off·den for row i = (n, off) at the
+    line's first point nums/den.  Refuses a grid over GRID_POINT_BUDGET."""
     step = frac(step)
     if step <= 0:
         raise ValueError("step must be positive")
@@ -382,37 +417,24 @@ def grid_runs(cells: Arrangement, box: Box, step):
                          "coarser --step, a smaller --box or --exact-cells")
     p, q = step.numerator, step.denominator
     axes = [range(k0 * p, k1 * p + 1, p) for k0, k1 in ends]
-    grow = [[n[a] * p for n, _off in cells._rows] for a in range(len(axes))]
+    grow = [[n[a] * p for n, _off in rows] for a in range(len(axes) - 1)]
     first = [sum(map(mul, n, (r.start for r in axes))) - off * q
-             for n, off in cells._rows]
-    return _runs(axes, grow, q, (), first) if size else iter(())
+             for n, off in rows]
+    return q, axes[-1], _lines(axes[:-1], grow, (), first) if size else iter(())
 
 
-def _runs(axes: list[range], grow: list, q: int, prefix: tuple, vals: list):
-    """The runs of the lines through prefix; vals holds each plane's value
-    at their first point.  On a line, plane i is a + b·j at the j-th point,
-    so its sign can change only at ⌊−a/b⌋ + 1, or at r and r + 1 when
-    r = −a/b is an integer."""
-    if len(prefix) + 1 < len(axes):
-        for k in axes[len(prefix)]:
-            yield from _runs(axes, grow, q, prefix + (k,), vals)
-            vals = list(map(add, vals, grow[len(prefix)]))
+def _lines(axes: list[range], grow: list, prefix: tuple, vals: list):
+    """The lines through prefix; a step along axis a adds grow[a] to vals."""
+    a = len(prefix)
+    if a == len(axes):
+        yield prefix, vals
         return
-    last = axes[-1]
-    signs = [(a > 0) - (a < 0) for a in vals]
-    cuts: dict[int, list] = {}
-    for i, (a, b) in enumerate(zip(vals, grow[-1] if len(last) > 1 else ())):
-        if b:
-            r, rem = divmod(-a, b)
-            for c, sign in ((r, 0), (r + 1, 1 if b > 0 else -1))[bool(rem):]:
-                if 0 < c < len(last):
-                    cuts.setdefault(c, []).append((i, sign))
-    j = 0
-    for end in sorted(cuts) + [len(last)]:
-        yield prefix + (last[j],), q, end - j, tuple(signs)
-        for i, sign in cuts.get(end, ()):
-            signs[i] = sign
-        j = end
+    for k in axes[a]:
+        if a + 1 == len(axes):
+            yield prefix + (k,), vals
+        else:
+            yield from _lines(axes, grow, prefix + (k,), vals)
+        vals = list(map(add, vals, grow[a]))
 
 
 def random_rational_points(box: Box, count: int, seed: int):
@@ -438,6 +460,9 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
     sweeps each grid line in one pass over the distinct hyperplanes; each
     run of one arrangement cell, and each sample, costs one lookup of both
     sides' values, which are kept for the last CELL_MEMO_CAP cells met.
+    Every point checked is drawn from grid_points or random_rational_points
+    (a run reads its first point and passes over the rest), so the items
+    those two yield count the points checked.
     """
     t0 = time.monotonic()
     step = frac(step)
@@ -451,25 +476,29 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
     memo: dict[tuple[int, ...], tuple[ZPoly, ...]] = {}
     checked = 0
 
-    def run(runs) -> Optional[dict]:
+    def run(points, runs) -> Optional[dict]:
         nonlocal checked
-        for nums, den, length, key in runs:
+        for length, key in runs:
+            nums, den = next(points)
             vals = memo.get(key)
             if vals is None:
                 if len(memo) >= CELL_MEMO_CAP:
                     memo.clear()
                 vals = memo[key] = cells.values(key)
             a, b = vals
-            checked += length if a == b else 1
             if a != b:
+                checked += 1
                 pt = [str(Fraction(n, den)) for n in nums]
                 return {"point": pt, "lhs": repr(a), "rhs": repr(b)}
+            checked += length
+            if length > 1:  # pass over the run's other points
+                next(islice(points, length - 1, length - 1), None)
         return None
 
-    bad = run(grid_runs(cells, box, step))
+    bad = run(grid_points(box, step), grid_runs(cells, box, step))
     if bad is None and extra_samples > 0:
-        bad = run((nums, den, 1, cells.signs(nums, den)) for nums, den
-                  in random_rational_points(box, extra_samples, seed))
+        samples, again = tee(random_rational_points(box, extra_samples, seed))
+        bad = run(samples, zip(repeat(1), starmap(cells.signs, again)))
     return VerificationReport(name, params, checked, bad is None, bad,
                               time.monotonic() - t0)
 

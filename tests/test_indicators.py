@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indicator_oracle
+from conedec import indicators
 from conedec.indicators import (CELL_MEMO_CAP, GRID_POINT_BUDGET, Arrangement,
                                 IndicatorSum, ZPoly, default_box,
                                 gram_decomposition, grid_points,
@@ -253,6 +254,30 @@ class TestGridWork:
                               samples, 5)
         assert rep.success and rep.points_checked == 9 * 9 * 7 + samples
         assert len(calls) == samples
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_each_point_checked_is_drawn_once(self, pyramid_poly, monkeypatch,
+                                              interior):
+        # the points checked are the items drawn from grid_points and
+        # random_rational_points, up to and including a counterexample
+        drawn = []
+        for name in ("grid_points", "random_rational_points"):
+            def counted(*args, gen=getattr(indicators, name)):
+                for item in gen(*args):
+                    drawn.append(item)
+                    yield item
+            monkeypatch.setattr(indicators, name, counted)
+        rhs = (indicator_of_interior if interior else
+               indicator_of_polytope)(pyramid_poly)
+        rep = verify_identity(gram_decomposition(pyramid_poly), rhs,
+                              default_box(pyramid_poly), Fraction(1, 2), 37, 5)
+        assert len(drawn) == rep.points_checked
+        if interior:
+            nums, den = drawn[-1]
+            assert rep.counterexample["point"] == [
+                str(Fraction(n, den)) for n in nums]
+        else:
+            assert rep.success and rep.points_checked == 9 * 9 * 7 + 37
 
     def test_pyramid_grid_evaluates_each_cell_once(self, pyramid_poly,
                                                    monkeypatch):
