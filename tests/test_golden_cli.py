@@ -7,7 +7,8 @@ re-pin after an intended output change, run from the repository root:
     PYTHONPATH=src python tests/test_golden_cli.py
 
 which picks a fixed generic functional per entry and rewrites
-``tests/golden_cli.json``.
+``tests/golden_cli.json``.  The SEEDED commands pass no ``--xi``, so they
+also pin the functional the CLI draws from ``--seed``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from conedec.jsonio import polytope_to_json
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 MAX_DIM = 3
+SEEDED = [["verify", "--identity", i, "--json", "--seed", s]
+          for i in ("nonsimple", "delta-invariance", "compatible")
+          for s in ("0", "1")]
 
 
 def commands(xi: str) -> list[list[str]]:
@@ -86,7 +90,7 @@ def _pin(tmp_dir: Path) -> list[dict]:
             if not any(codes):
                 break
         rows += [{"entry": name, "argv": argv, "sha256": run(argv, path)}
-                 for argv in argvs]
+                 for argv in argvs + SEEDED]
     return rows
 
 
