@@ -24,13 +24,12 @@ from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          verify_identity, verify_identity_exact,
                          weighted_indicator, whole_space_piece)
 from .linalg import frac, kernel_basis, primitive, rank, solve_linear
-from .polar import (GenericityError, SimplicityError, is_generic,
-                    lv_decomposition, polarization, polarized_tangent_cone,
-                    rearrange_for_vertex, weighted_lv_decomposition,
-                    weighted_polarized_piece_value)
+from .polar import (SimplicityError, is_generic, lv_decomposition,
+                    polarization, polarized_tangent_cone, rearrange_for_vertex,
+                    weighted_lv_decomposition, weighted_polarized_piece_value)
 from .polyhedra import (DegenerateInput, Face, Halfspace, Polytope, binding,
                         center_at_barycenter, halfspace, is_simple_polytope,
-                        is_simple_vertex, polar_dual, polytope_from_halfspaces,
+                        is_simple_vertex, polytope_from_halfspaces,
                         polytope_from_vertices)
 from .triangulation import (DegenerateHeights, regular_triangulation,
                             triangulation_with_retries)

@@ -6,12 +6,16 @@ that reason.  Exit codes: 0 success, 1 mathematical counterexample, 2 bad
 input or usage, 3 internal error (a broken invariant or another unexpected
 failure such as running out of memory: never bad input).
 An option value may start with a minus sign: ``--xi -1,2`` is ``--xi=-1,2``.
+``--xi`` may be any nonzero functional, even one constant on an edge or a
+triangulation ray (ties are broken lexicographically); without it, a
+functional nonconstant on every edge is drawn from ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import sys
 import time
@@ -32,17 +36,14 @@ from .indicators import (ONE, IndicatorSum, VerificationReport, default_box,
 from .jsonio import (gf_to_json, indicator_sum_to_json, polytope_from_json,
                      rat_str)
 from .linalg import frac
-from .polar import (GenericityError, SimplicityError, is_generic,
-                    lv_decomposition, partition_identity, rearrange_for_vertex,
-                    weighted_lv_decomposition)
-from .polyhedra import (DegenerateInput, Polytope, center_at_barycenter,
-                        is_simple_vertex)
+from .polar import (is_generic, lv_decomposition, partition_identity,
+                    rearrange_for_vertex, weighted_lv_decomposition)
+from .polyhedra import Polytope, center_at_barycenter, is_simple_vertex
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
-XI_ATTEMPTS = 50  # seeded functionals tried before asking for --xi
 
 
 class InputError(Exception):
@@ -194,34 +195,20 @@ def _report_exit(reports, as_json: bool, extra: dict | None = None) -> int:
     return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
 
 
-def _seeded_generic_xi(p: Polytope, seed: int):
-    import random as _random
-    rng = _random.Random(seed)
+def _xi(text, p: Polytope, seed: int):
+    """The --xi functional, or else the first edge-generic seeded draw.
+
+    Any nonzero functional is accepted: ties on triangulation rays are
+    broken by the perturbation of `deform.simple_cone_frame`.
+    """
+    if text:
+        return _parse_xi(text, p.dim)
+    rng = random.Random(seed)
     for _ in range(1000):
         cand = tuple(rng.randint(-9, 9) for _ in range(p.dim))
         if any(cand) and is_generic(cand, p):
             return cand
     raise InputError("could not find a generic functional; supply --xi")
-
-
-def _with_generic_xi(p: Polytope, seed: int, fn, xi=None):
-    """Run fn(xi); when xi is seeded, redraw on genericity failures.
-
-    Edge-genericity is necessary but not sufficient for the triangulated
-    paths (the functional must avoid every triangulation hyperplane too),
-    and those rays are only known once the computation runs.
-    """
-    if xi is not None:
-        return xi, fn(xi)
-    last: Exception | None = None
-    for k in range(XI_ATTEMPTS):
-        cand = _seeded_generic_xi(p, seed + 101 * k)
-        try:
-            return cand, fn(cand)
-        except GenericityError as exc:
-            last = exc
-    raise InputError(f"no generic functional found after {XI_ATTEMPTS} draws "
-                     f"(last: {last}); supply --xi")
 
 
 def cmd_verify(args) -> int:
@@ -256,13 +243,13 @@ def cmd_verify(args) -> int:
         return _report_exit(rep, args.json)
 
     if ident == "lv":
-        xi = _parse_xi(args.xi, p.dim) if args.xi else _seeded_generic_xi(p, seed)
+        xi = _xi(args.xi, p, seed)
         return _report_exit(vrfy(lv_decomposition(p, xi), one,
                                  f"lv xi={','.join(map(str, xi))}"),
                             args.json, {"xi": list(xi)})
 
     if ident == "weighted":
-        xi = _parse_xi(args.xi, p.dim) if args.xi else _seeded_generic_xi(p, seed)
+        xi = _xi(args.xi, p, seed)
         w = weighted_lv_decomposition(p, xi)
         reports = [
             vrfy(w, weighted_indicator(p), "weighted"),
@@ -272,7 +259,7 @@ def cmd_verify(args) -> int:
         return _report_exit(reports, args.json)
 
     if ident == "rearrange":
-        xi = _parse_xi(args.xi, p.dim) if args.xi else _seeded_generic_xi(p, seed)
+        xi = _xi(args.xi, p, seed)
         reports = []
         for vid in range(len(p.vertices)):
             lhs, rhs = rearrange_for_vertex(p, vid, xi)
@@ -305,32 +292,25 @@ def cmd_verify(args) -> int:
 
     if ident == "nonsimple":
         heights = _parse_heights(args.heights, p)
-        given = _parse_xi(args.xi, p.dim) if args.xi else None
-        xi, dec = _with_generic_xi(
-            p, seed, lambda x: nonsimple_decomposition(p, x, heights, seed=seed),
-            given)
+        xi = _xi(args.xi, p, seed)
+        dec = nonsimple_decomposition(p, xi, heights, seed=seed)
         return _report_exit(vrfy(dec, one, "nonsimple"), args.json,
                             {"xi": list(xi)})
 
     if ident == "delta-invariance":
         heights = _parse_heights(args.heights, p)
-        given = _parse_xi(args.xi, p.dim) if args.xi else None
-
-        def run_all(x):
-            reports = []
-            for vid in range(len(p.vertices)):
-                tri1 = vertex_triangulation(p, vid, heights.get(vid), seed)
-                tri2 = vertex_triangulation(p, vid, None, seed + 1)
-                reports.append(vrfy(local_contribution(p, vid, tri1, x).sum,
-                                    local_contribution(p, vid, tri2, x).sum,
-                                    f"delta-invariance@v{vid}"))
-            return reports
-
-        xi, reports = _with_generic_xi(p, seed, run_all, given)
+        xi = _xi(args.xi, p, seed)
+        reports = []
+        for vid in range(len(p.vertices)):
+            tri1 = vertex_triangulation(p, vid, heights.get(vid), seed)
+            tri2 = vertex_triangulation(p, vid, None, seed + 1)
+            reports.append(vrfy(local_contribution(p, vid, tri1, xi).sum,
+                                local_contribution(p, vid, tri2, xi).sum,
+                                f"delta-invariance@v{vid}"))
         return _report_exit(reports, args.json, {"xi": list(xi)})
 
     if ident == "compatible":
-        given = _parse_xi(args.xi, p.dim) if args.xi else None
+        xi = _xi(args.xi, p, seed)
         shifted, shift = p, None
         origin = tuple(Fraction(0) for _ in range(p.dim))
         if not p.contains_interior(origin):
@@ -345,9 +325,7 @@ def cmd_verify(args) -> int:
                                  "values (one per facet)")
         else:
             dh = seeded_dual_heights(shifted, seed)
-        xi, dec = _with_generic_xi(
-            shifted, seed, lambda x: compatible_decomposition(shifted, x, dh),
-            given)
+        dec = compatible_decomposition(shifted, xi, dh)
         rep = vrfy(dec, indicator_of_polytope(shifted), "compatible",
                    _parse_box(args.box, shifted))
         extra = {"xi": list(xi)}
@@ -357,9 +335,8 @@ def cmd_verify(args) -> int:
 
     if ident == "positive-conic":
         heights = _parse_heights(args.heights, p)
-        given = _parse_xi(args.xi, p.dim) if args.xi else None
-        xi, contribs = _with_generic_xi(
-            p, seed, lambda x: local_contributions(p, x, heights, seed), given)
+        xi = _xi(args.xi, p, seed)
+        contribs = local_contributions(p, xi, heights, seed)
         rep = positive_conic_check(contribs, xi, samples, seed)
         payload = rep.to_json_dict()
         lines = [f"[{'ok' if rep.success else 'FAIL'}] positive-conic: "
@@ -414,9 +391,8 @@ def cmd_corpus(args) -> int:
             gram_ok = verify_identity(
                 gram_decomposition(p), indicator_of_polytope(p),
                 default_box(p), Fraction(1, 2), 50, args.seed, "gram").success
-            _xi, dec = _with_generic_xi(
-                p, args.seed,
-                lambda x: nonsimple_decomposition(p, x, None, seed=args.seed))
+            dec = nonsimple_decomposition(p, _xi(None, p, args.seed),
+                                          seed=args.seed)
             dec_ok = verify_identity(
                 dec, indicator_of_polytope(p), default_box(p), Fraction(1, 2),
                 50, args.seed, "decomposition").success
@@ -531,10 +507,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (DegenerateInput, GenericityError, SimplicityError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # a broken invariant or a resource failure

@@ -2,13 +2,16 @@
 
 A non-simple vertex is handled by regular-triangulating its normal cone:
 each simplicial cell of normals defines a simple cone containing the tangent
-cone, the functional is written in the cell's basis, negative coefficients
-flip their inequalities strict, and the signed cell sum is the vertex's
-local contribution.  A simple vertex is the one-cell case.  The headline
-fact, that the contribution does not depend on the triangulation, is
-checked by comparing two contributions with `indicators.verify_identity`;
-this module adds the compatible (polar-dual) construction and the
-positivity/conicity checker behind the uniqueness criterion.
+cone, each inequality whose ray the functional decreases along is flipped
+strict, and the signed cell sum is the vertex's local contribution.  A
+simple vertex is the one-cell case.  Ties are broken by symbolic
+perturbation: every cone is polarized for ξ + εe₁ + ε²e₂ + … + εᵈe_d as
+ε → 0⁺, so any nonzero functional works, even one constant on a ray.  The
+headline fact, that the contribution does not depend on the
+triangulation, is checked by comparing two contributions with
+`indicators.verify_identity`; this module adds the compatible (polar-dual)
+construction and the positivity/conicity checker behind the uniqueness
+criterion.
 
 Every polarized simple cone of the library, here and in `polar`, is built
 from one SimpleConeFrame by one piece builder, frame_piece.
@@ -25,15 +28,11 @@ from typing import Optional, Sequence
 from .feasibility import project, witness
 from .indicators import IndicatorSum, LocallyClosedPiece, ZPoly, piece
 from .linalg import (IntVector, Vector, dot, frac, primitive,
-                     simplicial_cone_facet_normals, solve_linear, transpose,
-                     vadd, vec, vec_str, vneg, vsub)
+                     simplicial_cone_facet_normals, vadd, vec, vec_str, vneg,
+                     vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
 from .triangulation import (RETRIES, DegenerateHeights, LiftedTriangulation,
                             regular_triangulation, triangulation_with_retries)
-
-
-class GenericityError(ValueError):
-    """The functional vanishes on an edge or triangulation ray."""
 
 
 def as_functional(xi: Sequence) -> IntVector:
@@ -49,38 +48,30 @@ class SimpleConeFrame:
     """A simple cone {x : normals[i]·x ≥ normals[i]·apex} and a functional.
 
     rays[i] is the edge of the cone off facet i alone: normals[j]·rays[i]
-    is 0 for j ≠ i and positive for j = i.  alpha[i] is the coefficient of
-    normals[i] when the functional is written in the normals' basis, and
-    index counts the negative coefficients.  Without a functional alpha is
-    empty and index 0.
+    is 0 for j ≠ i and positive for j = i.  signs[i] is the sign (±1) of
+    the perturbed functional on rays[i], and index counts the −1s.  Without
+    a functional signs is empty and index 0.
     """
     apex: Vector
     normals: tuple[IntVector, ...]
     rays: tuple[IntVector, ...]
-    alpha: tuple[Fraction, ...]
+    signs: tuple[int, ...]
     index: int
 
 
-def simple_cone_frame(apex: Sequence, normals, xi: Optional[Sequence] = None,
-                      where: str = "") -> SimpleConeFrame:
+def simple_cone_frame(apex: Sequence, normals, xi: Optional[Sequence] = None
+                      ) -> SimpleConeFrame:
     """Frame of the simple cone cut out by d independent normals at an apex.
 
-    A zero coefficient means the functional is constant on a ray of the
-    cone; that is rejected as non-generic, naming the ray (and `where`).
+    The sign on a ray r is that of (ξ + εe₁ + ε²e₂ + … + εᵈe_d)·r as
+    ε → 0⁺: the sign of the first nonzero entry of (ξ·r, r₁, …, r_d).  It
+    is never 0, as r ≠ 0, and it is sign(ξ·r) whenever ξ·r ≠ 0.
     """
     normals = tuple(normals)
-    alpha: tuple[Fraction, ...] = ()
-    if xi is not None:
-        alpha = solve_linear(transpose(normals), xi)
-        if alpha is None:
-            raise AssertionError(f"cone normals {normals} are not a basis")
     rays = simplicial_cone_facet_normals(normals)
-    bad = [r for r, a in zip(rays, alpha) if a == 0]
-    if bad:
-        raise GenericityError(f"functional {tuple(xi)} is constant on ray(s) "
-                              f"{bad} {where}".rstrip())
-    return SimpleConeFrame(vec(apex), normals, rays, tuple(alpha),
-                           sum(1 for a in alpha if a < 0))
+    signs = () if xi is None else tuple(
+        1 if (dot(xi, r), *r) > (0,) * (len(r) + 1) else -1 for r in rays)
+    return SimpleConeFrame(vec(apex), normals, rays, signs, signs.count(-1))
 
 
 # What frame_piece does with facet i, normals[i]·x ≥ normals[i]·apex.
@@ -114,9 +105,9 @@ def frame_piece(frame: SimpleConeFrame, pattern: Sequence[str]
 
 
 def polarized_piece(frame: SimpleConeFrame) -> LocallyClosedPiece:
-    """Keep the facets with positive coefficient, flip the others strict."""
-    return frame_piece(frame, [CLOSED if a > 0 else FLIPPED
-                               for a in frame.alpha])
+    """Keep the facets of rays with sign +1, flip the others strict."""
+    return frame_piece(frame, [CLOSED if s > 0 else FLIPPED
+                               for s in frame.signs])
 
 
 @dataclass(frozen=True)
@@ -166,18 +157,15 @@ def local_contribution(p: Polytope, vid: int, tri: LiftedTriangulation,
                        xi: Sequence) -> LocalContribution:
     """Signed sum over triangulation cells of the polarized simple cones.
 
-    Each cell is a simple-cone frame with the functional written in the
-    basis of the cell's normals; a functional constant on a ray of a cell's
-    cone is rejected as non-generic.
+    Each cell is a simple-cone frame polarized by the perturbed signs of
+    the functional on the cell's rays.
     """
     xi = as_functional(xi)
     v = p.vertices[vid]
     if set(tri.rays) != set(normal_cone_rays(p, vid)):
         raise ValueError("triangulation rays do not match the normal cone "
                          f"of vertex {vec_str(v)}")
-    frames = [simple_cone_frame(v, (tri.rays[j] for j in cell), xi,
-                                f"of triangulation cell {cell} at vertex "
-                                f"{vec_str(v)}")
+    frames = [simple_cone_frame(v, (tri.rays[j] for j in cell), xi)
               for cell in tri.cells]
     terms = tuple((ZPoly.const((-1) ** f.index), polarized_piece(f))
                   for f in frames)
@@ -364,19 +352,3 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
                     "kind": "positive", "vertex": [str(c) for c in v],
                     "direction": list(t), "value": repr(vals[1])})
     return PositiveConicReport(total_dirs, structural, violations)
-
-
-def flip_one_constraint(lc: LocalContribution, term_index: int = 0,
-                        constraint_index: int = 0) -> LocalContribution:
-    """Deliberately corrupt a contribution by flipping one inequality.
-
-    Used to demonstrate that the positive/conic checker rejects wrong
-    families with a concrete witness.
-    """
-    terms = list(lc.sum.terms)
-    coeff, pc = terms[term_index]
-    cons = list(pc.constraints)
-    cons[constraint_index] = cons[constraint_index].complement()
-    terms[term_index] = (coeff, LocallyClosedPiece(pc.dim, tuple(sorted(cons))))
-    return LocalContribution(lc.vertex_id, lc.vertex, lc.xi, lc.cell_indices,
-                             IndicatorSum(lc.sum.dim, tuple(terms)))

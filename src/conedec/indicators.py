@@ -438,16 +438,23 @@ def _lines(axes: list[range], grow: list, prefix: tuple, vals: list):
 
 
 def random_rational_points(box: Box, count: int, seed: int):
-    """Seeded rational samples in the box with small random denominators."""
+    """Seeded rational samples in the box with small random denominators.
+
+    A sample's denominator is raised by an axis's lower-bound denominator
+    when the axis holds no multiple of 1/den, so every sample lies in the
+    box; an empty box yields none.
+    """
     rng = random.Random(seed)
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    if any(lo > hi for lo, hi in box):
+        return
     for _ in range(count):
         den = rng.randint(1, 6)
-        nums = []
         for lo, hi in box:
-            a = ceil(Fraction(lo) * den)
-            b = floor(Fraction(hi) * den)
-            nums.append(rng.randint(a, b) if a <= b else a)
-        yield tuple(nums), den
+            if ceil(lo * den) > floor(hi * den):
+                den *= lo.denominator
+        yield tuple(rng.randint(ceil(lo * den), floor(hi * den))
+                    for lo, hi in box), den
 
 
 def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,

@@ -1,13 +1,16 @@
 """Polarized tangent cones and the polar decomposition of simple polytopes.
 
-Given a generic linear functional, each vertex cone of a simple polytope is
+Given a nonzero linear functional, each vertex cone of a simple polytope is
 "polarized": edge directions on which the functional decreases get flipped
-and their facets turned strict.  The signed sum of the polarized cones over
-all vertices is the indicator function of the polytope; a weighted variant
-refines this face by face.  A simple vertex is the one-cell case of the
-non-simple construction in `deform`, so the plain decomposition is that
-construction restricted to simple polytopes, and every cone here is built
-from the same simple-cone frame.
+and their facets turned strict.  Ties are broken as in `deform`: the
+functional is perturbed to ξ + εe₁ + … + εᵈe_d, so an edge on which ξ is
+constant is flipped when its first nonzero coordinate is negative.  The
+signed sum of the polarized cones over all vertices is the indicator
+function of the polytope; a weighted variant refines this face by face.
+A simple vertex is the one-cell case of the non-simple construction in
+`deform`, so the plain decomposition is that construction restricted to
+simple polytopes, and every cone here is built from the same simple-cone
+frame.
 """
 
 from __future__ import annotations
@@ -15,14 +18,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, GenericityError,
-                     SimpleConeFrame, as_functional, frame_piece,
-                     nonsimple_decomposition, normal_cone_rays,
-                     polarized_piece, simple_cone_frame)
+from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, SimpleConeFrame,
+                     as_functional, frame_piece, nonsimple_decomposition,
+                     normal_cone_rays, polarized_piece, simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
                          tangent_cone_piece, whole_space_piece)
-from .linalg import (IntVector, dot, simplicial_cone_facet_normals, vec_str,
-                     vsub)
+from .linalg import dot, simplicial_cone_facet_normals, vec_str, vsub
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
 
@@ -32,39 +33,22 @@ class SimplicityError(ValueError):
 
 def is_generic(xi: Sequence, p: Polytope) -> bool:
     """True when the functional is nonconstant on every edge."""
-    try:
-        require_generic(xi, p)
-    except GenericityError:
-        return False
-    return True
-
-
-def require_generic(xi: Sequence, p: Polytope) -> IntVector:
-    xi = as_functional(xi)
-    for e in p.edges:
-        a, b = e.vertex_ids
-        t = vsub(p.vertices[b], p.vertices[a])
-        if dot(xi, t) == 0:
-            raise GenericityError(
-                f"functional {xi} is constant on the edge through vertices "
-                f"{vec_str(p.vertices[a])} and {vec_str(p.vertices[b])}")
-    return xi
+    return all(dot(xi, vsub(p.vertices[b], p.vertices[a])) != 0
+               for a, b in (e.vertex_ids for e in p.edges))
 
 
 def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
     """Frame of the tangent cone at a simple vertex, checked against its edges.
 
     Each edge direction must leave exactly one tight facet and be that
-    facet's ray, and the functional must increase along it exactly when the
-    facet's coefficient is positive: the two ways of counting the index
-    (negative alphas / downhill edges) agree, and that is asserted.
+    facet's ray, so the frame's signs are the signs of the perturbed
+    functional on the edges.
     """
     if not is_simple_vertex(p, vid):
         raise SimplicityError(f"vertex {vec_str(p.vertices[vid])} is not simple")
     xi = as_functional(xi)
     v = p.vertices[vid]
-    frame = simple_cone_frame(v, normal_cone_rays(p, vid), xi,
-                              f"at vertex {vec_str(v)}")
+    frame = simple_cone_frame(v, normal_cone_rays(p, vid), xi)
     dirs = p.edge_directions(vid)
     if len(dirs) != p.dim:
         raise SimplicityError(f"vertex {vec_str(v)} has {len(dirs)} edges "
@@ -75,11 +59,7 @@ def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
         if len(hits) != 1 or frame.rays[hits[0]] != t:
             raise AssertionError(f"edge direction {t} at vertex {vec_str(v)} "
                                  "is not the ray off a single tight facet")
-        i = hits[0]
-        paired.add(i)
-        if (frame.alpha[i] > 0) != (dot(xi, t) > 0):
-            raise AssertionError("index definitions disagree: "
-                                 f"alpha={vec_str(frame.alpha)} on edge {t}")
+        paired.add(hits[0])
     if len(paired) != p.dim:
         raise AssertionError("edge/facet pairing incomplete")
     return frame
@@ -96,11 +76,11 @@ def polarized_tangent_cone(p: Polytope, vid: int, xi: Sequence
     """
     frame = polarization(p, vid, xi)
     by_facets = polarized_piece(frame)
-    gens = [r if a > 0 else tuple(-x for x in r)
-            for r, a in zip(frame.rays, frame.alpha)]
+    gens = [r if s > 0 else tuple(-x for x in r)
+            for r, s in zip(frame.rays, frame.signs)]
     by_edges = frame_piece(
         simple_cone_frame(frame.apex, simplicial_cone_facet_normals(gens)),
-        [CLOSED if a > 0 else STRICT for a in frame.alpha])
+        [CLOSED if s > 0 else STRICT for s in frame.signs])
     if by_edges != by_facets:
         raise AssertionError("polarized cone constructions disagree: "
                              f"{by_facets} vs {by_edges}")
@@ -116,17 +96,17 @@ def lv_decomposition(p: Polytope, xi: Sequence) -> IndicatorSum:
     if not is_simple_polytope(p):
         raise SimplicityError("polytope has a non-simple vertex; "
                               "use 'nonsimple' instead")
-    return nonsimple_decomposition(p, require_generic(xi, p))
+    return nonsimple_decomposition(p, xi)
 
 
 def weighted_polarized_piece_value(pol: SimpleConeFrame,
                                    equality_set: Sequence[int]) -> ZPoly:
     """z^{k+}·(1-z)^{k-} for a face of the closed polarized cone.
 
-    k+ counts equalities on facets with positive coefficient, k- the rest.
+    k+ counts equalities on facets whose ray has sign +1, k- the rest.
     """
-    k_plus = sum(1 for i in equality_set if pol.alpha[i] > 0)
-    k_minus = sum(1 for i in equality_set if pol.alpha[i] < 0)
+    k_plus = sum(1 for i in equality_set if pol.signs[i] > 0)
+    k_minus = len(equality_set) - k_plus
     return ZPoly.z_power(k_plus) * ZPoly.one_minus_z_power(k_minus)
 
 
@@ -141,12 +121,11 @@ def weighted_lv_decomposition(p: Polytope, xi: Sequence) -> IndicatorSum:
     """
     if not is_simple_polytope(p):
         raise SimplicityError("polytope has a non-simple vertex")
-    xi = require_generic(xi, p)
     terms = []
     for vid in range(len(p.vertices)):
         pol = polarization(p, vid, xi)
         sign = ZPoly.const((-1) ** pol.index)
-        interior = [STRICT if a > 0 else FLIPPED for a in pol.alpha]
+        interior = [STRICT if s > 0 else FLIPPED for s in pol.signs]
         for r in range(p.dim + 1):
             for eq_set in combinations(range(p.dim), r):
                 pattern = [EQUAL if i in eq_set else how
@@ -162,22 +141,19 @@ def rearrange_for_vertex(p: Polytope, vid: int, xi: Sequence
 
     The signed polarized cone at a vertex equals the alternating sum of the
     tangent cones of exactly the faces whose maximum of the functional sits
-    at that vertex.
+    at that vertex.  Vertices are compared by (ξ·w, w), lexicographically,
+    which is the perturbed functional's order.
     """
-    xi_p = require_generic(xi, p)
-    pol = polarization(p, vid, xi_p)
+    pol = polarization(p, vid, xi)
     lhs = IndicatorSum(p.dim, ((ZPoly.const((-1) ** pol.index),
-                                polarized_tangent_cone(p, vid, xi_p)),))
-    val = dot(xi_p, p.vertices[vid])
-    terms = []
-    for f in p.faces:
-        if vid not in f.vertex_ids:
-            continue
-        others = [dot(xi_p, p.vertices[w]) for w in f.vertex_ids if w != vid]
-        if any(o >= val for o in others):
-            continue
-        terms.append((ZPoly.const((-1) ** f.dim), tangent_cone_piece(p, f)))
-    return lhs, IndicatorSum(p.dim, tuple(terms))
+                                polarized_tangent_cone(p, vid, xi)),))
+
+    def key(w):
+        return dot(xi, p.vertices[w]), p.vertices[w]
+
+    return lhs, IndicatorSum(p.dim, tuple(
+        (ZPoly.const((-1) ** f.dim), tangent_cone_piece(p, f))
+        for f in p.faces if max(f.vertex_ids, key=key) == vid))
 
 
 def partition_pieces(p: Polytope, vid: int) -> list[LocallyClosedPiece]:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .linalg import (DimensionError, IntVector, Vector, dot, frac, idot,
                      kernel_basis, primitive, rank, vadd, vec, vec_str, vneg,
-                     vscale, vsub)
+                     vsub)
 
 
 class DegenerateInput(ValueError):
@@ -178,13 +178,6 @@ class Polytope:
             box.append((min(vals) - inflate, max(vals) + inflate))
         return box
 
-    def vertex_index(self, point: Sequence) -> int:
-        p = vec(point)
-        for i, v in enumerate(self.vertices):
-            if v == p:
-                return i
-        raise ValueError(f"{point} is not a vertex")
-
     def face_of_vertex(self, vid: int) -> Face:
         for f in self.faces:
             if f.dim == 0 and f.vertex_ids == (vid,):
@@ -336,24 +329,6 @@ def is_simple_vertex(p: Polytope, vid: int) -> bool:
 
 def is_simple_polytope(p: Polytope) -> bool:
     return all(is_simple_vertex(p, i) for i in range(len(p.vertices)))
-
-
-def polar_dual(p: Polytope) -> Polytope:
-    """The polar polytope {y : ⟨y, x⟩ ≤ 1 for all x in P}.
-
-    Requires the origin strictly inside; vertices and facets swap roles, and
-    the bijection is checked on construction.
-    """
-    origin = tuple(Fraction(0) for _ in range(p.dim))
-    if not p.contains_interior(origin):
-        raise DegenerateInput("polar dual needs the origin strictly inside; "
-                              "translate first (center_at_barycenter)")
-    dual_hs = [halfspace(vneg(v), Fraction(-1)) for v in p.vertices]
-    dual = polytope_from_halfspaces(dual_hs)
-    expected = {tuple(vscale(1 / h.offset, h.normal)) for h in p.facets}
-    if set(dual.vertices) != expected or len(dual.facets) != len(p.vertices):
-        raise AssertionError("polar dual bijection failed")
-    return dual
 
 
 def center_at_barycenter(p: Polytope) -> tuple[Polytope, Vector]:

@@ -4,11 +4,14 @@ import resource
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 import conedec
+from conedec import indicators
 from conedec.cli import main
-from conedec.corpus import pyramid
+from conedec.corpus import build_corpus, pyramid
 from conedec.jsonio import polytope_to_json
 
 
@@ -186,6 +189,41 @@ class TestVerify:
         first = capsys.readouterr().out
         assert main(args + joined) == 0
         assert first == capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry, extra", [
+        ("random01-4d", ["--xi=7,6,-4,-6", "--seed=1"]),
+        ("random01-4d", ["--xi=7,6,-4,-6", "--seed=3"]),
+        ("pentagon-cone", ["--xi=1,2,5", "--heights", "v0=1,0,1,1,1"]),
+    ], ids=["random01-4d-seed1", "random01-4d-seed3", "pentagon-cone"])
+    def test_functional_constant_on_a_triangulation_ray(self, entry, extra,
+                                                        tmp_path, capsys):
+        # each functional is constant on a ray of a drawn cell; ties are
+        # broken lexicographically instead of refused
+        path = tmp_path / "p.json"
+        p = next(e.build() for e in build_corpus() if e.name == entry)
+        path.write_text(json.dumps(polytope_to_json(p)))
+        assert main(["verify", "--input", str(path), "--identity",
+                     "nonsimple", "--json"] + extra) == 0
+        assert json.loads(capsys.readouterr().out)["success"]
+
+    def test_samples_stay_in_a_box_without_a_multiple_of_one_over_den(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"],
+                                    ["1", "1"]]}))
+        drawn = []
+
+        def recorded(*args, gen=indicators.random_rational_points):
+            for nums, den in gen(*args):
+                drawn.append([Fraction(n, den) for n in nums])
+                yield nums, den
+        monkeypatch.setattr(indicators, "random_rational_points", recorded)
+        assert main(["verify", "--input", str(path), "--identity", "gram",
+                     "--box", "1/3,2/5", "--json"]) == 0
+        assert len(drawn) == 200
+        assert all(Fraction(1, 3) <= x <= Fraction(2, 5)
+                   for point in drawn for x in point)
 
     def test_error_prints_vertices_as_rationals(self, pyramid_file, capsys):
         assert main(["verify", "--input", pyramid_file, "--identity",

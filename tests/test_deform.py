@@ -7,15 +7,20 @@ from hypothesis import strategies as st
 
 import conedec.triangulation as triangulation
 import triangulation_oracle
+from conedec.corpus import build_corpus
 from conedec.deform import (compatible_decomposition, compatible_from_dual,
-                            flip_one_constraint, local_contribution,
-                            local_contributions, nonsimple_decomposition,
-                            normal_cone_rays, positive_conic_check,
-                            seeded_dual_heights, t_sigma, vertex_triangulation)
+                            local_contribution, local_contributions,
+                            nonsimple_decomposition, normal_cone_rays,
+                            positive_conic_check, seeded_dual_heights,
+                            simple_cone_frame, t_sigma, vertex_triangulation)
 from conedec.indicators import (default_box, grid_points,
-                                indicator_of_polytope, verify_identity)
-from conedec.linalg import dot, primitive, solve_linear, transpose
-from conedec.polar import GenericityError, lv_decomposition
+                                indicator_of_interior, indicator_of_polytope,
+                                verify_identity, verify_identity_exact,
+                                weighted_indicator)
+from conedec.linalg import (dot, kernel_basis, primitive, solve_linear,
+                            transpose, vsub)
+from conedec.polar import (lv_decomposition, rearrange_for_vertex,
+                           weighted_lv_decomposition)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
                                polytope_from_vertices)
 from conedec.triangulation import (DegenerateHeights, half_open_flags,
@@ -23,6 +28,7 @@ from conedec.triangulation import (DegenerateHeights, half_open_flags,
                                    triangulation_with_retries)
 
 from conftest import seeded_generic_functionals
+from helpers import flip_one_constraint, vertex_index
 from linalg_oracle import determinant
 
 APEX_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
@@ -31,7 +37,7 @@ BOX6 = [(Fraction(-6), Fraction(6))] * 3
 
 def pyramid_heights(p, ray_heights):
     """Translate heights given in APEX_RAYS order to the polytope's facet order."""
-    apex = p.vertex_index((0, 0, 0))
+    apex = vertex_index(p, (0, 0, 0))
     rays = normal_cone_rays(p, apex)
     return [ray_heights[APEX_RAYS.index(r)] for r in rays]
 
@@ -176,11 +182,19 @@ class TestLocalContribution:
             lc = local_contribution(pyramid_poly, 0, tri, (4, 2, 0))
             assert lc.sum.evaluate((3, 0, 0)).at_one() == -1
 
-    def test_non_generic_functional_names_ray(self, pyramid_poly):
-        tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
-        with pytest.raises(GenericityError) as err:
-            local_contribution(pyramid_poly, 0, tri, (0, 0, 1))
-        assert "ray" in str(err.value)
+    def test_non_generic_functional_matches_other_triangulation(
+            self, pyramid_poly):
+        # (0, 0, 1) is constant on a ray of a cell of each triangulation;
+        # the perturbed signs still give one contribution for both
+        t1 = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
+        t2 = regular_triangulation(APEX_RAYS, [0, 0, 1, 1])
+        for t in (t1, t2):
+            frame = simple_cone_frame((0, 0, 0),
+                                      (t.rays[j] for j in t.cells[0]))
+            assert any(dot((0, 0, 1), r) == 0 for r in frame.rays)
+        rep = verify_identity_exact(*contribution_sums(pyramid_poly, 0,
+                                                       (0, 0, 1), t1, t2))
+        assert rep.success, rep.counterexample
 
     def test_wrong_rays_rejected(self, pyramid_poly):
         tri = regular_triangulation([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [1, 2, 3])
@@ -208,7 +222,7 @@ class TestTSigma:
 
     def test_simple_vertex_single_cell_is_tangent_cone(self, pyramid_poly):
         p = pyramid_poly
-        vid = p.vertex_index((1, 1, 1))
+        vid = vertex_index(p, (1, 1, 1))
         tri = vertex_triangulation(p, vid, seed=0)
         assert len(tri.cells) == 1
         c = t_sigma(p, vid, tri.cells[0], tri)
@@ -232,7 +246,7 @@ class TestDeltaInvariance:
 
     def test_simple_vertex_trivial(self, pyramid_poly):
         p = pyramid_poly
-        vid = p.vertex_index((1, 1, 1))
+        vid = vertex_index(p, (1, 1, 1))
         t1 = vertex_triangulation(p, vid, seed=0)
         t2 = vertex_triangulation(p, vid, seed=1)
         rep = verify_identity(*contribution_sums(p, vid, (4, 2, 0), t1, t2),
@@ -241,7 +255,7 @@ class TestDeltaInvariance:
 
     def test_octahedron_diagonal_pair(self):
         octa = make_octahedron()
-        vid = octa.vertex_index((0, 0, 1))
+        vid = vertex_index(octa, (0, 0, 1))
         rays = normal_cone_rays(octa, vid)
         # two fan triangulations split along the two diagonals of the square
         t1 = triangulation_with_retries(rays, seed=0)
@@ -278,21 +292,14 @@ class TestNonsimpleDecomposition:
 
     def test_octahedron_three_functionals_two_heights(self):
         octa = make_octahedron()
-        functionals = []
-        seed = 0
-        while len(functionals) < 3:
+        for seed in range(3):
             cand = seeded_generic_functionals(octa, 1, seed=seed)[0]
-            try:
-                for hseed in (0, 5):
-                    dec = nonsimple_decomposition(octa, cand, seed=hseed)
-                    rep = verify_identity(dec, indicator_of_polytope(octa),
-                                          default_box(octa), Fraction(1, 2),
-                                          60, hseed)
-                    assert rep.success, (cand, hseed, rep.counterexample)
-                functionals.append(cand)
-            except GenericityError:
-                pass
-            seed += 1
+            for hseed in (0, 5):
+                dec = nonsimple_decomposition(octa, cand, seed=hseed)
+                rep = verify_identity(dec, indicator_of_polytope(octa),
+                                      default_box(octa), Fraction(1, 2),
+                                      60, hseed)
+                assert rep.success, (cand, hseed, rep.counterexample)
 
     def test_pentagon_cone_identity(self, pentagon_cone_poly):
         p = pentagon_cone_poly
@@ -327,7 +334,7 @@ class TestCompatible:
         shifted, shift = center_at_barycenter(pyramid_poly)
         dh = seeded_dual_heights(shifted, 5)
         tris = compatible_from_dual(shifted, dh)
-        apex = shifted.vertex_index(tuple(Fraction(a) + s for a, s in
+        apex = vertex_index(shifted, tuple(Fraction(a) + s for a, s in
                                           zip((0, 0, 0), shift)))
         assert len(tris[apex].cells) == 2  # one of the two apex splittings
         dec = compatible_decomposition(shifted, (4, 2, 1), dh)
@@ -339,7 +346,7 @@ class TestCompatible:
         # the restricted cells must be one of the two triangulations of the
         # square normal cone, depending on the dual heights
         shifted, shift = center_at_barycenter(pyramid_poly)
-        apex = shifted.vertex_index(tuple(Fraction(a) + s for a, s in
+        apex = vertex_index(shifted, tuple(Fraction(a) + s for a, s in
                                           zip((0, 0, 0), shift)))
         rays = normal_cone_rays(shifted, apex)
         both = set()
@@ -364,6 +371,49 @@ class TestCompatible:
             [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
         tris = compatible_from_dual(cube, [1, 2, 3, 4, 5, 6])
         assert all(len(t.cells) == 1 for t in tris.values())
+
+
+def tied_functionals(p):
+    """±e_i, and a functional orthogonal to each of the first two edges:
+    each is constant on some edge or triangulation ray of most entries."""
+    d = p.dim
+    out = [tuple(s * (i == j) for j in range(d))
+           for i in range(d) for s in (1, -1)]
+    for e in p.edges[:2] if d > 1 else ():
+        a, b = e.vertex_ids
+        n = primitive(kernel_basis([vsub(p.vertices[b], p.vertices[a])])[0])
+        if n not in out:
+            out.append(n)
+    return out
+
+
+class TestTiedFunctionals:
+    """Any nonzero functional works: ties are broken lexicographically, and
+    every identity holds exactly on arrangement cells."""
+
+    @pytest.mark.parametrize("name", [e.name for e in build_corpus()
+                                      if e.dim <= 3])
+    def test_identities_hold_exactly(self, name, corpus):
+        entry, p = next((e, q) for e, q in corpus if e.name == name)
+        one = indicator_of_polytope(p)
+        shifted, _ = center_at_barycenter(p)
+        dh = seeded_dual_heights(shifted, 0)
+        checks = []
+        for xi in tied_functionals(p):
+            checks += [(nonsimple_decomposition(p, xi, seed=s), one)
+                       for s in (0, 1)]
+            checks.append((compatible_decomposition(shifted, xi, dh),
+                           indicator_of_polytope(shifted)))
+            if entry.simple:
+                w = weighted_lv_decomposition(p, xi)
+                checks += [(lv_decomposition(p, xi), one),
+                           (w, weighted_indicator(p)),
+                           (w.substitute(0), indicator_of_interior(p))]
+                checks += [rearrange_for_vertex(p, vid, xi)
+                           for vid in range(len(p.vertices))]
+        for k, (lhs, rhs) in enumerate(checks):
+            rep = verify_identity_exact(lhs, rhs)
+            assert rep.success, (name, k, rep.counterexample)
 
 
 class TestPositiveConic:

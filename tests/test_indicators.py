@@ -1,6 +1,8 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from conedec.indicators import (CELL_MEMO_CAP, GRID_POINT_BUDGET, Arrangement,
                                 IndicatorSum, ZPoly, default_box,
                                 gram_decomposition, grid_points,
                                 indicator_of_interior, indicator_of_polytope,
-                                piece, verify_identity, verify_identity_exact,
+                                piece, random_rational_points,
+                                verify_identity, verify_identity_exact,
                                 weighted_indicator, whole_space_piece)
 from conedec.polyhedra import Halfspace, halfspace, polytope_from_vertices
 
@@ -159,6 +162,33 @@ class TestVerifyIdentity:
         r1 = verify_identity(s, s, default_box(SEG), Fraction(1, 2), 25, 9)
         r2 = verify_identity(s, s, default_box(SEG), Fraction(1, 2), 25, 9)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    @pytest.mark.parametrize("box, count", [
+        ([(Fraction(1, 3), Fraction(1, 3)), (Fraction(0), Fraction(5))], 20),
+        ([(Fraction(1, 3), Fraction(2, 5))] * 2, 200),
+    ], ids=["point-axis", "narrow-box"])
+    def test_random_samples_lie_in_the_box(self, box, count):
+        samples = list(random_rational_points(box, count, 0))
+        assert len(samples) == count
+        for nums, den in samples:
+            assert all(lo <= Fraction(n, den) <= hi
+                       for n, (lo, hi) in zip(nums, box))
+
+    def test_random_samples_unchanged_where_every_axis_holds_one(self):
+        # an axis at least 1 wide holds a multiple of 1/den for every den,
+        # so the stream is the one drawn before samples were kept in the box
+        def unraised(box, count, seed):
+            rng = random.Random(seed)
+            for _ in range(count):
+                den = rng.randint(1, 6)
+                yield tuple(rng.randint(ceil(lo * den), floor(hi * den))
+                            for lo, hi in box), den
+        for box in ([(Fraction(-4), Fraction(6))],
+                    [(Fraction(-3, 2), Fraction(1)), (Fraction(1, 3),
+                                                      Fraction(7, 3))]):
+            for seed in range(3):
+                assert list(random_rational_points(box, 50, seed)) == \
+                    list(unraised(box, 50, seed))
 
     def test_oversized_grid_refused_before_iterating(self):
         with pytest.raises(ValueError, match="grid of 1000000000000000001 "

@@ -4,15 +4,16 @@ import pytest
 
 from conedec.indicators import (ZPoly, default_box, indicator_of_interior,
                                 indicator_of_polytope, verify_identity,
-                                weighted_indicator)
-from conedec.polar import (GenericityError, SimplicityError, is_generic,
-                           lv_decomposition, partition_identity, polarization,
+                                verify_identity_exact, weighted_indicator)
+from conedec.polar import (SimplicityError, is_generic, lv_decomposition,
+                           partition_identity, polarization,
                            polarized_tangent_cone, rearrange_for_vertex,
                            weighted_lv_decomposition,
                            weighted_polarized_piece_value)
 from conedec.polyhedra import Halfspace, polytope_from_vertices
 
 from conftest import seeded_generic_functionals
+from helpers import vertex_index
 
 SEG = polytope_from_vertices([(-3,), (5,)])
 SQUARE = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -30,18 +31,24 @@ class TestGenericity:
     def test_pyramid_sweep_functional(self, pyramid_poly):
         assert is_generic((4, 2, 0), pyramid_poly)
 
-    def test_nongeneric_is_hard_error(self):
-        with pytest.raises(GenericityError):
-            lv_decomposition(SQUARE, (1, 0))
+    def test_nongeneric_ties_broken_lexicographically(self):
+        # (1, 0) is constant on two edges; each is flipped when its first
+        # nonzero coordinate is negative
+        lv = lv_decomposition(SQUARE, (1, 0))
+        rep = verify_identity_exact(lv, indicator_of_polytope(SQUARE))
+        assert rep.success, rep.counterexample
+        indices = sorted(polarization(SQUARE, v, (1, 0)).index
+                         for v in range(4))
+        assert indices == [0, 1, 1, 2]
 
 
 class TestPolarization:
     def test_segment_lower_vertex(self):
-        pol = polarization(SEG, SEG.vertex_index((-3,)), (1,))
+        pol = polarization(SEG, vertex_index(SEG, (-3,)), (1,))
         assert pol.index == 0
 
     def test_segment_upper_vertex(self):
-        vid = SEG.vertex_index((5,))
+        vid = vertex_index(SEG, (5,))
         pol = polarization(SEG, vid, (1,))
         assert pol.index == 1
         pc = polarized_tangent_cone(SEG, vid, (1,))
@@ -49,7 +56,7 @@ class TestPolarization:
         assert not pc.contains((5,)) and pc.contains((6,))
 
     def test_square_side_vertex(self):
-        vid = SQUARE.vertex_index((1, 0))
+        vid = vertex_index(SQUARE, (1, 0))
         pol = polarization(SQUARE, vid, (1, 2))
         assert pol.index == 1
         pc = polarized_tangent_cone(SQUARE, vid, (1, 2))
@@ -75,7 +82,7 @@ class TestPolarization:
     def test_non_simple_vertex_rejected(self, pyramid_poly):
         with pytest.raises(SimplicityError):
             polarization(pyramid_poly,
-                         pyramid_poly.vertex_index((0, 0, 0)), (4, 2, 0))
+                         vertex_index(pyramid_poly, (0, 0, 0)), (4, 2, 0))
 
 
 class TestLVDecomposition:
@@ -120,10 +127,10 @@ class TestLVDecomposition:
 
 class TestWeighted:
     def test_piece_values(self):
-        pol = polarization(SQUARE, SQUARE.vertex_index((1, 0)), (1, 2))
+        pol = polarization(SQUARE, vertex_index(SQUARE, (1, 0)), (1, 2))
         assert weighted_polarized_piece_value(pol, ()) == ZPoly.const(1)
-        positive = [i for i, a in enumerate(pol.alpha) if a > 0]
-        negative = [i for i, a in enumerate(pol.alpha) if a < 0]
+        positive = [i for i, s in enumerate(pol.signs) if s > 0]
+        negative = [i for i, s in enumerate(pol.signs) if s < 0]
         assert weighted_polarized_piece_value(pol, positive[:1]) == \
             ZPoly.z_power(1)
         assert weighted_polarized_piece_value(pol, negative[:1]) == \
@@ -156,21 +163,21 @@ class TestWeighted:
 
 class TestRearrange:
     def test_segment_upper_vertex(self):
-        vid = SEG.vertex_index((5,))
+        vid = vertex_index(SEG, (5,))
         lhs, rhs = rearrange_for_vertex(SEG, vid, (1,))
         assert len(rhs.terms) == 2  # the vertex itself and the whole segment
         rep = verify_identity(lhs, rhs, default_box(SEG), Fraction(1, 2), 50, 5)
         assert rep.success
 
     def test_square_top_vertex_gathers_four_faces(self):
-        vid = SQUARE.vertex_index((1, 1))
+        vid = vertex_index(SQUARE, (1, 1))
         lhs, rhs = rearrange_for_vertex(SQUARE, vid, (1, 2))
         assert len(rhs.terms) == 4
         rep = verify_identity(lhs, rhs, default_box(SQUARE), Fraction(1, 2), 50, 5)
         assert rep.success
 
     def test_square_bottom_vertex_alone(self):
-        vid = SQUARE.vertex_index((0, 0))
+        vid = vertex_index(SQUARE, (0, 0))
         lhs, rhs = rearrange_for_vertex(SQUARE, vid, (1, 2))
         assert len(rhs.terms) == 1
         rep = verify_identity(lhs, rhs, default_box(SQUARE), Fraction(1, 2), 50, 5)
