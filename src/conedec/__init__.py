@@ -31,7 +31,6 @@ from .polyhedra import (DegenerateInput, Face, Halfspace, Polytope, binding,
                         center_at_barycenter, halfspace, is_simple_polytope,
                         is_simple_vertex, polytope_from_halfspaces,
                         polytope_from_vertices)
-from .triangulation import (DegenerateHeights, regular_triangulation,
-                            triangulation_with_retries)
+from .triangulation import regular_triangulation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -196,7 +196,8 @@ def _report_exit(reports, as_json: bool, extra: dict | None = None) -> int:
 
 
 def _xi(text, p: Polytope, seed: int):
-    """The --xi functional, or else the first edge-generic seeded draw.
+    """The --xi functional, or else the first edge-generic seeded draw, or
+    the first nonzero one when 1000 draws hold no edge-generic one.
 
     Any nonzero functional is accepted: ties on triangulation rays are
     broken by the perturbation of `deform.simple_cone_frame`.
@@ -204,11 +205,14 @@ def _xi(text, p: Polytope, seed: int):
     if text:
         return _parse_xi(text, p.dim)
     rng = random.Random(seed)
+    first = None
     for _ in range(1000):
         cand = tuple(rng.randint(-9, 9) for _ in range(p.dim))
-        if any(cand) and is_generic(cand, p):
-            return cand
-    raise InputError("could not find a generic functional; supply --xi")
+        if any(cand):
+            if is_generic(cand, p):
+                return cand
+            first = first or cand
+    return first
 
 
 def cmd_verify(args) -> int:

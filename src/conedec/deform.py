@@ -31,8 +31,8 @@ from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, vadd, vec, vec_str, vneg,
                      vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
-from .triangulation import (RETRIES, DegenerateHeights, LiftedTriangulation,
-                            regular_triangulation, triangulation_with_retries)
+from .triangulation import (LiftedTriangulation, regular_triangulation,
+                            seeded_heights)
 
 
 def as_functional(xi: Sequence) -> IntVector:
@@ -135,12 +135,13 @@ def vertex_triangulation(p: Polytope, vid: int,
     """Regular triangulation of the normal cone at a vertex.
 
     Explicit heights (one per tight facet, facet order) reproduce a chosen
-    triangulation; otherwise seeded heights are drawn until simplicial.
+    triangulation; otherwise heights are drawn from the seed.  Tied heights
+    are refined by pulling the rays in facet order.
     """
     rays = normal_cone_rays(p, vid)
-    if heights is not None:
-        return regular_triangulation(rays, heights)
-    return triangulation_with_retries(rays, seed + 1009 * vid)
+    if heights is None:
+        heights = seeded_heights(len(rays), seed + 1009 * vid)
+    return regular_triangulation(rays, heights)
 
 
 def t_sigma(p: Polytope, vid: int, cell: Sequence[int],
@@ -237,16 +238,9 @@ def compatible_decomposition(p: Polytope, xi: Sequence, dual_heights: Sequence
 
 
 def seeded_dual_heights(p: Polytope, seed: int) -> list[Fraction]:
-    """Dual heights drawn until every facet restriction is simplicial."""
+    """Dual heights drawn from the seed; ties are refined by pulling."""
     rng = random.Random(seed)
-    for _ in range(RETRIES):
-        heights = [Fraction(rng.randint(0, 8 * len(p.facets))) for _ in p.facets]
-        try:
-            compatible_from_dual(p, heights)
-            return heights
-        except DegenerateHeights:
-            continue
-    raise ValueError("no generic dual heights found")
+    return [Fraction(rng.randint(0, 8 * len(p.facets))) for _ in p.facets]
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +298,11 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
     Conic: the value along v + λ·t does not change with λ > 0 (checked at
     λ = 1/2, 1, 3 and structurally: every piece's constraints are tight at
     the vertex).  Positive: the value at v + t vanishes whenever the
-    functional decreases along t.  Directions sweep a small integer grid,
-    seeded random vectors, and exact probes into each piece (in particular
-    into any part of a piece on which the functional decreases), so a wrongly
-    flipped piece cannot hide between grid points.
+    perturbed functional of `simple_cone_frame` decreases along t, that is
+    when (ξ·t, t₁, …, t_d) < 0 lexicographically.  Directions sweep a small
+    integer grid, seeded random vectors, and exact probes into each piece
+    (in particular into any part of a piece on which the functional
+    decreases), so a wrongly flipped piece cannot hide between grid points.
     """
     xi = as_functional(xi)
     if isinstance(contribs, dict):
@@ -347,7 +342,7 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
                     "direction": list(t),
                     "values": [repr(x) for x in vals]})
                 continue
-            if dot(xi, t) < 0 and not vals[1].is_zero():
+            if (dot(xi, t), *t) < (0,) * (dim + 1) and not vals[1].is_zero():
                 violations.append({
                     "kind": "positive", "vertex": [str(c) for c in v],
                     "direction": list(t), "value": repr(vals[1])})

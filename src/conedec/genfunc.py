@@ -22,7 +22,8 @@ from .indicators import IndicatorSum, LocallyClosedPiece
 from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
                      rank, residue_box, solve_linear, vec)
 from .polyhedra import Polytope, cone_facets, lineality_of_normals
-from .triangulation import half_open_cells, triangulation_with_retries
+from .triangulation import (half_open_cells, regular_triangulation,
+                            seeded_heights)
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def _half_open_cone_gf(apex: Sequence, rays: Sequence[Sequence[int]],
             return gf_simplicial_cone(apex, rays)
         ray_list, cells = rays, [tuple(range(dim))]
     else:
-        tri = triangulation_with_retries(rays, seed)
+        tri = regular_triangulation(rays, seeded_heights(len(rays), seed))
         ray_list, cells = tri.rays, tri.cells
     acc = zero_gf(dim)
     for cell, (normals, flags) in zip(cells, half_open_cells(ray_list, cells)):

