@@ -1,8 +1,10 @@
-"""Test-only polytope helpers: vertex lookup, the polar dual, and a
-deliberately corrupted local contribution."""
+"""Test-only helpers: vertex lookup, the polar dual, a deliberately
+corrupted local contribution, and the CLI parser's option choices."""
 
+import argparse
 from fractions import Fraction
 
+from conedec.cli import build_parser
 from conedec.deform import LocalContribution
 from conedec.indicators import IndicatorSum, LocallyClosedPiece
 from conedec.linalg import vec, vneg, vscale
@@ -50,3 +52,11 @@ def flip_one_constraint(lc: LocalContribution, term_index: int = 0,
     terms[term_index] = (coeff, LocallyClosedPiece(pc.dim, tuple(sorted(cons))))
     return LocalContribution(lc.vertex_id, lc.vertex, lc.xi, lc.cell_indices,
                              IndicatorSum(lc.sum.dim, tuple(terms)))
+
+
+def option_choices(command: str, option: str) -> list:
+    """The choices of one option of a ``conedec`` subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if option in a.option_strings)

@@ -15,6 +15,8 @@ from conedec.cli import main
 from conedec.corpus import build_corpus, pyramid
 from conedec.jsonio import polytope_to_json
 
+from helpers import option_choices
+
 
 @pytest.fixture()
 def pyramid_file(tmp_path):
@@ -94,6 +96,21 @@ class TestDecompose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["gf"]["pretty"] == "x^-3/(1-x) - x^6/(1-x)"
 
+    def test_drawn_functional_is_the_one_verify_reports(self, pyramid_file,
+                                                        capsys):
+        # without --xi, decompose draws the functional from --seed as verify
+        # does, so the same run with that --xi prints the same decomposition
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "nonsimple", "--seed", "1", "--json"]) == 0
+        xi = json.loads(capsys.readouterr().out)["xi"]
+        args = ["decompose", "--input", pyramid_file, "--method", "nonsimple",
+                "--seed", "1"]
+        assert main(args) == 0
+        drawn = capsys.readouterr().out
+        assert json.loads(drawn)["xi"] == xi
+        assert main(args + [f"--xi={','.join(map(str, xi))}"]) == 0
+        assert capsys.readouterr().out == drawn
+
     def test_byte_identical_reruns(self, pyramid_file, capsys):
         args = ["decompose", "--input", pyramid_file, "--method", "nonsimple",
                 "--xi", "4,2,0", "--seed", "3"]
@@ -123,17 +140,13 @@ class TestVerify:
         assert main(["verify", "--input", segment_file, "--identity", "lv",
                      "--xi", "1", "--exact-cells"]) == 0
 
-    @pytest.mark.parametrize("identity, fixture, extra", [
-        ("partition", "cube_file", []),
-        ("delta-invariance", "pyramid_file", ["--xi", "4,2,0"]),
-        ("compatible", "pyramid_file", ["--xi", "4,2,1"]),
-        ("eq6", "pyramid_file", []),
-    ], ids=["partition", "delta-invariance", "compatible", "eq6"])
-    def test_exact_cells_honoured(self, identity, fixture, extra, request,
-                                  capsys):
+    @pytest.mark.parametrize("identity", list(cli.IDENTITIES))
+    def test_exact_cells_honoured(self, identity, request, capsys):
+        # eq6 needs a non-simple vertex; every other identity holds on the cube
+        fixture = "pyramid_file" if identity == "eq6" else "cube_file"
         path = request.getfixturevalue(fixture)
         assert main(["verify", "--input", path, "--identity", identity,
-                     "--exact-cells", "--json"] + extra) == 0
+                     "--exact-cells", "--json"]) == 0
         reports = json.loads(capsys.readouterr().out)["reports"]
         assert reports
         for r in reports:
@@ -143,6 +156,35 @@ class TestVerify:
         for identity in ("brion", "positive-conic"):
             assert main(["verify", "--input", pyramid_file, "--identity",
                          identity, "--xi", "4,2,0", "--exact-cells"]) == 2
+
+    def test_identity_choices_are_the_table(self):
+        assert option_choices("verify", "--identity") == [
+            *cli.IDENTITIES, "brion", "positive-conic"]
+        methods = option_choices("decompose", "--method")
+        assert "brion-gf" in methods
+        assert all(m.removesuffix("-lv") in cli.IDENTITIES
+                   for m in methods if m != "brion-gf")
+
+    @pytest.mark.parametrize("identity", [
+        "lv", "weighted", "rearrange", "nonsimple", "delta-invariance",
+        "compatible", "positive-conic"])
+    def test_drawn_functional_is_reported(self, identity, cube_file, capsys):
+        # the JSON names the functional drawn from --seed, and passing it as
+        # --xi reproduces the run
+        args = ["verify", "--input", cube_file, "--identity", identity,
+                "--seed", "2", "--samples", "8", "--json"]
+        assert main(args) == 0
+        drawn = capsys.readouterr().out
+        cube = cli._load_polytope(cube_file)
+        xi = json.loads(drawn)["xi"]
+        assert tuple(xi) == cli._xi(None, cube, 2)
+        assert main(args + [f"--xi={','.join(map(str, xi))}"]) == 0
+        assert capsys.readouterr().out == drawn
+
+    def test_zero_functional_is_input_error(self, pyramid_file, capsys):
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "nonsimple", "--xi=0,0,0"]) == 2
+        assert capsys.readouterr().err == "error: --xi must be nonzero\n"
 
     def test_weighted_cube(self, cube_file):
         assert main(["verify", "--input", cube_file, "--identity", "weighted",
@@ -274,6 +316,18 @@ class TestBadInput:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["count", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["count", "corpus"])
+    def test_unreadable_json_messages(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main([command, "--input", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {missing}: ")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main([command, "--input", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not valid JSON: ")
 
     def test_lower_dimensional_polytope(self, tmp_path, capsys):
         path = tmp_path / "flat.json"

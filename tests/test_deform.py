@@ -13,14 +13,13 @@ from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             nonsimple_decomposition, normal_cone_rays,
                             positive_conic_check, seeded_dual_heights,
                             simple_cone_frame, t_sigma, vertex_triangulation)
+from conedec.cli import IDENTITIES, InputError, build_parser
 from conedec.indicators import (default_box, grid_points,
-                                indicator_of_interior, indicator_of_polytope,
-                                verify_identity, verify_identity_exact,
-                                weighted_indicator)
+                                indicator_of_polytope, verify_identity,
+                                verify_identity_exact)
 from conedec.linalg import (dot, kernel_basis, primitive, solve_linear,
                             transpose, vsub)
-from conedec.polar import (lv_decomposition, rearrange_for_vertex,
-                           weighted_lv_decomposition)
+from conedec.polar import SimplicityError, lv_decomposition
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
                                is_simple_vertex, polytope_from_vertices)
 from conedec.triangulation import (half_open_flags, regular_triangulation,
@@ -451,31 +450,33 @@ def tied_functionals(p):
 
 class TestTiedFunctionals:
     """Any nonzero functional works: ties are broken lexicographically, and
-    every identity holds exactly on arrangement cells."""
+    every identity of the CLI's table holds exactly on arrangement cells."""
+
+    SIMPLE_ONLY = {"lv", "weighted", "rearrange", "partition"}
+    NONSIMPLE_ONLY = {"eq6"}
 
     @pytest.mark.parametrize("name", [e.name for e in build_corpus()
                                       if e.dim <= 3])
     def test_identities_hold_exactly(self, name, corpus):
         entry, p = next((e, q) for e, q in corpus if e.name == name)
-        one = indicator_of_polytope(p)
-        shifted, _ = center_at_barycenter(p)
-        dh = seeded_dual_heights(shifted, 0)
-        checks = []
+        parser = build_parser()
         for xi in tied_functionals(p):
-            checks += [(nonsimple_decomposition(p, xi, seed=s), one)
-                       for s in (0, 1)]
-            checks.append((compatible_decomposition(shifted, xi, dh),
-                           indicator_of_polytope(shifted)))
-            if entry.simple:
-                w = weighted_lv_decomposition(p, xi)
-                checks += [(lv_decomposition(p, xi), one),
-                           (w, weighted_indicator(p)),
-                           (w.substitute(0), indicator_of_interior(p))]
-                checks += [rearrange_for_vertex(p, vid, xi)
-                           for vid in range(len(p.vertices))]
-        for k, (lhs, rhs) in enumerate(checks):
-            rep = verify_identity_exact(lhs, rhs)
-            assert rep.success, (name, k, rep.counterexample)
+            for ident, build in IDENTITIES.items():
+                args = parser.parse_args(
+                    ["verify", "--input", name, "--identity", ident,
+                     f"--xi={','.join(map(str, xi))}"])
+                try:
+                    pairs, _ = build(p, args)
+                except (InputError, SimplicityError):
+                    # the only refusals: a simple polytope's identity on a
+                    # non-simple entry, or eq6 on a simple one
+                    skip = (self.NONSIMPLE_ONLY if entry.simple
+                            else self.SIMPLE_ONLY)
+                    assert ident in skip, (name, ident)
+                    continue
+                for label, lhs, rhs, *_ in pairs:
+                    rep = verify_identity_exact(lhs, rhs)
+                    assert rep.success, (name, xi, label, rep.counterexample)
 
 
 class TestPositiveConic:
