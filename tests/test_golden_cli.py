@@ -6,9 +6,11 @@ re-pin after an intended output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-which picks a fixed generic functional per entry and rewrites
-``tests/golden_cli.json``.  The SEEDED commands pass no ``--xi``, so they
-also pin the functional the CLI draws from ``--seed``.
+which keeps each entry's pinned functional (a new entry gets the first
+seeded generic one on which every command succeeds) and rewrites
+``tests/golden_cli.json``.  The SEEDED commands run every ``verify
+--identity`` choice and pass no ``--xi``, so they also pin the functional
+the CLI draws from ``--seed``.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from conedec import build_corpus, is_generic
 from conedec.cli import main
 from conedec.jsonio import polytope_to_json
 
+from helpers import option_choices
+
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 MAX_DIM = 3
 SEEDED = [["verify", "--identity", i, "--json", "--seed", s]
-          for i in ("nonsimple", "delta-invariance", "compatible")
+          for i in option_choices("verify", "--identity")
           for s in ("0", "1")]
 
 
@@ -72,25 +76,33 @@ def test_golden_cli_output(tmp_path):
     assert not mismatched, "output changed for:\n" + "\n".join(mismatched)
 
 
+def _first_clean_xi(p, path: str) -> str:
+    """The first seeded generic functional on which every command exits 0."""
+    rng = random.Random(0)
+    while True:
+        xi = tuple(rng.randint(-9, 9) for _ in range(p.dim))
+        if not any(xi) or not is_generic(xi, p):
+            continue
+        text = ",".join(map(str, xi))
+        codes = []
+        for argv in commands(text):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main(argv + ["--input", path]))
+        if not any(codes):
+            return text
+
+
 def _pin(tmp_dir: Path) -> list[dict]:
     rows = []
     polys = {e.name: e.build() for e in build_corpus() if e.dim <= MAX_DIM}
+    pinned = {row["entry"]: arg.removeprefix("--xi=")
+              for row in json.loads(GOLDEN.read_text())
+              for arg in row["argv"] if arg.startswith("--xi=")}
     for name, path in entry_files(tmp_dir).items():
-        p, rng = polys[name], random.Random(0)
-        while True:
-            xi = tuple(rng.randint(-9, 9) for _ in range(p.dim))
-            if not any(xi) or not is_generic(xi, p):
-                continue
-            argvs = commands(",".join(map(str, xi)))
-            codes = []
-            for argv in argvs:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    codes.append(main(argv + ["--input", path]))
-            if not any(codes):
-                break
+        xi = pinned.get(name) or _first_clean_xi(polys[name], path)
         rows += [{"entry": name, "argv": argv, "sha256": run(argv, path)}
-                 for argv in argvs + SEEDED]
+                 for argv in commands(xi) + SEEDED]
     return rows
 
 
