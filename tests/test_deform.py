@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import conedec.triangulation as triangulation
 import triangulation_oracle
+from conedec.cli import IDENTITIES, InputError, build_parser
 from conedec.corpus import build_corpus
 from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             local_contribution, local_contributions,
                             nonsimple_decomposition, normal_cone_rays,
                             positive_conic_check, seeded_dual_heights,
                             simple_cone_frame, t_sigma, vertex_triangulation)
-from conedec.cli import IDENTITIES, InputError, build_parser
 from conedec.indicators import (default_box, grid_points,
                                 indicator_of_polytope, verify_identity,
                                 verify_identity_exact)
