@@ -10,7 +10,9 @@ which keeps each entry's pinned functional (a new entry gets the first
 seeded generic one on which every command succeeds) and rewrites
 ``tests/golden_cli.json``.  The SEEDED commands run every ``verify
 --identity`` choice and pass no ``--xi``, so they also pin the functional
-the CLI draws from ``--seed``.
+the CLI draws from ``--seed``.  The ``--exact-cells`` commands pin the
+arrangement-cell walk, including its cell count and, for ``lv`` on a
+non-simple entry, the refusal.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import random
 from pathlib import Path
 
-from conedec import build_corpus, is_generic
+from conedec import build_corpus, is_generic, is_simple_polytope
 from conedec.cli import main
 from conedec.jsonio import polytope_to_json
 
@@ -41,6 +43,8 @@ def commands(xi: str) -> list[list[str]]:
            for m in ("gram", "nonsimple") for s in ("0", "1")]
     out += [["verify", "--identity", i, f"--xi={xi}", "--json"]
             for i in ("nonsimple", "compatible")]
+    out += [["verify", "--identity", i, f"--xi={xi}", "--exact-cells",
+             "--json"] for i in ("gram", "lv", "nonsimple")]
     out += [["count", "--json"]]
     out += [["decompose", "--method", "brion-gf", "--seed", s]
             for s in ("0", "1")]
@@ -77,19 +81,22 @@ def test_golden_cli_output(tmp_path):
 
 
 def _first_clean_xi(p, path: str) -> str:
-    """The first seeded generic functional on which every command exits 0."""
+    """The first seeded generic functional on which every command exits 0,
+    but `lv`, which a non-simple polytope refuses (exit 2) for every one."""
+    refused = set() if is_simple_polytope(p) else {"lv"}
     rng = random.Random(0)
     while True:
         xi = tuple(rng.randint(-9, 9) for _ in range(p.dim))
         if not any(xi) or not is_generic(xi, p):
             continue
         text = ",".join(map(str, xi))
-        codes = []
+        bad = False
         for argv in commands(text):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                codes.append(main(argv + ["--input", path]))
-        if not any(codes):
+                code = main(argv + ["--input", path])
+            bad |= code != (2 if refused.intersection(argv) else 0)
+        if not bad:
             return text
 
 
