@@ -14,12 +14,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat, starmap, tee
-from math import ceil, floor, prod
+from math import ceil, floor, gcd, lcm, prod
 from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point, project, witness
-from .linalg import dot, frac, vec
+from .linalg import frac, vec
 from .polyhedra import Face, Halfspace, Polytope, binding
 
 
@@ -293,6 +293,21 @@ class Arrangement:
         # n·x ≥ p/q scaled to q·n·x ≥ p: a point nums/den needs integers only
         self._rows = [(tuple(a * h.offset.denominator for a in h.normal),
                        h.offset.numerator) for h in self.planes]
+        # per sum, its terms with no requirement on the last plane, and the
+        # others with their requirements split into (other planes, last)
+        last = len(self.planes) - 1
+        self._split = []
+        for terms in self._sums:
+            rest, on_last = [], []
+            for cs, reqs in terms:
+                ends = tuple((o, t) for i, o, t in reqs if i == last)
+                if ends:
+                    on_last.append((cs, tuple(r for r in reqs if r[0] != last),
+                                    ends))
+                else:
+                    rest.append((cs, reqs))
+            width = max((len(cs) for cs, _reqs in terms), default=0)
+            self._split.append((width, rest, on_last))
 
     def signs(self, nums: Sequence[int], den: int) -> tuple[int, ...]:
         """The side (1, 0 or -1) of each plane on which nums/den lies."""
@@ -315,6 +330,39 @@ class Arrangement:
                     acc[:len(cs)] = map(add, acc, cs)
             out.append(ZPoly(_trim(acc)))
         return tuple(out)
+
+    def values_along(self, signs: Sequence[int]):
+        """For a sign vector on every plane but the last: the function from
+        the last plane's sign to values(signs + (sign,)).  The terms with no
+        requirement on the last plane are summed here, once for all three
+        sibling cells; each call adds only the terms that have one."""
+        parts = []
+        for width, rest, on_last in self._split:
+            acc = [0] * width
+            for cs, reqs in rest:
+                if _holds(reqs, signs):
+                    acc[:len(cs)] = map(add, acc, cs)
+            parts.append((acc, [(cs, ends) for cs, reqs, ends in on_last
+                                if _holds(reqs, signs)]))
+
+        def at(sign: int) -> tuple[ZPoly, ...]:
+            out = []
+            for acc, live in parts:
+                acc = list(acc)
+                for cs, ends in live:
+                    if all(o * sign >= t for o, t in ends):
+                        acc[:len(cs)] = map(add, acc, cs)
+                out.append(ZPoly(_trim(acc)))
+            return tuple(out)
+        return at
+
+
+def _holds(reqs, signs: Sequence[int]) -> bool:
+    """Whether every requirement (i, o, t), o·signs[i] ≥ t, holds."""
+    for i, o, t in reqs:
+        if o * signs[i] < t:
+            return False
+    return True
 
 
 Box = Sequence[tuple[Fraction, Fraction]]
@@ -517,42 +565,108 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
     Splits space by every constraint hyperplane appearing on either side and
     checks each nonempty sign cell once; both sides are constant on cells,
     so this is a complete decision procedure.  Exponential in the number of
-    hyperplanes; intended for small identities (--exact-cells).  A branch
-    extends its parent's projection, and solves for a witness only if the
-    parent's does not lie in it (it is then projected only when popped).
+    hyperplanes; intended for small identities (--exact-cells).
+
+    The cells are searched depth first, plane by plane, and each node
+    settles its children from what it already knows before it projects:
+    the side of its plane that the node's point lies on is a child; when
+    the plane's normal lies in the span of the normals of the node's `=`
+    planes, n·x is constant on the cell and that side is the only child;
+    and when both strict sides are nonempty, so is the `=` side, because
+    the cell is convex, with the point where the segment between the two
+    strict sides' points crosses the plane.  Only the other sides extend
+    the node's projection (feasibility.project), and only those get a
+    point of their own (feasibility.witness).  A mismatching cell reports
+    the witness of its own rows, a point that depends only on the cell.
     """
     t0 = time.monotonic()
     dim = lhs.dim
     cells = Arrangement((lhs, rhs))
-    planes = cells.planes
-    checked = 0
-    bad: Optional[dict] = None
-    # (sign vector so far, levels, rows not yet projected, a point in the cell)
-    stack = [((), (), [], (Fraction(0),) * dim)]
-    while stack and bad is None:
-        signs, levels, rows, w = stack.pop()
-        if len(signs) == len(planes):
-            checked += 1
-            a, b = cells.values(signs)
-            if a != b:
-                w = witness(project(levels, rows, dim))  # the canonical witness
-                bad = {"point": [str(c) for c in w], "lhs": repr(a), "rhs": repr(b)}
-            continue
-        levels = project(levels, rows, dim)
-        h = planes[len(signs)]
+    last = len(cells.planes) - 1
+    # per plane, the rows of its sides n·x > off, n·x = off and n·x < off
+    sides = []
+    for h in cells.planes:
         neg = Halfspace(tuple(-a for a in h.normal), -h.offset)
-        v = dot(h.normal, w) - h.offset
+        sides.append({1: [neg.complement()], 0: [h, neg], -1: [h.complement()]})
+    checked = 0
+
+    def check(values, levels, rows) -> Optional[dict]:
+        nonlocal checked
+        checked += 1
+        a, b = values
+        if a == b:
+            return None
+        w = witness(project(levels, rows, dim))  # the canonical witness
+        return {"point": [str(c) for c in w], "lhs": repr(a), "rhs": repr(b)}
+
+    bad = check(cells.values(()), (), []) if last < 0 else None
+    # (sign vector so far, levels, rows not yet projected, the normals of
+    # the `=` planes in echelon form, a point nums/den in the cell)
+    stack = [((), (), [], (), ((0,) * dim, 1))] if last >= 0 else []
+    while stack and bad is None:
+        signs, levels, rows, basis, w = stack.pop()
+        k = len(signs)
+        inner = k < last  # the children need points of their own
+        normal, off = cells._rows[k]
+        v = sum(map(mul, normal, w[0])) - off * w[1]
         side = (v > 0) - (v < 0)
-        leaf = len(signs) + 1 == len(planes)
-        branches = [
-            (1, [neg.complement()]),  # n·x > off
-            (0, [h, neg]),            # n·x = off
-            (-1, [h.complement()]),   # n·x < off
-        ]
-        for s, br in reversed(branches):
-            if s == side:
-                stack.append((signs + (s,), levels, br, w))
-            elif (lv := project(levels, br, dim)) is not None:
-                stack.append((signs + (s,), lv, [], None if leaf else witness(lv)))
+        eq = _reduce(basis, normal)
+        if eq is None:  # n·x is constant on the cell: its rows imply side
+            kids = {side: (levels, rows, basis, w)}
+        else:
+            if rows:
+                levels = project(levels, rows, dim)
+            grown = basis + (eq,)
+            kids = {side: (levels, sides[k][side],
+                           grown if side == 0 else basis, w)}
+            for s in ((1, -1) if side == 0 else (-side, 0)):
+                if s == 0 and -side in kids:  # between two strict points
+                    u = kids[-side][3]
+                    kids[0] = (levels, sides[k][0], grown,
+                               _crossing(normal, off, w, u) if inner else None)
+                elif (lv := project(levels, sides[k][s], dim)) is not None:
+                    kids[s] = (lv, [], grown if s == 0 else basis,
+                               _scaled(witness(lv)) if inner else None)
+        order = [s for s in (1, 0, -1) if s in kids]
+        if inner:
+            stack.extend((signs + (s,), *kids[s]) for s in reversed(order))
+            continue
+        at = cells.values_along(signs)
+        for s in order:
+            if (bad := check(at(s), *kids[s][:2])) is not None:
+                break
     return VerificationReport(name, {"mode": "exact-cells"}, checked,
                               bad is None, bad, time.monotonic() - t0)
+
+
+def _reduce(basis: tuple, normal: Sequence[int]) -> Optional[tuple]:
+    """The normal reduced fraction-free against an echelon basis of
+    (pivot, row) pairs, each row zero at the pivots before its own, as the
+    pair that extends the basis; None when the normal lies in its span."""
+    n = normal
+    for piv, b in basis:
+        if c := n[piv]:
+            n = [b[piv] * x - c * y for x, y in zip(n, b)]
+    piv = next((i for i, x in enumerate(n) if x), None)
+    if piv is None:
+        return None
+    g = gcd(*n)
+    return piv, tuple(x // g for x in n)
+
+
+def _crossing(n: Sequence[int], off: int, wa: tuple, wb: tuple) -> tuple:
+    """Where the segment between the points wa and wb (each nums/den) on
+    opposite strict sides of the plane n·x = off meets it."""
+    (a, p), (b, q) = wa, wb
+    va = sum(map(mul, n, a)) - off * p
+    vb = sum(map(mul, n, b)) - off * q
+    nums = [va * y - vb * x for x, y in zip(a, b)]
+    den = va * q - vb * p
+    g = gcd(den, *nums) * ((den > 0) - (den < 0))
+    return tuple(x // g for x in nums), den // g
+
+
+def _scaled(point: Sequence[Fraction]) -> tuple:
+    """A rational point as (nums, den) with den the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (den // c.denominator) for c in point), den

@@ -424,13 +424,32 @@ class TestAgainstOracle:
                                                 seed)
         assert got.to_json_dict() == want.to_json_dict()
 
-    @given(identities())
+    @given(identities(max_dim=4, flat=True))
     @settings(max_examples=60, deadline=None)
     def test_exact_reports_match(self, ident):
         _dim, lhs, rhs = ident
         assert (verify_identity_exact(lhs, rhs).to_json_dict()
                 == indicator_oracle.verify_identity_exact(lhs, rhs)
                 .to_json_dict())
+
+    @pytest.mark.parametrize("extra", [
+        # only at (2/3, 1/3), where x + y = 1 crosses x = 2y
+        [halfspace((1, 1), 1), halfspace((-1, -1), -1),
+         halfspace((1, -2), 0), halfspace((-1, 2), 0)],
+        # only on the open segment of x + y = 1 with 0 < x < 2
+        [halfspace((1, 1), 1), halfspace((-1, -1), -1),
+         halfspace((1, 0), 0, True), halfspace((-1, 0), -2, True)],
+    ], ids=["crossing", "open-segment"])
+    def test_exact_mismatch_on_a_lower_dimensional_cell(self, extra):
+        # the `=` cells are settled by convexity and by the span of their
+        # equations, yet the report names the point a search on the failing
+        # cell itself finds
+        base = indicator(2, halfspace((0, 1), -3), halfspace((2, -1), -4))
+        rep = verify_identity_exact(base, base + indicator(2, *extra))
+        want = indicator_oracle.verify_identity_exact(
+            base, base + indicator(2, *extra))
+        assert not rep.success
+        assert rep.to_json_dict() == want.to_json_dict()
 
     def test_exact_counterexample_off_the_origin(self):
         # the sides differ where y > -3; the first such cell, x > 1 and
@@ -469,3 +488,21 @@ class TestAgainstOracle:
         assert got.to_json_dict() == want.to_json_dict()
         assert got.points_checked == 101
         assert 0 < 3 * len(solved) <= len(calls)
+
+    def test_exact_pyramid_gram_projects_less(self, pyramid_poly,
+                                              monkeypatch):
+        # a plane constant on the cell, or an `=` side between two nonempty
+        # strict sides, is settled without feasibility.project: 184 calls,
+        # where projecting every side the parent's point misses made 273
+        import conedec.indicators
+        from conedec.feasibility import project
+        calls = []
+
+        def counted(levels, rows, dim):
+            calls.append(1)
+            return project(levels, rows, dim)
+        monkeypatch.setattr(conedec.indicators, "project", counted)
+        rep = verify_identity_exact(gram_decomposition(pyramid_poly),
+                                    indicator_of_polytope(pyramid_poly))
+        assert rep.success and rep.points_checked == 101
+        assert len(calls) < 273
