@@ -23,10 +23,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence
 
 from .feasibility import project, witness
-from .indicators import IndicatorSum, LocallyClosedPiece, ZPoly, piece
+from .indicators import (Arrangement, IndicatorSum, LocallyClosedPiece, ZPoly,
+                         piece)
 from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, vadd, vec, vec_str, vneg,
                      vsub)
@@ -320,10 +322,13 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
             base_dirs.append(t)
     structural = True
     violations: list[dict] = []
-    lambdas = (Fraction(1, 2), Fraction(1), Fraction(3))
+    lambdas = ((1, 2), (1, 1), (3, 1))  # λ = p/q
     total_dirs = 0
     for lc in family:
         v = lc.vertex
+        e = lcm(*(c.denominator for c in v))
+        a = [c.numerator * (e // c.denominator) for c in v]  # v = a/e
+        cells = Arrangement((lc.sum,))
         dirs = list(base_dirs)
         for _c, pc in lc.sum.terms:
             for h in pc.constraints:
@@ -333,9 +338,10 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
                 if probe not in dirs:
                     dirs.append(probe)
         total_dirs += len(dirs)
-        for t in dirs:
-            vals = [lc.sum.evaluate(vadd(v, tuple(lam * x for x in t)))
-                    for lam in lambdas]
+        for t in dirs:  # v + (p/q)·t = (q·a + p·e·t) / (q·e)
+            vals = [cells.values(cells.signs(
+                [q * x + p * e * y for x, y in zip(a, t)], q * e))[0]
+                for p, q in lambdas]
             if not (vals[0] == vals[1] == vals[2]):
                 violations.append({
                     "kind": "conic", "vertex": [str(c) for c in v],
