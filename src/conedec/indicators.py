@@ -587,7 +587,8 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
     sides = []
     for h in cells.planes:
         neg = Halfspace(tuple(-a for a in h.normal), -h.offset)
-        sides.append({1: [neg.complement()], 0: [h, neg], -1: [h.complement()]})
+        sides.append({1: [neg.complement()], 0: [h, neg],
+                      -1: [h.complement()]})
     checked = 0
 
     def check(values, levels, rows) -> Optional[dict]:
