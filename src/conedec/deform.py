@@ -23,12 +23,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Optional, Sequence
 
 from .feasibility import project, witness
 from .indicators import (Arrangement, IndicatorSum, LocallyClosedPiece, ZPoly,
-                         piece)
+                         piece, scaled_point)
 from .linalg import (IntVector, Vector, dot, frac, primitive,
                      simplicial_cone_facet_normals, vadd, vec, vec_str, vneg,
                      vsub)
@@ -39,6 +38,15 @@ from .triangulation import (LiftedTriangulation, regular_triangulation,
 
 def as_functional(xi: Sequence) -> IntVector:
     return primitive(vec(xi))
+
+
+def perturbed_key(xi: Sequence, x: Sequence) -> tuple:
+    """(ξ·x, x₁, …, x_d), whose lexicographic order is the order of
+    (ξ + εe₁ + ε²e₂ + … + εᵈe_d)·x as ε → 0⁺.  Every tie of the functional
+    in the library is broken by this order; the perturbed functional is
+    positive on x exactly when the key is above (0, …, 0).
+    """
+    return (dot(xi, x), *x)
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +73,14 @@ def simple_cone_frame(apex: Sequence, normals, xi: Optional[Sequence] = None
                       ) -> SimpleConeFrame:
     """Frame of the simple cone cut out by d independent normals at an apex.
 
-    The sign on a ray r is that of (ξ + εe₁ + ε²e₂ + … + εᵈe_d)·r as
-    ε → 0⁺: the sign of the first nonzero entry of (ξ·r, r₁, …, r_d).  It
-    is never 0, as r ≠ 0, and it is sign(ξ·r) whenever ξ·r ≠ 0.
+    The sign on a ray r is that of the perturbed functional, read from
+    perturbed_key(ξ, r).  It is never 0, as r ≠ 0, and it is sign(ξ·r)
+    whenever ξ·r ≠ 0.
     """
     normals = tuple(normals)
     rays = simplicial_cone_facet_normals(normals)
     signs = () if xi is None else tuple(
-        1 if (dot(xi, r), *r) > (0,) * (len(r) + 1) else -1 for r in rays)
+        1 if perturbed_key(xi, r) > (0,) * (len(r) + 1) else -1 for r in rays)
     return SimpleConeFrame(vec(apex), normals, rays, signs, signs.count(-1))
 
 
@@ -300,11 +308,11 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
     Conic: the value along v + λ·t does not change with λ > 0 (checked at
     λ = 1/2, 1, 3 and structurally: every piece's constraints are tight at
     the vertex).  Positive: the value at v + t vanishes whenever the
-    perturbed functional of `simple_cone_frame` decreases along t, that is
-    when (ξ·t, t₁, …, t_d) < 0 lexicographically.  Directions sweep a small
-    integer grid, seeded random vectors, and exact probes into each piece
-    (in particular into any part of a piece on which the functional
-    decreases), so a wrongly flipped piece cannot hide between grid points.
+    perturbed functional decreases along t, that is when perturbed_key(ξ, t)
+    is below (0, …, 0).  Directions sweep a small integer grid, seeded
+    random vectors, and exact probes into each piece (in particular into
+    any part of a piece on which the functional decreases), so a wrongly
+    flipped piece cannot hide between grid points.
     """
     xi = as_functional(xi)
     if isinstance(contribs, dict):
@@ -326,8 +334,7 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
     total_dirs = 0
     for lc in family:
         v = lc.vertex
-        e = lcm(*(c.denominator for c in v))
-        a = [c.numerator * (e // c.denominator) for c in v]  # v = a/e
+        a, e = scaled_point(v)  # v = a/e
         cells = Arrangement((lc.sum,))
         dirs = list(base_dirs)
         for _c, pc in lc.sum.terms:
@@ -348,7 +355,7 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
                     "direction": list(t),
                     "values": [repr(x) for x in vals]})
                 continue
-            if (dot(xi, t), *t) < (0,) * (dim + 1) and not vals[1].is_zero():
+            if perturbed_key(xi, t) < (0,) * (dim + 1) and not vals[1].is_zero():
                 violations.append({
                     "kind": "positive", "vertex": [str(c) for c in v],
                     "direction": list(t), "value": repr(vals[1])})

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import count, islice, product
 from math import ceil, comb, factorial, floor, lcm, prod
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .indicators import IndicatorSum, LocallyClosedPiece
 from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
                      rank, residue_box, solve_linear, vec)
-from .polyhedra import Polytope, cone_facets, lineality_of_normals
+from .polyhedra import Polytope, cone_facets
 from .triangulation import (half_open_cells, regular_triangulation,
                             seeded_heights)
 
@@ -188,12 +188,6 @@ def _half_open_cone_gf(apex: Sequence, rays: Sequence[Sequence[int]],
     return acc
 
 
-def vertex_cone_gf(p: Polytope, vid: int, seed: int = 0) -> RationalGF:
-    """Generating function of the tangent cone at one vertex."""
-    return _half_open_cone_gf(p.vertices[vid], p.edge_directions(vid),
-                              set(), seed)
-
-
 def brion_gf(p: Polytope, seed: int = 0) -> RationalGF:
     """Sum of the vertex tangent cone generating functions.
 
@@ -201,8 +195,8 @@ def brion_gf(p: Polytope, seed: int = 0) -> RationalGF:
     vertex sum is the whole generating function of the polytope.
     """
     acc = zero_gf(p.dim)
-    for vid in range(len(p.vertices)):
-        acc = acc + vertex_cone_gf(p, vid, seed)
+    for vid, v in enumerate(p.vertices):
+        acc = acc + _half_open_cone_gf(v, p.edge_directions(vid), set(), seed)
     return acc
 
 
@@ -285,21 +279,19 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
     return total[max_pole:max_pole + order + 1]
 
 
-def counting_direction(gf: RationalGF) -> list[int]:
-    """First moment-curve direction (t, t², …, t^d) clearing all denominators."""
+def counting_directions(gf: RationalGF, start: int = 1):
+    """The moment-curve directions (t, t², …, t^d), t = start, start + 1, …,
+    that clear all denominators."""
     dens = {b for t in gf.terms for b in t.denominators}
-    t = 1
-    while True:
+    for t in count(start):
         lam = [t ** (j + 1) for j in range(gf.dim)]
         if all(idot(lam, b) != 0 for b in dens):
-            return lam
-        t += 1
+            yield lam
 
 
 def count_lattice_points(gf: RationalGF) -> int:
     """Evaluate the generating function at z = 1 by exact specialization."""
-    lam = counting_direction(gf)
-    c0 = specialize(gf, lam, 0)[0]
+    c0 = specialize(gf, next(counting_directions(gf)), 0)[0]
     if c0.denominator != 1:
         raise ValueError(f"specialization gave non-integer {c0}")
     return int(c0)
@@ -314,21 +306,13 @@ def gf_equal_as_functions(g1: RationalGF, g2: RationalGF, trials: int = 4,
     reproducible.
     """
     diff = g1 - g2
-    dens = {b for t in diff.terms for b in t.denominators}
-    t = 1 + (seed % 97)
-    done = 0
-    while done < trials:
-        lam = [t ** (j + 1) for j in range(diff.dim)]
-        t += 1
-        if any(dot(lam, b) == 0 for b in dens):
-            continue
+    for lam in islice(counting_directions(diff, 1 + seed % 97), trials):
         try:
             c = specialize(diff, lam, 1)
         except ValueError:
             return False  # the difference has a genuine pole at z = 1
         if any(x != 0 for x in c):
             return False
-        done += 1
     return True
 
 
@@ -345,7 +329,7 @@ def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
     constraints turning the matching facets open.
     """
     normals = [h.normal for h in pc.constraints]
-    if lineality_of_normals(normals, pc.dim) > 0:
+    if rank(normals) < pc.dim:  # the closure contains a line
         return zero_gf(pc.dim)
     offsets = [h.offset for h in pc.constraints]
     apex = solve_linear(normals, offsets)

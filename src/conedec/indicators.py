@@ -19,7 +19,7 @@ from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point, project, witness
-from .linalg import frac, vec
+from .linalg import frac
 from .polyhedra import Face, Halfspace, Polytope, binding
 
 
@@ -115,7 +115,6 @@ def _trim(cs: Sequence[int]) -> tuple[int, ...]:
     return tuple(cs[:n])
 
 
-ZERO = ZPoly(())
 ONE = ZPoly((1,))
 
 
@@ -170,16 +169,6 @@ class IndicatorSum:
     dim: int
     terms: tuple[tuple[ZPoly, LocallyClosedPiece], ...] = ()
 
-    def evaluate(self, x: Sequence) -> ZPoly:
-        x = vec(x)
-        if len(x) != self.dim:
-            raise ValueError(f"point dimension {len(x)} != {self.dim}")
-        acc = ZERO
-        for coeff, pc in self.terms:
-            if pc.contains(x):
-                acc = acc + coeff
-        return acc
-
     def __add__(self, other: "IndicatorSum") -> "IndicatorSum":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -208,9 +197,8 @@ def indicator_of_polytope(p: Polytope) -> IndicatorSum:
 
 
 def indicator_of_interior(p: Polytope) -> IndicatorSum:
-    strict = [Halfspace(h.normal, h.offset, True) for h in p.facets]
-    pc = piece(p.dim, strict, witness=p.barycenter())
-    return IndicatorSum(p.dim, ((ONE, pc),))
+    """The relative interior of the top face: every facet strict."""
+    return IndicatorSum(p.dim, ((ONE, relative_interior_piece(p, p.faces[-1])),))
 
 
 def tangent_cone_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
@@ -627,7 +615,7 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
                                _crossing(normal, off, w, u) if inner else None)
                 elif (lv := project(levels, sides[k][s], dim)) is not None:
                     kids[s] = (lv, [], grown if s == 0 else basis,
-                               _scaled(witness(lv)) if inner else None)
+                               scaled_point(witness(lv)) if inner else None)
         order = [s for s in (1, 0, -1) if s in kids]
         if inner:
             stack.extend((signs + (s,), *kids[s]) for s in reversed(order))
@@ -667,7 +655,7 @@ def _crossing(n: Sequence[int], off: int, wa: tuple, wb: tuple) -> tuple:
     return tuple(x // g for x in nums), den // g
 
 
-def _scaled(point: Sequence[Fraction]) -> tuple:
+def scaled_point(point: Sequence[Fraction]) -> tuple:
     """A rational point as (nums, den) with den the lcm of its denominators."""
     den = lcm(*(c.denominator for c in point))
     return tuple(c.numerator * (den // c.denominator) for c in point), den

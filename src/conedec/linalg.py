@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
-Matrix = tuple[Vector, ...]
 
 
 class DimensionError(ValueError):
@@ -71,11 +70,6 @@ def vneg(u: Sequence) -> Vector:
     return tuple(-frac(a) for a in u)
 
 
-def vscale(c, u: Sequence) -> Vector:
-    c = frac(c)
-    return tuple(c * frac(a) for a in u)
-
-
 def vec_str(v: Sequence) -> str:
     """A vector as written in messages: ``(0, 1/2, -3)``."""
     return "(" + ", ".join(str(x) for x in v) + ")"
@@ -102,17 +96,6 @@ def primitive(v: Sequence) -> IntVector:
     for a in ints:
         g = gcd(g, a)
     return tuple(a // g for a in ints)
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise DimensionError("mat: ragged rows")
-    return m
-
-
-def transpose(a: Sequence[Sequence]) -> tuple:
-    return tuple(zip(*a)) if a else ()
 
 
 def _int_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], Fraction]:

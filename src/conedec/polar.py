@@ -20,7 +20,8 @@ from typing import Sequence
 
 from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, SimpleConeFrame,
                      as_functional, frame_piece, nonsimple_decomposition,
-                     normal_cone_rays, polarized_piece, simple_cone_frame)
+                     normal_cone_rays, perturbed_key, polarized_piece,
+                     simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
                          tangent_cone_piece, whole_space_piece)
 from .linalg import dot, simplicial_cone_facet_normals, vec_str, vsub
@@ -141,15 +142,15 @@ def rearrange_for_vertex(p: Polytope, vid: int, xi: Sequence
 
     The signed polarized cone at a vertex equals the alternating sum of the
     tangent cones of exactly the faces whose maximum of the functional sits
-    at that vertex.  Vertices are compared by (ξ·w, w), lexicographically,
-    which is the perturbed functional's order.
+    at that vertex.  Vertices are compared in the perturbed functional's
+    order, by perturbed_key.
     """
     pol = polarization(p, vid, xi)
     lhs = IndicatorSum(p.dim, ((ZPoly.const((-1) ** pol.index),
                                 polarized_tangent_cone(p, vid, xi)),))
 
     def key(w):
-        return dot(xi, p.vertices[w]), p.vertices[w]
+        return perturbed_key(xi, p.vertices[w])
 
     return lhs, IndicatorSum(p.dim, tuple(
         (ZPoly.const((-1) ** f.dim), tangent_cone_piece(p, f))

@@ -82,11 +82,6 @@ class Face:
     facet_ids: tuple[int, ...]
 
 
-def lineality_of_normals(normals: Sequence[IntVector], dim: int) -> int:
-    """Dimension of the lineality space of {y : n·y ≥ 0 for each normal}."""
-    return dim - rank(normals)
-
-
 def cone_facets(gens: Sequence[IntVector], dim: int
                 ) -> tuple[tuple[IntVector, frozenset[int]], ...]:
     """Facets of the cone spanned by integer vectors that span the space, as
@@ -146,12 +141,9 @@ class Polytope:
     def contains_interior(self, x: Sequence) -> bool:
         return all(dot(h.normal, x) > h.offset for h in self.facets)
 
-    def faces_of_dim(self, k: int) -> list[Face]:
-        return [f for f in self.faces if f.dim == k]
-
     @property
     def edges(self) -> list[Face]:
-        return self.faces_of_dim(1)
+        return [f for f in self.faces if f.dim == 1]
 
     def edge_directions(self, vid: int) -> tuple[IntVector, ...]:
         """Primitive directions of the edges at a vertex, away from it."""

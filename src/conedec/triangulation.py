@@ -140,12 +140,6 @@ def half_open_cells(rays: Sequence[IntVector], cells: Sequence[Sequence[int]]
     return [(ns, tuple(idot(h, q) < 0 for h in ns)) for ns in normals]
 
 
-def half_open_flags(rays: Sequence[IntVector], cells: Sequence[tuple[int, ...]],
-                    ) -> list[tuple[bool, ...]]:
-    """The open flags of ``half_open_cells``."""
-    return [flags for _, flags in half_open_cells(rays, cells)]
-
-
 def generic_interior_point(rays: Sequence[IntVector],
                            normals: Sequence[Sequence[IntVector]]) -> IntVector:
     """Interior point Σ_j (t+1)^j·r_j of the cone, for the least t ≥ 1 that

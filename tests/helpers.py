@@ -7,7 +7,7 @@ from fractions import Fraction
 from conedec.cli import build_parser
 from conedec.deform import LocalContribution
 from conedec.indicators import IndicatorSum, LocallyClosedPiece
-from conedec.linalg import vec, vneg, vscale
+from conedec.linalg import vec, vneg
 from conedec.polyhedra import (DegenerateInput, Polytope, halfspace,
                                polytope_from_halfspaces)
 
@@ -32,7 +32,7 @@ def polar_dual(p: Polytope) -> Polytope:
                               "translate first (center_at_barycenter)")
     dual_hs = [halfspace(vneg(v), Fraction(-1)) for v in p.vertices]
     dual = polytope_from_halfspaces(dual_hs)
-    expected = {tuple(vscale(1 / h.offset, h.normal)) for h in p.facets}
+    expected = {tuple(a / h.offset for a in h.normal) for h in p.facets}
     if set(dual.vertices) != expected or len(dual.facets) != len(p.vertices):
         raise AssertionError("polar dual bijection failed")
     return dual

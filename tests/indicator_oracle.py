@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from conedec.feasibility import feasible_point
-from conedec.indicators import (ZERO, IndicatorSum, LocallyClosedPiece,
-                                VerificationReport, grid_points,
-                                random_rational_points)
-from conedec.linalg import frac
+from conedec.indicators import (IndicatorSum, LocallyClosedPiece,
+                                VerificationReport, ZPoly, grid_points,
+                                random_rational_points, scaled_point)
+from conedec.linalg import frac, vec
 from conedec.polyhedra import Halfspace
 
 
@@ -41,11 +41,19 @@ def contains_scaled(pc: LocallyClosedPiece, nums: Sequence[int], den: int
 
 
 def evaluate_scaled(s: IndicatorSum, nums: Sequence[int], den: int):
-    acc = ZERO
+    acc = ZPoly(())
     for coeff, pc in s.terms:
         if contains_scaled(pc, nums, den):
             acc = acc + coeff
     return acc
+
+
+def evaluate(s: IndicatorSum, x: Sequence):
+    """The value of s at the rational point x."""
+    x = vec(x)
+    if len(x) != s.dim:
+        raise ValueError(f"point dimension {len(x)} != {s.dim}")
+    return evaluate_scaled(s, *scaled_point(x))
 
 
 def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box, step,
@@ -99,7 +107,7 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
             if w is None:
                 continue
             checked += 1
-            a, b = lhs.evaluate(w), rhs.evaluate(w)
+            a, b = evaluate(lhs, w), evaluate(rhs, w)
             if a != b:
                 bad = {"point": [str(c) for c in w], "lhs": repr(a), "rhs": repr(b)}
             continue

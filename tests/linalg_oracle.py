@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from conedec.linalg import (DimensionError, Matrix, Vector, _bareiss, _int_rows,
-                            dot, frac, integer_inverse)
+from conedec.linalg import (DimensionError, Vector, _bareiss, _int_rows, dot,
+                            frac, integer_inverse)
 
 
 def mat_vec(a: Sequence[Sequence], x: Sequence) -> Vector:
@@ -35,7 +35,7 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], 1) / factor
 
 
-def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
+def mat_inverse(rows: Sequence[Sequence]) -> tuple[Vector, ...]:
     """Exact inverse of a square nonsingular matrix."""
     q = lcm(*(frac(x).denominator for r in rows for x in r))
     inv = integer_inverse([[int(frac(x) * q) for x in r] for r in rows])

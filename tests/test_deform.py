@@ -12,21 +12,23 @@ from conedec.corpus import build_corpus
 from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             local_contribution, local_contributions,
                             nonsimple_decomposition, normal_cone_rays,
-                            positive_conic_check, seeded_dual_heights,
-                            simple_cone_frame, t_sigma, vertex_triangulation)
+                            perturbed_key, positive_conic_check,
+                            seeded_dual_heights, simple_cone_frame, t_sigma,
+                            vertex_triangulation)
 from conedec.indicators import (default_box, grid_points,
-                                indicator_of_polytope, verify_identity,
-                                verify_identity_exact)
-from conedec.linalg import (dot, kernel_basis, primitive, solve_linear,
-                            transpose, vsub)
-from conedec.polar import SimplicityError, lv_decomposition
+                                indicator_of_polytope, tangent_cone_piece,
+                                verify_identity, verify_identity_exact)
+from conedec.linalg import dot, kernel_basis, primitive, solve_linear, vsub
+from conedec.polar import (SimplicityError, lv_decomposition,
+                           rearrange_for_vertex)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
                                is_simple_vertex, polytope_from_vertices)
-from conedec.triangulation import (half_open_flags, regular_triangulation,
+from conedec.triangulation import (half_open_cells, regular_triangulation,
                                    seeded_heights)
 
 from conftest import seeded_generic_functionals
 from helpers import flip_one_constraint, vertex_index
+from indicator_oracle import evaluate
 from linalg_oracle import determinant
 
 APEX_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
@@ -113,7 +115,7 @@ class TestRegularTriangulation:
 
     def test_cells_tile_the_cone(self):
         tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
-        flags = half_open_flags(tri.rays, tri.cells)
+        flags = [f for _, f in half_open_cells(tri.rays, tri.cells)]
         rng = random.Random(0)
         for _ in range(120):
             # random point of the cone, walls included
@@ -124,7 +126,7 @@ class TestRegularTriangulation:
                       for i in range(3))
             hits = 0
             for cell, fl in zip(tri.cells, flags):
-                lam = solve_linear(transpose([tri.rays[j] for j in cell]), y)
+                lam = solve_linear(list(zip(*(tri.rays[j] for j in cell))), y)
                 if lam is None:
                     continue
                 ok = all((l > 0) if f else (l >= 0)
@@ -192,7 +194,7 @@ class TestLocalContribution:
         for heights in ([1, 1, 0, 0], [0, 0, 1, 1]):
             tri = regular_triangulation(APEX_RAYS, heights)
             lc = local_contribution(pyramid_poly, 0, tri, (4, 2, 0))
-            assert lc.sum.evaluate((3, 0, 0)).at_one() == -1
+            assert evaluate(lc.sum, (3, 0, 0)).at_one() == -1
 
     def test_non_generic_functional_matches_other_triangulation(
             self, pyramid_poly):
@@ -448,6 +450,59 @@ def tied_functionals(p):
     return out
 
 
+def perturbed_value(xi, x, eps=Fraction(1, 1000)):
+    """(ξ + εe₁ + ε²e₂ + … + εᵈe_d)·x at one small ε, for vectors whose
+    entries are far below 1/ε."""
+    return sum((a + eps ** (i + 1)) * b
+               for i, (a, b) in enumerate(zip(xi, x)))
+
+
+class TestPerturbedKey:
+    XI = (1, 1, 0)
+    # (x, sign of the perturbed functional on x)
+    CASES = [((1, -1, 5), 1), ((-1, 1, -5), -1),  # ξ·x = 0, first entry
+             ((0, 0, 3), 1), ((0, 0, -3), -1),    # ξ·x = 0, last entry
+             ((1, 0, -9), 1), ((-1, 0, 9), -1),   # ξ·x ≠ 0 decides
+             ((2, -3, 0), -1), ((-2, 3, 0), 1)]
+
+    @pytest.mark.parametrize("x, sign", CASES)
+    def test_sign_against_zero(self, x, sign):
+        zero = (0,) * (len(x) + 1)
+        assert (perturbed_key(self.XI, x) > zero) == (sign > 0)
+        assert (perturbed_key(self.XI, x) < zero) == (sign < 0)
+        assert (perturbed_value(self.XI, x) > 0) == (sign > 0)
+
+    def test_order_is_the_perturbed_functionals(self):
+        xs = [x for x, _ in self.CASES]
+        for x in xs:
+            for y in xs:
+                assert ((perturbed_key(self.XI, x) < perturbed_key(self.XI, y))
+                        == (perturbed_value(self.XI, x)
+                            < perturbed_value(self.XI, y))), (x, y)
+
+    def test_square_frames_and_rearrangement_follow_it(self):
+        # ξ = (1, 0) ties on the vertical edges; the perturbation prefers
+        # the larger second coordinate there
+        sq = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+        xi = (1, 0)
+        chosen = {}
+        for vid, v in enumerate(sq.vertices):
+            frame = simple_cone_frame(v, normal_cone_rays(sq, vid), xi)
+            assert frame.signs == tuple(
+                1 if perturbed_key(xi, r) > (0, 0, 0) else -1
+                for r in frame.rays)
+            assert frame.signs == tuple(
+                1 if perturbed_value(xi, r) > 0 else -1 for r in frame.rays)
+            _lhs, rhs = rearrange_for_vertex(sq, vid, xi)
+            chosen[tuple(v)] = [pc for _c, pc in rhs.terms]
+        for f in sq.faces:
+            top = max(f.vertex_ids,
+                      key=lambda w: perturbed_value(xi, sq.vertices[w]))
+            assert tangent_cone_piece(sq, f) in chosen[sq.vertices[top]]
+        assert {v: len(pcs) for v, pcs in chosen.items()} == {
+            (0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 4}
+
+
 class TestTiedFunctionals:
     """Any nonzero functional works: ties are broken lexicographically, and
     every identity of the CLI's table holds exactly on arrangement cells."""
@@ -506,8 +561,8 @@ class TestPositiveConic:
         assert vio["kind"] == "positive"
         t = tuple(vio["direction"])
         assert (dot((4, 2, 0), t), *t) < (0, 0, 0, 0)  # perturbed ξ decreases
-        assert not bad[0].sum.evaluate(
-            tuple(Fraction(a) + b for a, b in zip((0, 0, 0), t))).is_zero()
+        x = tuple(Fraction(a) + b for a, b in zip((0, 0, 0), t))
+        assert not evaluate(bad[0].sum, x).is_zero()
 
 
     def test_tied_functional_mutation_rejected(self):
@@ -522,8 +577,8 @@ class TestPositiveConic:
         assert not rep.success
         vio = rep.violations[0]
         assert vio["kind"] == "positive" and vio["direction"] == [0, -2]
-        assert contribs[0].sum.evaluate((0, -2)).is_zero()
-        assert not bad[0].sum.evaluate((0, -2)).is_zero()
+        assert evaluate(contribs[0].sum, (0, -2)).is_zero()
+        assert not evaluate(bad[0].sum, (0, -2)).is_zero()
 
 
 class TestUniqueness:

@@ -19,7 +19,7 @@ from conedec.indicators import gram_decomposition, whole_space_piece
 from conedec.linalg import residue_box, vsub
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import DegenerateInput, polytope_from_vertices
-from conedec.triangulation import (half_open_flags, regular_triangulation,
+from conedec.triangulation import (half_open_cells, regular_triangulation,
                                    seeded_heights)
 
 from conftest import seeded_generic_functionals
@@ -328,7 +328,7 @@ class TestTriangulateCone:
         rays = tri.edge_directions(0)
         t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert t.cells == ((0, 1),)
-        assert half_open_flags(t.rays, t.cells) == [(False, False)]
+        assert [f for _, f in half_open_cells(t.rays, t.cells)] == [(False, False)]
 
     def test_pyramid_apex_two_cells(self, pyramid_poly):
         vid = vertex_index(pyramid_poly, (0, 0, 0))

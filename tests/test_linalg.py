@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from conedec.linalg import (DimensionError, dot, frac, integer_inverse,
                             kernel_basis, primitive, rank, residue_box,
-                            simplicial_cone_facet_normals, solve_linear,
-                            transpose)
+                            simplicial_cone_facet_normals, solve_linear)
 from linalg_oracle import determinant, mat_inverse, mat_vec
 
 
 def mat_mul(a, b):
     """Oracle matrix product for the multiplicativity and inverse tests."""
-    bt = transpose(b)
+    bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
@@ -103,7 +102,7 @@ class TestFacetNormals:
         for cone in (rays, flipped):
             normals = simplicial_cone_facet_normals(cone)
             assert normals == tuple(primitive(row) for row in
-                                    mat_inverse(transpose(cone)))
+                                    mat_inverse(tuple(zip(*cone))))
             assert all(dot(h, r) > 0 if i == j else dot(h, r) == 0
                        for i, h in enumerate(normals)
                        for j, r in enumerate(cone))

@@ -14,6 +14,7 @@ from conedec.polyhedra import Halfspace, polytope_from_vertices
 
 from conftest import seeded_generic_functionals
 from helpers import vertex_index
+from indicator_oracle import evaluate
 
 SEG = polytope_from_vertices([(-3,), (5,)])
 SQUARE = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -139,10 +140,10 @@ class TestWeighted:
     def test_square_pointwise_values(self):
         w = weighted_lv_decomposition(SQUARE, (1, 2))
         half = Fraction(1, 2)
-        assert w.evaluate((half, 0)) == ZPoly.z_power(1)
-        assert w.evaluate((1, 1)) == ZPoly.z_power(2)
-        assert w.evaluate((half, half)) == ZPoly.const(1)
-        assert w.evaluate((5, 5)).is_zero()
+        assert evaluate(w, (half, 0)) == ZPoly.z_power(1)
+        assert evaluate(w, (1, 1)) == ZPoly.z_power(2)
+        assert evaluate(w, (half, half)) == ZPoly.const(1)
+        assert evaluate(w, (5, 5)).is_zero()
 
     def test_matches_weighted_indicator(self):
         for xi in seeded_generic_functionals(SQUARE, 3, seed=3):

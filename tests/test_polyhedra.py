@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conedec.deform import normal_cone_rays
-from conedec.indicators import tangent_cone_piece
+from conedec.genfunc import gf_of_piece, zero_gf
+from conedec.indicators import piece, tangent_cone_piece, whole_space_piece
 from conedec.linalg import dot, idot, primitive, rank, vsub
 from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                center_at_barycenter, cone_facets, halfspace,
                                is_simple_polytope,
-                               is_simple_vertex, lineality_of_normals,
-                               polytope_from_halfspaces,
+                               is_simple_vertex, polytope_from_halfspaces,
                                polytope_from_vertices)
 
 from helpers import polar_dual, vertex_index
@@ -202,8 +202,13 @@ class TestCorpusInvariants:
             assert is_simple_polytope(p) == entry.simple, entry.name
 
 
+def lineality(normals, dim):
+    """Dimension of the lineality space of {y : n·y ≥ 0 for each normal}."""
+    return dim - rank(normals)
+
+
 def piece_lineality(pc):
-    return lineality_of_normals([h.normal for h in pc.constraints], pc.dim)
+    return lineality([h.normal for h in pc.constraints], pc.dim)
 
 
 class TestTangentCone:
@@ -244,9 +249,13 @@ class TestTangentCone:
         assert piece_lineality(tangent_cone_piece(pyramid_poly, e)) == 1
 
     def test_halfplane_lineality(self):
-        assert lineality_of_normals([(1, 0)], 2) == 1
-        assert lineality_of_normals([], 2) == 2
-        assert lineality_of_normals([(1,)], 1) == 0
+        assert lineality([(1, 0)], 2) == 1
+        assert lineality([], 2) == 2
+        assert lineality([(1,)], 1) == 0
+        # a piece whose closure holds a line has generating function zero
+        assert gf_of_piece(piece(2, [halfspace((1, 0), 0)])) == zero_gf(2)
+        assert gf_of_piece(whole_space_piece(2)) == zero_gf(2)
+        assert gf_of_piece(piece(1, [halfspace((1,), 0)])) != zero_gf(1)
 
 
 class TestNormalCone:
@@ -255,8 +264,7 @@ class TestNormalCone:
         rays = normal_cone_rays(p, vertex_index(p, (0, 0, 0)))
         assert set(rays) == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
         # pointed: the cone's own facet normals span
-        assert lineality_of_normals([n for n, _ in cone_facets(rays, 3)],
-                                    3) == 0
+        assert lineality([n for n, _ in cone_facets(rays, 3)], 3) == 0
 
     def test_cube_corner_orthant(self):
         p = polytope_from_vertices(

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from conedec.linalg import (Vector, dot, frac, primitive, rank, solve_linear,
-                            vec, vscale)
+                            vec)
 from conedec.polyhedra import DegenerateInput
 from conedec.triangulation import LiftedTriangulation, positive_functional
 
@@ -74,7 +74,7 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         w = vec(slice_normal)
         if any(dot(w, r) <= 0 for r in rays):
             raise ValueError("slice normal must be strictly positive on all rays")
-    points = tuple(vscale(1 / dot(w, r), r) for r in rays)
+    points = tuple(tuple(x / dot(w, r) for x in r) for r in rays)
     lifted = symbolic_heights(heights)
     cells: list[tuple[int, ...]] = []
     for subset in combinations(range(len(rays)), dim):
@@ -98,7 +98,8 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
 
 def slice_points(tri: LiftedTriangulation) -> tuple[Vector, ...]:
     """Where each ray meets the slice {w·x = 1}; heights attach here."""
-    return tuple(vscale(1 / dot(tri.slice_normal, r), r) for r in tri.rays)
+    return tuple(tuple(x / dot(tri.slice_normal, r) for x in r)
+                 for r in tri.rays)
 
 
 def certificates(tri: LiftedTriangulation
