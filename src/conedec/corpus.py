@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .polyhedra import Polytope, polytope_from_vertices
+from .polyhedra import DegenerateInput, Polytope, polytope_from_vertices
 
 RANDOM_01_SEED = 20260808
 _RANDOM_01_POINTS = {2: 3, 3: 6, 4: 8}
@@ -73,7 +73,7 @@ def random_01_polytope(d: int) -> Polytope:
             pts.add(tuple(rng.randint(0, 1) for _ in range(d)))
         try:
             return polytope_from_vertices(sorted(pts))
-        except Exception:
+        except DegenerateInput:
             continue
 
 

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 import conedec
-from conedec import cli, indicators
+from conedec import cli, corpus, indicators
 from conedec.cli import main
 from conedec.corpus import build_corpus, pyramid
 from conedec.jsonio import polytope_to_json
+from conedec.polyhedra import DegenerateInput
 
 from helpers import option_choices
 
@@ -54,6 +55,18 @@ class TestCount:
         assert main(["count", "--input", cube_file, "--check"]) == 0
         out = capsys.readouterr().out
         assert "count = 8" in out
+
+    def test_method_both_is_usage_error(self, cube_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--input", cube_file, "--method", "both"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'both'" in capsys.readouterr().err
+
+    def test_check_reports_both_counts(self, cube_file, capsys):
+        assert main(["count", "--input", cube_file, "--check", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["methods"] == {"brion": 8, "brute": 8}
+        assert payload["agree"] is True
 
     def test_json_deterministic(self, pyramid_file, capsys):
         main(["count", "--input", pyramid_file, "--check", "--json"])
@@ -455,6 +468,28 @@ class TestCorpus:
         captured = capsys.readouterr()
         assert captured.err == "internal error: AssertionError: broken invariant\n"
         assert "ERROR" not in captured.out
+
+    @pytest.mark.parametrize("exc, draws", [
+        (DegenerateInput("flat draw"), 2),  # redrawn
+        (AssertionError("broken invariant"), 1),  # raised
+    ], ids=["degenerate", "assertion"])
+    def test_random_01_redraws_only_degenerate_input(self, exc, draws,
+                                                      monkeypatch):
+        real = corpus.polytope_from_vertices
+        calls = []
+
+        def fail_first(points):
+            calls.append(points)
+            if len(calls) == 1:
+                raise exc
+            return real(points)
+        monkeypatch.setattr(corpus, "polytope_from_vertices", fail_first)
+        if draws == 1:
+            with pytest.raises(AssertionError, match="broken invariant"):
+                corpus.random_01_polytope(3)
+        else:
+            assert corpus.random_01_polytope(3).dim == 3
+        assert len(calls) == draws
 
     def test_empty_corpus_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
