@@ -174,13 +174,6 @@ class IndicatorSum:
             raise ValueError("dimension mismatch")
         return IndicatorSum(self.dim, self.terms + other.terms)
 
-    def __neg__(self) -> "IndicatorSum":
-        return IndicatorSum(self.dim, tuple((-c, p) for c, p in self.terms))
-
-    def scaled(self, c) -> "IndicatorSum":
-        cp = ZPoly.const(c) if isinstance(c, int) else c
-        return IndicatorSum(self.dim, tuple((cp * co, p) for co, p in self.terms))
-
     def substitute(self, z_value: int) -> "IndicatorSum":
         """Specialize every coefficient at an integer value of z."""
         out = []
@@ -281,21 +274,6 @@ class Arrangement:
         # n·x ≥ p/q scaled to q·n·x ≥ p: a point nums/den needs integers only
         self._rows = [(tuple(a * h.offset.denominator for a in h.normal),
                        h.offset.numerator) for h in self.planes]
-        # per sum, its terms with no requirement on the last plane, and the
-        # others with their requirements split into (other planes, last)
-        last = len(self.planes) - 1
-        self._split = []
-        for terms in self._sums:
-            rest, on_last = [], []
-            for cs, reqs in terms:
-                ends = tuple((o, t) for i, o, t in reqs if i == last)
-                if ends:
-                    on_last.append((cs, tuple(r for r in reqs if r[0] != last),
-                                    ends))
-                else:
-                    rest.append((cs, reqs))
-            width = max((len(cs) for cs, _reqs in terms), default=0)
-            self._split.append((width, rest, on_last))
 
     def signs(self, nums: Sequence[int], den: int) -> tuple[int, ...]:
         """The side (1, 0 or -1) of each plane on which nums/den lies."""
@@ -318,39 +296,6 @@ class Arrangement:
                     acc[:len(cs)] = map(add, acc, cs)
             out.append(ZPoly(_trim(acc)))
         return tuple(out)
-
-    def values_along(self, signs: Sequence[int]):
-        """For a sign vector on every plane but the last: the function from
-        the last plane's sign to values(signs + (sign,)).  The terms with no
-        requirement on the last plane are summed here, once for all three
-        sibling cells; each call adds only the terms that have one."""
-        parts = []
-        for width, rest, on_last in self._split:
-            acc = [0] * width
-            for cs, reqs in rest:
-                if _holds(reqs, signs):
-                    acc[:len(cs)] = map(add, acc, cs)
-            parts.append((acc, [(cs, ends) for cs, reqs, ends in on_last
-                                if _holds(reqs, signs)]))
-
-        def at(sign: int) -> tuple[ZPoly, ...]:
-            out = []
-            for acc, live in parts:
-                acc = list(acc)
-                for cs, ends in live:
-                    if all(o * sign >= t for o, t in ends):
-                        acc[:len(cs)] = map(add, acc, cs)
-                out.append(ZPoly(_trim(acc)))
-            return tuple(out)
-        return at
-
-
-def _holds(reqs, signs: Sequence[int]) -> bool:
-    """Whether every requirement (i, o, t), o·signs[i] ≥ t, holds."""
-    for i, o, t in reqs:
-        if o * signs[i] < t:
-            return False
-    return True
 
 
 Box = Sequence[tuple[Fraction, Fraction]]
@@ -387,9 +332,9 @@ class VerificationReport:
         return out
 
 
-def default_box(p: Polytope, inflate: int = 1) -> Box:
-    """Bounding box of the polytope grown by `inflate` in every direction."""
-    return p.bounding_box(inflate=inflate)
+def default_box(p: Polytope) -> Box:
+    """Bounding box of the polytope grown by 1 in every direction."""
+    return p.bounding_box(inflate=1)
 
 
 def grid_points(box: Box, step: Fraction):
@@ -620,9 +565,8 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
         if inner:
             stack.extend((signs + (s,), *kids[s]) for s in reversed(order))
             continue
-        at = cells.values_along(signs)
         for s in order:
-            if (bad := check(at(s), *kids[s][:2])) is not None:
+            if (bad := check(cells.values(signs + (s,)), *kids[s][:2])):
                 break
     return VerificationReport(name, {"mode": "exact-cells"}, checked,
                               bad is None, bad, time.monotonic() - t0)

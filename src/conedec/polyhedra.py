@@ -118,22 +118,20 @@ class Polytope:
 
     Immutable after construction.  ``faces`` lists every nonempty face
     (vertices up to the polytope itself) with its dimension, vertex set and
-    tight facet set.
+    tight facet set, sorted by (dim, vertex_ids): faces[vid] is vertex vid.
     """
 
     def __init__(self, dim: int, vertices: tuple[Vector, ...],
-                 facets: tuple[Halfspace, ...], faces: tuple[Face, ...],
-                 tight: tuple[tuple[int, ...], ...]):
+                 facets: tuple[Halfspace, ...], faces: tuple[Face, ...]):
         self.dim = dim
         self.vertices = vertices
         self.facets = facets
         self.faces = faces
-        self._tight = tight
 
     # -- queries ------------------------------------------------------------
 
     def tight_facets(self, vid: int) -> tuple[int, ...]:
-        return self._tight[vid]
+        return self.faces[vid].facet_ids
 
     def contains(self, x: Sequence) -> bool:
         return all(h.satisfied(x) for h in self.facets)
@@ -171,17 +169,14 @@ class Polytope:
         return box
 
     def face_of_vertex(self, vid: int) -> Face:
-        for f in self.faces:
-            if f.dim == 0 and f.vertex_ids == (vid,):
-                return f
-        raise AssertionError("vertex face missing from lattice")
+        return self.faces[vid]
 
     def translate(self, shift: Sequence) -> "Polytope":
         s = vec(shift)
         verts = tuple(vadd(v, s) for v in self.vertices)
         facets = tuple(Halfspace(h.normal, h.offset + dot(h.normal, s), h.strict)
                        for h in self.facets)
-        return Polytope(self.dim, verts, facets, self.faces, self._tight)
+        return Polytope(self.dim, verts, facets, self.faces)
 
     def __repr__(self) -> str:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -224,16 +219,14 @@ def _face_lattice(nverts: int, tights: list[frozenset[int]],
 
 def _build(dim: int, vertices: list[Vector], facets: list[Halfspace],
            tights: list[frozenset[int]]) -> Polytope:
-    tight = tuple(tuple(j for j, t in enumerate(tights) if i in t)
-                  for i in range(len(vertices)))
-    for v, fids in zip(vertices, tight):
-        if rank([facets[j].normal for j in fids]) != dim:
-            raise AssertionError(f"point {vec_str(v)} is not a vertex of "
-                                 "the result")
     faces = _face_lattice(len(vertices), tights, vertices)
     if len([f for f in faces if f.dim == 0]) != len(vertices):
         raise AssertionError("face lattice lost a vertex")
-    return Polytope(dim, tuple(vertices), tuple(facets), faces, tight)
+    for v, f in zip(vertices, faces):
+        if rank([facets[j].normal for j in f.facet_ids]) != dim:
+            raise AssertionError(f"point {vec_str(v)} is not a vertex of "
+                                 "the result")
+    return Polytope(dim, tuple(vertices), tuple(facets), faces)
 
 
 def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:

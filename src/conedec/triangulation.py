@@ -35,10 +35,6 @@ class LiftedTriangulation:
     slice_normal: Vector
     cells: tuple[tuple[int, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.rays[0])
-
 
 def positive_functional(rays: Sequence[IntVector], dim: int) -> Optional[Vector]:
     """Some w with w·r > 0 for every ray; None when the cone is not pointed."""

@@ -310,25 +310,37 @@ class TestGridWork:
         else:
             assert rep.success and rep.points_checked == 9 * 9 * 7 + 37
 
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The sign vectors that Arrangement.values is called with."""
+        calls = []
+        values = Arrangement.values
+
+        def counted(self, signs):
+            calls.append(signs)
+            return values(self, signs)
+        monkeypatch.setattr(Arrangement, "values", counted)
+        return calls
+
     def test_pyramid_grid_evaluates_each_cell_once(self, pyramid_poly,
-                                                   monkeypatch):
+                                                   evaluated):
         lhs = gram_decomposition(pyramid_poly)
         rhs = indicator_of_polytope(pyramid_poly)
         box, step = [(Fraction(-6), Fraction(6))] * 3, Fraction(1, 4)
         cells = Arrangement((lhs, rhs))
         met = {cells.signs(*pt) for pt in grid_points(box, step)}
         assert len(met) <= CELL_MEMO_CAP  # so the memo is never cleared
-        evaluated = []
-        values = Arrangement.values
-
-        def counted(self, signs):
-            evaluated.append(signs)
-            return values(self, signs)
-        monkeypatch.setattr(Arrangement, "values", counted)
         rep = verify_identity(lhs, rhs, box, step)
         assert rep.success and rep.points_checked == 49 ** 3 == 117649
         assert len(evaluated) == len(set(evaluated))
         assert set(evaluated) == met
+
+    def test_pyramid_exact_cells_evaluate_each_cell_once(self, pyramid_poly,
+                                                         evaluated):
+        rep = verify_identity_exact(gram_decomposition(pyramid_poly),
+                                    indicator_of_polytope(pyramid_poly))
+        assert rep.success and rep.points_checked == len(evaluated) == 101
+        assert len(set(evaluated)) == len(evaluated)
 
 
 @st.composite
