@@ -330,6 +330,8 @@ def cmd_verify(args) -> int:
     p = _load_polytope(args.input)
     _parse_box(args.box, p)  # refuse a bad --box before any work
     step = frac(args.step)
+    if step <= 0:
+        raise InputError(f"--step must be positive, got {step}")
     if args.samples < 0:
         raise InputError(f"--samples must be non-negative, got {args.samples}")
     ident = args.identity

@@ -5,10 +5,10 @@ each simplicial cell of normals defines a simple cone containing the tangent
 cone, each inequality whose ray the functional decreases along is flipped
 strict, and the signed cell sum is the vertex's local contribution.  A
 simple vertex is the one-cell case.  Ties are broken by symbolic
-perturbation: every cone is polarized for ξ + εe₁ + ε²e₂ + … + εᵈe_d as
-ε → 0⁺, so any nonzero functional works, even one constant on a ray.  The
-headline fact, that the contribution does not depend on the
-triangulation, is checked by comparing two contributions with
+perturbation (`linalg.perturbed_key`): every cone is polarized for
+ξ + εe₁ + ε²e₂ + … + εᵈe_d as ε → 0⁺, so any nonzero functional works, even
+one constant on a ray.  The headline fact, that the contribution does not
+depend on the triangulation, is checked by comparing two contributions with
 `indicators.verify_identity`; this module adds the compatible (polar-dual)
 construction and the positivity/conicity checker behind the uniqueness
 criterion.
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .feasibility import project, witness
 from .indicators import (Arrangement, IndicatorSum, LocallyClosedPiece, ZPoly,
                          piece, scaled_point)
-from .linalg import (IntVector, Vector, dot, frac, primitive,
+from .linalg import (IntVector, Vector, dot, frac, perturbed_key, primitive,
                      simplicial_cone_facet_normals, vadd, vec, vec_str, vneg,
                      vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
@@ -38,15 +38,6 @@ from .triangulation import (LiftedTriangulation, regular_triangulation,
 
 def as_functional(xi: Sequence) -> IntVector:
     return primitive(vec(xi))
-
-
-def perturbed_key(xi: Sequence, x: Sequence) -> tuple:
-    """(ξ·x, x₁, …, x_d), whose lexicographic order is the order of
-    (ξ + εe₁ + ε²e₂ + … + εᵈe_d)·x as ε → 0⁺.  Every tie of the functional
-    in the library is broken by this order; the perturbed functional is
-    positive on x exactly when the key is above (0, …, 0).
-    """
-    return (dot(xi, x), *x)
 
 
 # ---------------------------------------------------------------------------

@@ -172,19 +172,16 @@ def _half_open_cone_gf(apex: Sequence, rays: Sequence[Sequence[int]],
     functions add up with no inclusion–exclusion; a cell facet whose normal
     is in strict_normals is open as well."""
     dim = len(rays[0])
-    if len(rays) == dim:
-        if not strict_normals:  # one closed cell
-            return gf_simplicial_cone(apex, rays)
-        ray_list, cells = rays, [tuple(range(dim))]
-    else:
-        tri = regular_triangulation(rays, seeded_heights(len(rays), seed))
-        ray_list, cells = tri.rays, tri.cells
+    if len(rays) == dim and not strict_normals:  # one closed cell
+        return gf_simplicial_cone(apex, rays)
+    tri = regular_triangulation(rays, seeded_heights(len(rays), seed))
     acc = zero_gf(dim)
-    for cell, (normals, flags) in zip(cells, half_open_cells(ray_list, cells)):
+    for cell, (normals, flags) in zip(tri.cells,
+                                      half_open_cells(tri.rays, tri.cells)):
         if strict_normals:
             flags = tuple(f or h in strict_normals
                           for f, h in zip(flags, normals))
-        acc = acc + gf_simplicial_cone(apex, [ray_list[j] for j in cell], flags)
+        acc = acc + gf_simplicial_cone(apex, [tri.rays[j] for j in cell], flags)
     return acc
 
 
@@ -320,7 +317,7 @@ def gf_equal_as_functions(g1: RationalGF, g2: RationalGF,
 # From indicator sums to generating functions
 # ---------------------------------------------------------------------------
 
-def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
+def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
     """Generating function of a locally closed piece that is a shifted cone.
 
     Pieces whose closure contains a line have generating function zero.
@@ -343,10 +340,10 @@ def gf_of_piece(pc: LocallyClosedPiece, seed: int = 0) -> RationalGF:
             n for n, _ in cone_facets(rays, pc.dim)}:
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
-    return _half_open_cone_gf(apex, rays, strict_normals, seed)
+    return _half_open_cone_gf(apex, rays, strict_normals, seed=0)
 
 
-def gf_of_indicator_sum(s: IndicatorSum, seed: int = 0) -> RationalGF:
+def gf_of_indicator_sum(s: IndicatorSum) -> RationalGF:
     """Map each piece to its generating function (z := 1 in coefficients);
     line-containing pieces drop out."""
     acc = zero_gf(s.dim)
@@ -354,7 +351,7 @@ def gf_of_indicator_sum(s: IndicatorSum, seed: int = 0) -> RationalGF:
         w = coeff.at_one()
         if w == 0:
             continue
-        acc = acc + gf_of_piece(pc, seed).scaled(w)
+        acc = acc + gf_of_piece(pc).scaled(w)
     return acc
 
 

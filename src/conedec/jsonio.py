@@ -37,7 +37,9 @@ def polytope_to_json(p: Polytope) -> dict:
 def polytope_from_json(obj: dict) -> Polytope:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("polytope JSON needs a 'dim' field")
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if type(dim) is not int:  # a float or a bool would pass int()
+        raise ValueError(f"'dim' must be an integer, got {dim!r}")
     if "vertices" in obj:
         verts = [[frac(x) for x in row] for row in obj["vertices"]]
         if any(len(v) != dim for v in verts):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -75,8 +76,13 @@ def vec_str(v: Sequence) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def is_zero_vector(u: Sequence) -> bool:
-    return all(frac(a) == 0 for a in u)
+def perturbed_key(xi: Sequence, x: Sequence) -> tuple:
+    """(ξ·x, x₁, …, x_d), whose lexicographic order is the order of
+    (ξ + εe₁ + ε²e₂ + … + εᵈe_d)·x as ε → 0⁺.  Every tie of the library is
+    broken by this order: the perturbed functional is positive on x exactly
+    when the key is above (0, …, 0).
+    """
+    return (sum(map(mul, xi, x)), *x)
 
 
 def primitive(v: Sequence) -> IntVector:
@@ -88,7 +94,7 @@ def primitive(v: Sequence) -> IntVector:
             raise ValueError("primitive: zero vector has no primitive form")
         return tuple(a // g for a in v)
     w = vec(v)
-    if is_zero_vector(w):
+    if not any(w):
         raise ValueError("primitive: zero vector has no primitive form")
     den = lcm(*[x.denominator for x in w]) if len(w) > 1 else w[0].denominator
     ints = [int(x * den) for x in w]
@@ -98,19 +104,17 @@ def primitive(v: Sequence) -> IntVector:
     return tuple(a // g for a in ints)
 
 
-def _int_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], Fraction]:
-    """Clear denominators row by row; return int rows and the product of the
-    scaling factors (the determinant of the original equals det(int)/factor)."""
+def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Clear denominators row by row: each row times the lcm of its
+    denominators."""
     out = []
-    factor = Fraction(1)
     for row in rows:
         r = vec(row)
         den = 1
         for x in r:
             den = lcm(den, x.denominator)
-        factor *= den
         out.append([int(x * den) for x in r])
-    return out, factor
+    return out
 
 
 def _bareiss(m: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
@@ -159,7 +163,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
     if not rows:
         return ()
     ncols = len(rows[0])
-    m, _ = _int_rows([r + [rhs] for r, rhs in zip(rows, b)])
+    m = _int_rows([r + [rhs] for r, rhs in zip(rows, b)])
     pivots, _ = _bareiss(m, reduce=True)
     if pivots != list(range(ncols)):
         return None  # underdetermined, or inconsistent (the rhs is a pivot)
@@ -169,7 +173,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
 def rank(rows: Sequence[Sequence]) -> int:
     if all(type(x) is int for r in rows for x in r):
         return len(_bareiss([list(r) for r in rows])[0])
-    return len(_bareiss(_int_rows(rows)[0])[0])
+    return len(_bareiss(_int_rows(rows))[0])
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[Vector]:
@@ -181,7 +185,7 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[Vector]:
     if not rows:
         raise ValueError("kernel_basis: need the ambient dimension, got no rows")
     ncols = len(rows[0])
-    m, _ = _int_rows(rows)
+    m = _int_rows(rows)
     pivots, _ = _bareiss(m, reduce=True)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

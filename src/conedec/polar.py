@@ -20,11 +20,11 @@ from typing import Sequence
 
 from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, SimpleConeFrame,
                      as_functional, frame_piece, nonsimple_decomposition,
-                     normal_cone_rays, perturbed_key, polarized_piece,
-                     simple_cone_frame)
+                     normal_cone_rays, polarized_piece, simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
                          tangent_cone_piece, whole_space_piece)
-from .linalg import dot, simplicial_cone_facet_normals, vec_str, vsub
+from .linalg import (dot, perturbed_key, simplicial_cone_facet_normals,
+                     vec_str, vsub)
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
 

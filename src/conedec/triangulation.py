@@ -10,7 +10,7 @@ order: the regular refinement for heights h − (ε, ε², …) as ε → 0⁺. 
 that is not extreme and lifts above the lower hull is rejected.
 
 ``half_open_cells`` makes the cells half-open so that they tile the cone
-disjointly, reading each cell's facet normals once.
+disjointly, opening facets by the tie-break of ``linalg.perturbed_key``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, _bareiss, dot, frac, idot, primitive,
-                     rank, simplicial_cone_facet_normals, vec, vec_str)
+from .linalg import (IntVector, Vector, _bareiss, dot, frac, perturbed_key,
+                     primitive, rank, simplicial_cone_facet_normals, vec,
+                     vec_str)
 from .polyhedra import DegenerateInput, cone_facets, halfspace
 
 
@@ -121,31 +122,17 @@ def half_open_cells(rays: Sequence[IntVector], cells: Sequence[Sequence[int]]
     """(facet normals, open flags) of each cell, making the cells a disjoint
     cover of the cone.  Each cell's normals are computed once.
 
-    A cell keeps a facet closed exactly when the reference point (generic in
-    the cone, inside the first cell's side of every wall it is compatible
-    with) lies on that facet's inner side; facets looking away from the
-    reference point are excluded.  Normal i and flag i refer to the facet
-    opposite generator i (True = generator coefficient must be strictly
-    positive).
+    A facet is open exactly when the point q + εe₁ + ε²e₂ + … + εᵈe_d,
+    q = Σ_j 2^j·r_j, lies on its outer side as ε → 0⁺, that is when
+    perturbed_key(q, normal) is below (0, …, 0): the tie-break of every
+    polarized cone, read from the dual side.  The perturbed point lies on no
+    wall, so each wall is closed on exactly one side (Köppe–Verdoolaege).
+    Normal i and flag i refer to the facet opposite generator i (True =
+    generator coefficient must be strictly positive).
     """
     normals = [simplicial_cone_facet_normals([rays[j] for j in cell])
                for cell in cells]
-    if len(cells) == 1:
-        return [(normals[0], (False,) * len(cells[0]))]
-    q = generic_interior_point(rays, normals)
-    return [(ns, tuple(idot(h, q) < 0 for h in ns)) for ns in normals]
-
-
-def generic_interior_point(rays: Sequence[IntVector],
-                           normals: Sequence[Sequence[IntVector]]) -> IntVector:
-    """Interior point Σ_j (t+1)^j·r_j of the cone, for the least t ≥ 1 that
-    avoids every cell facet hyperplane (each cell's normals in `normals`)."""
-    walls = {h for ns in normals for h in ns}
-    for t in range(1, 1000):
-        q = [0] * len(rays[0])
-        for j, r in enumerate(rays):
-            c = (t + 1) ** j
-            q = [a + c * b for a, b in zip(q, r)]
-        if all(idot(h, q) != 0 for h in walls):
-            return tuple(q)
-    raise AssertionError("no generic interior point found")  # pragma: no cover
+    q = [sum(x << j for j, x in enumerate(col)) for col in zip(*rays)]
+    zero = (0,) * (len(q) + 1)
+    return [(ns, tuple(perturbed_key(q, h) < zero for h in ns))
+            for ns in normals]

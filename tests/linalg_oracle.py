@@ -28,11 +28,14 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
         raise DimensionError("determinant: matrix is not square")
     if n == 0:
         return Fraction(1)
-    m, factor = _int_rows(rows)
+    m = _int_rows(rows)  # row i times the lcm of its denominators
+    factor = 1
+    for r in rows:
+        factor *= lcm(*(frac(x).denominator for x in r))
     pivots, sign = _bareiss(m)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1], 1) / factor
+    return Fraction(sign * m[n - 1][n - 1], factor)
 
 
 def mat_inverse(rows: Sequence[Sequence]) -> tuple[Vector, ...]:

@@ -379,6 +379,17 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--samples" in captured.err
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["grid", "exact"])
+    @pytest.mark.parametrize("step", ["0", "-1/2"])
+    def test_nonpositive_step_is_input_error(self, step, exact, pyramid_file,
+                                             capsys):
+        argv = ["verify", "--input", pyramid_file, "--identity", "gram",
+                "--step", step, "--json"]
+        assert main(argv + ["--exact-cells"] * exact) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--step" in captured.err
+
     def test_oversized_grid_is_input_error(self, tmp_path):
         """A thin triangle 10^9 long would need a grid of ~10^10 points.
 

@@ -1,5 +1,5 @@
-import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from conedec.deform import (compatible_decomposition, compatible_from_dual,
 from conedec.indicators import (default_box, grid_points,
                                 indicator_of_polytope, tangent_cone_piece,
                                 verify_identity, verify_identity_exact)
-from conedec.linalg import dot, kernel_basis, primitive, solve_linear, vsub
+from conedec.linalg import dot, kernel_basis, primitive, vsub
 from conedec.polar import (SimplicityError, lv_decomposition,
                            rearrange_for_vertex)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
@@ -29,10 +29,27 @@ from conedec.triangulation import (half_open_cells, regular_triangulation,
 from conftest import seeded_generic_functionals
 from helpers import flip_one_constraint, vertex_index
 from indicator_oracle import evaluate
-from linalg_oracle import determinant
+from linalg_oracle import determinant, mat_inverse, mat_vec
 
 APEX_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
 BOX6 = [(Fraction(-6), Fraction(6))] * 3
+
+
+def assert_half_open_cells_tile(rays, cells, coeffs):
+    """Every nonzero Σ c_j·r_j with each c_j in `coeffs` lies in exactly one
+    half-open cell, read from its coordinates in the cell's rays."""
+    flags = [f for _, f in half_open_cells(rays, cells)]
+    inverses = [mat_inverse(list(zip(*(rays[j] for j in cell))))
+                for cell in cells]
+    for cs in product(coeffs, repeat=len(rays)):
+        if not any(cs):
+            continue
+        y = tuple(sum(c * r[i] for c, r in zip(cs, rays))
+                  for i in range(len(rays[0])))
+        hits = sum(all(l > 0 if f else l >= 0
+                       for l, f in zip(mat_vec(inv, y), fl))
+                   for inv, fl in zip(inverses, flags))
+        assert hits == 1, y
 
 
 def pyramid_heights(p, ray_heights):
@@ -115,24 +132,16 @@ class TestRegularTriangulation:
 
     def test_cells_tile_the_cone(self):
         tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
-        flags = [f for _, f in half_open_cells(tri.rays, tri.cells)]
-        rng = random.Random(0)
-        for _ in range(120):
-            # random point of the cone, walls included
-            coeffs = [rng.randint(0, 4) for _ in tri.rays]
-            if not any(coeffs):
-                continue
-            y = tuple(sum(c * r[i] for c, r in zip(coeffs, tri.rays))
-                      for i in range(3))
-            hits = 0
-            for cell, fl in zip(tri.cells, flags):
-                lam = solve_linear(list(zip(*(tri.rays[j] for j in cell))), y)
-                if lam is None:
-                    continue
-                ok = all((l > 0) if f else (l >= 0)
-                         for l, f in zip(lam, fl))
-                hits += ok
-            assert hits == 1, y
+        assert_half_open_cells_tile(tri.rays, tri.cells, range(5))
+
+    def test_tie_on_a_wall_is_broken_by_the_perturbed_point(self):
+        # q = Σ 2^j·r_j = (-3, 3, 14) lies on the shared wall, normal
+        # (1, 1, 0); q + εe₁ + ε²e₂ + ε³e₃ lies on its positive side
+        rays = ((-1, 1, 0), (-1, 3, 3), (0, -1, 0), (0, 0, 1))
+        cells = ((0, 1, 3), (0, 2, 3))
+        flags = [f for _, f in half_open_cells(rays, cells)]
+        assert flags == [(False, False, False), (False, True, False)]
+        assert_half_open_cells_tile(rays, cells, range(4))
 
 
 @st.composite
@@ -177,6 +186,20 @@ def test_triangulation_matches_subset_oracle(cone):
         assert "is not an extreme ray" in ours[1]
     else:
         assert ours == theirs
+
+
+@given(lifted_cones())
+@settings(max_examples=100, deadline=None)
+def test_half_open_cells_tile_triangulated_cones(cone):
+    """The open facets picked by the perturbed point tile every cone that
+    the triangulation accepts, whether or not q lies on a wall."""
+    try:
+        tri = regular_triangulation(*cone)
+    except (DegenerateInput, ValueError):
+        return
+    # coefficients 0..3 on at most four rays, 0..1 on more: ≤ 256 points
+    assert_half_open_cells_tile(tri.rays, tri.cells,
+                                range(4 if len(tri.rays) <= 4 else 2))
 
 
 class TestLocalContribution:

@@ -67,3 +67,9 @@ def test_bad_polytope_json_rejected():
         polytope_from_json({"dim": 2})
     with pytest.raises(ValueError):
         polytope_from_json({"dim": 2, "vertices": [["0"], ["1"]]})
+    # int() would read these as 2 and 1, and both polytopes would load
+    with pytest.raises(ValueError):
+        polytope_from_json({"dim": 2.7, "vertices": [["0", "0"], ["1", "0"],
+                                                     ["0", "1"]]})
+    with pytest.raises(ValueError):
+        polytope_from_json({"dim": True, "vertices": [["0"], ["1"]]})
