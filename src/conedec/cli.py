@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: count, decompose, verify, corpus.  All output is deterministic
-given (input, flags, seed); JSON reports omit wall-clock time for exactly
-that reason.  Exit codes: 0 success, 1 mathematical counterexample, 2 bad
-input or usage, 3 internal error (a broken invariant or another unexpected
-failure such as running out of memory: never bad input).
+given (input, flags, seed), so JSON reports omit wall-clock time; Brion
+pulls each vertex cone's edges in order and needs no seed.  Exit codes: 0
+success, 1 counterexample, 2 bad input or usage, 3 internal error (a broken
+invariant or another unexpected failure such as running out of memory:
+never bad input).
 An option value may start with a minus sign: ``--xi -1,2`` is ``--xi=-1,2``.
 ``--xi`` may be any nonzero functional, even one constant on an edge or a
 triangulation ray (ties are broken lexicographically); without it, one
@@ -253,7 +254,7 @@ def cmd_count(args) -> int:
     t0 = time.monotonic()
     results = {}
     if args.method == "brion" or args.check:
-        results["brion"] = count_lattice_points(brion_gf(p, seed=args.seed))
+        results["brion"] = count_lattice_points(brion_gf(p))
     if args.method == "brute" or args.check:
         results["brute"] = len(lattice_points(p))
     wall = time.monotonic() - t0
@@ -276,7 +277,7 @@ def cmd_decompose(args) -> int:
     """Print the lhs of the method's first identity pair, or Brion's GF."""
     p = _load_polytope(args.input)
     if args.method == "brion-gf":
-        payload = {"gf": gf_to_json(brion_gf(p, seed=args.seed))}
+        payload = {"gf": gf_to_json(brion_gf(p))}
     else:
         pairs, payload = IDENTITIES[args.method.removesuffix("-lv")](p, args)
         payload["decomposition"] = indicator_sum_to_json(pairs[0][1])
@@ -304,7 +305,7 @@ def _report_exit(reports: list, as_json: bool, extra: dict) -> int:
 
 
 def _verify_brion(p: Polytope, args) -> int:
-    g1, g2 = brion_gf(p, seed=args.seed), gf_brute_force(p)
+    g1, g2 = brion_gf(p), gf_brute_force(p)
     c1, c2 = count_lattice_points(g1), count_lattice_points(g2)
     same = gf_equal_as_functions(g1, g2, seed=args.seed) and c1 == c2
     rep = VerificationReport(
@@ -390,7 +391,7 @@ def cmd_corpus(args) -> int:
         try:
             p = build()
             brute = len(lattice_points(p))
-            brion = count_lattice_points(brion_gf(p, seed=args.seed))
+            brion = count_lattice_points(brion_gf(p))
             gram_ok = _holds("gram", p, args.seed)
             dec_ok = _holds("nonsimple", p, args.seed)
             ok = (brion == brute == expected) and gram_ok and dec_ok
@@ -446,10 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "lattice-point counting, with machine-checked identities.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("--input", required=True, help="polytope JSON file")
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp):
+        sp.add_argument("--input", required=True, help="polytope JSON file")
         sp.add_argument("--json", action="store_true",
                         help="machine-readable output")
 
@@ -462,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="emit a decomposition as JSON")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--method", required=True,
                     choices=["gram", "brion-gf", "lv", "weighted-lv",
                              "nonsimple"])
@@ -473,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="machine-check an identity")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--identity", required=True,
                     choices=[*IDENTITIES, "brion", "positive-conic"])
     sp.add_argument("--xi")

@@ -22,8 +22,7 @@ from .indicators import IndicatorSum, LocallyClosedPiece
 from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
                      rank, residue_box, solve_linear, vec)
 from .polyhedra import Polytope, cone_facets
-from .triangulation import (half_open_cells, regular_triangulation,
-                            seeded_heights)
+from .triangulation import half_open_cells, pulling_triangulation
 
 
 @dataclass(frozen=True)
@@ -165,27 +164,23 @@ def gf_brute_force(p: Polytope) -> RationalGF:
     return RationalGF(p.dim, (make_term(1, pts, ()),))
 
 
-def _half_open_cone_gf(apex: Sequence, rays: Sequence[Sequence[int]],
-                       strict_normals: set, seed: int) -> RationalGF:
-    """Generating function of the cone apex + cone(rays), triangulated if
-    not simplicial.  The cells are made half-open so their generating
-    functions add up with no inclusion–exclusion; a cell facet whose normal
-    is in strict_normals is open as well."""
+def _half_open_cone_gf(apex: Sequence, rays: Sequence[IntVector],
+                       strict_normals: set) -> RationalGF:
+    """Generating function of the cone apex + cone(rays), its primitive
+    extreme rays, triangulated by pulling them in index order.  The cells
+    are made half-open so their generating functions add up with no
+    inclusion–exclusion; a cell facet whose normal is in strict_normals is
+    open as well."""
     dim = len(rays[0])
-    if len(rays) == dim and not strict_normals:  # one closed cell
-        return gf_simplicial_cone(apex, rays)
-    tri = regular_triangulation(rays, seeded_heights(len(rays), seed))
+    cells = pulling_triangulation(rays, list(range(len(rays))), dim)
     acc = zero_gf(dim)
-    for cell, (normals, flags) in zip(tri.cells,
-                                      half_open_cells(tri.rays, tri.cells)):
-        if strict_normals:
-            flags = tuple(f or h in strict_normals
-                          for f, h in zip(flags, normals))
-        acc = acc + gf_simplicial_cone(apex, [tri.rays[j] for j in cell], flags)
+    for cell, (normals, flags) in zip(cells, half_open_cells(rays, cells)):
+        flags = tuple(f or h in strict_normals for f, h in zip(flags, normals))
+        acc = acc + gf_simplicial_cone(apex, [rays[j] for j in cell], flags)
     return acc
 
 
-def brion_gf(p: Polytope, seed: int = 0) -> RationalGF:
+def brion_gf(p: Polytope) -> RationalGF:
     """Sum of the vertex tangent cone generating functions.
 
     Tangent cones at higher faces contain lines and contribute zero, so the
@@ -193,7 +188,7 @@ def brion_gf(p: Polytope, seed: int = 0) -> RationalGF:
     """
     acc = zero_gf(p.dim)
     for vid, v in enumerate(p.vertices):
-        acc = acc + _half_open_cone_gf(v, p.edge_directions(vid), set(), seed)
+        acc = acc + _half_open_cone_gf(v, p.edge_directions(vid), set())
     return acc
 
 
@@ -340,7 +335,7 @@ def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
             n for n, _ in cone_facets(rays, pc.dim)}:
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
-    return _half_open_cone_gf(apex, rays, strict_normals, seed=0)
+    return _half_open_cone_gf(apex, rays, strict_normals)
 
 
 def gf_of_indicator_sum(s: IndicatorSum) -> RationalGF:

@@ -7,7 +7,8 @@ The lower hull is read off ``polyhedra.cone_facets`` of the lifted rays: a
 facet whose normal has a positive last coordinate is a lower face.  A face
 with more than d rays (tied heights) is refined by pulling its rays in index
 order: the regular refinement for heights h − (ε, ε², …) as ε → 0⁺.  A ray
-that is not extreme and lifts above the lower hull is rejected.
+that is not extreme and lifts above the lower hull is rejected.  Brion's
+cones need no heights: ``pulling_triangulation`` of all their rays.
 
 ``half_open_cells`` makes the cells half-open so that they tile the cone
 disjointly, opening facets by the tie-break of ``linalg.perturbed_key``.
@@ -78,7 +79,7 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
     else:
         faces = [on for n, on in cone_facets(lifted, dim + 1) if n[-1] > 0]
     cells = sorted(cell for face in faces
-                   for cell in _pulled(rays, sorted(face), dim))
+                   for cell in pulling_triangulation(rays, sorted(face), dim))
     if not cells:
         raise AssertionError("no lower-hull cell found")
     missing = set(range(len(rays))).difference(*cells)
@@ -97,19 +98,19 @@ def _reject_non_extreme(rays: Sequence[IntVector], dim: int, j: int) -> None:
                               "of the cone, and no cell uses it")
 
 
-def _pulled(rays: Sequence[IntVector], face: list[int], fdim: int
-            ) -> list[tuple[int, ...]]:
+def pulling_triangulation(rays: Sequence[IntVector], face: list[int],
+                          fdim: int) -> list[tuple[int, ...]]:
     """Pulling triangulation, in index order, of the fdim-dimensional cone
     spanned by the rays at the sorted indices `face`: the joins of its first
-    ray with the pulled facets that miss it."""
+    ray with the pulled facets that miss it, sorted."""
     if len(face) == fdim:
         return [tuple(face)]
     # the pivot coordinates, on which the span of the face maps one-to-one
     coords, _ = _bareiss([list(rays[j]) for j in face])
     gens = [tuple(rays[j][c] for c in coords) for j in face]
-    return [(face[0],) + cell for _, on in cone_facets(gens, fdim)
-            if 0 not in on
-            for cell in _pulled(rays, [face[i] for i in sorted(on)], fdim - 1)]
+    return sorted((face[0],) + cell for _, on in cone_facets(gens, fdim)
+                  if 0 not in on for cell in pulling_triangulation(
+                      rays, [face[i] for i in sorted(on)], fdim - 1))
 
 
 def seeded_heights(n: int, seed: int) -> tuple[Fraction, ...]:

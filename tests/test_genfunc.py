@@ -181,19 +181,19 @@ class TestBrion:
         octa = next(p for entry, p in corpus if entry.name == "octahedron")
         calls, cells = [], []
         real_normals = triangulation.simplicial_cone_facet_normals
-        real_triangulation = genfunc.regular_triangulation
+        real_triangulation = genfunc.pulling_triangulation
 
         def counted_normals(rays):
             calls.append(rays)
             return real_normals(rays)
 
-        def counted_triangulation(rays, heights):
-            tri = real_triangulation(rays, heights)
-            cells.append(len(tri.cells))
+        def counted_triangulation(rays, face, fdim):
+            tri = real_triangulation(rays, face, fdim)
+            cells.append(len(tri))
             return tri
         monkeypatch.setattr(triangulation, "simplicial_cone_facet_normals",
                             counted_normals)
-        monkeypatch.setattr(genfunc, "regular_triangulation",
+        monkeypatch.setattr(genfunc, "pulling_triangulation",
                             counted_triangulation)
         brion_gf(octa)
         assert cells == [2] * 6
