@@ -25,12 +25,13 @@ class DimensionError(ValueError):
 def frac(x) -> Fraction:
     """Coerce an int, a string like ``"3/4"``, or a Fraction to Fraction.
 
-    Floats are rejected: this library is exact.  A string with a zero
-    denominator is a ValueError like any other malformed string.
+    Floats and bools (a JSON ``true`` is not a coordinate) are rejected:
+    this library is exact.  A string with a zero denominator is a
+    ValueError like any other malformed string.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

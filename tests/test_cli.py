@@ -372,6 +372,20 @@ class TestBadInput:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("polytope", [
+        {"dim": 1, "vertices": [[True], [3]]},
+        {"dim": 1, "inequalities": [{"normal": [True], "offset": "0"},
+                                    {"normal": ["-1"], "offset": "-3"}]},
+    ], ids=["vertex", "normal"])
+    def test_json_boolean_is_input_error(self, polytope, tmp_path, capsys):
+        # a JSON true is not the coordinate 1
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(polytope))
+        assert main(["count", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected exact rational, got bool: True" in captured.err
+
     def test_negative_samples_is_input_error(self, pyramid_file, capsys):
         assert main(["verify", "--input", pyramid_file, "--identity", "gram",
                      "--samples", "-3", "--json"]) == 2

@@ -170,6 +170,11 @@ class TestHelpers:
         with pytest.raises(TypeError):
             frac(0.5)
 
+    @pytest.mark.parametrize("x", [True, False])
+    def test_frac_rejects_bools(self, x):
+        with pytest.raises(TypeError, match="got bool"):
+            frac(x)
+
 
 # ---------------------------------------------------------------------------
 # Reference: Fraction Gauss–Jordan elimination
