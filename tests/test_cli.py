@@ -61,6 +61,11 @@ class TestCount:
             main(["count", "--input", cube_file, "--method", "both"])
         assert exc.value.code == 2
         assert "invalid choice: 'both'" in capsys.readouterr().err
+        # Brion's cells need no seed, so count has no --seed
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--input", cube_file, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_check_reports_both_counts(self, cube_file, capsys):
         assert main(["count", "--input", cube_file, "--check", "--json"]) == 0

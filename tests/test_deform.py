@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conedec.triangulation as triangulation
@@ -18,13 +18,13 @@ from conedec.deform import (compatible_decomposition, compatible_from_dual,
 from conedec.indicators import (default_box, grid_points,
                                 indicator_of_polytope, tangent_cone_piece,
                                 verify_identity, verify_identity_exact)
-from conedec.linalg import dot, kernel_basis, primitive, vsub
+from conedec.linalg import dot, kernel_basis, primitive, rank, vsub
 from conedec.polar import (SimplicityError, lv_decomposition,
                            rearrange_for_vertex)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
                                is_simple_vertex, polytope_from_vertices)
-from conedec.triangulation import (half_open_cells, regular_triangulation,
-                                   seeded_heights)
+from conedec.triangulation import (half_open_cells, pulling_triangulation,
+                                   regular_triangulation, seeded_heights)
 
 from conftest import seeded_generic_functionals
 from helpers import flip_one_constraint, vertex_index
@@ -197,9 +197,32 @@ def test_half_open_cells_tile_triangulated_cones(cone):
         tri = regular_triangulation(*cone)
     except (DegenerateInput, ValueError):
         return
+    pulled = pulling_triangulation(tri.rays, list(range(len(tri.rays))),
+                                   len(tri.rays[0]))
     # coefficients 0..3 on at most four rays, 0..1 on more: ≤ 256 points
-    assert_half_open_cells_tile(tri.rays, tri.cells,
-                                range(4 if len(tri.rays) <= 4 else 2))
+    for cells in (tri.cells, pulled):
+        assert_half_open_cells_tile(tri.rays, cells,
+                                    range(4 if len(tri.rays) <= 4 else 2))
+
+
+@given(lifted_cones())
+@settings(max_examples=200, deadline=None)
+def test_pulling_is_the_zero_height_triangulation(cone):
+    """Pulling in index order is the regular triangulation for heights
+    −(ε, ε², …): the subset oracle's cells at zero heights.  A ray that is
+    not extreme and lifts above them is in no pulled cell."""
+    rays, _, w = cone
+    rays = [primitive(r) for r in rays]
+    dim = len(rays[0])
+    assume(rank(rays) == dim)
+    pulled = pulling_triangulation(rays, list(range(len(rays))), dim)
+    try:
+        cells = triangulation_oracle.regular_triangulation(
+            rays, [0] * len(rays), w).cells
+    except AssertionError:  # the oracle wants every ray in a cell
+        assert set(range(len(rays))).difference(*pulled)
+        return
+    assert pulled == list(cells)
 
 
 class TestLocalContribution:

@@ -200,6 +200,25 @@ class TestBrion:
         assert len(calls) == sum(cells)
 
 
+    def test_counting_needs_no_heights_or_slice_normal(self, corpus,
+                                                       monkeypatch):
+        # the cells come from pulling alone: no seeded heights, no search
+        # for a slice normal and no lifted lower hull
+        cube = next(p for entry, p in corpus if entry.name == "cube")
+        dec = nonsimple_decomposition(cube, (3, 4, -8))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("not on the counting path")
+        for name in ("positive_functional", "feasible_point",
+                     "seeded_heights", "regular_triangulation"):
+            monkeypatch.setattr(triangulation, name, fail)
+        for entry, p in corpus:
+            g = brion_gf(p)
+            assert gf_equal_as_functions(g, gf_brute_force(p)), entry.name
+            assert count_lattice_points(g) == entry.expected_count, entry.name
+        assert count_lattice_points(gf_of_indicator_sum(dec)) == 8
+
+
 class TestCount:
     def test_segment_02(self):
         g = RationalGF(1, (make_term(1, [(0,)], [(1,)]),
