@@ -6,10 +6,8 @@ bit-exact and diffable.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .genfunc import RationalGF, gf_pretty, make_term
-from .indicators import IndicatorSum, LocallyClosedPiece, ZPoly
+from .genfunc import RationalGF, gf_pretty
+from .indicators import IndicatorSum
 from .linalg import frac
 from .polyhedra import (Halfspace, Polytope, halfspace, polytope_from_halfspaces,
                         polytope_from_vertices)
@@ -18,20 +16,6 @@ from .polyhedra import (Halfspace, Polytope, halfspace, polytope_from_halfspaces
 def rat_str(x) -> str:
     x = frac(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def vec_json(v: Sequence) -> list[str]:
-    return [rat_str(x) for x in v]
-
-
-def polytope_to_json(p: Polytope) -> dict:
-    return {
-        "dim": p.dim,
-        "vertices": [vec_json(v) for v in p.vertices],
-        "inequalities": [
-            {"normal": [str(a) for a in h.normal], "offset": rat_str(h.offset)}
-            for h in p.facets],
-    }
 
 
 def polytope_from_json(obj: dict) -> Polytope:
@@ -74,19 +58,6 @@ def indicator_sum_to_json(s: IndicatorSum) -> list:
     return out
 
 
-def indicator_sum_from_json(obj: list, dim: int) -> IndicatorSum:
-    terms = []
-    for t in obj:
-        coeff = ZPoly(tuple(int(c) for c in t["coeff"]))
-        cons = []
-        for c in t["constraints"]:
-            h = halfspace([frac(x) for x in c["normal"]], frac(c["offset"]),
-                          c.get("sense", "ge") == "gt")
-            cons.append(h)
-        terms.append((coeff, LocallyClosedPiece(dim, tuple(sorted(cons)))))
-    return IndicatorSum(dim, tuple(terms))
-
-
 def gf_to_json(g: RationalGF) -> dict:
     return {
         "dim": g.dim,
@@ -97,11 +68,3 @@ def gf_to_json(g: RationalGF) -> dict:
             for t in g.terms],
         "pretty": gf_pretty(g),
     }
-
-
-def gf_from_json(obj: dict) -> RationalGF:
-    terms = tuple(make_term(frac(t["coeff"]),
-                            [tuple(a) for a in t["numerator"]],
-                            [tuple(b) for b in t["denominators"]])
-                  for t in obj["terms"])
-    return RationalGF(int(obj["dim"]), terms)

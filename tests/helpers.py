@@ -1,13 +1,16 @@
 """Test-only helpers: vertex lookup, the polar dual, a deliberately
-corrupted local contribution, and the CLI parser's option choices."""
+corrupted local contribution, the CLI parser's option choices, and the
+JSON writer and readers that only tests use."""
 
 import argparse
 from fractions import Fraction
 
 from conedec.cli import build_parser
 from conedec.deform import LocalContribution
-from conedec.indicators import IndicatorSum, LocallyClosedPiece
-from conedec.linalg import vec, vneg
+from conedec.genfunc import RationalGF, make_term
+from conedec.indicators import IndicatorSum, LocallyClosedPiece, ZPoly
+from conedec.jsonio import rat_str
+from conedec.linalg import frac, vec, vneg
 from conedec.polyhedra import (DegenerateInput, Polytope, halfspace,
                                polytope_from_halfspaces)
 
@@ -60,3 +63,37 @@ def option_choices(command: str, option: str) -> list:
                if isinstance(a, argparse._SubParsersAction))
     return next(a.choices for a in sub.choices[command]._actions
                 if option in a.option_strings)
+
+
+def polytope_to_json(p: Polytope) -> dict:
+    """Both forms of a polytope, readable by ``jsonio.polytope_from_json``."""
+    return {
+        "dim": p.dim,
+        "vertices": [[rat_str(x) for x in v] for v in p.vertices],
+        "inequalities": [
+            {"normal": [str(a) for a in h.normal], "offset": rat_str(h.offset)}
+            for h in p.facets],
+    }
+
+
+def indicator_sum_from_json(obj: list, dim: int) -> IndicatorSum:
+    """Inverse of ``jsonio.indicator_sum_to_json``."""
+    terms = []
+    for t in obj:
+        coeff = ZPoly(tuple(int(c) for c in t["coeff"]))
+        cons = []
+        for c in t["constraints"]:
+            h = halfspace([frac(x) for x in c["normal"]], frac(c["offset"]),
+                          c.get("sense", "ge") == "gt")
+            cons.append(h)
+        terms.append((coeff, LocallyClosedPiece(dim, tuple(sorted(cons)))))
+    return IndicatorSum(dim, tuple(terms))
+
+
+def gf_from_json(obj: dict) -> RationalGF:
+    """Inverse of ``jsonio.gf_to_json``."""
+    terms = tuple(make_term(frac(t["coeff"]),
+                            [tuple(a) for a in t["numerator"]],
+                            [tuple(b) for b in t["denominators"]])
+                  for t in obj["terms"])
+    return RationalGF(int(obj["dim"]), terms)

@@ -13,10 +13,9 @@ import conedec
 from conedec import cli, corpus, indicators
 from conedec.cli import main
 from conedec.corpus import build_corpus, pyramid
-from conedec.jsonio import polytope_to_json
 from conedec.polyhedra import DegenerateInput
 
-from helpers import option_choices
+from helpers import option_choices, polytope_to_json
 
 
 @pytest.fixture()

@@ -26,9 +26,8 @@ from pathlib import Path
 
 from conedec import build_corpus, is_generic, is_simple_polytope
 from conedec.cli import main
-from conedec.jsonio import polytope_to_json
 
-from helpers import option_choices
+from helpers import option_choices, polytope_to_json
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 MAX_DIM = 3

@@ -5,11 +5,12 @@ import pytest
 
 from conedec.genfunc import brion_gf, gf_equal_as_functions
 from conedec.indicators import gram_decomposition
-from conedec.jsonio import (gf_from_json, gf_to_json, indicator_sum_from_json,
-                            indicator_sum_to_json, polytope_from_json,
-                            polytope_to_json, rat_str)
+from conedec.jsonio import (gf_to_json, indicator_sum_to_json,
+                            polytope_from_json, rat_str)
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import polytope_from_vertices
+
+from helpers import gf_from_json, indicator_sum_from_json, polytope_to_json
 
 
 def test_rat_str():
