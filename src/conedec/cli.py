@@ -3,9 +3,9 @@
 Subcommands: count, decompose, verify, corpus.  All output is deterministic
 given (input, flags, seed), so JSON reports omit wall-clock time; Brion
 pulls each vertex cone's edges in order and needs no seed.  Exit codes: 0
-success, 1 counterexample, 2 bad input or usage, 3 internal error (a broken
-invariant or another unexpected failure such as running out of memory:
-never bad input).
+success, 1 mathematical counterexample, 2 bad input or usage, 3 internal
+error (a broken invariant or another unexpected failure such as running out
+of memory: never bad input).
 An option value may start with a minus sign: ``--xi -1,2`` is ``--xi=-1,2``.
 ``--xi`` may be any nonzero functional, even one constant on an edge or a
 triangulation ray (ties are broken lexicographically); without it, one
