@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, islice, product
 from math import ceil, comb, factorial, floor, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece
@@ -102,6 +102,9 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     Each point r of a residue box of Z^d modulo the generator lattice (one
     per class) moves into the cell as r − Σ k_i·t_i, k_i = ⌊λ_i(r)⌋ (or
     ⌈λ_i(r)⌉ − 1 on an open facet), with λ(r) = n/s for n, s in ``int``.
+    The box is walked in columns along its longest side, on which n_i grows
+    by a fixed step: each k_i, then each coordinate, is built a whole column
+    at a time, with no dot product per point.  There must be d flags.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     d = len(gens[0])
@@ -115,16 +118,30 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
         raise AssertionError(f"residue box {box} does not hold |det| classes")
     apex = vec(apex)
     flags = tuple(open_flags) if open_flags is not None else (False,) * d
+    if len(flags) != d:
+        raise ValueError(f"{d} generators but {len(flags)} open flags")
     q = lcm(*(a.denominator for a in apex))
     s, sq = abs(det) * q, (q if det > 0 else -q)
     # n = sq·adj·(r − apex) is an int vector, and k_i = (n_i − open_i) // s
     steps = [[sq * x for x in row] for row in adj]
     shift = [int(dot(row, apex)) + f for row, f in zip(steps, flags)]
+    w = box.index(max(box))  # the column side: r_w = t runs over range(m)
+    m = box[w]
     points = []
-    for r in product(*(range(h) for h in box)):
-        k = [(sum(map(mul, row, r)) - b) // s for row, b in zip(steps, shift)]
-        points.append(tuple([x - sum(map(mul, k, row))
-                             for x, row in zip(r, cols)]))
+    for r in product(*(range(1 if j == w else h) for j, h in enumerate(box))):
+        ks = []  # k_i = (base_i + a_i·t) // s down the column
+        for row, b in zip(steps, shift):
+            base, a = sum(map(mul, row, r)) - b, row[w]
+            ks.append(list(map(s.__rfloordiv__, range(base, base + a * m, a)))
+                      if a else [base // s] * m)
+        coords = []
+        for j, (x, row) in enumerate(zip(r, cols)):
+            c = list(range(m)) if j == w else [x] * m
+            for g, k in zip(row, ks):
+                if g:
+                    c = list(map(sub, c, map(g.__mul__, k)))
+            coords.append(c)
+        points.extend(zip(*coords))
     points.sort()
     return points
 
@@ -165,14 +182,16 @@ def gf_brute_force(p: Polytope) -> RationalGF:
 
 
 def _half_open_cone_gf(apex: Sequence, rays: Sequence[IntVector],
+                       facets: Iterable[Iterable[int]],
                        strict_normals: set) -> RationalGF:
     """Generating function of the cone apex + cone(rays), its primitive
-    extreme rays, triangulated by pulling them in index order.  The cells
-    are made half-open so their generating functions add up with no
+    extreme rays, triangulated by pulling them in index order; `facets`
+    lists the cone's facets as sets of ray indices.  The cells are made
+    half-open so their generating functions add up with no
     inclusion–exclusion; a cell facet whose normal is in strict_normals is
     open as well."""
     dim = len(rays[0])
-    cells = pulling_triangulation(rays, list(range(len(rays))), dim)
+    cells = pulling_triangulation(rays, list(range(len(rays))), dim, facets)
     acc = zero_gf(dim)
     for cell, (normals, flags) in zip(cells, half_open_cells(rays, cells)):
         flags = tuple(f or h in strict_normals for f, h in zip(flags, normals))
@@ -184,11 +203,18 @@ def brion_gf(p: Polytope) -> RationalGF:
     """Sum of the vertex tangent cone generating functions.
 
     Tangent cones at higher faces contain lines and contribute zero, so the
-    vertex sum is the whole generating function of the polytope.
+    vertex sum is the whole generating function of the polytope.  The facets
+    of the cone at v are the facets of P through v, and edge i at v lies on
+    facet j exactly when j is among its facet ids: no arithmetic is needed.
     """
     acc = zero_gf(p.dim)
+    edges = p.edges
     for vid, v in enumerate(p.vertices):
-        acc = acc + _half_open_cone_gf(v, p.edge_directions(vid), set())
+        at_v = [e.facet_ids for e in edges if vid in e.vertex_ids]
+        facets = [{i for i, on in enumerate(at_v) if j in on}
+                  for j in p.tight_facets(vid)]
+        acc = acc + _half_open_cone_gf(v, p.edge_directions(vid), facets,
+                                       set())
     return acc
 
 
@@ -331,11 +357,11 @@ def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
     if rank(rays) != pc.dim:
         raise ValueError("piece is not full-dimensional")
     strict_normals = {h.normal for h in pc.constraints if h.strict}
-    if strict_normals and not strict_normals <= {
-            n for n, _ in cone_facets(rays, pc.dim)}:
+    facets = dict(cone_facets(rays, pc.dim))
+    if not strict_normals <= facets.keys():
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
-    return _half_open_cone_gf(apex, rays, strict_normals)
+    return _half_open_cone_gf(apex, rays, facets.values(), strict_normals)
 
 
 def gf_of_indicator_sum(s: IndicatorSum) -> RationalGF:

@@ -8,7 +8,10 @@ facet whose normal has a positive last coordinate is a lower face.  A face
 with more than d rays (tied heights) is refined by pulling its rays in index
 order: the regular refinement for heights h − (ε, ε², …) as ε → 0⁺.  A ray
 that is not extreme and lifts above the lower hull is rejected.  Brion's
-cones need no heights: ``pulling_triangulation`` of all their rays.
+cones need no heights: ``pulling_triangulation`` of all their rays, from
+the facets the caller passes (Brion reads them off the face lattice).  Only
+facets of facets come from ``cone_facets``, so Brion computes none for
+d ≤ 3.
 
 ``half_open_cells`` makes the cells half-open so that they tile the cone
 disjointly, opening facets by the tie-break of ``linalg.perturbed_key``.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
 from .linalg import (IntVector, Vector, _bareiss, dot, frac, perturbed_key,
@@ -99,17 +102,22 @@ def _reject_non_extreme(rays: Sequence[IntVector], dim: int, j: int) -> None:
 
 
 def pulling_triangulation(rays: Sequence[IntVector], face: list[int],
-                          fdim: int) -> list[tuple[int, ...]]:
+                          fdim: int, facets: Optional[Iterable[Iterable[int]]]
+                          = None) -> list[tuple[int, ...]]:
     """Pulling triangulation, in index order, of the fdim-dimensional cone
     spanned by the rays at the sorted indices `face`: the joins of its first
-    ray with the pulled facets that miss it, sorted."""
+    ray with the pulled facets that miss it, sorted.  `facets`, when given,
+    lists the facets of this cone as sets of positions in `face`; otherwise
+    they come from ``cone_facets``."""
     if len(face) == fdim:
         return [tuple(face)]
-    # the pivot coordinates, on which the span of the face maps one-to-one
-    coords, _ = _bareiss([list(rays[j]) for j in face])
-    gens = [tuple(rays[j][c] for c in coords) for j in face]
-    return sorted((face[0],) + cell for _, on in cone_facets(gens, fdim)
-                  if 0 not in on for cell in pulling_triangulation(
+    if facets is None:
+        # the pivot coordinates, on which the span of the face maps one-to-one
+        coords, _ = _bareiss([list(rays[j]) for j in face])
+        gens = [tuple(rays[j][c] for c in coords) for j in face]
+        facets = [on for _, on in cone_facets(gens, fdim)]
+    return sorted((face[0],) + cell for on in facets if 0 not in on
+                  for cell in pulling_triangulation(
                       rays, [face[i] for i in sorted(on)], fdim - 1))
 
 

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,9 +20,10 @@ from conedec.genfunc import (RationalGF, _bernoulli, _series_mul, brion_gf,
 from conedec.indicators import gram_decomposition, whole_space_piece
 from conedec.linalg import residue_box, vsub
 from conedec.polar import lv_decomposition
-from conedec.polyhedra import DegenerateInput, polytope_from_vertices
-from conedec.triangulation import (half_open_cells, regular_triangulation,
-                                   seeded_heights)
+from conedec.polyhedra import (DegenerateInput, cone_facets,
+                               polytope_from_vertices)
+from conedec.triangulation import (half_open_cells, pulling_triangulation,
+                                   regular_triangulation, seeded_heights)
 
 from conftest import seeded_generic_functionals
 from helpers import vertex_index
@@ -121,6 +124,37 @@ class TestParallelepiped:
             assert enumerate_parallelepiped(gens, apex, flags) == \
                 parallelepiped_oracle.enumerate_parallelepiped(gens, apex, flags)
 
+    @pytest.mark.parametrize("gens, box", [
+        ([(5,)], (5,)),
+        ([(0, -2, 1, 1), (0, -2, -2, -1), (0, -1, 0, 0), (3, 3, 3, 2)],
+         (3, 1, 1, 1)),
+        ([(0, -1, 0), (0, 0, 2), (3, 0, 0)], (3, 1, 2)),
+        ([(2, 2, 1, 2), (-1, 2, -2, 0), (0, 0, 0, -2), (0, 0, -1, 1)],
+         (1, 6, 1, 2)),
+        ([(-1, 1, 0, -2), (0, -2, -1, 0), (3, 1, -1, -1), (0, 0, -3, 1)],
+         (1, 2, 3, 8)),
+    ])
+    def test_column_walk_matches_fraction_oracle(self, gens, box):
+        # the walk runs along the longest side of the residue box, here the
+        # first, a middle or the last one, with one or more other sides > 1
+        assert residue_box(tuple(zip(*gens))) == box
+        d = len(box)
+        for apex in [(0,) * d, tuple(Fraction(2 * i - 1, 3) for i in range(d))]:
+            for flags in product((False, True), repeat=d):
+                assert enumerate_parallelepiped(gens, apex, flags) == \
+                    parallelepiped_oracle.enumerate_parallelepiped(
+                        gens, apex, flags), (apex, flags)
+
+    @pytest.mark.parametrize("flags", [[True], [True, False, False]])
+    def test_open_flags_must_match_the_dimension(self, flags):
+        # zipping flags against rows would cut them to fit and yield points
+        # outside the cell
+        gens, apex = [(2, 1), (1, 3)], (5, -7)
+        with pytest.raises(ValueError, match="open flags"):
+            enumerate_parallelepiped(gens, apex, flags)
+        with pytest.raises(ValueError, match="open flags"):
+            gf_simplicial_cone(apex, gens, flags)
+
     def test_short_residue_box_is_a_broken_invariant(self, monkeypatch):
         def one_short(cols):
             *head, last = residue_box(cols)
@@ -187,8 +221,8 @@ class TestBrion:
             calls.append(rays)
             return real_normals(rays)
 
-        def counted_triangulation(rays, face, fdim):
-            tri = real_triangulation(rays, face, fdim)
+        def counted_triangulation(rays, face, fdim, facets=None):
+            tri = real_triangulation(rays, face, fdim, facets)
             cells.append(len(tri))
             return tri
         monkeypatch.setattr(triangulation, "simplicial_cone_facet_normals",
@@ -199,6 +233,49 @@ class TestBrion:
         assert cells == [2] * 6
         assert len(calls) == sum(cells)
 
+
+    def test_vertex_cone_facets_come_from_the_face_lattice(self, corpus,
+                                                           monkeypatch):
+        # up to dimension 3 Brion computes no facet of any cone
+        clouds = []
+        for seed in range(4):
+            rng = random.Random(seed)
+            clouds.append(polytope_from_vertices(
+                [tuple(rng.randint(-3, 3) for _ in range(3))
+                 for _ in range(8)]))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("cone_facets on the Brion path")
+        monkeypatch.setattr(triangulation, "cone_facets", fail)
+        monkeypatch.setattr(genfunc, "cone_facets", fail)
+        named = [(e.name, p) for e, p in corpus if p.dim <= 3]
+        for name, p in named + [(f"cloud{i}", p) for i, p in enumerate(clouds)]:
+            assert gf_equal_as_functions(brion_gf(p), gf_brute_force(p)), name
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_face_lattice_facets_pull_like_cone_facets(self, data):
+        d = data.draw(st.sampled_from([3, 4]))
+        pts = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                                 min_size=d + 1, max_size=d + 4, unique=True))
+        try:
+            p = polytope_from_vertices(pts)
+        except DegenerateInput:
+            assume(False)
+        cones = []
+
+        def record(apex, rays, facets, strict_normals):
+            cones.append((rays, facets))
+            return zero_gf(d)
+        with mock.patch.object(genfunc, "_half_open_cone_gf", record):
+            brion_gf(p)
+        assert len(cones) == len(p.vertices)
+        for rays, facets in cones:
+            assert {frozenset(f) for f in facets} == \
+                {on for _, on in cone_facets(rays, d)}
+            face = list(range(len(rays)))
+            assert pulling_triangulation(rays, face, d, facets) == \
+                pulling_triangulation(rays, face, d)
 
     def test_counting_needs_no_heights_or_slice_normal(self, corpus,
                                                        monkeypatch):
