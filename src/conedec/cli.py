@@ -21,6 +21,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import corpus as corpus_mod
 from .deform import (compatible_decomposition, local_contribution,
@@ -457,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["brion", "brute"], default="brion")
     sp.add_argument("--check", action="store_true",
                     help="run both methods and compare")
-    sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("decompose", help="emit a decomposition as JSON")
     common(sp)
@@ -469,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--heights", action="append",
                     help="per-vertex lifting heights, e.g. v0=1,1,0,0 "
                          "(ray order = facet order)")
-    sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("verify", help="machine-check an identity")
     common(sp)
@@ -485,22 +484,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra seeded random points")
     sp.add_argument("--exact-cells", action="store_true",
                     help="decide by arrangement cell enumeration (slow)")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("corpus", help="run the bundled acceptance corpus")
     sp.add_argument("--input", help="optional corpus JSON overriding the "
                                     "bundled one")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_corpus)
     return ap
 
 
+_parser = cache(build_parser)  # built on the first call of main, not at import
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

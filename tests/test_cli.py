@@ -72,6 +72,16 @@ class TestCount:
         assert payload["methods"] == {"brion": 8, "brute": 8}
         assert payload["agree"] is True
 
+    def test_handler_looked_up_at_call_time(self, cube_file, monkeypatch,
+                                            capsys):
+        # the parser is built once, but a patched handler still runs
+        assert main(["count", "--input", cube_file]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_count",
+                            lambda args: seen.append(args.input) or 0)
+        assert main(["count", "--input", cube_file]) == 0
+        assert seen == [cube_file]
+
     def test_json_deterministic(self, pyramid_file, capsys):
         main(["count", "--input", pyramid_file, "--check", "--json"])
         first = capsys.readouterr().out
