@@ -13,11 +13,11 @@ from .deform import (LiftedTriangulation, LocalContribution, SimpleConeFrame,
                      local_contribution, local_contributions,
                      nonsimple_decomposition, normal_cone_rays,
                      positive_conic_check, t_sigma, vertex_triangulation)
-from .genfunc import (GFTerm, RationalGF, brion_gf, count_lattice_points,
-                      enumerate_parallelepiped, gf_brute_force,
-                      gf_equal_as_functions, gf_of_indicator_sum, gf_of_piece,
-                      gf_pretty, gf_simplicial_cone, lattice_points,
-                      make_term, specialize)
+from .genfunc import (GFTerm, RationalGF, brion_gf, brute_force_count,
+                      count_lattice_points, enumerate_parallelepiped,
+                      gf_brute_force, gf_equal_as_functions,
+                      gf_of_indicator_sum, gf_of_piece, gf_pretty,
+                      gf_simplicial_cone, make_term, specialize)
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, default_box, gram_decomposition,
                          indicator_of_interior, indicator_of_polytope, piece,

@@ -28,8 +28,8 @@ from .deform import (compatible_decomposition, local_contribution,
                      local_contributions, nonsimple_decomposition,
                      positive_conic_check, seeded_dual_heights, t_sigma,
                      vertex_triangulation)
-from .genfunc import (brion_gf, count_lattice_points, gf_brute_force,
-                      gf_equal_as_functions, lattice_points)
+from .genfunc import (brion_gf, brute_force_count, count_lattice_points,
+                      gf_brute_force, gf_equal_as_functions)
 from .indicators import (ONE, IndicatorSum, VerificationReport, default_box,
                          gram_decomposition, indicator_of_polytope,
                          indicator_of_interior, piece, tangent_cone_piece,
@@ -257,7 +257,7 @@ def cmd_count(args) -> int:
     if args.method == "brion" or args.check:
         results["brion"] = count_lattice_points(brion_gf(p))
     if args.method == "brute" or args.check:
-        results["brute"] = len(lattice_points(p))
+        results["brute"] = brute_force_count(p)
     wall = time.monotonic() - t0
     agree = len(set(results.values())) <= 1
     count = next(iter(results.values()))
@@ -306,7 +306,8 @@ def _report_exit(reports: list, as_json: bool, extra: dict) -> int:
 
 
 def _verify_brion(p: Polytope, args) -> int:
-    g1, g2 = brion_gf(p), gf_brute_force(p)
+    g2 = gf_brute_force(p)  # first: it refuses at once what is too big to list
+    g1 = brion_gf(p)
     c1, c2 = count_lattice_points(g1), count_lattice_points(g2)
     same = gf_equal_as_functions(g1, g2, seed=args.seed) and c1 == c2
     rep = VerificationReport(
@@ -363,13 +364,19 @@ def _corpus_entries(args):
         if not isinstance(data, list) or not data:
             raise InputError(f"{args.input}: corpus must be a nonempty list")
         entries = []
-        for row in data:
+        for i, row in enumerate(data):
             try:
-                name = row["name"]
-                expected = int(row["expected_count"])
+                name, expected = row["name"], row["expected_count"]
                 pj = row["polytope"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise InputError(f"{args.input}: bad corpus entry: {exc}")
+            if type(name) is not str:
+                raise InputError(f"{args.input}: corpus entry {i}: 'name' "
+                                 f"must be a string, got {name!r}")
+            if type(expected) is not int:  # a float or a bool would pass int()
+                raise InputError(f"{args.input}: corpus entry {name!r}: "
+                                 "'expected_count' must be an integer, got "
+                                 f"{expected!r}")
             entries.append((name, expected, lambda pj=pj: polytope_from_json(pj)))
         return entries
     return [(e.name, e.expected_count, e.build) for e in corpus_mod.build_corpus()]
@@ -391,7 +398,7 @@ def cmd_corpus(args) -> int:
         t0 = time.monotonic()
         try:
             p = build()
-            brute = len(lattice_points(p))
+            brute = brute_force_count(p)
             brion = count_lattice_points(brion_gf(p))
             gram_ok = _holds("gram", p, args.seed)
             dec_ok = _holds("nonsimple", p, args.seed)

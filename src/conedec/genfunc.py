@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice, product
-from math import ceil, comb, factorial, floor, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from .indicators import IndicatorSum, LocallyClosedPiece
+from .indicators import (GRID_POINT_BUDGET, IndicatorSum, LocallyClosedPiece,
+                         lattice_runs)
 from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
                      rank, residue_box, solve_linear, vec)
 from .polyhedra import Polytope, cone_facets
@@ -42,12 +43,12 @@ def _lex_positive(v: IntVector) -> bool:
 
 def make_term(coeff, numerators: Iterable[Sequence[int]],
               denominators: Iterable[Sequence[int]]) -> GFTerm:
-    """Canonical term: every denominator exponent lex-positive, all sorted."""
+    """Canonical term: every denominator exponent lex-positive, all sorted.
+    Numerator and denominator exponents are sequences of ``int``."""
     coeff = frac(coeff)
-    nums = [tuple(map(int, a)) for a in numerators]
     dens, shift = [], None
     for b in denominators:
-        b = tuple(map(int, b))
+        b = tuple(b)
         if all(x == 0 for x in b):
             raise ValueError("zero denominator exponent")
         if not _lex_positive(b):
@@ -56,8 +57,8 @@ def make_term(coeff, numerators: Iterable[Sequence[int]],
             coeff = -coeff
             shift = b if shift is None else tuple(map(add, shift, b))
         dens.append(b)
-    if shift is not None:
-        nums = [tuple(map(add, a, shift)) for a in nums]
+    nums = [tuple(a) if shift is None else tuple(map(add, a, shift))
+            for a in numerators]
     return GFTerm(coeff, tuple(sorted(nums)), tuple(sorted(dens)))
 
 
@@ -161,23 +162,23 @@ def gf_simplicial_cone(apex: Sequence, generators: Sequence[Sequence[int]],
 # Brute-force oracle and Brion sum
 # ---------------------------------------------------------------------------
 
-def lattice_points(p: Polytope) -> list[IntVector]:
-    """All integer points of the polytope, by bounding-box enumeration."""
-    ranges = []
-    for lo, hi in p.bounding_box():
-        ranges.append(range(ceil(lo), floor(hi) + 1))
-    out = []
-    for pt in product(*ranges):
-        if p.contains(pt):
-            out.append(pt)
-    return out
+def brute_force_count(p: Polytope) -> int:
+    """The number of lattice points of p, summed over lattice_runs."""
+    return sum(n for _head, _k, n, _tail in lattice_runs(p))
 
 
 def gf_brute_force(p: Polytope) -> RationalGF:
-    """The exact Laurent polynomial Σ z^m over the lattice points (the oracle)."""
-    pts = lattice_points(p)
-    if not pts:
+    """The exact Laurent polynomial Σ z^m over the lattice points (the oracle),
+    listed from lattice_runs.  More than GRID_POINT_BUDGET points are
+    refused before any is listed."""
+    total = brute_force_count(p)
+    if total > GRID_POINT_BUDGET:
+        raise ValueError(f"{total} lattice points exceed the budget of "
+                         f"{GRID_POINT_BUDGET} points to list")
+    if not total:
         return zero_gf(p.dim)
+    pts = [(*head, k + j, *tail)
+           for head, k, n, tail in lattice_runs(p) for j in range(n)]
     return RationalGF(p.dim, (make_term(1, pts, ()),))
 
 

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat, starmap, tee
 from math import ceil, floor, gcd, lcm, prod
 from operator import add, itemgetter, mul
@@ -344,7 +345,7 @@ def grid_points(box: Box, step: Fraction):
     coordinatewise.  A grid of more than GRID_POINT_BUDGET points is
     refused before any point is made.
     """
-    q, last, lines = _grid_lines((), box, step)
+    q, last, lines = _grid_lines((), box, step, cap_points=True)
     heads = map(repeat, map(itemgetter(0), lines), repeat(len(last)))
     tails = map(zip, repeat(last))  # per line, the 1-tuples (k,) of its axis
     return zip(map(add, chain.from_iterable(heads), chain.from_iterable(tails)),
@@ -353,17 +354,17 @@ def grid_points(box: Box, step: Fraction):
 
 def grid_runs(cells: Arrangement, box: Box, step):
     """The points of grid_points(box, step) in runs along the last axis:
-    (length, signs) stands for the next `length` of them, all with the sign
-    vector `signs` on cells.planes.  On a line, plane i is a + b·j at the
-    j-th point, so its sign can change only at ⌊−a/b⌋ + 1, or at r and
-    r + 1 when r = −a/b is an integer."""
+    (prefix, j, length, signs) stands for `length` of them from the j-th on
+    the line through prefix, all with the sign vector `signs` on cells.planes.
+    On a line, plane i is a + b·j at the j-th point, so its sign can change
+    only at ⌊−a/b⌋ + 1, or at r and r + 1 when r = −a/b is an integer."""
     _q, last, lines = _grid_lines(cells._rows, box, step)
-    n = len(last)
+    n = -(-(last.stop - last.start) // last.step)  # len() overflows past 2⁶³
     grow = [row[-1] * last.step for row, _off in cells._rows] if n > 1 else []
-    for _prefix, vals in lines:
+    for prefix, vals in lines:
         signs = [(a > 0) - (a < 0) for a in vals]
         if not grow:
-            yield n, tuple(signs)
+            yield prefix, 0, n, tuple(signs)
             continue
         cuts: dict[int, list] = {}
         for i, (a, b) in enumerate(zip(vals, grow)):
@@ -374,28 +375,48 @@ def grid_runs(cells: Arrangement, box: Box, step):
                         cuts.setdefault(c, []).append((i, sign))
         j = 0
         for end in sorted(cuts):
-            yield end - j, tuple(signs)
+            yield prefix, j, end - j, tuple(signs)
             for i, sign in cuts[end]:
                 signs[i] = sign
             j = end
-        yield n - j, tuple(signs)
+        yield prefix, j, n - j, tuple(signs)
 
 
-def _grid_lines(rows: Sequence, box: Box, step):
+def lattice_runs(p: Polytope):
+    """Runs (head, k, n, tail) of p's lattice points (*head, k + j, *tail),
+    j < n, along the axis w with the most integer points: grid_runs at step
+    1 over p's facets with w's coordinate moved last, in lines × facets."""
+    ends = [(ceil(lo), floor(hi)) for lo, hi in p.bounding_box()]
+    w = max(reversed(range(p.dim)), key=lambda a: ends[a][1] - ends[a][0])
+    move = lambda v: (*v[:w], *v[w + 1:], v[w])
+    pc = piece(p.dim, (Halfspace(move(h.normal), h.offset) for h in p.facets),
+               witness=move(p.barycenter()))
+    cells = Arrangement((IndicatorSum(p.dim, ((ONE, pc),)),))
+    inside = lru_cache(CELL_MEMO_CAP)(lambda s: cells.values(s)[0] == ONE)
+    for pre, j, n, signs in grid_runs(cells, move(ends), 1):
+        if inside(signs):
+            yield pre[:w], ends[w][0] + j, n, pre[w:]
+
+
+def _grid_lines(rows: Sequence, box: Box, step, cap_points: bool = False):
     """(den, last axis, lines along it in lexicographic order): a line is
     (prefix, vals), vals[i] = n·nums − off·den for row i = (n, off) at the
-    line's first point nums/den.  Refuses a grid over GRID_POINT_BUDGET."""
+    line's first point nums/den.  Refuses a grid over GRID_POINT_BUDGET
+    lines, or points if cap_points."""
     step = frac(step)
     if step <= 0:
         raise ValueError("step must be positive")
     ends = [(ceil(Fraction(lo) / step), floor(Fraction(hi) / step))
             for lo, hi in box]
-    size = prod(max(0, k1 - k0 + 1) for k0, k1 in ends)
-    if size > GRID_POINT_BUDGET:
-        sides = " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
+    size = prod(sizes := [max(0, k1 - k0 + 1) for k0, k1 in ends])
+    sides = " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
+    if cap_points and size > GRID_POINT_BUDGET:
         raise ValueError(f"grid of {size} points (box {sides}, step {step}) "
                          f"exceeds the budget of {GRID_POINT_BUDGET}; use a "
                          "coarser --step, a smaller --box or --exact-cells")
+    if size and (lines := prod(sizes[:-1])) > GRID_POINT_BUDGET:
+        raise ValueError(f"grid of {lines} lines (box {sides}, step {step}) "
+                         f"exceeds the budget of {GRID_POINT_BUDGET}")
     p, q = step.numerator, step.denominator
     axes = [range(k0 * p, k1 * p + 1, p) for k0, k1 in ends]
     grow = [[n[a] * p for n, _off in rows] for a in range(len(axes) - 1)]
@@ -466,7 +487,7 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
 
     def run(points, runs) -> Optional[dict]:
         nonlocal checked
-        for length, key in runs:
+        for _prefix, _j, length, key in runs:
             nums, den = next(points)
             vals = memo.get(key)
             if vals is None:
@@ -486,7 +507,8 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
     bad = run(grid_points(box, step), grid_runs(cells, box, step))
     if bad is None and extra_samples > 0:
         samples, again = tee(random_rational_points(box, extra_samples, seed))
-        bad = run(samples, zip(repeat(1), starmap(cells.signs, again)))
+        bad = run(samples, zip(repeat(()), repeat(0), repeat(1),
+                               starmap(cells.signs, again)))
     return VerificationReport(name, params, checked, bad is None, bad,
                               time.monotonic() - t0)
 

@@ -133,9 +133,6 @@ class Polytope:
     def tight_facets(self, vid: int) -> tuple[int, ...]:
         return self.faces[vid].facet_ids
 
-    def contains(self, x: Sequence) -> bool:
-        return all(h.satisfied(x) for h in self.facets)
-
     def contains_interior(self, x: Sequence) -> bool:
         return all(dot(h.normal, x) > h.offset for h in self.facets)
 

@@ -4,6 +4,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import conedec
 from conedec import cli, corpus, indicators
 from conedec.cli import main
 from conedec.corpus import build_corpus, pyramid
+from conedec.indicators import GRID_POINT_BUDGET
 from conedec.polyhedra import DegenerateInput
 
 from helpers import option_choices, polytope_to_json
@@ -81,6 +83,28 @@ class TestCount:
                             lambda args: seen.append(args.input) or 0)
         assert main(["count", "--input", cube_file]) == 0
         assert seen == [cube_file]
+
+    def test_brute_counts_thin_triangles(self, tmp_path, capsys):
+        path = tmp_path / "thin.json"
+        for k in range(1, 19):
+            path.write_text(json.dumps({"dim": 2, "vertices": [
+                ["0", "0"], [str(10 ** k), "0"], ["0", "1"]]}))
+            assert main(["count", "--input", str(path), "--method", "brute",
+                         "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["count"] == 10 ** k + 2
+
+    def test_brute_refuses_too_many_lines(self, tmp_path, capsys):
+        # [0, 10^4]^3 has 10^4 + 1 points on each axis: 10^8 lines to sweep
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"dim": 3, "vertices": [
+            [str(x), str(y), str(z)] for x in (0, 10 ** 4)
+            for y in (0, 10 ** 4) for z in (0, 10 ** 4)]}))
+        t = time.perf_counter()
+        assert main(["count", "--input", str(path), "--method", "brute"]) == 2
+        assert time.perf_counter() - t < 1.0
+        assert capsys.readouterr().err == (
+            "error: grid of 100020001 lines (box [0, 10000] x [0, 10000] x "
+            f"[0, 10000], step 1) exceeds the budget of {GRID_POINT_BUDGET}\n")
 
     def test_json_deterministic(self, pyramid_file, capsys):
         main(["count", "--input", pyramid_file, "--check", "--json"])
@@ -445,6 +469,19 @@ class TestBadInput:
         assert run.stderr.startswith("error: grid of ")
         assert float(run.stdout) < 1.0
 
+    def test_brion_identity_refuses_to_list_a_huge_polytope(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [
+            [str(x), str(y)] for x in (0, 10 ** 5) for y in (0, 10 ** 5)]}))
+        t = time.perf_counter()
+        assert main(["verify", "--input", str(path), "--identity", "brion",
+                     "--json"]) == 2
+        assert time.perf_counter() - t < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 10000200001 lattice points ")
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--identity", "gram"])  # --input missing
@@ -534,6 +571,30 @@ class TestCorpus:
         path = tmp_path / "empty.json"
         path.write_text("[]")
         assert main(["corpus", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("count", [4.9, "4", True])
+    def test_non_integer_expected_count_is_input_error(self, count, tmp_path,
+                                                       capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{
+            "name": "seg", "expected_count": count,
+            "polytope": {"dim": 1, "vertices": [["-3"], ["5"]]}}]))
+        assert main(["corpus", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: corpus entry 'seg': 'expected_count' must be an "
+            f"integer, got {count!r}\n")
+
+    def test_non_string_name_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{
+            "name": ["seg"], "expected_count": 9,
+            "polytope": {"dim": 1, "vertices": [["-3"], ["5"]]}}]))
+        assert main(["corpus", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: corpus entry 0: 'name' must be a string, got "
+            "['seg']\n")
 
     def test_json_summary(self, tmp_path, capsys):
         entries = [{

@@ -5,19 +5,20 @@ from math import factorial
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conedec.deform import nonsimple_decomposition
 import conedec.genfunc as genfunc
 import conedec.triangulation as triangulation
 from conedec.genfunc import (RationalGF, _bernoulli, _series_mul, brion_gf,
-                             count_lattice_points, enumerate_parallelepiped,
-                             gf_brute_force, gf_equal_as_functions,
-                             gf_of_indicator_sum, gf_of_piece, gf_pretty,
-                             gf_simplicial_cone, lattice_points, make_term,
-                             specialize, zero_gf)
-from conedec.indicators import gram_decomposition, whole_space_piece
+                             brute_force_count, count_lattice_points,
+                             enumerate_parallelepiped, gf_brute_force,
+                             gf_equal_as_functions, gf_of_indicator_sum,
+                             gf_of_piece, gf_pretty, gf_simplicial_cone,
+                             make_term, specialize, zero_gf)
+from conedec.indicators import (gram_decomposition, lattice_runs,
+                                whole_space_piece)
 from conedec.linalg import residue_box, vsub
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import (DegenerateInput, cone_facets,
@@ -27,6 +28,7 @@ from conedec.triangulation import (half_open_cells, pulling_triangulation,
 
 from conftest import seeded_generic_functionals
 from helpers import vertex_index
+from lattice_oracle import lattice_points
 from linalg_oracle import determinant, mat_inverse, mat_vec
 import parallelepiped_oracle
 import specialize_oracle
@@ -332,6 +334,50 @@ class TestCount:
                     [tuple(t * c for c in v) for v in p.vertices])
                 assert count_lattice_points(brion_gf(scaled)) == \
                     len(lattice_points(scaled)), (entry.name, t)
+
+
+@st.composite
+def rational_polytopes(draw):
+    """Polytopes of dimension 1 to 4 with rational vertices.  Each axis has
+    its own range, so the axis with the most integer points, the one swept,
+    is often not the last, and a thin axis may hold no integer at all."""
+    dim = draw(st.integers(1, 4))
+    widths = (Fraction(1, 3), 1, 2, 4) if dim < 4 else (Fraction(1, 3), 1, 2)
+    coords = []
+    for _ in range(dim):
+        lo = draw(st.fractions(-3, 3, max_denominator=2))
+        width = draw(st.sampled_from(widths))
+        offset = st.fractions(0, width, max_denominator=3)
+        coords.append(offset.map(lo.__add__))
+    n = draw(st.integers(dim + 1, dim + 3))
+    pts = draw(st.lists(st.tuples(*coords), min_size=n, max_size=n))
+    try:
+        return polytope_from_vertices(pts)
+    except DegenerateInput:
+        assume(False)
+
+
+class TestBruteForceRuns:
+    @given(rational_polytopes())
+    @settings(max_examples=80, deadline=None)
+    @example(polytope_from_vertices(  # the second axis holds no integer
+        [(0, Fraction(1, 3)), (7, Fraction(1, 3)), (0, Fraction(2, 3))]))
+    @example(polytope_from_vertices(  # swept along the first axis
+        [(0, 0, 0), (9, 0, 0), (0, 2, 0), (0, 0, Fraction(7, 2))]))
+    def test_runs_match_the_per_point_oracle(self, p):
+        want = lattice_points(p)
+        assert brute_force_count(p) == len(want)
+        g = gf_brute_force(p)
+        assert (g.terms[0].numerators if g.terms else ()) == tuple(want)
+
+    def test_runs_lie_along_the_axis_with_most_integer_points(self):
+        p = polytope_from_vertices([(0, 0, 0), (9, 0, 0), (0, 2, 0),
+                                    (0, 0, 3)])
+        assert {len(head) for head, _k, _n, _tail in lattice_runs(p)} == {0}
+        q = polytope_from_vertices([(0, 0, 0), (2, 0, 0), (0, 9, 0),
+                                    (0, 0, 3)])
+        assert {len(head) for head, _k, _n, _tail in lattice_runs(q)} == {1}
+        assert brute_force_count(p) == brute_force_count(q) == 30
 
 
 class TestEquality:
