@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .indicators import (GRID_POINT_BUDGET, IndicatorSum, LocallyClosedPiece,
                          lattice_runs)
 from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
-                     rank, residue_box, solve_linear, vec)
+                     rank, residue_box, solve_linear, vec, vec_str)
 from .polyhedra import Polytope, cone_facets
 from .triangulation import half_open_cells, pulling_triangulation
 
@@ -105,7 +105,8 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     ⌈λ_i(r)⌉ − 1 on an open facet), with λ(r) = n/s for n, s in ``int``.
     The box is walked in columns along its longest side, on which n_i grows
     by a fixed step: each k_i, then each coordinate, is built a whole column
-    at a time, with no dot product per point.  There must be d flags.
+    at a time, with no dot product per point.  There must be d flags.  A
+    cell of index over GRID_POINT_BUDGET is refused before it is walked.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     d = len(gens[0])
@@ -114,6 +115,9 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     if inv is None:
         raise ValueError("generators must be d linearly independent vectors")
     det, adj = inv
+    if abs(det) > GRID_POINT_BUDGET:
+        raise ValueError(f"a cell of index {abs(det)} at apex {vec_str(apex)} "
+                         f"exceeds the budget of {GRID_POINT_BUDGET} points")
     box = residue_box(cols)
     if prod(box) != abs(det):
         raise AssertionError(f"residue box {box} does not hold |det| classes")

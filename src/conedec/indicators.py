@@ -522,17 +522,17 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
     so this is a complete decision procedure.  Exponential in the number of
     hyperplanes; intended for small identities (--exact-cells).
 
-    The cells are searched depth first, plane by plane, and each node
-    settles its children from what it already knows before it projects:
-    the side of its plane that the node's point lies on is a child; when
-    the plane's normal lies in the span of the normals of the node's `=`
-    planes, n·x is constant on the cell and that side is the only child;
-    and when both strict sides are nonempty, so is the `=` side, because
-    the cell is convex, with the point where the segment between the two
-    strict sides' points crosses the plane.  Only the other sides extend
-    the node's projection (feasibility.project), and only those get a
-    point of their own (feasibility.witness).  A mismatching cell reports
-    the witness of its own rows, a point that depends only on the cell.
+    The cells are searched depth first, plane by plane; the side of the
+    plane that the node's point lies on is a child.  If the plane's normal
+    lies in the span of the node's `=` normals, n·x is constant on the cell
+    and that side is the only child.  Else the plane cuts across the cell's
+    flat, and the cell, relatively open and convex, meets it exactly when
+    it has points strictly on both sides.  So only strict sides are decided
+    by projection (feasibility.project) and get a point (feasibility.witness):
+    both if the point is on the plane, else the opposite one; if that is
+    nonempty, the `=` side is a child where the segment between the two
+    strict points crosses the plane.  A mismatching cell reports the
+    witness of its own rows, a point that depends only on the cell.
     """
     t0 = time.monotonic()
     dim = lhs.dim
@@ -572,17 +572,16 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
         else:
             if rows:
                 levels = project(levels, rows, dim)
-            grown = basis + (eq,)
             kids = {side: (levels, sides[k][side],
-                           grown if side == 0 else basis, w)}
-            for s in ((1, -1) if side == 0 else (-side, 0)):
-                if s == 0 and -side in kids:  # between two strict points
-                    u = kids[-side][3]
-                    kids[0] = (levels, sides[k][0], grown,
-                               _crossing(normal, off, w, u) if inner else None)
-                elif (lv := project(levels, sides[k][s], dim)) is not None:
-                    kids[s] = (lv, [], grown if s == 0 else basis,
+                           basis + (eq,) if side == 0 else basis, w)}
+            for s in ((1, -1) if side == 0 else (-side,)):
+                if (lv := project(levels, sides[k][s], dim)) is not None:
+                    kids[s] = (lv, [], basis,
                                scaled_point(witness(lv)) if inner else None)
+            if side and -side in kids:  # between two strict points
+                u = kids[-side][3]
+                kids[0] = (levels, sides[k][0], basis + (eq,),
+                           _crossing(normal, off, w, u) if inner else None)
         order = [s for s in (1, 0, -1) if s in kids]
         if inner:
             stack.extend((signs + (s,), *kids[s]) for s in reversed(order))

@@ -442,31 +442,42 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--step" in captured.err
 
-    def test_oversized_grid_is_input_error(self, tmp_path):
-        """A thin triangle 10^9 long would need a grid of ~10^10 points.
-
-        Run under a 2 GiB address-space limit, so that materializing the
-        grid fails fast with a MemoryError instead of exhausting the host.
-        """
-        path = tmp_path / "thin.json"
+    @staticmethod
+    def run_capped(tmp_path, k: int, argv: list, limit: int):
+        """main(argv) on the triangle (0,0), (10^k,0), (0,1) in a subprocess
+        under an address-space limit, so that materializing 10^k of anything
+        fails fast with a MemoryError instead of exhausting the host; its
+        stdout's last line is main's time in seconds."""
+        path = tmp_path / f"thin{k}.json"
         path.write_text(json.dumps({"dim": 2, "vertices": [
-            ["0", "0"], [str(10 ** 9), "0"], ["0", "1"]]}))
+            ["0", "0"], [str(10 ** k), "0"], ["0", "1"]]}))
         script = ("import sys, time; from conedec.cli import main; "
                   "t = time.perf_counter(); code = main(sys.argv[1:]); "
                   "print(time.perf_counter() - t); sys.exit(code)")
         src = os.path.dirname(os.path.dirname(conedec.__file__))
-        limit = 2 * 1024 ** 3
 
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        run = subprocess.run(
-            [sys.executable, "-c", script, "verify", "--input", str(path),
-             "--identity", "gram"],
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv, "--input", str(path)],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_memory)
+
+    def test_oversized_grid_is_input_error(self, tmp_path):
+        # a thin triangle 10^9 long would need a grid of ~10^10 points
+        run = self.run_capped(tmp_path, 9, ["verify", "--identity", "gram"],
+                              2 * 1024 ** 3)
         assert run.returncode == 2
         assert run.stderr.startswith("error: grid of ")
+        assert float(run.stdout) < 1.0
+
+    @pytest.mark.parametrize("k", [9, 18])
+    def test_oversized_cell_is_input_error(self, tmp_path, k):
+        # Brion's cone at (0, 1) has index 10^k: refused before its walk
+        run = self.run_capped(tmp_path, k, ["count", "--json"], 1500 * 10 ** 6)
+        assert run.returncode == 2
+        assert run.stderr.startswith(f"error: a cell of index {10 ** k} ")
         assert float(run.stdout) < 1.0
 
     def test_brion_identity_refuses_to_list_a_huge_polytope(self, tmp_path,

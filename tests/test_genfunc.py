@@ -93,6 +93,11 @@ class TestParallelepiped:
         with pytest.raises(ValueError):
             enumerate_parallelepiped([(1, 0), (2, 0)], (0, 0))
 
+    def test_cell_over_budget_refused(self):
+        # the thin triangle's cone at (0, 1), of index 10^9
+        with pytest.raises(ValueError, match="a cell of index 1000000000 "):
+            enumerate_parallelepiped([(0, -1), (10 ** 9, -1)], (0, 1))
+
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_random_cells_match_brute_oracle(self, data):

@@ -504,9 +504,10 @@ class TestAgainstOracle:
 
     def test_exact_pyramid_gram_projects_less(self, pyramid_poly,
                                               monkeypatch):
-        # a plane constant on the cell, or an `=` side between two nonempty
-        # strict sides, is settled without feasibility.project: 184 calls,
-        # where projecting every side the parent's point misses made 273
+        # a plane constant on the cell, or any `=` side, is settled without
+        # feasibility.project: 149 calls, where projecting the `=` side when
+        # the opposite strict side is empty made 184, and projecting every
+        # side the parent's point misses made 273
         import conedec.indicators
         from conedec.feasibility import project
         calls = []
@@ -518,4 +519,26 @@ class TestAgainstOracle:
         rep = verify_identity_exact(gram_decomposition(pyramid_poly),
                                     indicator_of_polytope(pyramid_poly))
         assert rep.success and rep.points_checked == 101
-        assert len(calls) < 273
+        assert len(calls) <= 149
+
+    def test_exact_cells_prove_only_strict_sides_empty(self, corpus,
+                                                       monkeypatch):
+        # convexity settles an `=` side from the strict sides, so every
+        # projection that comes back empty was handed one strict row
+        import conedec.indicators
+        from conedec.feasibility import project
+        empty = []
+
+        def recorded(levels, rows, dim):
+            lv = project(levels, rows, dim)
+            if lv is None:
+                empty.append(rows)
+            return lv
+        monkeypatch.setattr(conedec.indicators, "project", recorded)
+        for entry, p in corpus:
+            if p.dim <= 3:
+                rep = verify_identity_exact(gram_decomposition(p),
+                                            indicator_of_polytope(p))
+                assert rep.success, entry.name
+        assert empty and all(len(rows) == 1 and rows[0].strict
+                             for rows in empty)
