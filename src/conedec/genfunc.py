@@ -6,6 +6,8 @@ Denominator exponents are canonicalized to be lexicographically positive via
 term by term.  Counting specializes z_j := exp(s·λ_j) for a direction λ that
 degenerates no denominator, expands each term as an exact Laurent series in
 s, and reads off the constant coefficient.
+Brion's path runs in ``int`` from the face lattice to the walk, and each
+cell is inverted once, for its normals, open flags and walk.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Iterable, Optional, Sequence
 
 from .indicators import (GRID_POINT_BUDGET, IndicatorSum, LocallyClosedPiece,
                          lattice_runs)
-from .linalg import (IntVector, dot, frac, idot, integer_inverse, primitive,
-                     rank, residue_box, solve_linear, vec, vec_str)
+from .linalg import (IntVector, _scaled, frac, idot, integer_inverse,
+                     primitive, rank, residue_box, solve_linear, vec, vec_str)
 from .polyhedra import Polytope, cone_facets
-from .triangulation import half_open_cells, pulling_triangulation
+from .triangulation import half_open_inverses, pulling_triangulation
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ def zero_gf(dim: int) -> RationalGF:
 
 def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
                              apex: Sequence,
-                             open_flags: Optional[Sequence[bool]] = None
-                             ) -> list[IntVector]:
+                             open_flags: Optional[Sequence[bool]] = None, *,
+                             inverse: Optional[tuple] = None) -> list[IntVector]:
     """Lattice points of the half-open cell apex + Σ λ_i·t_i, sorted.
 
     λ_i runs over [0,1) where the flag is False and (0,1] where it is True.
@@ -107,29 +109,27 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     by a fixed step: each k_i, then each coordinate, is built a whole column
     at a time, with no dot product per point.  There must be d flags.  A
     cell of index over GRID_POINT_BUDGET is refused before it is walked.
+    ``inverse``: the generator matrix's (det, adj), if the caller has it.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     d = len(gens[0])
     cols = tuple(zip(*gens))  # generator matrix: column i is generator i
-    inv = integer_inverse(cols) if len(gens) == d else None
+    inv = inverse or (integer_inverse(cols) if len(gens) == d else None)
     if inv is None:
         raise ValueError("generators must be d linearly independent vectors")
     det, adj = inv
-    if abs(det) > GRID_POINT_BUDGET:
-        raise ValueError(f"a cell of index {abs(det)} at apex {vec_str(apex)} "
-                         f"exceeds the budget of {GRID_POINT_BUDGET} points")
+    _check_cell(det, apex)
     box = residue_box(cols)
     if prod(box) != abs(det):
         raise AssertionError(f"residue box {box} does not hold |det| classes")
-    apex = vec(apex)
     flags = tuple(open_flags) if open_flags is not None else (False,) * d
     if len(flags) != d:
         raise ValueError(f"{d} generators but {len(flags)} open flags")
-    q = lcm(*(a.denominator for a in apex))
+    q, (a,) = _scaled([vec(apex)])  # apex = a/q
     s, sq = abs(det) * q, (q if det > 0 else -q)
     # n = sq·adj·(r − apex) is an int vector, and k_i = (n_i − open_i) // s
     steps = [[sq * x for x in row] for row in adj]
-    shift = [int(dot(row, apex)) + f for row, f in zip(steps, flags)]
+    shift = [idot(row, a) // q + f for row, f in zip(steps, flags)]
     w = box.index(max(box))  # the column side: r_w = t runs over range(m)
     m = box[w]
     points = []
@@ -151,6 +151,12 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     return points
 
 
+def _check_cell(det: int, apex: Sequence) -> None:
+    if abs(det) > GRID_POINT_BUDGET:
+        raise ValueError(f"a cell of index {abs(det)} at apex {vec_str(apex)} "
+                         f"exceeds the budget of {GRID_POINT_BUDGET} points")
+
+
 def gf_simplicial_cone(apex: Sequence, generators: Sequence[Sequence[int]],
                        open_flags: Optional[Sequence[bool]] = None) -> RationalGF:
     """Generating function of a half-open simplicial cone: one term whose
@@ -158,8 +164,7 @@ def gf_simplicial_cone(apex: Sequence, generators: Sequence[Sequence[int]],
     denominator factors are the generators."""
     gens = [primitive(g) for g in generators]
     pts = enumerate_parallelepiped(gens, apex, open_flags)
-    dim = len(gens[0])
-    return RationalGF(dim, (make_term(1, pts, gens),))
+    return RationalGF(len(gens[0]), (make_term(1, pts, gens),))
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +191,27 @@ def gf_brute_force(p: Polytope) -> RationalGF:
     return RationalGF(p.dim, (make_term(1, pts, ()),))
 
 
-def _half_open_cone_gf(apex: Sequence, rays: Sequence[IntVector],
-                       facets: Iterable[Iterable[int]],
-                       strict_normals: set) -> RationalGF:
-    """Generating function of the cone apex + cone(rays), its primitive
-    extreme rays, triangulated by pulling them in index order; `facets`
-    lists the cone's facets as sets of ray indices.  The cells are made
-    half-open so their generating functions add up with no
+def _cone_cells(rays: Sequence[IntVector], facets: Iterable[Iterable[int]],
+                strict_normals: set) -> list[tuple]:
+    """(generators, (det, adj), open flags) of each cell of cone(rays), its
+    primitive extreme rays, triangulated by pulling them in index order;
+    `facets` lists the cone's facets as sets of ray indices.  The cells are
+    made half-open so their generating functions add up with no
     inclusion–exclusion; a cell facet whose normal is in strict_normals is
     open as well."""
     dim = len(rays[0])
     cells = pulling_triangulation(rays, list(range(len(rays))), dim, facets)
-    acc = zero_gf(dim)
-    for cell, (normals, flags) in zip(cells, half_open_cells(rays, cells)):
-        flags = tuple(f or h in strict_normals for f, h in zip(flags, normals))
-        acc = acc + gf_simplicial_cone(apex, [rays[j] for j in cell], flags)
-    return acc
+    return [([rays[j] for j in cell], inv,
+             tuple(f or h in strict_normals for f, h in zip(flags, normals)))
+            for cell, (inv, normals, flags)
+            in zip(cells, half_open_inverses(rays, cells))]
+
+
+def _cones_gf(dim: int, cones: list[tuple]) -> RationalGF:
+    """The sum over (apex, ``_cone_cells``) pairs: one term per cell."""
+    return RationalGF(dim, tuple(
+        make_term(1, enumerate_parallelepiped(gens, apex, flags, inverse=inv),
+                  gens) for apex, cells in cones for gens, inv, flags in cells))
 
 
 def brion_gf(p: Polytope) -> RationalGF:
@@ -211,16 +221,24 @@ def brion_gf(p: Polytope) -> RationalGF:
     vertex sum is the whole generating function of the polytope.  The facets
     of the cone at v are the facets of P through v, and edge i at v lies on
     facet j exactly when j is among its facet ids: no arithmetic is needed.
+    Cells of more than GRID_POINT_BUDGET points in all are refused unwalked.
     """
-    acc = zero_gf(p.dim)
-    edges = p.edges
+    cones = []
     for vid, v in enumerate(p.vertices):
-        at_v = [e.facet_ids for e in edges if vid in e.vertex_ids]
+        at_v = [e.facet_ids for e in p.edges if vid in e.vertex_ids]
         facets = [{i for i, on in enumerate(at_v) if j in on}
                   for j in p.tight_facets(vid)]
-        acc = acc + _half_open_cone_gf(v, p.edge_directions(vid), facets,
-                                       set())
-    return acc
+        cones.append((v, _cone_cells(p.edge_directions(vid), facets, set())))
+    shares = [sum(abs(inv[0]) for _, inv, _ in cells) for _, cells in cones]
+    if sum(shares) > GRID_POINT_BUDGET:
+        for v, cells in cones:  # a cell over the budget alone is named first
+            for _, (det, _), _ in cells:
+                _check_cell(det, v)
+        raise ValueError(
+            f"Brion's cells hold {sum(shares)} parallelepiped points, over the "
+            f"budget of {GRID_POINT_BUDGET}; {max(shares)} of them are in the "
+            f"cone at vertex {vec_str(cones[shares.index(max(shares))][0])}")
+    return _cones_gf(p.dim, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +384,18 @@ def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
     if not strict_normals <= facets.keys():
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
-    return _half_open_cone_gf(apex, rays, facets.values(), strict_normals)
+    return _cones_gf(pc.dim, [(apex, _cone_cells(rays, facets.values(),
+                                                 strict_normals))])
 
 
 def gf_of_indicator_sum(s: IndicatorSum) -> RationalGF:
     """Map each piece to its generating function (z := 1 in coefficients);
     line-containing pieces drop out."""
-    acc = zero_gf(s.dim)
+    terms = []
     for coeff, pc in s.terms:
-        w = coeff.at_one()
-        if w == 0:
-            continue
-        acc = acc + gf_of_piece(pc).scaled(w)
-    return acc
+        if (w := coeff.at_one()) != 0:
+            terms += gf_of_piece(pc).scaled(w).terms
+    return RationalGF(s.dim, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +404,12 @@ def gf_of_indicator_sum(s: IndicatorSum) -> RationalGF:
 
 def _monomial_str(a: IntVector) -> str:
     if len(a) == 1:
-        if a[0] == 0:
-            return "1"
-        if a[0] == 1:
-            return "x"
-        return f"x^{a[0]}"
+        return {0: "1", 1: "x"}.get(a[0], f"x^{a[0]}")
     parts = [f"x{i + 1}^{e}" for i, e in enumerate(a) if e != 0]
     return "*".join(parts) if parts else "1"
 
 
 def gf_pretty(gf: RationalGF) -> str:
-    if not gf.terms:
-        return "0"
     chunks = []
     for t in gf.terms:
         if t.coeff == 0 or not t.numerators:
@@ -407,9 +418,7 @@ def gf_pretty(gf: RationalGF) -> str:
         if len(t.numerators) > 1:
             num = f"({num})"
         c = t.coeff
-        body = num
-        if c not in (1, -1):
-            body = f"{abs(c)}*{body}"
+        body = num if c in (1, -1) else f"{abs(c)}*{num}"
         if t.denominators:
             den = "".join(f"(1-{_monomial_str(b)})" for b in t.denominators)
             body = f"{body}/{den}"
@@ -417,8 +426,5 @@ def gf_pretty(gf: RationalGF) -> str:
         chunks.append((sign, body))
     if not chunks:
         return "0"
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    out = " ".join(f"{sign} {body}" for sign, body in chunks)
+    return out[2:] if out[0] == "+" else "-" + out[2:]

@@ -94,15 +94,15 @@ def primitive(v: Sequence) -> IntVector:
         if g == 0:
             raise ValueError("primitive: zero vector has no primitive form")
         return tuple(a // g for a in v)
-    w = vec(v)
-    if not any(w):
-        raise ValueError("primitive: zero vector has no primitive form")
-    den = lcm(*[x.denominator for x in w]) if len(w) > 1 else w[0].denominator
-    ints = [int(x * den) for x in w]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    return tuple(a // g for a in ints)
+    return primitive(_scaled([vec(v)])[1][0])
+
+
+def _scaled(points: Sequence[Sequence[Fraction]]
+            ) -> tuple[int, list[IntVector]]:
+    """(q, the points times q), q the lcm of all their denominators."""
+    q = lcm(*(x.denominator for p in points for x in p))
+    return q, [tuple(x.numerator * (q // x.denominator) for x in p)
+               for p in points]
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -224,8 +224,7 @@ def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector,
     if inv is None:
         raise ValueError("mat_inverse: singular matrix")
     det, adj = inv
-    return tuple(primitive(row if det > 0 else tuple(-x for x in row))
-                 for row in adj)
+    return tuple(primitive([det * x for x in row]) for row in adj)
 
 
 def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:
@@ -242,8 +241,8 @@ def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:
     sides: list[int] = []
     prev = 1
     for k in range(1, len(cols) + 1):
-        g = 0
-        for sub in combinations(range(ncols), k):
+        g = gcd(*cols[0]) if k == 1 else 0  # the 1×1 minors: row 0's entries
+        for sub in combinations(range(ncols), k) if k > 1 else ():
             m = [[row[j] for j in sub] for row in cols[:k]]
             g = gcd(g, m[-1][-1] if len(_bareiss(m)[0]) == k else 0)  # ±minor
             if g == prev:  # every k×k minor is a multiple of prev

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
-from .linalg import (DimensionError, IntVector, Vector, dot, frac, idot,
-                     kernel_basis, primitive, rank, vadd, vec, vec_str, vneg,
-                     vsub)
+from .linalg import (DimensionError, IntVector, Vector, _scaled, dot, frac,
+                     idot, kernel_basis, primitive, rank, vadd, vec, vec_str,
+                     vneg)
 
 
 class DegenerateInput(ValueError):
@@ -48,9 +50,7 @@ class Halfspace:
 
 def halfspace(normal: Sequence, offset, strict: bool = False) -> Halfspace:
     """Canonical halfspace from a rational normal and offset."""
-    n = vec(normal)
-    den = lcm(*(a.denominator for a in n))
-    ints = [int(a * den) for a in n]
+    den, (ints,) = _scaled([vec(normal)])
     g = gcd(*ints)
     if g == 0:
         raise ValueError("halfspace: zero normal")
@@ -136,21 +136,25 @@ class Polytope:
     def contains_interior(self, x: Sequence) -> bool:
         return all(dot(h.normal, x) > h.offset for h in self.facets)
 
-    @property
-    def edges(self) -> list[Face]:
-        return [f for f in self.faces if f.dim == 1]
+    @cached_property
+    def edges(self) -> tuple[Face, ...]:
+        return tuple(f for f in self.faces if f.dim == 1)
 
     def edge_directions(self, vid: int) -> tuple[IntVector, ...]:
         """Primitive directions of the edges at a vertex, away from it."""
-        dirs = []
-        v = self.vertices[vid]
+        return tuple(self._edge_directions[vid])
+
+    @cached_property
+    def _edge_directions(self) -> list[list[IntVector]]:
+        """edge_directions of every vertex, from the scaled vertices."""
+        ints, dirs = _scaled(self.vertices)[1], [[] for _ in self.vertices]
         for e in self.edges:
-            if vid in e.vertex_ids:
-                other = [w for w in e.vertex_ids if w != vid]
-                if len(other) != 1:
-                    raise AssertionError("edge without exactly two vertices")
-                dirs.append(primitive(vsub(self.vertices[other[0]], v)))
-        return tuple(dirs)
+            if len(e.vertex_ids) != 2:
+                raise AssertionError("edge without exactly two vertices")
+            a, b = e.vertex_ids
+            dirs[a].append(primitive(tuple(map(sub, ints[b], ints[a]))))
+            dirs[b].append(tuple(-x for x in dirs[a][-1]))
+        return dirs
 
     def barycenter(self, face: Optional[Face] = None) -> Vector:
         """Average of the vertices of the polytope, or of one of its faces."""
@@ -180,17 +184,17 @@ class Polytope:
                 f"facets={len(self.facets)}, faces={len(self.faces)})")
 
 
-def _affine_rank(points: Sequence[Vector]) -> int:
+def _affine_rank(points: Sequence[Sequence]) -> int:
     if len(points) <= 1:
         return 0
     p0 = points[0]
-    return rank([vsub(p, p0) for p in points[1:]])
+    return rank([tuple(map(sub, p, p0)) for p in points[1:]])
 
 
 def _face_lattice(nverts: int, tights: list[frozenset[int]],
-                  vertices: Sequence[Vector]) -> tuple[Face, ...]:
+                  ints: Sequence[IntVector]) -> tuple[Face, ...]:
     """All nonempty faces as intersections of facet vertex sets, plus the
-    polytope itself."""
+    polytope itself; their ranks come from the vertices scaled to ``ints``."""
     all_ids = frozenset(range(nverts))
     found = {all_ids}
     queue = []
@@ -208,7 +212,7 @@ def _face_lattice(nverts: int, tights: list[frozenset[int]],
     faces = []
     for s in found:
         fids = tuple(i for i, t in enumerate(tights) if s <= t)
-        pts = [vertices[i] for i in sorted(s)]
+        pts = [ints[i] for i in sorted(s)]
         faces.append(Face(_affine_rank(pts), tuple(sorted(s)), fids))
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
     return tuple(faces)
@@ -216,7 +220,7 @@ def _face_lattice(nverts: int, tights: list[frozenset[int]],
 
 def _build(dim: int, vertices: list[Vector], facets: list[Halfspace],
            tights: list[frozenset[int]]) -> Polytope:
-    faces = _face_lattice(len(vertices), tights, vertices)
+    faces = _face_lattice(len(vertices), tights, _scaled(vertices)[1])
     if len([f for f in faces if f.dim == 0]) != len(vertices):
         raise AssertionError("face lattice lost a vertex")
     for v, f in zip(vertices, faces):

@@ -13,8 +13,8 @@ the facets the caller passes (Brion reads them off the face lattice).  Only
 facets of facets come from ``cone_facets``, so Brion computes none for
 d ≤ 3.
 
-``half_open_cells`` makes the cells half-open so that they tile the cone
-disjointly, opening facets by the tie-break of ``linalg.perturbed_key``.
+``half_open_inverses`` makes the cells half-open so that they tile the cone
+disjointly, by the tie-break of ``linalg.perturbed_key``, from one inverse.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, _bareiss, dot, frac, perturbed_key,
-                     primitive, rank, simplicial_cone_facet_normals, vec,
-                     vec_str)
+from .linalg import (IntVector, Vector, _bareiss, dot, frac, integer_inverse,
+                     perturbed_key, primitive, rank, vec, vec_str)
 from .polyhedra import DegenerateInput, cone_facets, halfspace
 
 
@@ -128,8 +127,15 @@ def seeded_heights(n: int, seed: int) -> tuple[Fraction, ...]:
 
 def half_open_cells(rays: Sequence[IntVector], cells: Sequence[Sequence[int]]
                     ) -> list[tuple[tuple[IntVector, ...], tuple[bool, ...]]]:
-    """(facet normals, open flags) of each cell, making the cells a disjoint
-    cover of the cone.  Each cell's normals are computed once.
+    """``half_open_inverses`` without the inverses."""
+    return [cell[1:] for cell in half_open_inverses(rays, cells)]
+
+
+def half_open_inverses(rays: Sequence[IntVector],
+                       cells: Sequence[Sequence[int]]) -> list[tuple]:
+    """((det, adj), facet normals, open flags) of each cell, making the cells
+    a disjoint cover of the cone.  One ``integer_inverse`` of a cell's
+    generator matrix gives its normals, the primitive rows of sign(det)·adj.
 
     A facet is open exactly when the point q + εe₁ + ε²e₂ + … + εᵈe_d,
     q = Σ_j 2^j·r_j, lies on its outer side as ε → 0⁺, that is when
@@ -139,9 +145,11 @@ def half_open_cells(rays: Sequence[IntVector], cells: Sequence[Sequence[int]]
     Normal i and flag i refer to the facet opposite generator i (True =
     generator coefficient must be strictly positive).
     """
-    normals = [simplicial_cone_facet_normals([rays[j] for j in cell])
-               for cell in cells]
     q = [sum(x << j for j, x in enumerate(col)) for col in zip(*rays)]
     zero = (0,) * (len(q) + 1)
-    return [(ns, tuple(perturbed_key(q, h) < zero for h in ns))
-            for ns in normals]
+    out = []
+    for cell in cells:
+        det, adj = inv = integer_inverse(tuple(zip(*(rays[j] for j in cell))))
+        ns = tuple(primitive([det * x for x in row]) for row in adj)
+        out.append((inv, ns, tuple(perturbed_key(q, h) < zero for h in ns)))
+    return out

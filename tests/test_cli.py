@@ -480,6 +480,15 @@ class TestBadInput:
         assert run.stderr.startswith(f"error: a cell of index {10 ** k} ")
         assert float(run.stdout) < 1.0
 
+    def test_oversized_brion_plan_is_input_error(self, tmp_path):
+        # cells of index 1, 1 and 10^7: each within the budget, together not
+        run = self.run_capped(tmp_path, 7, ["count", "--json"], 1500 * 10 ** 6)
+        assert run.returncode == 2
+        assert run.stderr.startswith(
+            "error: Brion's cells hold 10000002 parallelepiped points, ")
+        assert run.stderr.rstrip().endswith("the cone at vertex (0, 1)")
+        assert float(run.stdout) < 1.0
+
     def test_brion_identity_refuses_to_list_a_huge_polytope(self, tmp_path,
                                                            capsys):
         path = tmp_path / "square.json"

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conedec.deform import nonsimple_decomposition
 import conedec.genfunc as genfunc
+import conedec.linalg as linalg
 import conedec.triangulation as triangulation
 from conedec.genfunc import (RationalGF, _bernoulli, _series_mul, brion_gf,
                              brute_force_count, count_lattice_points,
@@ -217,29 +219,53 @@ class TestBrion:
             assert gf_equal_as_functions(brion_gf(p), gf_brute_force(p)), \
                 entry.name
 
-    def test_cell_normals_computed_once_per_cell(self, corpus, monkeypatch):
-        # every octahedron vertex has 4 edges: each cone splits into 2 cells
+    def test_each_cell_is_inverted_once(self, corpus, monkeypatch):
+        # every octahedron vertex has 4 edges: each cone splits into 2 cells,
+        # and one integer_inverse gives a cell's normals, flags and walk
         octa = next(p for entry, p in corpus if entry.name == "octahedron")
         calls, cells = [], []
-        real_normals = triangulation.simplicial_cone_facet_normals
+        real_inverse = linalg.integer_inverse
         real_triangulation = genfunc.pulling_triangulation
 
-        def counted_normals(rays):
-            calls.append(rays)
-            return real_normals(rays)
+        def counted_inverse(rows):
+            calls.append(rows)
+            return real_inverse(rows)
 
         def counted_triangulation(rays, face, fdim, facets=None):
             tri = real_triangulation(rays, face, fdim, facets)
             cells.append(len(tri))
             return tri
-        monkeypatch.setattr(triangulation, "simplicial_cone_facet_normals",
-                            counted_normals)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("conedec") and \
+                    getattr(mod, "integer_inverse", None) is real_inverse:
+                monkeypatch.setattr(mod, "integer_inverse", counted_inverse)
         monkeypatch.setattr(genfunc, "pulling_triangulation",
                             counted_triangulation)
         brion_gf(octa)
         assert cells == [2] * 6
         assert len(calls) == sum(cells)
 
+    def test_cells_over_the_budget_in_all_are_refused_before_any_walk(
+            self, monkeypatch):
+        # cells of index 1, 1 and 10^7: each within the budget, not together
+        thin = polytope_from_vertices([(0, 0), (10 ** 7, 0), (0, 1)])
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a cell was walked")
+        monkeypatch.setattr(genfunc, "enumerate_parallelepiped", no_walk)
+        with pytest.raises(ValueError) as exc:
+            brion_gf(thin)
+        assert str(exc.value) == (
+            "Brion's cells hold 10000002 parallelepiped points, over the "
+            "budget of 10000000; 10000000 of them are in the cone at vertex "
+            "(0, 1)")
+
+    def test_one_cell_over_the_budget_is_named_as_a_cell(self):
+        thin = polytope_from_vertices([(0, 0), (10 ** 7 + 1, 0), (0, 1)])
+        with pytest.raises(ValueError) as exc:
+            brion_gf(thin)
+        assert str(exc.value) == ("a cell of index 10000001 at apex (0, 1) "
+                                  "exceeds the budget of 10000000 points")
 
     def test_vertex_cone_facets_come_from_the_face_lattice(self, corpus,
                                                            monkeypatch):
@@ -271,10 +297,10 @@ class TestBrion:
             assume(False)
         cones = []
 
-        def record(apex, rays, facets, strict_normals):
+        def record(rays, facets, strict_normals):
             cones.append((rays, facets))
-            return zero_gf(d)
-        with mock.patch.object(genfunc, "_half_open_cone_gf", record):
+            return []
+        with mock.patch.object(genfunc, "_cone_cells", record):
             brion_gf(p)
         assert len(cones) == len(p.vertices)
         for rays, facets in cones:

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conedec.deform import normal_cone_rays
 from conedec.genfunc import gf_of_piece, zero_gf
@@ -256,6 +258,44 @@ class TestTangentCone:
         assert gf_of_piece(piece(2, [halfspace((1, 0), 0)])) == zero_gf(2)
         assert gf_of_piece(whole_space_piece(2)) == zero_gf(2)
         assert gf_of_piece(piece(1, [halfspace((1,), 0)])) != zero_gf(1)
+
+
+def fraction_affine_rank(points):
+    """The oracle of every face's dim: the rank of the differences to the
+    first point, taken in ``Fraction``."""
+    return rank([vsub(q, points[0]) for q in points[1:]]) if points else 0
+
+
+@st.composite
+def rational_polytopes(draw):
+    """Polytopes of dimension 2 to 4 with vertex denominators up to 6, so
+    one vertex often mixes several denominators."""
+    dim = draw(st.integers(2, 4))
+    coord = st.fractions(-3, 3, max_denominator=6)
+    n = draw(st.integers(dim + 1, dim + 3))
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    try:
+        return polytope_from_vertices(pts)
+    except DegenerateInput:
+        assume(False)
+
+
+class TestIntegerFaceLattice:
+    @given(rational_polytopes())
+    @settings(max_examples=60, deadline=None)
+    @example(polytope_from_vertices(  # denominators 2, 3 and 5 in one vertex
+        [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), (2, 0, 0),
+         (0, Fraction(5, 6), 0), (0, 0, Fraction(-4, 3))]))
+    def test_edges_and_face_ranks_match_fractions(self, p):
+        for vid, v in enumerate(p.vertices):
+            expected = tuple(primitive(vsub(p.vertices[w], v))
+                             for e in p.edges if vid in e.vertex_ids
+                             for w in e.vertex_ids if w != vid)
+            assert p.edge_directions(vid) == expected
+        for f in p.faces:
+            assert f.dim == fraction_affine_rank(
+                [p.vertices[i] for i in f.vertex_ids])
+        assert p.edges == tuple(f for f in p.faces if f.dim == 1)
 
 
 class TestNormalCone:
