@@ -18,14 +18,18 @@ from functools import cache
 from itertools import count, islice, product
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
-from .indicators import (GRID_POINT_BUDGET, IndicatorSum, LocallyClosedPiece,
-                         lattice_runs)
+from .indicators import IndicatorSum, LocallyClosedPiece, lattice_runs
 from .linalg import (IntVector, _scaled, frac, idot, integer_inverse,
                      primitive, rank, residue_box, solve_linear, vec, vec_str)
 from .polyhedra import Polytope, cone_facets
 from .triangulation import half_open_inverses, pulling_triangulation
+
+# Most lattice points one GF may list as int tuples (parallelepiped walks,
+# the brute-force Laurent polynomial): a Brion sum of 2·10⁶ points peaks near
+# 0.5 GB.  Grid sweeps hold no points and have indicators.GRID_POINT_BUDGET.
+LISTED_POINT_BUDGET = 2 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     The box is walked in columns along its longest side, on which n_i grows
     by a fixed step: each k_i, then each coordinate, is built a whole column
     at a time, with no dot product per point.  There must be d flags.  A
-    cell of index over GRID_POINT_BUDGET is refused before it is walked.
+    cell of index over LISTED_POINT_BUDGET is refused before it is walked.
     ``inverse``: the generator matrix's (det, adj), if the caller has it.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
@@ -152,9 +156,9 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
 
 
 def _check_cell(det: int, apex: Sequence) -> None:
-    if abs(det) > GRID_POINT_BUDGET:
+    if abs(det) > LISTED_POINT_BUDGET:
         raise ValueError(f"a cell of index {abs(det)} at apex {vec_str(apex)} "
-                         f"exceeds the budget of {GRID_POINT_BUDGET} points")
+                         f"exceeds the budget of {LISTED_POINT_BUDGET} points")
 
 
 def gf_simplicial_cone(apex: Sequence, generators: Sequence[Sequence[int]],
@@ -178,12 +182,12 @@ def brute_force_count(p: Polytope) -> int:
 
 def gf_brute_force(p: Polytope) -> RationalGF:
     """The exact Laurent polynomial Σ z^m over the lattice points (the oracle),
-    listed from lattice_runs.  More than GRID_POINT_BUDGET points are
+    listed from lattice_runs.  More than LISTED_POINT_BUDGET points are
     refused before any is listed."""
     total = brute_force_count(p)
-    if total > GRID_POINT_BUDGET:
+    if total > LISTED_POINT_BUDGET:
         raise ValueError(f"{total} lattice points exceed the budget of "
-                         f"{GRID_POINT_BUDGET} points to list")
+                         f"{LISTED_POINT_BUDGET} points to list")
     if not total:
         return zero_gf(p.dim)
     pts = [(*head, k + j, *tail)
@@ -191,27 +195,43 @@ def gf_brute_force(p: Polytope) -> RationalGF:
     return RationalGF(p.dim, (make_term(1, pts, ()),))
 
 
-def _cone_cells(rays: Sequence[IntVector], facets: Iterable[Iterable[int]],
-                strict_normals: set) -> list[tuple]:
+def _cone_cells(rays: Sequence[IntVector],
+                facets: Collection[Collection[int]], strict_normals: set
+                ) -> list[tuple]:
     """(generators, (det, adj), open flags) of each cell of cone(rays), its
     primitive extreme rays, triangulated by pulling them in index order;
     `facets` lists the cone's facets as sets of ray indices.  The cells are
     made half-open so their generating functions add up with no
     inclusion–exclusion; a cell facet whose normal is in strict_normals is
     open as well."""
-    dim = len(rays[0])
-    cells = pulling_triangulation(rays, list(range(len(rays))), dim, facets)
+    cells = pulling_triangulation(range(len(rays)), len(rays[0]), facets)
     return [([rays[j] for j in cell], inv,
              tuple(f or h in strict_normals for f, h in zip(flags, normals)))
             for cell, (inv, normals, flags)
             in zip(cells, half_open_inverses(rays, cells))]
 
 
-def _cones_gf(dim: int, cones: list[tuple]) -> RationalGF:
-    """The sum over (apex, ``_cone_cells``) pairs: one term per cell."""
+def _cones_gf(dim: int, cones: list[tuple], what: str, at: str
+              ) -> RationalGF:
+    """The sum over (weight, apex, ``_cone_cells``) triples: one term per
+    cell.  The plan is checked before any cell is walked: cells of more than
+    LISTED_POINT_BUDGET points in all are refused, and a cell over the
+    budget on its own is named first.  The refusal calls the cells `what`
+    and each apex `at`."""
+    shares = [sum(abs(inv[0]) for _, inv, _ in cells) for _, _, cells in cones]
+    if sum(shares) > LISTED_POINT_BUDGET:
+        for _, apex, cells in cones:
+            for _, (det, _), _ in cells:
+                _check_cell(det, apex)
+        most = max(shares)
+        raise ValueError(
+            f"{what} hold {sum(shares)} parallelepiped points, over the "
+            f"budget of {LISTED_POINT_BUDGET}; {most} of them are in the cone "
+            f"at {at} {vec_str(cones[shares.index(most)][1])}")
     return RationalGF(dim, tuple(
-        make_term(1, enumerate_parallelepiped(gens, apex, flags, inverse=inv),
-                  gens) for apex, cells in cones for gens, inv, flags in cells))
+        make_term(w, enumerate_parallelepiped(gens, apex, flags, inverse=inv),
+                  gens) for w, apex, cells in cones
+        for gens, inv, flags in cells))
 
 
 def brion_gf(p: Polytope) -> RationalGF:
@@ -221,24 +241,16 @@ def brion_gf(p: Polytope) -> RationalGF:
     vertex sum is the whole generating function of the polytope.  The facets
     of the cone at v are the facets of P through v, and edge i at v lies on
     facet j exactly when j is among its facet ids: no arithmetic is needed.
-    Cells of more than GRID_POINT_BUDGET points in all are refused unwalked.
+    Cells of more than LISTED_POINT_BUDGET points in all are refused
+    unwalked.
     """
     cones = []
     for vid, v in enumerate(p.vertices):
         at_v = [e.facet_ids for e in p.edges if vid in e.vertex_ids]
         facets = [{i for i, on in enumerate(at_v) if j in on}
                   for j in p.tight_facets(vid)]
-        cones.append((v, _cone_cells(p.edge_directions(vid), facets, set())))
-    shares = [sum(abs(inv[0]) for _, inv, _ in cells) for _, cells in cones]
-    if sum(shares) > GRID_POINT_BUDGET:
-        for v, cells in cones:  # a cell over the budget alone is named first
-            for _, (det, _), _ in cells:
-                _check_cell(det, v)
-        raise ValueError(
-            f"Brion's cells hold {sum(shares)} parallelepiped points, over the "
-            f"budget of {GRID_POINT_BUDGET}; {max(shares)} of them are in the "
-            f"cone at vertex {vec_str(cones[shares.index(max(shares))][0])}")
-    return _cones_gf(p.dim, cones)
+        cones.append((1, v, _cone_cells(p.edge_directions(vid), facets, set())))
+    return _cones_gf(p.dim, cones, "Brion's cells", "vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +373,12 @@ def gf_equal_as_functions(g1: RationalGF, g2: RationalGF,
 # From indicator sums to generating functions
 # ---------------------------------------------------------------------------
 
-def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
-    """Generating function of a locally closed piece that is a shifted cone.
-
-    Pieces whose closure contains a line have generating function zero.
-    Everything else must have a unique apex (all constraint hyperplanes
-    concurrent); pointed pieces are triangulated if necessary, with strict
-    constraints turning the matching facets open.
-    """
+def _piece_cone(pc: LocallyClosedPiece) -> Optional[tuple]:
+    """(apex, ``_cone_cells``) of a piece that is a shifted cone, or None
+    when its closure contains a line."""
     normals = [h.normal for h in pc.constraints]
     if rank(normals) < pc.dim:  # the closure contains a line
-        return zero_gf(pc.dim)
+        return None
     offsets = [h.offset for h in pc.constraints]
     apex = solve_linear(normals, offsets)
     if apex is None:
@@ -384,18 +391,29 @@ def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
     if not strict_normals <= facets.keys():
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
-    return _cones_gf(pc.dim, [(apex, _cone_cells(rays, facets.values(),
-                                                 strict_normals))])
+    return apex, _cone_cells(rays, facets.values(), strict_normals)
+
+
+def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
+    """Generating function of a locally closed piece that is a shifted cone.
+
+    Pieces whose closure contains a line have generating function zero.
+    Everything else must have a unique apex (all constraint hyperplanes
+    concurrent); pointed pieces are triangulated if necessary, with strict
+    constraints turning the matching facets open.
+    """
+    cone = _piece_cone(pc)
+    return _cones_gf(pc.dim, [(1, *cone)] if cone else [], "the piece's cells",
+                     "apex")
 
 
 def gf_of_indicator_sum(s: IndicatorSum) -> RationalGF:
     """Map each piece to its generating function (z := 1 in coefficients);
-    line-containing pieces drop out."""
-    terms = []
-    for coeff, pc in s.terms:
-        if (w := coeff.at_one()) != 0:
-            terms += gf_of_piece(pc).scaled(w).terms
-    return RationalGF(s.dim, tuple(terms))
+    line-containing pieces drop out.  Every piece's cells are planned, and
+    the plan checked against the budget, before any cell is walked."""
+    cones = [(w, *cone) for coeff, pc in s.terms
+             if (w := coeff.at_one()) != 0 and (cone := _piece_cone(pc))]
+    return _cones_gf(s.dim, cones, "the pieces' cells", "apex")
 
 
 # ---------------------------------------------------------------------------

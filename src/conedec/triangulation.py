@@ -8,10 +8,10 @@ facet whose normal has a positive last coordinate is a lower face.  A face
 with more than d rays (tied heights) is refined by pulling its rays in index
 order: the regular refinement for heights h − (ε, ε², …) as ε → 0⁺.  A ray
 that is not extreme and lifts above the lower hull is rejected.  Brion's
-cones need no heights: ``pulling_triangulation`` of all their rays, from
-the facets the caller passes (Brion reads them off the face lattice).  Only
-facets of facets come from ``cone_facets``, so Brion computes none for
-d ≤ 3.
+cones need no heights: ``pulling_triangulation`` of all their rays.  It
+reads only the top-level cone's facets, as ray-index sets (Brion's come
+from the face lattice): a facet of a face is a maximal proper intersection
+of the face with them, so no face below the top is ever hulled.
 
 ``half_open_inverses`` makes the cells half-open so that they tile the cone
 disjointly, by the tie-break of ``linalg.perturbed_key``, from one inverse.
@@ -22,10 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, _bareiss, dot, frac, integer_inverse,
+from .linalg import (IntVector, Vector, dot, frac, integer_inverse,
                      perturbed_key, primitive, rank, vec, vec_str)
 from .polyhedra import DegenerateInput, cone_facets, halfspace
 
@@ -77,11 +77,15 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         t = h * dot(w, r)
         lifted.append(primitive([x * t.denominator for x in r] + [t.numerator]))
     if rank(lifted) == dim:  # heights linear on the slice: one lower face
-        faces = [frozenset(range(len(rays)))]
-    else:
-        faces = [on for n, on in cone_facets(lifted, dim + 1) if n[-1] > 0]
+        faces = [range(len(rays))]
+        facets = [on for _, on in cone_facets(rays, dim)] \
+            if len(rays) > dim else []
+    else:  # the lower faces are faces of the lifted cone: pull in it
+        hull = cone_facets(lifted, dim + 1)
+        faces = [on for n, on in hull if n[-1] > 0]
+        facets = [on for _, on in hull]
     cells = sorted(cell for face in faces
-                   for cell in pulling_triangulation(rays, sorted(face), dim))
+                   for cell in pulling_triangulation(sorted(face), dim, facets))
     if not cells:
         raise AssertionError("no lower-hull cell found")
     missing = set(range(len(rays))).difference(*cells)
@@ -100,35 +104,28 @@ def _reject_non_extreme(rays: Sequence[IntVector], dim: int, j: int) -> None:
                               "of the cone, and no cell uses it")
 
 
-def pulling_triangulation(rays: Sequence[IntVector], face: list[int],
-                          fdim: int, facets: Optional[Iterable[Iterable[int]]]
-                          = None) -> list[tuple[int, ...]]:
-    """Pulling triangulation, in index order, of the fdim-dimensional cone
-    spanned by the rays at the sorted indices `face`: the joins of its first
-    ray with the pulled facets that miss it, sorted.  `facets`, when given,
-    lists the facets of this cone as sets of positions in `face`; otherwise
-    they come from ``cone_facets``."""
+def pulling_triangulation(face: Sequence[int], fdim: int,
+                          facets: Collection[Collection[int]]
+                          ) -> list[tuple[int, ...]]:
+    """Pulling triangulation, in index order, of the fdim-dimensional face
+    spanned by the rays at the sorted indices `face` of a cone whose facets
+    are the ray-index sets `facets`: the joins of its first ray with the
+    pulled facets that miss it, sorted.  The face's facets are its maximal
+    proper intersections with `facets`, since every face of a cone is an
+    intersection of its facets."""
     if len(face) == fdim:
         return [tuple(face)]
-    if facets is None:
-        # the pivot coordinates, on which the span of the face maps one-to-one
-        coords, _ = _bareiss([list(rays[j]) for j in face])
-        gens = [tuple(rays[j][c] for c in coords) for j in face]
-        facets = [on for _, on in cone_facets(gens, fdim)]
-    return sorted((face[0],) + cell for on in facets if 0 not in on
-                  for cell in pulling_triangulation(
-                      rays, [face[i] for i in sorted(on)], fdim - 1))
+    whole = frozenset(face)
+    meets = {whole.intersection(f) for f in facets} - {whole}
+    return sorted((face[0],) + cell for on in meets
+                  if face[0] not in on and not any(on < o for o in meets)
+                  for cell in pulling_triangulation(sorted(on), fdim - 1,
+                                                    facets))
 
 
 def seeded_heights(n: int, seed: int) -> tuple[Fraction, ...]:
     rng = random.Random(seed)
     return tuple(Fraction(rng.randint(0, 4 * n + 8)) for _ in range(n))
-
-
-def half_open_cells(rays: Sequence[IntVector], cells: Sequence[Sequence[int]]
-                    ) -> list[tuple[tuple[IntVector, ...], tuple[bool, ...]]]:
-    """``half_open_inverses`` without the inverses."""
-    return [cell[1:] for cell in half_open_inverses(rays, cells)]
 
 
 def half_open_inverses(rays: Sequence[IntVector],

@@ -444,13 +444,13 @@ class TestBadInput:
 
     @staticmethod
     def run_capped(tmp_path, k: int, argv: list, limit: int):
-        """main(argv) on the triangle (0,0), (10^k,0), (0,1) in a subprocess
-        under an address-space limit, so that materializing 10^k of anything
+        """main(argv) on the triangle (0,0), (k,0), (0,1) in a subprocess
+        under an address-space limit, so that materializing k of anything
         fails fast with a MemoryError instead of exhausting the host; its
         stdout's last line is main's time in seconds."""
         path = tmp_path / f"thin{k}.json"
         path.write_text(json.dumps({"dim": 2, "vertices": [
-            ["0", "0"], [str(10 ** k), "0"], ["0", "1"]]}))
+            ["0", "0"], [str(k), "0"], ["0", "1"]]}))
         script = ("import sys, time; from conedec.cli import main; "
                   "t = time.perf_counter(); code = main(sys.argv[1:]); "
                   "print(time.perf_counter() - t); sys.exit(code)")
@@ -466,7 +466,8 @@ class TestBadInput:
 
     def test_oversized_grid_is_input_error(self, tmp_path):
         # a thin triangle 10^9 long would need a grid of ~10^10 points
-        run = self.run_capped(tmp_path, 9, ["verify", "--identity", "gram"],
+        run = self.run_capped(tmp_path, 10 ** 9,
+                              ["verify", "--identity", "gram"],
                               2 * 1024 ** 3)
         assert run.returncode == 2
         assert run.stderr.startswith("error: grid of ")
@@ -475,17 +476,28 @@ class TestBadInput:
     @pytest.mark.parametrize("k", [9, 18])
     def test_oversized_cell_is_input_error(self, tmp_path, k):
         # Brion's cone at (0, 1) has index 10^k: refused before its walk
-        run = self.run_capped(tmp_path, k, ["count", "--json"], 1500 * 10 ** 6)
+        run = self.run_capped(tmp_path, 10 ** k, ["count", "--json"],
+                              1500 * 10 ** 6)
         assert run.returncode == 2
         assert run.stderr.startswith(f"error: a cell of index {10 ** k} ")
         assert float(run.stdout) < 1.0
 
+    def test_cell_too_big_to_list_is_input_error(self, tmp_path):
+        # index 10^7 − 3: walking it would hold ~10^7 point tuples, past
+        # the address-space limit, so it is refused before the walk
+        run = self.run_capped(tmp_path, 10 ** 7 - 3, ["count", "--json"],
+                              1500 * 10 ** 6)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: a cell of index 9999997 ")
+        assert float(run.stdout) < 1.0
+
     def test_oversized_brion_plan_is_input_error(self, tmp_path):
-        # cells of index 1, 1 and 10^7: each within the budget, together not
-        run = self.run_capped(tmp_path, 7, ["count", "--json"], 1500 * 10 ** 6)
+        # cells of index 1, 1 and 2·10^6: each within the budget, not together
+        run = self.run_capped(tmp_path, 2 * 10 ** 6, ["count", "--json"],
+                              1500 * 10 ** 6)
         assert run.returncode == 2
         assert run.stderr.startswith(
-            "error: Brion's cells hold 10000002 parallelepiped points, ")
+            "error: Brion's cells hold 2000002 parallelepiped points, ")
         assert run.stderr.rstrip().endswith("the cone at vertex (0, 1)")
         assert float(run.stdout) < 1.0
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conedec.triangulation as triangulation
@@ -22,8 +22,9 @@ from conedec.linalg import dot, kernel_basis, primitive, rank, vsub
 from conedec.polar import (SimplicityError, lv_decomposition,
                            rearrange_for_vertex)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
-                               is_simple_vertex, polytope_from_vertices)
-from conedec.triangulation import (half_open_cells, pulling_triangulation,
+                               cone_facets, is_simple_vertex,
+                               polytope_from_vertices)
+from conedec.triangulation import (half_open_inverses, pulling_triangulation,
                                    regular_triangulation, seeded_heights)
 
 from conftest import seeded_generic_functionals
@@ -38,7 +39,7 @@ BOX6 = [(Fraction(-6), Fraction(6))] * 3
 def assert_half_open_cells_tile(rays, cells, coeffs):
     """Every nonzero Σ c_j·r_j with each c_j in `coeffs` lies in exactly one
     half-open cell, read from its coordinates in the cell's rays."""
-    flags = [f for _, f in half_open_cells(rays, cells)]
+    flags = [f for *_, f in half_open_inverses(rays, cells)]
     inverses = [mat_inverse(list(zip(*(rays[j] for j in cell))))
                 for cell in cells]
     for cs in product(coeffs, repeat=len(rays)):
@@ -89,8 +90,7 @@ class TestRegularTriangulation:
 
     def test_tied_face_with_a_tied_facet(self):
         # a 4-d pyramid over APEX_RAYS' square, lifted flat: its square
-        # facet is pulled too, in coordinates where its span (which holds
-        # the last axis) maps one-to-one
+        # facet is pulled too, from the cone's own facets
         rays = [(0, 0, 1, 1)] + [(x, y, 0, 1) for x, y, _ in APEX_RAYS]
         tri = regular_triangulation(rays, [0] * 5)
         assert tri.cells == ((0, 1, 2, 3), (0, 1, 2, 4))
@@ -134,12 +134,31 @@ class TestRegularTriangulation:
         tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
         assert_half_open_cells_tile(tri.rays, tri.cells, range(5))
 
+    def test_tied_lower_face_is_pulled_in_the_lifted_hull(self, monkeypatch):
+        # the cone over a 3-cube with one corner raised: seven tied rays
+        # span one lower face, pulled from the lifted cone's facets alone
+        rays = [(*c, 1) for c in product((-1, 1), repeat=3)]
+        heights = [1] + [0] * 7
+        calls = []
+        real = triangulation.cone_facets
+
+        def counted(gens, dim):
+            calls.append(dim)
+            return real(gens, dim)
+        monkeypatch.setattr(triangulation, "cone_facets", counted)
+        tri = regular_triangulation(rays, heights, (0, 0, 0, 1))
+        assert calls == [5]
+        oracle = triangulation_oracle.regular_triangulation(
+            rays, heights, (0, 0, 0, 1))
+        assert tri.cells == oracle.cells and len(tri.cells) > 2
+        assert triangulation_oracle.verify_certificates(tri)
+
     def test_tie_on_a_wall_is_broken_by_the_perturbed_point(self):
         # q = Σ 2^j·r_j = (-3, 3, 14) lies on the shared wall, normal
         # (1, 1, 0); q + εe₁ + ε²e₂ + ε³e₃ lies on its positive side
         rays = ((-1, 1, 0), (-1, 3, 3), (0, -1, 0), (0, 0, 1))
         cells = ((0, 1, 3), (0, 2, 3))
-        flags = [f for _, f in half_open_cells(rays, cells)]
+        flags = [f for *_, f in half_open_inverses(rays, cells)]
         assert flags == [(False, False, False), (False, True, False)]
         assert_half_open_cells_tile(rays, cells, range(4))
 
@@ -197,14 +216,22 @@ def test_half_open_cells_tile_triangulated_cones(cone):
         tri = regular_triangulation(*cone)
     except (DegenerateInput, ValueError):
         return
-    pulled = pulling_triangulation(tri.rays, list(range(len(tri.rays))),
-                                   len(tri.rays[0]))
+    dim = len(tri.rays[0])
+    pulled = pulling_triangulation(
+        range(len(tri.rays)), dim,
+        [on for _, on in cone_facets(tri.rays, dim)])
     # coefficients 0..3 on at most four rays, 0..1 on more: ≤ 256 points
     for cells in (tri.cells, pulled):
         assert_half_open_cells_tile(tri.rays, cells,
                                     range(4 if len(tri.rays) <= 4 else 2))
 
 
+# a 6-d cone in which a facet meets a 5-d face in a 3-d face of 4 rays:
+# no facet of that face, though it has as many rays as a simplicial one
+@example(([(-1, -2, -2, 0, 1, 1), (-1, -1, -1, -2, 0, 1), (-1, -1, 0, 0, 1, 1),
+           (0, -1, 2, -2, 2, 1), (0, 0, -1, -2, 0, 1), (0, 1, -1, -2, -1, 1),
+           (1, 2, -1, -2, -1, 1), (2, 1, 0, 2, -1, 1), (2, 2, 0, 0, 1, 1)],
+          [0] * 9, None))
 @given(lifted_cones())
 @settings(max_examples=200, deadline=None)
 def test_pulling_is_the_zero_height_triangulation(cone):
@@ -215,7 +242,8 @@ def test_pulling_is_the_zero_height_triangulation(cone):
     rays = [primitive(r) for r in rays]
     dim = len(rays[0])
     assume(rank(rays) == dim)
-    pulled = pulling_triangulation(rays, list(range(len(rays))), dim)
+    pulled = pulling_triangulation(range(len(rays)), dim,
+                                   [on for _, on in cone_facets(rays, dim)])
     try:
         cells = triangulation_oracle.regular_triangulation(
             rays, [0] * len(rays), w).cells

@@ -2,7 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from unittest import mock
 
 import pytest
@@ -13,7 +13,8 @@ from conedec.deform import nonsimple_decomposition
 import conedec.genfunc as genfunc
 import conedec.linalg as linalg
 import conedec.triangulation as triangulation
-from conedec.genfunc import (RationalGF, _bernoulli, _series_mul, brion_gf,
+from conedec.genfunc import (LISTED_POINT_BUDGET, RationalGF, _bernoulli,
+                             _series_mul, brion_gf,
                              brute_force_count, count_lattice_points,
                              enumerate_parallelepiped, gf_brute_force,
                              gf_equal_as_functions, gf_of_indicator_sum,
@@ -23,10 +24,12 @@ from conedec.indicators import (gram_decomposition, lattice_runs,
                                 whole_space_piece)
 from conedec.linalg import residue_box, vsub
 from conedec.polar import lv_decomposition
-from conedec.polyhedra import (DegenerateInput, cone_facets,
+from conedec.polyhedra import (DegenerateInput, cone_facets, halfspace,
+                               polytope_from_halfspaces,
                                polytope_from_vertices)
-from conedec.triangulation import (half_open_cells, pulling_triangulation,
+from conedec.triangulation import (half_open_inverses, pulling_triangulation,
                                    regular_triangulation, seeded_heights)
+import triangulation_oracle
 
 from conftest import seeded_generic_functionals
 from helpers import vertex_index
@@ -36,6 +39,15 @@ import parallelepiped_oracle
 import specialize_oracle
 
 SEG = polytope_from_vertices([(-3,), (5,)])
+
+
+def birkhoff3(r: int):
+    """B_3(r): 3×3 nonnegative integer matrices with line sums r, in its
+    free entries x11, x12, x21, x22 (the others are r minus a line)."""
+    rows = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+            (0, 0, 0, 1, 0), (-1, -1, 0, 0, -r), (0, 0, -1, -1, -r),
+            (-1, 0, -1, 0, -r), (0, -1, 0, -1, -r), (1, 1, 1, 1, r)]
+    return polytope_from_halfspaces(halfspace(n[:4], n[4]) for n in rows)
 
 
 def brute_parallelepiped(generators, apex, open_flags=None):
@@ -231,8 +243,8 @@ class TestBrion:
             calls.append(rows)
             return real_inverse(rows)
 
-        def counted_triangulation(rays, face, fdim, facets=None):
-            tri = real_triangulation(rays, face, fdim, facets)
+        def counted_triangulation(face, fdim, facets):
+            tri = real_triangulation(face, fdim, facets)
             cells.append(len(tri))
             return tri
         for name, mod in list(sys.modules.items()):
@@ -247,8 +259,9 @@ class TestBrion:
 
     def test_cells_over_the_budget_in_all_are_refused_before_any_walk(
             self, monkeypatch):
-        # cells of index 1, 1 and 10^7: each within the budget, not together
-        thin = polytope_from_vertices([(0, 0), (10 ** 7, 0), (0, 1)])
+        # cells of index 1, 1 and 2·10^6: each within the budget, not together
+        assert LISTED_POINT_BUDGET == 2 * 10 ** 6
+        thin = polytope_from_vertices([(0, 0), (2 * 10 ** 6, 0), (0, 1)])
 
         def no_walk(*args, **kwargs):
             raise AssertionError("a cell was walked")
@@ -256,34 +269,41 @@ class TestBrion:
         with pytest.raises(ValueError) as exc:
             brion_gf(thin)
         assert str(exc.value) == (
-            "Brion's cells hold 10000002 parallelepiped points, over the "
-            "budget of 10000000; 10000000 of them are in the cone at vertex "
+            "Brion's cells hold 2000002 parallelepiped points, over the "
+            "budget of 2000000; 2000000 of them are in the cone at vertex "
             "(0, 1)")
 
     def test_one_cell_over_the_budget_is_named_as_a_cell(self):
-        thin = polytope_from_vertices([(0, 0), (10 ** 7 + 1, 0), (0, 1)])
+        thin = polytope_from_vertices([(0, 0), (2 * 10 ** 6 + 1, 0), (0, 1)])
         with pytest.raises(ValueError) as exc:
             brion_gf(thin)
-        assert str(exc.value) == ("a cell of index 10000001 at apex (0, 1) "
-                                  "exceeds the budget of 10000000 points")
+        assert str(exc.value) == ("a cell of index 2000001 at apex (0, 1) "
+                                  "exceeds the budget of 2000000 points")
 
     def test_vertex_cone_facets_come_from_the_face_lattice(self, corpus,
                                                            monkeypatch):
-        # up to dimension 3 Brion computes no facet of any cone
+        # Brion hulls no cone at any level of any dimension: the polytopes
+        # are built first, then every route to a hull is cut
         clouds = []
-        for seed in range(4):
+        for d, n, seed in [(3, 8, 0), (3, 8, 1), (3, 8, 2), (3, 8, 3),
+                           (4, 9, 0), (4, 9, 1), (5, 9, 0)]:
             rng = random.Random(seed)
-            clouds.append(polytope_from_vertices(
-                [tuple(rng.randint(-3, 3) for _ in range(3))
-                 for _ in range(8)]))
+            clouds.append((f"cloud{d}d-{seed}", polytope_from_vertices(
+                [tuple(rng.randint(-3, 3) for _ in range(d))
+                 for _ in range(n)])))
+        b3 = [birkhoff3(r) for r in range(1, 8)]
 
         def fail(*args, **kwargs):
             raise AssertionError("cone_facets on the Brion path")
         monkeypatch.setattr(triangulation, "cone_facets", fail)
         monkeypatch.setattr(genfunc, "cone_facets", fail)
-        named = [(e.name, p) for e, p in corpus if p.dim <= 3]
-        for name, p in named + [(f"cloud{i}", p) for i, p in enumerate(clouds)]:
+        named = [(e.name, p) for e, p in corpus]
+        for name, p in named + clouds + [(f"B3({r + 1})", p)
+                                         for r, p in enumerate(b3)]:
             assert gf_equal_as_functions(brion_gf(p), gf_brute_force(p)), name
+        # MacMahon: H_3(r) = C(r+2, 2) + 3·C(r+3, 4) magic squares
+        assert [count_lattice_points(brion_gf(p)) for p in b3] == \
+            [comb(r + 2, 2) + 3 * comb(r + 3, 4) for r in range(1, 8)]
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -306,9 +326,10 @@ class TestBrion:
         for rays, facets in cones:
             assert {frozenset(f) for f in facets} == \
                 {on for _, on in cone_facets(rays, d)}
-            face = list(range(len(rays)))
-            assert pulling_triangulation(rays, face, d, facets) == \
-                pulling_triangulation(rays, face, d)
+            # pulling in index order is the zero-height triangulation
+            assert pulling_triangulation(range(len(rays)), d, facets) == \
+                list(triangulation_oracle.regular_triangulation(
+                    rays, [0] * len(rays)).cells)
 
     def test_counting_needs_no_heights_or_slice_normal(self, corpus,
                                                        monkeypatch):
@@ -501,7 +522,8 @@ class TestTriangulateCone:
         rays = tri.edge_directions(0)
         t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert t.cells == ((0, 1),)
-        assert [f for _, f in half_open_cells(t.rays, t.cells)] == [(False, False)]
+        assert [f for *_, f in half_open_inverses(t.rays, t.cells)] == \
+            [(False, False)]
 
     def test_pyramid_apex_two_cells(self, pyramid_poly):
         vid = vertex_index(pyramid_poly, (0, 0, 0))
