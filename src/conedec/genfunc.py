@@ -50,7 +50,7 @@ def _lex_positive(v: IntVector) -> bool:
 def make_term(coeff, numerators: Iterable[Sequence[int]],
               denominators: Iterable[Sequence[int]]) -> GFTerm:
     """Canonical term: every denominator exponent lex-positive, all sorted.
-    Numerator and denominator exponents are sequences of ``int``."""
+    Numerator exponents are ``int`` tuples, denominator ones ``int`` rows."""
     coeff = frac(coeff)
     dens, shift = [], None
     for b in denominators:
@@ -63,8 +63,8 @@ def make_term(coeff, numerators: Iterable[Sequence[int]],
             coeff = -coeff
             shift = b if shift is None else tuple(map(add, shift, b))
         dens.append(b)
-    nums = [tuple(a) if shift is None else tuple(map(add, a, shift))
-            for a in numerators]
+    nums = numerators if shift is None else zip(*(  # shifted column-wise
+        [x + s for x in col] for col, s in zip(zip(*numerators), shift)))
     return GFTerm(coeff, tuple(sorted(nums)), tuple(sorted(dens)))
 
 
@@ -113,9 +113,9 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     by a fixed step: each k_i, then each coordinate, is built a whole column
     at a time, with no dot product per point.  There must be d flags.  A
     cell of index over LISTED_POINT_BUDGET is refused before it is walked.
-    ``inverse``: the generator matrix's (det, adj), if the caller has it.
+    ``inverse``: the (det, adj) of the ``int`` generators, if the caller has it.
     """
-    gens = [tuple(int(x) for x in g) for g in generators]
+    gens = generators if inverse else [tuple(map(int, g)) for g in generators]
     d = len(gens[0])
     cols = tuple(zip(*gens))  # generator matrix: column i is generator i
     inv = inverse or (integer_inverse(cols) if len(gens) == d else None)
@@ -291,16 +291,16 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
     Each term with k denominator factors has a pole of order k at s = 0; the
     series bookkeeping divides it out exactly.  The series run in ``int``:
     with w = k + order, the numerator's power sums p_i are scaled by w!/i!
-    and each factor's Bernoulli series by lcm(den B_0..B_w)·w!, so a term's
-    product is one integer series over one common denominator.  The
-    direction must satisfy ⟨λ, b⟩ ≠ 0 for every denominator exponent b.
+    and each factor's Bernoulli series by lcm(den B_0..B_w)·w!, so a term is
+    one integer series over one scale, and all are summed over the lcm of the
+    scales.  The direction must satisfy ⟨λ, b⟩ ≠ 0 for every denominator b.
     Raises ValueError if the negative-order coefficients fail to cancel
     across terms (the input was not the generating function of a bounded
     set).
     """
     lam = [int(x) for x in direction]
     max_pole = max((len(t.denominators) for t in gf.terms), default=0)
-    total = [Fraction(0)] * (max_pole + order + 1)  # s^{-max_pole} .. s^{order}
+    series = []  # (first power of s, integer series, scale) per term
     for t in gf.terms:
         k = len(t.denominators)
         work = k + order
@@ -310,9 +310,9 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
         powers = [1] * len(dots)
         num = []
         for f in ratios:
-            num.append(sum(powers) * f)
+            num.append(sum(powers) * f * t.coeff.numerator)
             powers = list(map(mul, powers, dots))
-        scale = factorial(work) * t.coeff.denominator  # num = work!·series
+        scale = factorial(work) * t.coeff.denominator  # num/scale = coeff·series
         for b in t.denominators:
             beta = idot(lam, b)
             if beta == 0:
@@ -321,15 +321,19 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
             num = _series_mul(num, [x * beta ** i for i, x in enumerate(bern)],
                               work)
             scale *= -beta * den * factorial(work)
-        # term = coeff · s^{-k} · num(s) / scale
+        series.append((max_pole - k, num, scale))  # term = s^{-k}·num(s)/scale
+    common = lcm(*(scale for _, _, scale in series))
+    total = [0] * (max_pole + order + 1)  # s^{-max_pole} .. s^{order}, ·common
+    for first, num, scale in series:
+        f = common // scale
         for i, c in enumerate(num):
-            total[max_pole - k + i] += Fraction(t.coeff.numerator * c, scale)
+            total[first + i] += c * f
     for j in range(max_pole):
         if total[j] != 0:
             raise ValueError(
                 f"pole of order {max_pole - j} does not cancel; "
                 "not the generating function of a bounded set")
-    return total[max_pole:max_pole + order + 1]
+    return [Fraction(c, common) for c in total[max_pole:]]
 
 
 def counting_directions(gf: RationalGF, start: int = 1):

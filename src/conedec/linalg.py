@@ -9,7 +9,6 @@ rounds, ever.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -223,32 +222,50 @@ def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector,
     inv = integer_inverse(tuple(zip(*rays)))  # the rays as columns
     if inv is None:
         raise ValueError("mat_inverse: singular matrix")
-    det, adj = inv
-    return tuple(primitive([det * x for x in row]) for row in adj)
+    return adj_normals(*inv)
+
+
+def adj_normals(det: int, adj: Sequence[IntVector]) -> tuple[IntVector, ...]:
+    """The rows of sign(det)·adj, each divided by the gcd of its entries."""
+    return tuple(tuple(x // g for x in row) for row in adj
+                 for g in (gcd(*row) if det > 0 else -gcd(*row),))
+
+
+def hermite(cols: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
+    """Lower-triangular Hermite normal form H = cols·U, U unimodular, of an
+    integer matrix of full row rank: h_ii > 0 and 0 <= h_ij < h_ii for j < i.
+
+    Row i's pivot, the gcd of its entries in columns i, i+1, …, comes from
+    Euclid's algorithm on whole columns (Cohen §2.4.2), and the entries left
+    of it are reduced modulo it as soon as it is finished, so they stay small.
+    """
+    gens = [list(c) for c in zip(*cols)]  # column operations act on these
+    for i in range(len(cols)):
+        for j in range(i + 1, len(gens)):
+            while gens[j][i]:
+                f = gens[i][i] // gens[j][i]
+                gens[i], gens[j] = gens[j], [u - f * v for u, v
+                                             in zip(gens[i], gens[j])]
+        h = gens[i][i] if i < len(gens) else 0
+        if h == 0:
+            raise ValueError("columns do not span a full-rank lattice")
+        if h < 0:
+            gens[i], h = [-u for u in gens[i]], -h
+        for j in range(i):
+            f = gens[j][i] // h
+            if f:
+                gens[j] = [u - f * v for u, v in zip(gens[j], gens[i])]
+    return tuple(zip(*gens))
 
 
 def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:
     """Sides h_0..h_{d-1} of a box {x : 0 <= x_i < h_i} holding exactly one
-    point of each class of Z^d modulo the lattice spanned by the columns.
-
-    The h_i are the diagonal of the lattice's lower-triangular Hermite
-    normal form: h_0···h_{k-1} is the gcd of the k×k minors of the first k
-    rows, which unimodular column operations do not change.  Subtracting
-    Hermite columns moves any integer point into the box one coordinate at a
-    time, and the box has |det| points, so no two of them are congruent.
+    point of each class of Z^d modulo the lattice spanned by the columns:
+    the diagonal of the lattice's Hermite normal form.  Subtracting Hermite
+    columns moves any integer point into the box one coordinate at a time,
+    and the box has |det| points, so no two of them are congruent.
     """
-    ncols = len(cols[0]) if cols else 0
-    sides: list[int] = []
-    prev = 1
-    for k in range(1, len(cols) + 1):
-        g = gcd(*cols[0]) if k == 1 else 0  # the 1×1 minors: row 0's entries
-        for sub in combinations(range(ncols), k) if k > 1 else ():
-            m = [[row[j] for j in sub] for row in cols[:k]]
-            g = gcd(g, m[-1][-1] if len(_bareiss(m)[0]) == k else 0)  # ±minor
-            if g == prev:  # every k×k minor is a multiple of prev
-                break
-        if g == 0:
-            raise ValueError("residue_box: columns do not span a full-rank lattice")
-        sides.append(g // prev)
-        prev = g
-    return tuple(sides)
+    try:
+        return tuple(row[i] for i, row in enumerate(hermite(cols)))
+    except ValueError as e:
+        raise ValueError(f"residue_box: {e}") from None

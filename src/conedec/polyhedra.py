@@ -12,13 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (DimensionError, IntVector, Vector, _scaled, dot, frac,
                      idot, kernel_basis, primitive, rank, vadd, vec, vec_str,
                      vneg)
+
+
+# Most subsets one cone_facets call may walk (the 5-cube's V-to-H: C(32, 5))
+HULL_SUBSET_BUDGET = 10 ** 6
 
 
 class DegenerateInput(ValueError):
@@ -50,7 +54,10 @@ class Halfspace:
 
 def halfspace(normal: Sequence, offset, strict: bool = False) -> Halfspace:
     """Canonical halfspace from a rational normal and offset."""
-    den, (ints,) = _scaled([vec(normal)])
+    if all(type(a) is int for a in normal):
+        den, ints = 1, normal
+    else:
+        den, (ints,) = _scaled([vec(normal)])
     g = gcd(*ints)
     if g == 0:
         raise ValueError("halfspace: zero normal")
@@ -92,7 +99,13 @@ def cone_facets(gens: Sequence[IntVector], dim: int
     generators; facets come in the order of their first subset.  By polarity
     the normals are also the extreme rays of {y : g·y ≥ 0 for each g}, and
     g lies on a facet exactly when its inequality is tight at that ray.
+    More than HULL_SUBSET_BUDGET subsets are refused before the walk.
     """
+    subsets = comb(len(gens), dim - 1)
+    if subsets > HULL_SUBSET_BUDGET:
+        raise ValueError(f"the hull of {len(gens)} generators in dimension "
+                         f"{dim} walks C({len(gens)}, {dim - 1}) = {subsets} "
+                         f"subsets, over the budget of {HULL_SUBSET_BUDGET}")
     out: dict[IntVector, frozenset[int]] = {}
     for subset in combinations(gens, dim - 1):
         ker = kernel_basis(list(subset) or [(0,) * dim])
@@ -247,10 +260,11 @@ def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise DimensionError("points of mixed dimension")
-    if _affine_rank(pts) != dim:
+    q, ints = _scaled(pts)
+    if _affine_rank(ints) != dim:
         raise DegenerateInput("points do not affinely span the space; "
                               "the polytope would be lower-dimensional")
-    lifted = [primitive(p + (1,)) for p in pts]
+    lifted = [primitive(x + (q,)) for x in ints]
     facets = cone_facets(lifted, dim + 1)
     halfspaces = [halfspace(h[:-1], -h[-1]) for h, _ in facets]
     kept = [i for i in range(len(pts))

@@ -25,8 +25,9 @@ from fractions import Fraction
 from typing import Collection, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, dot, frac, integer_inverse,
-                     perturbed_key, primitive, rank, vec, vec_str)
+from .linalg import (IntVector, Vector, adj_normals, dot, frac,
+                     integer_inverse, perturbed_key, primitive, rank, vec,
+                     vec_str)
 from .polyhedra import DegenerateInput, cone_facets, halfspace
 
 
@@ -132,7 +133,7 @@ def half_open_inverses(rays: Sequence[IntVector],
                        cells: Sequence[Sequence[int]]) -> list[tuple]:
     """((det, adj), facet normals, open flags) of each cell, making the cells
     a disjoint cover of the cone.  One ``integer_inverse`` of a cell's
-    generator matrix gives its normals, the primitive rows of sign(det)·adj.
+    generator matrix gives its normals, the ``adj_normals`` of (det, adj).
 
     A facet is open exactly when the point q + εe₁ + ε²e₂ + … + εᵈe_d,
     q = Σ_j 2^j·r_j, lies on its outer side as ε → 0⁺, that is when
@@ -146,7 +147,7 @@ def half_open_inverses(rays: Sequence[IntVector],
     zero = (0,) * (len(q) + 1)
     out = []
     for cell in cells:
-        det, adj = inv = integer_inverse(tuple(zip(*(rays[j] for j in cell))))
-        ns = tuple(primitive([det * x for x in row]) for row in adj)
+        inv = integer_inverse(tuple(zip(*(rays[j] for j in cell))))
+        ns = adj_normals(*inv)
         out.append((inv, ns, tuple(perturbed_key(q, h) < zero for h in ns)))
     return out

@@ -4,17 +4,20 @@
 ``conedec.linalg`` until the program stopped calling them; they are kept
 here unchanged, as oracles: ``mat_inverse``'s primitive rows are what
 ``linalg.simplicial_cone_facet_normals`` must return, and the parallelepiped
-oracle walks its cells with them.
+oracle walks its cells with them.  ``residue_box`` is the minor-gcd body
+``linalg.residue_box`` had before it read the Hermite normal form, the
+oracle for that form's diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
-from conedec.linalg import (DimensionError, Vector, _bareiss, _int_rows, dot,
-                            frac, integer_inverse)
+from conedec.linalg import (DimensionError, IntVector, Vector, _bareiss,
+                            _int_rows, dot, frac, integer_inverse)
 
 
 def mat_vec(a: Sequence[Sequence], x: Sequence) -> Vector:
@@ -45,3 +48,28 @@ def mat_inverse(rows: Sequence[Sequence]) -> tuple[Vector, ...]:
     if inv is None:
         raise ValueError("mat_inverse: singular matrix")
     return tuple(tuple(Fraction(q * x, inv[0]) for x in r) for r in inv[1])
+
+
+def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:
+    """Sides h_0..h_{d-1} of a box {x : 0 <= x_i < h_i} holding exactly one
+    point of each class of Z^d modulo the lattice spanned by the columns.
+
+    The h_i are the diagonal of the lattice's lower-triangular Hermite
+    normal form: h_0···h_{k-1} is the gcd of the k×k minors of the first k
+    rows, which unimodular column operations do not change.
+    """
+    ncols = len(cols[0]) if cols else 0
+    sides: list[int] = []
+    prev = 1
+    for k in range(1, len(cols) + 1):
+        g = gcd(*cols[0]) if k == 1 else 0  # the 1×1 minors: row 0's entries
+        for sub in combinations(range(ncols), k) if k > 1 else ():
+            m = [[row[j] for j in sub] for row in cols[:k]]
+            g = gcd(g, m[-1][-1] if len(_bareiss(m)[0]) == k else 0)  # ±minor
+            if g == prev:  # every k×k minor is a multiple of prev
+                break
+        if g == 0:
+            raise ValueError("residue_box: columns do not span a full-rank lattice")
+        sides.append(g // prev)
+        prev = g
+    return tuple(sides)

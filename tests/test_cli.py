@@ -7,6 +7,7 @@ import sys
 import time
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -442,15 +443,21 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--step" in captured.err
 
+    @classmethod
+    def run_capped(cls, tmp_path, k: int, argv: list, limit: int):
+        """run_capped_on the triangle (0,0), (k,0), (0,1), so that
+        materializing k of anything fails fast with a MemoryError."""
+        return cls.run_capped_on(tmp_path, f"thin{k}", {"dim": 2, "vertices": [
+            ["0", "0"], [str(k), "0"], ["0", "1"]]}, argv, limit)
+
     @staticmethod
-    def run_capped(tmp_path, k: int, argv: list, limit: int):
-        """main(argv) on the triangle (0,0), (k,0), (0,1) in a subprocess
-        under an address-space limit, so that materializing k of anything
-        fails fast with a MemoryError instead of exhausting the host; its
-        stdout's last line is main's time in seconds."""
-        path = tmp_path / f"thin{k}.json"
-        path.write_text(json.dumps({"dim": 2, "vertices": [
-            ["0", "0"], [str(k), "0"], ["0", "1"]]}))
+    def run_capped_on(tmp_path, name: str, doc: dict, argv: list, limit: int):
+        """main(argv) on the polytope JSON `doc` in a subprocess under an
+        address-space limit, so that a runaway step fails fast instead of
+        exhausting the host; its stdout's last line is main's time in
+        seconds."""
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
         script = ("import sys, time; from conedec.cli import main; "
                   "t = time.perf_counter(); code = main(sys.argv[1:]); "
                   "print(time.perf_counter() - t); sys.exit(code)")
@@ -499,6 +506,19 @@ class TestBadInput:
         assert run.stderr.startswith(
             "error: Brion's cells hold 2000002 parallelepiped points, ")
         assert run.stderr.rstrip().endswith("the cone at vertex (0, 1)")
+        assert float(run.stdout) < 1.0
+
+    def test_six_cube_hull_is_refused_before_its_walk(self, tmp_path):
+        # its V-to-H would walk C(64, 6) ≈ 7.5·10⁷ subsets, for hours
+        cube = {"dim": 6, "vertices": [[str(x) for x in v]
+                                       for v in product((0, 1), repeat=6)]}
+        run = self.run_capped_on(tmp_path, "cube6", cube, ["count", "--json"],
+                                 1500 * 10 ** 6)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ")
+        assert ("the hull of 64 generators in dimension 7 walks "
+                "C(64, 6) = 74974368 subsets, over the budget of 1000000"
+                in run.stderr)
         assert float(run.stdout) < 1.0
 
     def test_brion_identity_refuses_to_list_a_huge_polytope(self, tmp_path,

@@ -4,12 +4,14 @@ from math import floor, prod
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conedec.linalg import (DimensionError, dot, frac, integer_inverse,
-                            kernel_basis, primitive, rank, residue_box,
-                            simplicial_cone_facet_normals, solve_linear)
+from conedec.linalg import (DimensionError, dot, frac, hermite,
+                            integer_inverse, kernel_basis, primitive, rank,
+                            residue_box, simplicial_cone_facet_normals,
+                            solve_linear)
+import linalg_oracle
 from linalg_oracle import determinant, mat_inverse, mat_vec
 
 
@@ -134,8 +136,31 @@ class TestResidueBox:
         assert self.assert_complete_residue_system([[1, 0], [1, 2]]) == (1, 2)
 
     def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            residue_box([[1, 2], [2, 4]])
+        for cols in ([[1, 2], [2, 4]], [[0, 0], [1, 1]], [[1], [2]],
+                     [[3, 0, 1], [6, 0, 2]]):
+            for box in (residue_box, linalg_oracle.residue_box):
+                with pytest.raises(ValueError, match="^residue_box: columns "
+                                   "do not span a full-rank lattice$"):
+                    box(cols)
+
+    @given(st.integers(1, 5).flatmap(lambda n: nonsingular_matrix(n, 10 ** 6)))
+    @example([[10 ** 6, 0], [0, 10 ** 6]])
+    @example([[6, 4, 2], [0, 6, 3], [-10 ** 6, 0, 4]])
+    @example([[0, 0, 3, 0], [-2, 0, 0, 5], [0, 4, 0, 0], [0, 0, 0, -7]])
+    @settings(max_examples=150, deadline=None)
+    def test_hermite_normal_form(self, a):
+        """H is lower triangular with 0 <= h_ij < h_ii, its columns lie in
+        the lattice of a's columns and it has the same |det|, so it spans
+        that lattice; its diagonal is the minor-gcd oracle's box."""
+        h = hermite(a)
+        n = len(a)
+        assert all(h[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+        assert all(0 <= h[i][j] < h[i][i] for i in range(n) for j in range(i))
+        assert all(x.denominator == 1
+                   for x in (c for row in mat_mul(mat_inverse(a), h) for c in row))
+        assert prod(h[i][i] for i in range(n)) == abs(determinant(a))
+        assert residue_box(a) == linalg_oracle.residue_box(a) \
+            == tuple(h[i][i] for i in range(n))
 
     @given(nonsingular_matrix(3, 6))
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conedec import polyhedra
 from conedec.deform import normal_cone_rays
 from conedec.genfunc import gf_of_piece, zero_gf
 from conedec.indicators import piece, tangent_cone_piece, whole_space_piece
@@ -154,6 +156,18 @@ class TestConeFacets:
                     assert q.tight_facets(vid) == tuple(
                         i for i, h in enumerate(q.facets)
                         if dot(h.normal, v) == h.offset), entry.name
+
+    def test_subset_budget_is_checked_before_the_walk(self, monkeypatch):
+        """C(n, dim−1) subsets at the budget are walked; one more is
+        refused with the count and the dimension named."""
+        rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]  # a pyramid
+        monkeypatch.setattr(polyhedra, "HULL_SUBSET_BUDGET", comb(4, 2))
+        assert len(cone_facets(rays, 3)) == 4
+        monkeypatch.setattr(polyhedra, "HULL_SUBSET_BUDGET", comb(4, 2) - 1)
+        with pytest.raises(ValueError, match=r"^the hull of 4 generators in "
+                           r"dimension 3 walks C\(4, 2\) = 6 subsets, over "
+                           r"the budget of 5$"):
+            cone_facets(rays, 3)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_unbounded_names_a_recession_direction(self, dim):
@@ -397,8 +411,16 @@ class TestHalfspaceCanonicalization:
         assert h.satisfied((2, 0)) and not c.satisfied((2, 0))
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError, match="zero normal"):
-            halfspace((0, Fraction(0)), 1)
+        for normal in ((0, Fraction(0)), (0, 0)):
+            with pytest.raises(ValueError, match="zero normal"):
+                halfspace(normal, 1)
+
+    def test_int_and_fraction_normals_agree(self):
+        for normal in ((2, -4), (-6, 3, 9), (0, 5)):
+            for offset in (6, Fraction(1, 3), "-7/2"):
+                h = halfspace(normal, offset)
+                assert h == halfspace(tuple(map(Fraction, normal)), offset)
+                assert type(h.offset) is Fraction
 
 
 class TestBinding:
