@@ -50,7 +50,7 @@ def _lex_positive(v: IntVector) -> bool:
 def make_term(coeff, numerators: Iterable[Sequence[int]],
               denominators: Iterable[Sequence[int]]) -> GFTerm:
     """Canonical term: every denominator exponent lex-positive, all sorted.
-    Numerator exponents are ``int`` tuples, denominator ones ``int`` rows."""
+    Numerator and denominator exponents are sequences of ``int``."""
     coeff = frac(coeff)
     dens, shift = [], None
     for b in denominators:
@@ -63,7 +63,7 @@ def make_term(coeff, numerators: Iterable[Sequence[int]],
             coeff = -coeff
             shift = b if shift is None else tuple(map(add, shift, b))
         dens.append(b)
-    nums = numerators if shift is None else zip(*(  # shifted column-wise
+    nums = map(tuple, numerators) if shift is None else zip(*(  # by column
         [x + s for x in col] for col, s in zip(zip(*numerators), shift)))
     return GFTerm(coeff, tuple(sorted(nums)), tuple(sorted(dens)))
 
@@ -115,7 +115,7 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     cell of index over LISTED_POINT_BUDGET is refused before it is walked.
     ``inverse``: the (det, adj) of the ``int`` generators, if the caller has it.
     """
-    gens = generators if inverse else [tuple(map(int, g)) for g in generators]
+    gens = [tuple(map(int, g)) for g in generators]
     d = len(gens[0])
     cols = tuple(zip(*gens))  # generator matrix: column i is generator i
     inv = inverse or (integer_inverse(cols) if len(gens) == d else None)

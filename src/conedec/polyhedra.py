@@ -54,10 +54,7 @@ class Halfspace:
 
 def halfspace(normal: Sequence, offset, strict: bool = False) -> Halfspace:
     """Canonical halfspace from a rational normal and offset."""
-    if all(type(a) is int for a in normal):
-        den, ints = 1, normal
-    else:
-        den, (ints,) = _scaled([vec(normal)])
+    den, (ints,) = _scaled([vec(normal)])
     g = gcd(*ints)
     if g == 0:
         raise ValueError("halfspace: zero normal")

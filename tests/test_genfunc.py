@@ -202,6 +202,13 @@ class TestSimplicialConeGF:
         g = gf_simplicial_cone((0, 0), [(1, 1), (1, -2)])
         assert len(g.terms[0].numerators) == 3
 
+    def test_list_exponents_make_the_tuple_term(self):
+        for dens in ([[1, 0], [0, 1]], [[-1, 0], [0, 1]]):  # kept, flipped
+            t = make_term(1, [[0, 0], [2, 1]], dens)
+            assert t == make_term(1, [(0, 0), (2, 1)], map(tuple, dens))
+            assert all(type(a) is tuple for a in t.numerators)
+            hash(t)
+
 
 class TestBrion:
     def test_segment_closed_form(self):
