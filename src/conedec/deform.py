@@ -27,10 +27,9 @@ from typing import Optional, Sequence
 
 from .feasibility import project, witness
 from .indicators import (Arrangement, IndicatorSum, LocallyClosedPiece, ZPoly,
-                         piece, scaled_point)
-from .linalg import (IntVector, Vector, dot, frac, perturbed_key, primitive,
-                     simplicial_cone_facet_normals, vadd, vec, vec_str, vneg,
-                     vsub)
+                         piece)
+from .linalg import (IntVector, Vector, _scaled, dot, dual_basis, frac,
+                     perturbed_key, primitive, vadd, vec, vec_str, vneg, vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
                             seeded_heights)
@@ -64,14 +63,12 @@ def simple_cone_frame(apex: Sequence, normals, xi: Optional[Sequence] = None
                       ) -> SimpleConeFrame:
     """Frame of the simple cone cut out by d independent normals at an apex.
 
-    The sign on a ray r is that of the perturbed functional, read from
-    perturbed_key(ξ, r).  It is never 0, as r ≠ 0, and it is sign(ξ·r)
-    whenever ξ·r ≠ 0.
+    The rays and their signs are the ``dual_basis`` of the normals: the sign
+    on a ray r is that of the perturbed functional, sign(ξ·r) whenever
+    ξ·r ≠ 0.
     """
     normals = tuple(normals)
-    rays = simplicial_cone_facet_normals(normals)
-    signs = () if xi is None else tuple(
-        1 if perturbed_key(xi, r) > (0,) * (len(r) + 1) else -1 for r in rays)
+    _, rays, signs = dual_basis(normals, xi)
     return SimpleConeFrame(vec(apex), normals, rays, signs, signs.count(-1))
 
 
@@ -325,7 +322,7 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
     total_dirs = 0
     for lc in family:
         v = lc.vertex
-        a, e = scaled_point(v)  # v = a/e
+        e, (a,) = _scaled([v])  # v = a/e
         cells = Arrangement((lc.sum,))
         dirs = list(base_dirs)
         for _c, pc in lc.sum.terms:

@@ -21,8 +21,8 @@ from operator import add, mul, sub
 from typing import Collection, Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece, lattice_runs
-from .linalg import (IntVector, _scaled, frac, idot, integer_inverse,
-                     primitive, rank, residue_box, solve_linear, vec, vec_str)
+from .linalg import (IntVector, _scaled, dual_basis, frac, idot, primitive,
+                     rank, residue_box, solve_linear, vec, vec_str)
 from .polyhedra import Polytope, cone_facets
 from .triangulation import half_open_inverses, pulling_triangulation
 
@@ -115,13 +115,10 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     cell of index over LISTED_POINT_BUDGET is refused before it is walked.
     ``inverse``: the (det, adj) of the ``int`` generators, if the caller has it.
     """
-    gens = [tuple(map(int, g)) for g in generators]
+    gens = [_ints(g, "generators") for g in generators]
     d = len(gens[0])
     cols = tuple(zip(*gens))  # generator matrix: column i is generator i
-    inv = inverse or (integer_inverse(cols) if len(gens) == d else None)
-    if inv is None:
-        raise ValueError("generators must be d linearly independent vectors")
-    det, adj = inv
+    det, adj = inverse or dual_basis(gens)[0]
     _check_cell(det, apex)
     box = residue_box(cols)
     if prod(box) != abs(det):
@@ -153,6 +150,15 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
         points.extend(zip(*coords))
     points.sort()
     return points
+
+
+def _ints(xs: Iterable, what: str) -> list[int]:
+    """xs as a list of ``int``s; a float, bool or Fraction is refused, not
+    truncated to another input."""
+    xs = list(xs)
+    if any(type(x) is not int for x in xs):
+        raise TypeError(f"{what} must be integers, got {xs!r}")
+    return xs
 
 
 def _check_cell(det: int, apex: Sequence) -> None:
@@ -196,14 +202,14 @@ def gf_brute_force(p: Polytope) -> RationalGF:
 
 
 def _cone_cells(rays: Sequence[IntVector],
-                facets: Collection[Collection[int]], strict_normals: set
-                ) -> list[tuple]:
+                facets: Collection[Collection[int]],
+                strict_normals: Collection[IntVector]) -> list[tuple]:
     """(generators, (det, adj), open flags) of each cell of cone(rays), its
     primitive extreme rays, triangulated by pulling them in index order;
-    `facets` lists the cone's facets as sets of ray indices.  The cells are
-    made half-open so their generating functions add up with no
-    inclusion–exclusion; a cell facet whose normal is in strict_normals is
-    open as well."""
+    `facets` lists the cone's facets (and maybe smaller faces) as sets of
+    ray indices.  The cells are made half-open so their generating functions
+    add up with no inclusion–exclusion; a cell facet whose normal is in
+    strict_normals is open as well."""
     cells = pulling_triangulation(range(len(rays)), len(rays[0]), facets)
     return [([rays[j] for j in cell], inv,
              tuple(f or h in strict_normals for f, h in zip(flags, normals)))
@@ -298,7 +304,7 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
     across terms (the input was not the generating function of a bounded
     set).
     """
-    lam = [int(x) for x in direction]
+    lam = _ints(direction, "the direction")
     max_pole = max((len(t.denominators) for t in gf.terms), default=0)
     series = []  # (first power of s, integer series, scale) per term
     for t in gf.terms:
@@ -387,15 +393,19 @@ def _piece_cone(pc: LocallyClosedPiece) -> Optional[tuple]:
     apex = solve_linear(normals, offsets)
     if apex is None:
         raise ValueError("piece is not a shifted cone (no common apex)")
-    rays = tuple(r for r, _ in cone_facets(normals, pc.dim))
+    hull = cone_facets(normals, pc.dim)  # the rays, with their tight normals
+    rays = tuple(r for r, _ in hull)
     if rank(rays) != pc.dim:
         raise ValueError("piece is not full-dimensional")
-    strict_normals = {h.normal for h in pc.constraints if h.strict}
-    facets = dict(cone_facets(rays, pc.dim))
-    if not strict_normals <= facets.keys():
+    # each constraint's tight rays: a facet, or a smaller face pulling drops
+    tight = [frozenset(i for i, (_, on) in enumerate(hull) if j in on)
+             for j in range(len(normals))]
+    strict = {h.normal: on for h, on in zip(pc.constraints, tight) if h.strict}
+    if any(rank([rays[i] for i in on]) != pc.dim - 1
+           for on in strict.values()):
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
-    return apex, _cone_cells(rays, facets.values(), strict_normals)
+    return apex, _cone_cells(rays, tight, strict.keys())
 
 
 def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat, starmap, tee
-from math import ceil, floor, gcd, lcm, prod
+from math import ceil, floor, gcd, prod
 from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point, project, witness
-from .linalg import frac
+from .linalg import _scaled, frac
 from .polyhedra import Face, Halfspace, Polytope, binding
 
 
@@ -304,9 +304,9 @@ Box = Sequence[tuple[Fraction, Fraction]]
 # Most grid points one verification may check.
 GRID_POINT_BUDGET = 10 ** 7
 
-# Most arrangement cells whose values one grid verification keeps; the memo
-# is cleared when full.  Grid order visits neighbouring cells in runs, so a
-# small memo keeps almost every hit.
+# Most arrangement cells whose values one grid sweep keeps, the least
+# recently used dropped first.  Grid order visits neighbouring cells in runs,
+# so a small memo keeps almost every hit.
 CELL_MEMO_CAP = 256
 
 
@@ -482,19 +482,14 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
         "seed": seed,
     }
     cells = Arrangement((lhs, rhs))
-    memo: dict[tuple[int, ...], tuple[ZPoly, ...]] = {}
+    values = lru_cache(CELL_MEMO_CAP)(cells.values)
     checked = 0
 
     def run(points, runs) -> Optional[dict]:
         nonlocal checked
         for _prefix, _j, length, key in runs:
             nums, den = next(points)
-            vals = memo.get(key)
-            if vals is None:
-                if len(memo) >= CELL_MEMO_CAP:
-                    memo.clear()
-                vals = memo[key] = cells.values(key)
-            a, b = vals
+            a, b = values(key)
             if a != b:
                 checked += 1
                 pt = [str(Fraction(n, den)) for n in nums]
@@ -576,8 +571,8 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
                            basis + (eq,) if side == 0 else basis, w)}
             for s in ((1, -1) if side == 0 else (-side,)):
                 if (lv := project(levels, sides[k][s], dim)) is not None:
-                    kids[s] = (lv, [], basis,
-                               scaled_point(witness(lv)) if inner else None)
+                    den, (nums,) = _scaled([witness(lv) if inner else ()])
+                    kids[s] = (lv, [], basis, (nums, den) if inner else None)
             if side and -side in kids:  # between two strict points
                 u = kids[-side][3]
                 kids[0] = (levels, sides[k][0], basis + (eq,),
@@ -619,8 +614,3 @@ def _crossing(n: Sequence[int], off: int, wa: tuple, wb: tuple) -> tuple:
     g = gcd(den, *nums) * ((den > 0) - (den < 0))
     return tuple(x // g for x in nums), den // g
 
-
-def scaled_point(point: Sequence[Fraction]) -> tuple:
-    """A rational point as (nums, den) with den the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in point))
-    return tuple(c.numerator * (den // c.denominator) for c in point), den

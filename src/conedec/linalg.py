@@ -213,22 +213,28 @@ def integer_inverse(rows: Sequence[Sequence[int]]
     return det, tuple(tuple(sign * x for x in r[n:]) for r in m)
 
 
-def simplicial_cone_facet_normals(rays: Sequence[IntVector]) -> tuple[IntVector, ...]:
-    """Inward facet normals h_i of a simplicial cone: h_i·r_j = 0 for j ≠ i
-    and h_i·r_i > 0.
+def dual_basis(gens: Sequence[IntVector], xi: Optional[Sequence] = None
+               ) -> tuple[tuple, tuple[IntVector, ...], tuple[int, ...]]:
+    """((det, adj), duals, signs) of d independent integer generators, from
+    one ``integer_inverse`` of the matrix whose columns they are.
 
-    Row i of the inverse of the ray matrix is such a normal, and so is row i
-    of sign(det)·adj, read from one ``integer_inverse``."""
-    inv = integer_inverse(tuple(zip(*rays)))  # the rays as columns
+    duals[i] is row i of sign(det)·adj over its gcd, so duals[i]·gens[j] is
+    0 for j ≠ i and positive for j = i: the inner normals of a simplicial
+    cone's facets from its rays, and the rays of a simple cone from its
+    facet normals.  signs[i] is the sign (±1) of the perturbed functional
+    ξ + εe₁ + … + εᵈe_d on duals[i], read from perturbed_key(ξ, duals[i]);
+    it is never 0, as duals[i] ≠ 0.  Without ξ, signs is empty.
+    """
+    cols = tuple(zip(*gens))
+    inv = integer_inverse(cols) if len(cols) == len(gens) else None
     if inv is None:
-        raise ValueError("mat_inverse: singular matrix")
-    return adj_normals(*inv)
-
-
-def adj_normals(det: int, adj: Sequence[IntVector]) -> tuple[IntVector, ...]:
-    """The rows of sign(det)·adj, each divided by the gcd of its entries."""
-    return tuple(tuple(x // g for x in row) for row in adj
-                 for g in (gcd(*row) if det > 0 else -gcd(*row),))
+        raise ValueError("generators must be d linearly independent vectors")
+    det, adj = inv
+    duals = tuple(tuple(x // g for x in row) for row in adj
+                  for g in (gcd(*row) if det > 0 else -gcd(*row),))
+    zero = (0,) * (len(duals) + 1)
+    return inv, duals, () if xi is None else tuple(
+        1 if perturbed_key(xi, h) > zero else -1 for h in duals)
 
 
 def hermite(cols: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:

@@ -23,8 +23,7 @@ from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, SimpleConeFrame,
                      normal_cone_rays, polarized_piece, simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
                          tangent_cone_piece, whole_space_piece)
-from .linalg import (dot, perturbed_key, simplicial_cone_facet_normals,
-                     vec_str, vsub)
+from .linalg import dot, dual_basis, perturbed_key, vec_str, vsub
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
 
@@ -80,7 +79,7 @@ def polarized_tangent_cone(p: Polytope, vid: int, xi: Sequence
     gens = [r if s > 0 else tuple(-x for x in r)
             for r, s in zip(frame.rays, frame.signs)]
     by_edges = frame_piece(
-        simple_cone_frame(frame.apex, simplicial_cone_facet_normals(gens)),
+        simple_cone_frame(frame.apex, dual_basis(gens)[1]),
         [CLOSED if s > 0 else STRICT for s in frame.signs])
     if by_edges != by_facets:
         raise AssertionError("polarized cone constructions disagree: "

@@ -14,7 +14,7 @@ from the face lattice): a facet of a face is a maximal proper intersection
 of the face with them, so no face below the top is ever hulled.
 
 ``half_open_inverses`` makes the cells half-open so that they tile the cone
-disjointly, by the tie-break of ``linalg.perturbed_key``, from one inverse.
+disjointly, by the tie-break of ``linalg.perturbed_key``, from one dual basis.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from fractions import Fraction
 from typing import Collection, Optional, Sequence
 
 from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, adj_normals, dot, frac,
-                     integer_inverse, perturbed_key, primitive, rank, vec,
-                     vec_str)
+from .linalg import (IntVector, Vector, dot, dual_basis, frac, primitive, rank,
+                     vec, vec_str)
 from .polyhedra import DegenerateInput, cone_facets, halfspace
 
 
@@ -112,8 +111,8 @@ def pulling_triangulation(face: Sequence[int], fdim: int,
     spanned by the rays at the sorted indices `face` of a cone whose facets
     are the ray-index sets `facets`: the joins of its first ray with the
     pulled facets that miss it, sorted.  The face's facets are its maximal
-    proper intersections with `facets`, since every face of a cone is an
-    intersection of its facets."""
+    proper intersections with `facets` (a smaller face among them changes
+    nothing), since every face of a cone is an intersection of its facets."""
     if len(face) == fdim:
         return [tuple(face)]
     whole = frozenset(face)
@@ -132,22 +131,20 @@ def seeded_heights(n: int, seed: int) -> tuple[Fraction, ...]:
 def half_open_inverses(rays: Sequence[IntVector],
                        cells: Sequence[Sequence[int]]) -> list[tuple]:
     """((det, adj), facet normals, open flags) of each cell, making the cells
-    a disjoint cover of the cone.  One ``integer_inverse`` of a cell's
-    generator matrix gives its normals, the ``adj_normals`` of (det, adj).
+    a disjoint cover of the cone: one ``dual_basis`` of a cell's generators,
+    signed at q = Σ_j 2^j·r_j.
 
-    A facet is open exactly when the point q + εe₁ + ε²e₂ + … + εᵈe_d,
-    q = Σ_j 2^j·r_j, lies on its outer side as ε → 0⁺, that is when
-    perturbed_key(q, normal) is below (0, …, 0): the tie-break of every
-    polarized cone, read from the dual side.  The perturbed point lies on no
-    wall, so each wall is closed on exactly one side (Köppe–Verdoolaege).
-    Normal i and flag i refer to the facet opposite generator i (True =
-    generator coefficient must be strictly positive).
+    A facet is open exactly when the point q + εe₁ + ε²e₂ + … + εᵈe_d lies
+    on its outer side as ε → 0⁺, that is when the perturbed q is negative on
+    its normal: the tie-break of every polarized cone, read from the dual
+    side.  The perturbed point lies on no wall, so each wall is closed on
+    exactly one side (Köppe–Verdoolaege).  Normal i and flag i refer to the
+    facet opposite generator i (True = generator coefficient must be
+    strictly positive).
     """
     q = [sum(x << j for j, x in enumerate(col)) for col in zip(*rays)]
-    zero = (0,) * (len(q) + 1)
     out = []
     for cell in cells:
-        inv = integer_inverse(tuple(zip(*(rays[j] for j in cell))))
-        ns = adj_normals(*inv)
-        out.append((inv, ns, tuple(perturbed_key(q, h) < zero for h in ns)))
+        inv, normals, signs = dual_basis([rays[j] for j in cell], q)
+        out.append((inv, normals, tuple(s < 0 for s in signs)))
     return out

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from conedec.feasibility import feasible_point
 from conedec.indicators import (IndicatorSum, LocallyClosedPiece,
                                 VerificationReport, ZPoly, grid_points,
-                                random_rational_points, scaled_point)
+                                random_rational_points)
 from conedec.linalg import frac, vec
 from conedec.polyhedra import Halfspace
 
@@ -53,7 +54,9 @@ def evaluate(s: IndicatorSum, x: Sequence):
     x = vec(x)
     if len(x) != s.dim:
         raise ValueError(f"point dimension {len(x)} != {s.dim}")
-    return evaluate_scaled(s, *scaled_point(x))
+    den = lcm(*(c.denominator for c in x))
+    return evaluate_scaled(s, [c.numerator * (den // c.denominator) for c in x],
+                           den)
 
 
 def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box, step,

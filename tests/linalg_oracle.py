@@ -3,7 +3,7 @@
 ``determinant``, ``mat_vec`` and ``mat_inverse`` lived in
 ``conedec.linalg`` until the program stopped calling them; they are kept
 here unchanged, as oracles: ``mat_inverse``'s primitive rows are what
-``linalg.simplicial_cone_facet_normals`` must return, and the parallelepiped
+the duals ``linalg.dual_basis`` must return, and the parallelepiped
 oracle walks its cells with them.  ``residue_box`` is the minor-gcd body
 ``linalg.residue_box`` had before it read the Hermite normal form, the
 oracle for that form's diagonal.

@@ -107,6 +107,13 @@ class TestParallelepiped:
         with pytest.raises(ValueError):
             enumerate_parallelepiped([(1, 0), (2, 0)], (0, 0))
 
+    @pytest.mark.parametrize("gens", [[(Fraction(3, 2), 0), (0, 1)],
+                                      [(1.9, 0), (0, 1)], [(True, 0), (0, 1)]])
+    def test_non_integer_generators_rejected(self, gens):
+        # int() would walk the cell of (1, 0) in place of the one given
+        with pytest.raises(TypeError, match="generators must be integers"):
+            enumerate_parallelepiped(gens, (0, 0))
+
     def test_cell_over_budget_refused(self):
         # the thin triangle's cone at (0, 1), of index 10^9
         with pytest.raises(ValueError, match="a cell of index 1000000000 "):
@@ -472,6 +479,24 @@ class TestIndicatorImage:
         pc = piece(3, (pyramid_poly.facets[i] for i in e.facet_ids))
         assert gf_of_piece(pc).terms == ()
 
+    @pytest.mark.parametrize("redundant", [(1, 1), (1, 1, 0), (1, 1, 1)])
+    def test_redundant_constraint_of_a_piece(self, redundant):
+        # the orthant with one more constraint tight on a smaller face only
+        # (the apex, or the ray e₃): closed, it leaves the cells alone;
+        # strict, it supports no facet and is refused
+        from conedec.indicators import piece
+        d = len(redundant)
+        orthant = [halfspace(e, 0) for e in
+                   (tuple(int(i == j) for j in range(d)) for i in range(d))]
+        ones = (1,) * d
+        plain = gf_of_piece(piece(d, orthant, witness=ones))
+        assert gf_of_piece(piece(d, orthant + [halfspace(redundant, 0)],
+                                 witness=ones)) == plain
+        strict = piece(d, orthant + [halfspace(redundant, 0, strict=True)],
+                       witness=ones)
+        with pytest.raises(ValueError, match="does not support a facet"):
+            gf_of_piece(strict)
+
     def test_gram_image_counts(self, corpus):
         for entry, p in corpus:
             if p.dim > 2:
@@ -572,6 +597,14 @@ class TestSpecialize:
     def test_laurent_polynomial_constant_term(self):
         g = gf_brute_force(SEG)
         assert specialize(g, [1], 0) == [Fraction(9)]
+
+    @pytest.mark.parametrize("direction", [(Fraction(3, 2), Fraction(5, 2)),
+                                           (1.5, 2.5), (True, 2)])
+    def test_non_integer_direction_rejected(self, direction):
+        # int() would answer for λ = (1, 2)
+        cone = gf_simplicial_cone((0, 0), [(1, 0), (1, 2)])
+        with pytest.raises(TypeError, match="the direction must be integers"):
+            specialize(cone, direction, 1)
 
     def test_errors_match_fraction_oracle(self):
         cone = gf_simplicial_cone((0, 0), [(1, 0), (1, 2)])

@@ -13,6 +13,14 @@ seeded generic one on which every command succeeds) and rewrites
 the CLI draws from ``--seed``.  The ``--exact-cells`` commands pin the
 arrangement-cell walk, including its cell count and, for ``lv`` on a
 non-simple entry, the refusal.
+
+``CORPUS_SHA256`` pins the stdout of ``conedec corpus --json`` over every
+bundled entry, the 4-d ones too.  To re-pin it after an intended change,
+run from the repository root:
+
+    PYTHONPATH=src python -m conedec corpus --json | sha256sum
+
+and paste the digest into ``CORPUS_SHA256``.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ from conedec.cli import main
 from helpers import option_choices, polytope_to_json
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+CORPUS_SHA256 = \
+    "6cfa2d8cb05f8e9fef44d2709b06b4ae508b1dab6e2aa73ad8d813e8f62e4ea7"
 MAX_DIM = 3
 SEEDED = [["verify", "--identity", i, "--json", "--seed", s]
           for i in option_choices("verify", "--identity")
@@ -77,6 +87,14 @@ def test_golden_cli_output(tmp_path):
                   for row in golden
                   if run(row["argv"], files[row["entry"]]) != row["sha256"]]
     assert not mismatched, "output changed for:\n" + "\n".join(mismatched)
+
+
+def test_corpus_json_is_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["corpus", "--json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        CORPUS_SHA256, "conedec corpus --json output changed"
 
 
 def _first_clean_xi(p, path: str) -> str:

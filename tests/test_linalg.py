@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conedec.linalg import (DimensionError, dot, frac, hermite,
-                            integer_inverse, kernel_basis, primitive, rank,
-                            residue_box, simplicial_cone_facet_normals,
-                            solve_linear)
+from conedec.linalg import (DimensionError, dot, dual_basis, frac, hermite,
+                            integer_inverse, kernel_basis, perturbed_key,
+                            primitive, rank, residue_box, solve_linear)
 import linalg_oracle
 from linalg_oracle import determinant, mat_inverse, mat_vec
 
@@ -95,25 +94,44 @@ def nonsingular_matrix(n, bound):
                          ).filter(lambda a: determinant(a) != 0)
 
 
-class TestFacetNormals:
-    @given(st.integers(1, 4).flatmap(lambda n: nonsingular_matrix(n, 5)))
+def perturbed_sign(xi, h):
+    """The sign of (ξ + εe₁ + ε²e₂ + …)·h as ε → 0⁺: that of the first
+    nonzero entry of (ξ·h, h₁, h₂, …)."""
+    return next((x > 0) - (x < 0) for x in (dot(xi, h), *h) if x != 0)
+
+
+class TestDualBasis:
+    @given(st.integers(1, 4).flatmap(lambda n: nonsingular_matrix(n, 5)),
+           st.data())
     @settings(max_examples=100, deadline=None)
-    def test_primitive_rows_of_the_inverse(self, rays):
-        # negating one ray flips the sign of the determinant
-        flipped = [tuple(-x for x in rays[0])] + list(rays[1:])
-        for cone in (rays, flipped):
-            normals = simplicial_cone_facet_normals(cone)
-            assert normals == tuple(primitive(row) for row in
-                                    mat_inverse(tuple(zip(*cone))))
-            assert all(dot(h, r) > 0 if i == j else dot(h, r) == 0
-                       for i, h in enumerate(normals)
-                       for j, r in enumerate(cone))
+    def test_primitive_rows_of_the_inverse(self, gens, data):
+        d = len(gens)
+        # negating one generator flips the sign of the determinant
+        flipped = [tuple(-x for x in gens[0])] + list(gens[1:])
+        drawn = data.draw(st.tuples(*[st.integers(-3, 3)] * d))
+        for cone in (gens, flipped):
+            cols = tuple(zip(*cone))
+            # ξ = 0 vanishes on every dual, the last generator on all others
+            for xi in (drawn, (0,) * d, cone[-1]):
+                inv, duals, signs = dual_basis(cone, xi)
+                assert inv == integer_inverse(cols)
+                assert duals == tuple(primitive(row)
+                                      for row in mat_inverse(cols))
+                assert all(dot(h, g) > 0 if i == j else dot(h, g) == 0
+                           for i, h in enumerate(duals)
+                           for j, g in enumerate(cone))
+                zero = (0,) * (d + 1)
+                assert signs == tuple(perturbed_sign(xi, h) for h in duals)
+                assert all((perturbed_key(xi, h) > zero) == (s > 0)
+                           for h, s in zip(duals, signs))
+            assert dual_basis(cone) == (inv, duals, ())
 
     def test_singular_input(self):
-        for rays in ([(0,)], [(1, 2), (2, 4)], [(1, 0, 1), (0, 1, 1), (1, 1, 2)]):
-            with pytest.raises(ValueError,
-                               match="^mat_inverse: singular matrix$"):
-                simplicial_cone_facet_normals(rays)
+        for gens in ([(0,)], [(1, 2), (2, 4)], [(1, 0, 1), (0, 1, 1), (1, 1, 2)],
+                     [(1, 0, 0), (0, 1, 0)], [(1, 0), (0, 1), (1, 1)]):
+            with pytest.raises(ValueError, match="^generators must be d "
+                                                 "linearly independent vectors$"):
+                dual_basis(gens)
 
 
 class TestResidueBox:
