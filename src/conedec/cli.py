@@ -189,7 +189,7 @@ def _eq6(p, args):
         walls = [h for cell in tri.cells
                  for h in t_sigma(p, vid, cell, tri).constraints]
         cells = piece(p.dim, walls, witness=p.vertices[vid])
-        tangent = tangent_cone_piece(p, p.face_of_vertex(vid))
+        tangent = tangent_cone_piece(p, p.faces[vid])
         pairs.append((f"cell-intersection@v{vid}",
                       IndicatorSum(p.dim, ((ONE, cells),)),
                       IndicatorSum(p.dim, ((ONE, tangent),))))

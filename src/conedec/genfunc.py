@@ -40,13 +40,6 @@ class GFTerm:
     denominators: tuple[IntVector, ...]
 
 
-def _lex_positive(v: IntVector) -> bool:
-    for a in v:
-        if a != 0:
-            return a > 0
-    return False
-
-
 def make_term(coeff, numerators: Iterable[Sequence[int]],
               denominators: Iterable[Sequence[int]]) -> GFTerm:
     """Canonical term: every denominator exponent lex-positive, all sorted.
@@ -57,7 +50,7 @@ def make_term(coeff, numerators: Iterable[Sequence[int]],
         b = tuple(b)
         if all(x == 0 for x in b):
             raise ValueError("zero denominator exponent")
-        if not _lex_positive(b):
+        if b < (0,) * len(b):  # tuple order is the lexicographic order
             # 1/(1 - z^{-b}) = -z^{b} / (1 - z^{b})
             b = tuple(-x for x in b)
             coeff = -coeff
@@ -171,10 +164,12 @@ def gf_simplicial_cone(apex: Sequence, generators: Sequence[Sequence[int]],
                        open_flags: Optional[Sequence[bool]] = None) -> RationalGF:
     """Generating function of a half-open simplicial cone: one term whose
     numerator lists the fundamental-parallelepiped points and whose
-    denominator factors are the generators."""
+    denominator factors are the generators, walked by ``_cones_gf`` as a
+    one-cell cone."""
     gens = [primitive(g) for g in generators]
-    pts = enumerate_parallelepiped(gens, apex, open_flags)
-    return RationalGF(len(gens[0]), (make_term(1, pts, gens),))
+    cell = (gens, dual_basis(gens)[0], open_flags)
+    return _cones_gf(len(gens[0]), [(1, apex, [cell])], "the cone's cell",
+                     "apex")
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +239,19 @@ def brion_gf(p: Polytope) -> RationalGF:
     """Sum of the vertex tangent cone generating functions.
 
     Tangent cones at higher faces contain lines and contribute zero, so the
-    vertex sum is the whole generating function of the polytope.  The facets
-    of the cone at v are the facets of P through v, and edge i at v lies on
-    facet j exactly when j is among its facet ids: no arithmetic is needed.
+    vertex sum is the whole generating function of the polytope.  The rays
+    of the cone at v are its ``vertex_edges`` directions, its facets are the
+    facets of P through v, and edge i lies on facet j exactly when j is
+    among its facet ids: no arithmetic is needed.
     Cells of more than LISTED_POINT_BUDGET points in all are refused
     unwalked.
     """
     cones = []
     for vid, v in enumerate(p.vertices):
-        at_v = [e.facet_ids for e in p.edges if vid in e.vertex_ids]
-        facets = [{i for i, on in enumerate(at_v) if j in on}
+        dirs, edges = zip(*p.vertex_edges(vid))
+        facets = [{i for i, e in enumerate(edges) if j in e.facet_ids}
                   for j in p.tight_facets(vid)]
-        cones.append((1, v, _cone_cells(p.edge_directions(vid), facets, set())))
+        cones.append((1, v, _cone_cells(dirs, facets, set())))
     return _cones_gf(p.dim, cones, "Brion's cells", "vertex")
 
 

@@ -352,15 +352,16 @@ def grid_points(box: Box, step: Fraction):
                repeat(q))
 
 
-def grid_runs(cells: Arrangement, box: Box, step):
+def grid_runs(rows: Sequence, box: Box, step):
     """The points of grid_points(box, step) in runs along the last axis:
     (prefix, j, length, signs) stands for `length` of them from the j-th on
-    the line through prefix, all with the sign vector `signs` on cells.planes.
-    On a line, plane i is a + b·j at the j-th point, so its sign can change
+    the line through prefix, all with the sign vector `signs` of
+    n·nums − off·den over the integer rows (n, off), at each point nums/den.
+    On a line, row i is a + b·j at the j-th point, so its sign can change
     only at ⌊−a/b⌋ + 1, or at r and r + 1 when r = −a/b is an integer."""
-    _q, last, lines = _grid_lines(cells._rows, box, step)
+    _q, last, lines = _grid_lines(rows, box, step)
     n = -(-(last.stop - last.start) // last.step)  # len() overflows past 2⁶³
-    grow = [row[-1] * last.step for row, _off in cells._rows] if n > 1 else []
+    grow = [row[-1] * last.step for row, _off in rows] if n > 1 else []
     for prefix, vals in lines:
         signs = [(a > 0) - (a < 0) for a in vals]
         if not grow:
@@ -384,17 +385,17 @@ def grid_runs(cells: Arrangement, box: Box, step):
 
 def lattice_runs(p: Polytope):
     """Runs (head, k, n, tail) of p's lattice points (*head, k + j, *tail),
-    j < n, along the axis w with the most integer points: grid_runs at step
-    1 over p's facets with w's coordinate moved last, in lines × facets."""
+    j < n, along the axis w with the most integer points: the runs of
+    grid_runs at step 1, in lines × facets, on which no facet row
+    (q·normal, q·offset), q the offset's denominator, w moved last, is
+    negative."""
     ends = [(ceil(lo), floor(hi)) for lo, hi in p.bounding_box()]
     w = max(reversed(range(p.dim)), key=lambda a: ends[a][1] - ends[a][0])
     move = lambda v: (*v[:w], *v[w + 1:], v[w])
-    pc = piece(p.dim, (Halfspace(move(h.normal), h.offset) for h in p.facets),
-               witness=move(p.barycenter()))
-    cells = Arrangement((IndicatorSum(p.dim, ((ONE, pc),)),))
-    inside = lru_cache(CELL_MEMO_CAP)(lambda s: cells.values(s)[0] == ONE)
-    for pre, j, n, signs in grid_runs(cells, move(ends), 1):
-        if inside(signs):
+    rows = [(move([a * h.offset.denominator for a in h.normal]),
+             h.offset.numerator) for h in p.facets]
+    for pre, j, n, signs in grid_runs(rows, move(ends), 1):
+        if min(signs) >= 0:
             yield pre[:w], ends[w][0] + j, n, pre[w:]
 
 
@@ -499,7 +500,7 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
                 next(islice(points, length - 1, length - 1), None)
         return None
 
-    bad = run(grid_points(box, step), grid_runs(cells, box, step))
+    bad = run(grid_points(box, step), grid_runs(cells._rows, box, step))
     if bad is None and extra_samples > 0:
         samples, again = tee(random_rational_points(box, extra_samples, seed))
         bad = run(samples, zip(repeat(()), repeat(0), repeat(1),

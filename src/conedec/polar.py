@@ -23,7 +23,8 @@ from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, SimpleConeFrame,
                      normal_cone_rays, polarized_piece, simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
                          tangent_cone_piece, whole_space_piece)
-from .linalg import dot, dual_basis, perturbed_key, vec_str, vsub
+from .linalg import (DimensionError, dot, dual_basis, idot, perturbed_key,
+                     vec_str)
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
 
@@ -33,8 +34,10 @@ class SimplicityError(ValueError):
 
 def is_generic(xi: Sequence, p: Polytope) -> bool:
     """True when the functional is nonconstant on every edge."""
-    return all(dot(xi, vsub(p.vertices[b], p.vertices[a])) != 0
-               for a, b in (e.vertex_ids for e in p.edges))
+    if len(xi) != p.dim:
+        raise DimensionError(f"functional {vec_str(xi)} in dimension {p.dim}")
+    return all(idot(xi, t) != 0 for vid in range(len(p.vertices))
+               for t, _ in p.vertex_edges(vid))
 
 
 def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
@@ -49,7 +52,7 @@ def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
     xi = as_functional(xi)
     v = p.vertices[vid]
     frame = simple_cone_frame(v, normal_cone_rays(p, vid), xi)
-    dirs = p.edge_directions(vid)
+    dirs = [t for t, _ in p.vertex_edges(vid)]
     if len(dirs) != p.dim:
         raise SimplicityError(f"vertex {vec_str(v)} has {len(dirs)} edges "
                               f"in dim {p.dim}")

@@ -146,25 +146,22 @@ class Polytope:
     def contains_interior(self, x: Sequence) -> bool:
         return all(dot(h.normal, x) > h.offset for h in self.facets)
 
-    @cached_property
-    def edges(self) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if f.dim == 1)
-
-    def edge_directions(self, vid: int) -> tuple[IntVector, ...]:
-        """Primitive directions of the edges at a vertex, away from it."""
-        return tuple(self._edge_directions[vid])
+    def vertex_edges(self, vid: int) -> tuple[tuple[IntVector, Face], ...]:
+        """(primitive direction away from the vertex, edge) for each edge at
+        it, in face order, from one walk over the edges."""
+        return tuple(self._vertex_edges[vid])
 
     @cached_property
-    def _edge_directions(self) -> list[list[IntVector]]:
-        """edge_directions of every vertex, from the scaled vertices."""
-        ints, dirs = _scaled(self.vertices)[1], [[] for _ in self.vertices]
-        for e in self.edges:
+    def _vertex_edges(self) -> list[list[tuple[IntVector, Face]]]:
+        ints, out = _scaled(self.vertices)[1], [[] for _ in self.vertices]
+        for e in (f for f in self.faces if f.dim == 1):
             if len(e.vertex_ids) != 2:
                 raise AssertionError("edge without exactly two vertices")
             a, b = e.vertex_ids
-            dirs[a].append(primitive(tuple(map(sub, ints[b], ints[a]))))
-            dirs[b].append(tuple(-x for x in dirs[a][-1]))
-        return dirs
+            t = primitive(tuple(map(sub, ints[b], ints[a])))
+            out[a].append((t, e))
+            out[b].append((tuple(-x for x in t), e))
+        return out
 
     def barycenter(self, face: Optional[Face] = None) -> Vector:
         """Average of the vertices of the polytope, or of one of its faces."""
@@ -178,9 +175,6 @@ class Polytope:
             vals = [v[i] for v in self.vertices]
             box.append((min(vals) - inflate, max(vals) + inflate))
         return box
-
-    def face_of_vertex(self, vid: int) -> Face:
-        return self.faces[vid]
 
     def translate(self, shift: Sequence) -> "Polytope":
         s = vec(shift)
@@ -317,11 +311,9 @@ def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
 
 
 def is_simple_vertex(p: Polytope, vid: int) -> bool:
-    """True when exactly d facets meet the vertex, with independent normals."""
-    tight = p.tight_facets(vid)
-    if len(tight) != p.dim:
-        return False
-    return rank([p.facets[i].normal for i in tight]) == p.dim
+    """True when exactly d facets meet the vertex (their normals have rank d
+    at every vertex, as the polytope's construction checks)."""
+    return len(p.tight_facets(vid)) == p.dim
 
 
 def is_simple_polytope(p: Polytope) -> bool:

@@ -23,6 +23,16 @@ def vertex_index(p: Polytope, point) -> int:
         raise ValueError(f"{point} is not a vertex") from None
 
 
+def edges(p: Polytope) -> list:
+    """The edges of p (its faces of dimension 1), in face order."""
+    return [f for f in p.faces if f.dim == 1]
+
+
+def edge_directions(p: Polytope, vid: int) -> tuple:
+    """The primitive directions of the edges at vertex vid, away from it."""
+    return tuple(t for t, _ in p.vertex_edges(vid))
+
+
 def polar_dual(p: Polytope) -> Polytope:
     """The polar polytope {y : ⟨y, x⟩ ≤ 1 for all x in P}.
 

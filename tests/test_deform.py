@@ -28,7 +28,7 @@ from conedec.triangulation import (half_open_inverses, pulling_triangulation,
                                    regular_triangulation, seeded_heights)
 
 from conftest import seeded_generic_functionals
-from helpers import flip_one_constraint, vertex_index
+from helpers import edges, flip_one_constraint, vertex_index
 from indicator_oracle import evaluate
 from linalg_oracle import determinant, mat_inverse, mat_vec
 
@@ -516,7 +516,7 @@ def tied_functionals(p):
     d = p.dim
     out = [tuple(s * (i == j) for j in range(d))
            for i in range(d) for s in (1, -1)]
-    for e in p.edges[:2] if d > 1 else ():
+    for e in edges(p)[:2] if d > 1 else ():
         a, b = e.vertex_ids
         n = primitive(kernel_basis([vsub(p.vertices[b], p.vertices[a])])[0])
         if n not in out:

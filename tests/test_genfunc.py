@@ -32,7 +32,7 @@ from conedec.triangulation import (half_open_inverses, pulling_triangulation,
 import triangulation_oracle
 
 from conftest import seeded_generic_functionals
-from helpers import vertex_index
+from helpers import edge_directions, edges, vertex_index
 from lattice_oracle import lattice_points
 from linalg_oracle import determinant, mat_inverse, mat_vec
 import parallelepiped_oracle
@@ -475,7 +475,7 @@ class TestIndicatorImage:
     def test_edge_tangent_cone_killed(self, pyramid_poly):
         # faces of positive dimension contribute nothing
         from conedec.indicators import piece
-        e = pyramid_poly.edges[0]
+        e = edges(pyramid_poly)[0]
         pc = piece(3, (pyramid_poly.facets[i] for i in e.facet_ids))
         assert gf_of_piece(pc).terms == ()
 
@@ -551,7 +551,7 @@ class TestDifferentialCounting:
 class TestTriangulateCone:
     def test_simplicial_unchanged(self):
         tri = polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
-        rays = tri.edge_directions(0)
+        rays = edge_directions(tri, 0)
         t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert t.cells == ((0, 1),)
         assert [f for *_, f in half_open_inverses(t.rays, t.cells)] == \
@@ -559,7 +559,7 @@ class TestTriangulateCone:
 
     def test_pyramid_apex_two_cells(self, pyramid_poly):
         vid = vertex_index(pyramid_poly, (0, 0, 0))
-        rays = pyramid_poly.edge_directions(vid)
+        rays = edge_directions(pyramid_poly, vid)
         t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert len(t.cells) == 2
         for cell in t.cells:
@@ -568,7 +568,7 @@ class TestTriangulateCone:
 
     def test_pentagon_cone_three_cells(self, pentagon_cone_poly):
         p = pentagon_cone_poly
-        rays = p.edge_directions(vertex_index(p, (1, 1, 0)))
+        rays = edge_directions(p, vertex_index(p, (1, 1, 0)))
         assert len(rays) == 5
         t = regular_triangulation(rays, seeded_heights(len(rays), 0))
         assert len(t.cells) == 3  # rays - dim + 1

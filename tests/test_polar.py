@@ -5,6 +5,7 @@ import pytest
 from conedec.indicators import (ZPoly, default_box, indicator_of_interior,
                                 indicator_of_polytope, verify_identity,
                                 verify_identity_exact, weighted_indicator)
+from conedec.linalg import DimensionError
 from conedec.polar import (SimplicityError, is_generic, lv_decomposition,
                            partition_identity, polarization,
                            polarized_tangent_cone, rearrange_for_vertex,
@@ -31,6 +32,10 @@ class TestGenericity:
 
     def test_pyramid_sweep_functional(self, pyramid_poly):
         assert is_generic((4, 2, 0), pyramid_poly)
+
+    def test_functional_of_another_dimension_rejected(self):
+        with pytest.raises(DimensionError):
+            is_generic((1, 2), CUBE)
 
     def test_nongeneric_ties_broken_lexicographically(self):
         # (1, 0) is constant on two edges; each is flipped when its first

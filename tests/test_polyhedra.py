@@ -11,14 +11,15 @@ from conedec import polyhedra
 from conedec.deform import normal_cone_rays
 from conedec.genfunc import gf_of_piece, zero_gf
 from conedec.indicators import piece, tangent_cone_piece, whole_space_piece
-from conedec.linalg import dot, idot, primitive, rank, vsub
+from conedec.linalg import dot, idot, kernel_basis, primitive, rank, vsub
+from conedec.polar import is_generic
 from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                center_at_barycenter, cone_facets, halfspace,
                                is_simple_polytope,
                                is_simple_vertex, polytope_from_halfspaces,
                                polytope_from_vertices)
 
-from helpers import polar_dual, vertex_index
+from helpers import edge_directions, edges, polar_dual, vertex_index
 from linalg_oracle import determinant
 
 PYRAMID_VERTICES = [(0, 0, 0), (1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
@@ -216,6 +217,10 @@ class TestCorpusInvariants:
     def test_simplicity_tags(self, corpus):
         for entry, p in corpus:
             assert is_simple_polytope(p) == entry.simple, entry.name
+            for vid in range(len(p.vertices)):
+                normals = [p.facets[j].normal for j in p.tight_facets(vid)]
+                assert is_simple_vertex(p, vid) == (
+                    len(normals) == p.dim and rank(normals) == p.dim), entry.name
 
 
 def lineality(normals, dim):
@@ -231,9 +236,9 @@ class TestTangentCone:
     def test_segment_endpoint(self):
         p = polytope_from_vertices([(-3,), (5,)])
         vid = vertex_index(p, (-3,))
-        pc = tangent_cone_piece(p, p.face_of_vertex(vid))
+        pc = tangent_cone_piece(p, p.faces[vid])
         assert pc.constraints == (Halfspace((1,), Fraction(-3)),)
-        assert p.edge_directions(vid) == ((1,),)
+        assert edge_directions(p, vid) == ((1,),)
 
     def test_whole_polytope_is_everything(self):
         p = polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
@@ -244,9 +249,9 @@ class TestTangentCone:
     def test_pyramid_apex_four_constraints(self, pyramid_poly):
         p = pyramid_poly
         vid = vertex_index(p, (0, 0, 0))
-        pc = tangent_cone_piece(p, p.face_of_vertex(vid))
+        pc = tangent_cone_piece(p, p.faces[vid])
         assert len(pc.constraints) == 4 and piece_lineality(pc) == 0
-        gens = p.edge_directions(vid)
+        gens = edge_directions(p, vid)
         assert len(gens) == 4
         for g in gens:
             assert all(dot(h.normal, g) >= 0 for h in pc.constraints)
@@ -256,12 +261,12 @@ class TestTangentCone:
             for vid in range(len(p.vertices)):
                 if not is_simple_vertex(p, vid):
                     continue
-                gens = p.edge_directions(vid)
+                gens = edge_directions(p, vid)
                 assert len(gens) == p.dim, entry.name
                 assert determinant(gens) != 0, entry.name
 
     def test_edge_tangent_cone_has_lineality(self, pyramid_poly):
-        e = pyramid_poly.edges[0]
+        e = edges(pyramid_poly)[0]
         assert piece_lineality(tangent_cone_piece(pyramid_poly, e)) == 1
 
     def test_halfplane_lineality(self):
@@ -295,21 +300,36 @@ def rational_polytopes(draw):
 
 
 class TestIntegerFaceLattice:
-    @given(rational_polytopes())
+    @given(rational_polytopes(), st.integers(0, 2 ** 32))
     @settings(max_examples=60, deadline=None)
     @example(polytope_from_vertices(  # denominators 2, 3 and 5 in one vertex
         [(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), (2, 0, 0),
-         (0, Fraction(5, 6), 0), (0, 0, Fraction(-4, 3))]))
-    def test_edges_and_face_ranks_match_fractions(self, p):
+         (0, Fraction(5, 6), 0), (0, 0, Fraction(-4, 3))]), 0)
+    def test_edges_and_face_ranks_match_fractions(self, p, seed):
+        tight = [set(p.tight_facets(vid)) for vid in range(len(p.vertices))]
         for vid, v in enumerate(p.vertices):
-            expected = tuple(primitive(vsub(p.vertices[w], v))
-                             for e in p.edges if vid in e.vertex_ids
-                             for w in e.vertex_ids if w != vid)
-            assert p.edge_directions(vid) == expected
+            table = p.vertex_edges(vid)
+            assert [e for _, e in table] == \
+                [e for e in edges(p) if vid in e.vertex_ids]
+            for t, e in table:
+                assert vid in e.vertex_ids
+                (w,) = set(e.vertex_ids) - {vid}
+                assert t == primitive(vsub(p.vertices[w], v))
+                assert e.facet_ids == tuple(sorted(tight[vid] & tight[w]))
         for f in p.faces:
             assert f.dim == fraction_affine_rank(
                 [p.vertices[i] for i in f.vertex_ids])
-        assert p.edges == tuple(f for f in p.faces if f.dim == 1)
+        assert {e for vid in range(len(p.vertices))
+                for _, e in p.vertex_edges(vid)} == set(edges(p))
+        # is_generic is "ξ is nonconstant on every edge", taken in Fraction
+        rng = random.Random(seed)
+        u, w = rng.choice(edges(p)).vertex_ids
+        tied = primitive(kernel_basis([vsub(p.vertices[w], p.vertices[u])])[0])
+        for xi in (tuple(rng.randint(-5, 5) for _ in range(p.dim)), tied):
+            assert is_generic(xi, p) == all(
+                dot(xi, vsub(p.vertices[b], p.vertices[a])) != 0
+                for e in edges(p) for a, b in [e.vertex_ids])
+        assert not is_generic(tied, p)
 
 
 class TestNormalCone:
@@ -345,7 +365,7 @@ class TestNormalCone:
                 assert len(hits) >= 1, entry.name
                 generic = all(
                     dot(xi, vsub(p.vertices[a], p.vertices[b])) != 0
-                    for e in p.edges for a, b in [e.vertex_ids])
+                    for e in edges(p) for a, b in [e.vertex_ids])
                 if generic:
                     assert len(hits) == 1, entry.name
 
