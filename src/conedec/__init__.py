@@ -23,7 +23,7 @@ from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          indicator_of_interior, indicator_of_polytope, piece,
                          verify_identity, verify_identity_exact,
                          weighted_indicator, whole_space_piece)
-from .linalg import frac, kernel_basis, primitive, rank, solve_linear
+from .linalg import frac, kernel_basis, primitive, rank
 from .polar import (SimplicityError, is_generic, lv_decomposition,
                     polarization, polarized_tangent_cone, rearrange_for_vertex,
                     weighted_lv_decomposition, weighted_polarized_piece_value)

@@ -22,8 +22,8 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece, lattice_runs
 from .linalg import (IntVector, _scaled, dual_basis, frac, idot, primitive,
-                     rank, residue_box, solve_linear, vec, vec_str)
-from .polyhedra import Polytope, cone_facets
+                     rank, residue_box, vec, vec_str)
+from .polyhedra import Polytope, homogenized_rays
 from .triangulation import half_open_inverses, pulling_triangulation
 
 # Most lattice points one GF may list as int tuples (parallelepiped walks,
@@ -381,27 +381,29 @@ def gf_equal_as_functions(g1: RationalGF, g2: RationalGF,
 
 def _piece_cone(pc: LocallyClosedPiece) -> Optional[tuple]:
     """(apex, ``_cone_cells``) of a piece that is a shifted cone, or None
-    when its closure contains a line."""
+    when its closure contains a line: its ``homogenized_rays`` with t > 0
+    are the apex alone, and those with t = 0 are the cone's rays."""
     normals = [h.normal for h in pc.constraints]
     if rank(normals) < pc.dim:  # the closure contains a line
         return None
-    offsets = [h.offset for h in pc.constraints]
-    apex = solve_linear(normals, offsets)
-    if apex is None:
+    hull, facets = homogenized_rays(pc.constraints, pc.dim)
+    # rows that meet in one point x/t make (x, t) the only ray with t > 0
+    tops = [ray for ray, on in hull if ray[-1] and len(on) == len(normals)]
+    if len(tops) != 1:
         raise ValueError("piece is not a shifted cone (no common apex)")
-    hull = cone_facets(normals, pc.dim)  # the rays, with their tight normals
-    rays = tuple(r for r, _ in hull)
+    apex = tuple(Fraction(x, tops[0][-1]) for x in tops[0][:-1])
+    cone = [(ray[:-1], on) for ray, on in hull if not ray[-1]]
+    rays = tuple(r for r, _ in cone)
     if rank(rays) != pc.dim:
         raise ValueError("piece is not full-dimensional")
-    # each constraint's tight rays: a facet, or a smaller face pulling drops
-    tight = [frozenset(i for i, (_, on) in enumerate(hull) if j in on)
-             for j in range(len(normals))]
-    strict = {h.normal: on for h, on in zip(pc.constraints, tight) if h.strict}
-    if any(rank([rays[i] for i in on]) != pc.dim - 1
-           for on in strict.values()):
+    if any(h.strict and j not in facets for j, h in enumerate(pc.constraints)):
         raise ValueError("strict constraint does not support a facet of the "
                          "piece; its lattice points are not a half-open cone")
-    return apex, _cone_cells(rays, tight, strict.keys())
+    # each constraint's tight rays: a facet, or a smaller face pulling drops
+    tight = [frozenset(i for i, (_, on) in enumerate(cone) if j in on)
+             for j in range(len(normals))]
+    return apex, _cone_cells(rays, tight,
+                             {h.normal for h in pc.constraints if h.strict})
 
 
 def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:

@@ -150,26 +150,6 @@ def _bareiss(m: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
-    """Solve a·x = b exactly.
-
-    Accepts square or overdetermined systems.  Returns the unique solution,
-    or None when the system is inconsistent or underdetermined (no unique
-    solution).  The integer-scaled augmented matrix is reduced fraction-free.
-    """
-    rows = [list(r) for r in a]
-    if len(rows) != len(b):
-        raise DimensionError(f"solve_linear: {len(rows)} rows vs {len(b)} rhs")
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    m = _int_rows([r + [rhs] for r, rhs in zip(rows, b)])
-    pivots, _ = _bareiss(m, reduce=True)
-    if pivots != list(range(ncols)):
-        return None  # underdetermined, or inconsistent (the rhs is a pivot)
-    return tuple(Fraction(m[i][ncols], m[i][i]) for i in range(ncols))
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     if all(type(x) is int for r in rows for x in r):
         return len(_bareiss([list(r) for r in rows])[0])
@@ -225,9 +205,8 @@ def dual_basis(gens: Sequence[IntVector], xi: Optional[Sequence] = None
     ξ + εe₁ + … + εᵈe_d on duals[i], read from perturbed_key(ξ, duals[i]);
     it is never 0, as duals[i] ≠ 0.  Without ξ, signs is empty.
     """
-    cols = tuple(zip(*gens))
-    inv = integer_inverse(cols) if len(cols) == len(gens) else None
-    if inv is None:
+    if any(len(g) != len(gens) for g in gens) or (
+            inv := integer_inverse(tuple(zip(*gens)))) is None:
         raise ValueError("generators must be d linearly independent vectors")
     det, adj = inv
     duals = tuple(tuple(x // g for x in row) for row in adj

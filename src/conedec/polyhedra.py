@@ -119,6 +119,24 @@ def cone_facets(gens: Sequence[IntVector], dim: int
     return tuple(out.items())
 
 
+def irredundant(n: int, hull: Sequence[tuple], dim: int) -> list[int]:
+    """The generators 0..n−1 of a dim-dimensional cone whose incident hull
+    elements (element, generator indices on it) have rank dim − 1: the
+    extreme rays if the hull lists facets, the facet rows if it lists rays."""
+    return [i for i in range(n)
+            if rank([h for h, on in hull if i in on]) == dim - 1]
+
+
+def homogenized_rays(halfspaces: Sequence[Halfspace], dim: int) -> tuple:
+    """(rays, facet rows) of {(x, t) : n·x ≥ c·t, t ≥ 0}, the normals n
+    spanning: by polarity the facets of the cone over the rows (n, −c) and
+    (0, …, 0, 1), each with the rows tight on it (row len(halfspaces) is
+    t ≥ 0), and the rows that support a facet."""
+    rows = [primitive(h.normal + (-h.offset,)) for h in halfspaces]
+    rays = cone_facets(rows + [(0,) * dim + (1,)], dim + 1)
+    return rays, irredundant(len(rows), rays, dim + 1)
+
+
 # ---------------------------------------------------------------------------
 # Polytope
 # ---------------------------------------------------------------------------
@@ -257,25 +275,21 @@ def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:
                               "the polytope would be lower-dimensional")
     lifted = [primitive(x + (q,)) for x in ints]
     facets = cone_facets(lifted, dim + 1)
-    halfspaces = [halfspace(h[:-1], -h[-1]) for h, _ in facets]
-    kept = [i for i in range(len(pts))
-            if rank([h.normal for h, (_, on) in zip(halfspaces, facets)
-                     if i in on]) == dim]
+    kept = irredundant(len(pts), facets, dim + 1)
     new_id = {i: k for k, i in enumerate(kept)}
     tights = [frozenset(new_id[i] for i in on if i in new_id)
               for _, on in facets]
-    return _build(dim, [pts[i] for i in kept], halfspaces, tights)
+    return _build(dim, [pts[i] for i in kept],
+                  [halfspace(h[:-1], -h[-1]) for h, _ in facets], tights)
 
 
 def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
-    """Exact H-to-V conversion.
+    """Exact H-to-V conversion, read off ``homogenized_rays``.
 
-    The homogenization {(x, t) : n·x ≥ c·t, t ≥ 0} has extreme rays (x, t);
-    by polarity they are the facet normals of the cone over the rows
-    (n, −c) and (0, …, 0, 1).  A ray with t > 0 is the vertex x/t, and one
-    with t = 0 is a recession direction.  Rejects unbounded, empty and
-    lower-dimensional intersections.  Redundant inequalities (those not
-    supporting a facet) are dropped.
+    A ray (x, t) with t > 0 is the vertex x/t, and one with t = 0 is a
+    recession direction.  Rejects unbounded, empty and lower-dimensional
+    intersections.  Redundant inequalities (those not supporting a facet)
+    are dropped.
     """
     hs: list[Halfspace] = []
     for h in halfspaces:
@@ -287,27 +301,22 @@ def polytope_from_halfspaces(halfspaces: Iterable[Halfspace]) -> Polytope:
     if not hs:
         raise DegenerateInput("no halfspaces given")
     dim = len(hs[0].normal)
+    if any(len(h.normal) != dim for h in hs):
+        raise DimensionError("normals of mixed dimension")
     if rank([h.normal for h in hs]) != dim:
         raise DegenerateInput("unbounded: facet normals do not span")
-    rows = [primitive(h.normal + (-h.offset,)) for h in hs]
-    rays = cone_facets(rows + [(0,) * dim + (1,)], dim + 1)
-    verts: list[Vector] = []
+    rays, facets = homogenized_rays(hs, dim)
     for ray, _ in rays:
-        x, t = ray[:-1], ray[-1]
-        if t == 0:
-            raise DegenerateInput(f"unbounded along direction {x}")
-        verts.append(tuple(Fraction(a, t) for a in x))
-    if not verts:
+        if ray[-1] == 0:
+            raise DegenerateInput(f"unbounded along direction {ray[:-1]}")
+    if not rays:
         raise DegenerateInput("empty intersection")
-    if _affine_rank(verts) != dim:
+    if rank([ray for ray, _ in rays]) != dim + 1:
         raise DegenerateInput("intersection is lower-dimensional")
-    kept_facets, tights = [], []
-    for j, h in enumerate(hs):
-        tight = frozenset(i for i, (_, on) in enumerate(rays) if j in on)
-        if tight and _affine_rank([verts[i] for i in sorted(tight)]) == dim - 1:
-            kept_facets.append(h)
-            tights.append(tight)
-    return _build(dim, verts, kept_facets, tights)
+    verts = [tuple(Fraction(a, ray[-1]) for a in ray[:-1]) for ray, _ in rays]
+    tights = [frozenset(i for i, (_, on) in enumerate(rays) if j in on)
+              for j in facets]
+    return _build(dim, verts, [hs[j] for j in facets], tights)
 
 
 def is_simple_vertex(p: Polytope, vid: int) -> bool:

@@ -7,11 +7,12 @@ The lower hull is read off ``polyhedra.cone_facets`` of the lifted rays: a
 facet whose normal has a positive last coordinate is a lower face.  A face
 with more than d rays (tied heights) is refined by pulling its rays in index
 order: the regular refinement for heights h − (ε, ε², …) as ε → 0⁺.  A ray
-that is not extreme and lifts above the lower hull is rejected.  Brion's
-cones need no heights: ``pulling_triangulation`` of all their rays.  It
-reads only the top-level cone's facets, as ray-index sets (Brion's come
-from the face lattice): a facet of a face is a maximal proper intersection
-of the face with them, so no face below the top is ever hulled.
+that lifts above the lower hull is rejected if ``polyhedra.irredundant``
+finds it not extreme.  Brion's cones need no heights:
+``pulling_triangulation`` of all their rays.  It reads only the top-level
+cone's facets, as ray-index sets (Brion's come from the face lattice): a
+facet of a face is a maximal proper intersection of the face with them, so
+no face below the top is ever hulled.
 
 ``half_open_inverses`` makes the cells half-open so that they tile the cone
 disjointly, by the tie-break of ``linalg.perturbed_key``, from one dual basis.
@@ -27,7 +28,7 @@ from typing import Collection, Optional, Sequence
 from .feasibility import feasible_point
 from .linalg import (IntVector, Vector, dot, dual_basis, frac, primitive, rank,
                      vec, vec_str)
-from .polyhedra import DegenerateInput, cone_facets, halfspace
+from .polyhedra import DegenerateInput, cone_facets, halfspace, irredundant
 
 
 @dataclass(frozen=True)
@@ -90,18 +91,12 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         raise AssertionError("no lower-hull cell found")
     missing = set(range(len(rays))).difference(*cells)
     if missing:
-        _reject_non_extreme(rays, dim, min(missing))
+        j = min(missing)
+        if j not in irredundant(len(rays), cone_facets(rays, dim), dim):
+            raise DegenerateInput(f"ray {vec_str(rays[j])} is not an extreme "
+                                  "ray of the cone, and no cell uses it")
         raise AssertionError("a ray is missing from every cell")
     return LiftedTriangulation(rays, heights, w, tuple(cells))
-
-
-def _reject_non_extreme(rays: Sequence[IntVector], dim: int, j: int) -> None:
-    """Raise DegenerateInput if ray j is not extreme: the facets through an
-    extreme ray have normals of rank dim − 1."""
-    through = [n for n, on in cone_facets(rays, dim) if j in on]
-    if rank(through) < dim - 1:
-        raise DegenerateInput(f"ray {vec_str(rays[j])} is not an extreme ray "
-                              "of the cone, and no cell uses it")
 
 
 def pulling_triangulation(face: Sequence[int], fdim: int,

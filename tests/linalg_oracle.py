@@ -1,10 +1,11 @@
 """Rational linear algebra that only the tests use.
 
-``determinant``, ``mat_vec`` and ``mat_inverse`` lived in
-``conedec.linalg`` until the program stopped calling them; they are kept
-here unchanged, as oracles: ``mat_inverse``'s primitive rows are what
-the duals ``linalg.dual_basis`` must return, and the parallelepiped
-oracle walks its cells with them.  ``residue_box`` is the minor-gcd body
+``determinant``, ``mat_vec``, ``mat_inverse`` and ``solve_linear`` lived
+in ``conedec.linalg`` until the program stopped calling them; they are
+kept here unchanged, as oracles: ``mat_inverse``'s primitive rows are what
+the duals ``linalg.dual_basis`` must return, the parallelepiped oracle
+walks its cells with them, and the triangulation oracle solves for its
+certificates with ``solve_linear``.  ``residue_box`` is the minor-gcd body
 ``linalg.residue_box`` had before it read the Hermite normal form, the
 oracle for that form's diagonal.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from conedec.linalg import (DimensionError, IntVector, Vector, _bareiss,
                             _int_rows, dot, frac, integer_inverse)
@@ -48,6 +49,26 @@ def mat_inverse(rows: Sequence[Sequence]) -> tuple[Vector, ...]:
     if inv is None:
         raise ValueError("mat_inverse: singular matrix")
     return tuple(tuple(Fraction(q * x, inv[0]) for x in r) for r in inv[1])
+
+
+def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
+    """Solve a·x = b exactly.
+
+    Accepts square or overdetermined systems.  Returns the unique solution,
+    or None when the system is inconsistent or underdetermined (no unique
+    solution).  The integer-scaled augmented matrix is reduced fraction-free.
+    """
+    rows = [list(r) for r in a]
+    if len(rows) != len(b):
+        raise DimensionError(f"solve_linear: {len(rows)} rows vs {len(b)} rhs")
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    m = _int_rows([r + [rhs] for r, rhs in zip(rows, b)])
+    pivots, _ = _bareiss(m, reduce=True)
+    if pivots != list(range(ncols)):
+        return None  # underdetermined, or inconsistent (the rhs is a pivot)
+    return tuple(Fraction(m[i][ncols], m[i][i]) for i in range(ncols))
 
 
 def residue_box(cols: Sequence[Sequence[int]]) -> IntVector:

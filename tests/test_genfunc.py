@@ -107,6 +107,17 @@ class TestParallelepiped:
         with pytest.raises(ValueError):
             enumerate_parallelepiped([(1, 0), (2, 0)], (0, 0))
 
+    @pytest.mark.parametrize("gens", [[(1, 0, 0), (0, 1)],
+                                      [(1, 0), (0, 1, 0)]])
+    def test_generators_of_mixed_lengths_rejected(self, gens):
+        # zip(*gens) would truncate them to a cell of another dimension
+        with pytest.raises(ValueError, match="^generators must be d "
+                                             "linearly independent vectors$"):
+            enumerate_parallelepiped(gens, (0,) * len(gens))
+        with pytest.raises(ValueError, match="^generators must be d "
+                                             "linearly independent vectors$"):
+            gf_simplicial_cone((0,) * len(gens), gens)
+
     @pytest.mark.parametrize("gens", [[(Fraction(3, 2), 0), (0, 1)],
                                       [(1.9, 0), (0, 1)], [(True, 0), (0, 1)]])
     def test_non_integer_generators_rejected(self, gens):
@@ -308,9 +319,9 @@ class TestBrion:
         b3 = [birkhoff3(r) for r in range(1, 8)]
 
         def fail(*args, **kwargs):
-            raise AssertionError("cone_facets on the Brion path")
+            raise AssertionError("a hull on the Brion path")
         monkeypatch.setattr(triangulation, "cone_facets", fail)
-        monkeypatch.setattr(genfunc, "cone_facets", fail)
+        monkeypatch.setattr(genfunc, "homogenized_rays", fail)
         named = [(e.name, p) for e, p in corpus]
         for name, p in named + clouds + [(f"B3({r + 1})", p)
                                          for r, p in enumerate(b3)]:
@@ -496,6 +507,17 @@ class TestIndicatorImage:
                        witness=ones)
         with pytest.raises(ValueError, match="does not support a facet"):
             gf_of_piece(strict)
+
+    @pytest.mark.parametrize("rows", [
+        [((1, 0), 0), ((0, 1), 0), ((1, 0), -1)],      # x₁ ≥ −1 misses (0, 0)
+        [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]])   # a triangle's facets
+    def test_piece_without_a_common_apex_is_refused(self, rows):
+        from conedec.indicators import LocallyClosedPiece
+        pc = LocallyClosedPiece(2, tuple(sorted(halfspace(n, c)
+                                                for n, c in rows)))
+        with pytest.raises(ValueError, match=r"^piece is not a shifted cone "
+                                             r"\(no common apex\)$"):
+            gf_of_piece(pc)
 
     def test_gram_image_counts(self, corpus):
         for entry, p in corpus:

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from conedec import polyhedra
 from conedec.deform import normal_cone_rays
-from conedec.genfunc import gf_of_piece, zero_gf
+from conedec.genfunc import _piece_cone, gf_of_piece, zero_gf
 from conedec.indicators import piece, tangent_cone_piece, whole_space_piece
-from conedec.linalg import dot, idot, kernel_basis, primitive, rank, vsub
+from conedec.linalg import (DimensionError, dot, idot, kernel_basis,
+                            primitive, rank, vsub)
 from conedec.polar import is_generic
 from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                center_at_barycenter, cone_facets, halfspace,
@@ -330,6 +331,34 @@ class TestIntegerFaceLattice:
                 dot(xi, vsub(p.vertices[b], p.vertices[a])) != 0
                 for e in edges(p) for a, b in [e.vertex_ids])
         assert not is_generic(tied, p)
+
+
+def face_sets(p):
+    """p's faces with vertex ids replaced by the vertices, so two vertex
+    orders of one polytope compare equal."""
+    return {(f.dim, frozenset(p.vertices[i] for i in f.vertex_ids),
+             f.facet_ids) for f in p.faces}
+
+
+class TestHomogenizedRays:
+    @given(rational_polytopes())
+    @settings(max_examples=40, deadline=None)
+    def test_facets_give_back_the_polytope_and_its_vertex_cones(self, p):
+        q = polytope_from_halfspaces(p.facets)
+        assert set(q.vertices) == set(p.vertices)
+        assert q.facets == p.facets
+        assert face_sets(q) == face_sets(p)
+        for vid, v in enumerate(p.vertices):
+            apex, cells = _piece_cone(tangent_cone_piece(p, p.faces[vid]))
+            assert apex == v
+            assert {g for gens, _, _ in cells for g in gens} == \
+                {t for t, _ in p.vertex_edges(vid)}
+
+    def test_normals_of_mixed_dimension_are_refused(self):
+        with pytest.raises(DimensionError, match="^normals of mixed "
+                                                 "dimension$"):
+            polytope_from_halfspaces([halfspace((1, 0), 0),
+                                      halfspace((-1,), -1)])
 
 
 class TestNormalCone:

@@ -19,10 +19,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from conedec.linalg import (Vector, dot, frac, primitive, rank, solve_linear,
-                            vec)
+from conedec.linalg import Vector, dot, frac, primitive, rank, vec
 from conedec.polyhedra import DegenerateInput
 from conedec.triangulation import LiftedTriangulation, positive_functional
+from linalg_oracle import solve_linear
 
 
 def symbolic_heights(heights: Sequence) -> tuple[tuple[Fraction, ...], ...]:
