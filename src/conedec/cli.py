@@ -10,6 +10,9 @@ An option value may start with a minus sign: ``--xi -1,2`` is ``--xi=-1,2``.
 ``--xi`` may be any nonzero functional, even one constant on an edge or a
 triangulation ray (ties are broken lexicographically); without it, one
 nonconstant on every edge is drawn from ``--seed``.  JSON output reports it.
+``verify`` checks an identity on a grid plus seeded samples, or by exact
+arrangement cells with ``--exact-cells``; ``brion`` (generating functions)
+and ``positive-conic`` (exact cells per vertex) ignore the grid options.
 """
 
 from __future__ import annotations
@@ -120,6 +123,8 @@ def _parse_heights(items, p: Polytope) -> dict[int, list[Fraction]]:
         if len(heights) != want:
             raise InputError(f"--heights v{vid} needs {want} values "
                              f"(one per tight facet), got {len(heights)}")
+        if vid in out:
+            raise InputError(f"--heights gives v{vid} twice")
         out[vid] = heights
     return out
 
@@ -320,13 +325,8 @@ def _verify_positive_conic(p: Polytope, args) -> int:
     heights = _parse_heights(args.heights, p)
     xi = _xi(args.xi, p, args.seed)
     contribs = local_contributions(p, xi, heights, args.seed)
-    rep = positive_conic_check(contribs, xi, args.samples, args.seed)
-    lines = [f"[{'ok' if rep.success else 'FAIL'}] positive-conic: "
-             f"{rep.directions_checked} directions, "
-             f"structurally conic: {rep.structurally_conic}"]
-    lines += [f"       violation: {v}" for v in rep.violations[:5]]
-    _emit({**rep.to_json_dict(), "xi": list(xi)}, lines, args.json)
-    return EXIT_OK if rep.success else EXIT_COUNTEREXAMPLE
+    return _report_exit(positive_conic_check(contribs, xi), args.json,
+                        {"xi": list(xi)})
 
 
 def cmd_verify(args) -> int:
@@ -338,8 +338,8 @@ def cmd_verify(args) -> int:
     if args.samples < 0:
         raise InputError(f"--samples must be non-negative, got {args.samples}")
     ident = args.identity
-    if args.exact_cells and ident not in IDENTITIES:
-        raise InputError(f"--exact-cells does not apply to {ident}")
+    if args.exact_cells and ident == "brion":
+        raise InputError("--exact-cells does not apply to brion")
     if ident == "brion":
         return _verify_brion(p, args)
     if ident == "positive-conic":

@@ -10,8 +10,9 @@ perturbation (`linalg.perturbed_key`): every cone is polarized for
 one constant on a ray.  The headline fact, that the contribution does not
 depend on the triangulation, is checked by comparing two contributions with
 `indicators.verify_identity`; this module adds the compatible (polar-dual)
-construction and the positivity/conicity checker behind the uniqueness
-criterion.
+construction and the exact positive/conic check behind the uniqueness
+criterion: each contribution's restriction to the set where the perturbed
+functional decreases must be the empty sum (`verify_identity_exact`).
 
 Every polarized simple cone of the library, here and in `polar`, is built
 from one SimpleConeFrame by one piece builder, frame_piece.
@@ -22,14 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
-from .feasibility import project, witness
-from .indicators import (Arrangement, IndicatorSum, LocallyClosedPiece, ZPoly,
-                         piece)
-from .linalg import (IntVector, Vector, _scaled, dot, dual_basis, frac,
-                     perturbed_key, primitive, vadd, vec, vec_str, vneg, vsub)
+from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
+                         ZPoly, piece, verify_identity_exact)
+from .linalg import (IntVector, Vector, dot, dual_basis, frac, primitive, vadd,
+                     vec, vec_str, vneg, vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
                             seeded_heights)
@@ -177,21 +176,18 @@ def local_contributions(p: Polytope, xi: Sequence,
                         seed: int = 0) -> dict[int, LocalContribution]:
     """Local contribution of every vertex (simple ones are single cells)."""
     heights = heights or {}
-    out = {}
-    for vid in range(len(p.vertices)):
-        tri = vertex_triangulation(p, vid, heights.get(vid), seed)
-        out[vid] = local_contribution(p, vid, tri, xi)
-    return out
+    return {vid: local_contribution(
+                p, vid, vertex_triangulation(p, vid, heights.get(vid), seed), xi)
+            for vid in range(len(p.vertices))}
 
 
 def nonsimple_decomposition(p: Polytope, xi: Sequence,
                             heights: Optional[dict[int, Sequence]] = None,
                             seed: int = 0) -> IndicatorSum:
     """Sum of all local contributions; evaluates to the polytope indicator."""
-    acc = IndicatorSum(p.dim, ())
-    for lc in local_contributions(p, xi, heights, seed).values():
-        acc = acc + lc.sum
-    return acc
+    return sum((lc.sum for lc in local_contributions(p, xi, heights,
+                                                     seed).values()),
+               IndicatorSum(p.dim, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +225,8 @@ def compatible_decomposition(p: Polytope, xi: Sequence, dual_heights: Sequence
                              ) -> IndicatorSum:
     """Decomposition from one regular triangulation of the polar dual."""
     tris = compatible_from_dual(p, dual_heights)
-    acc = IndicatorSum(p.dim, ())
-    for vid, tri in tris.items():
-        acc = acc + local_contribution(p, vid, tri, xi).sum
-    return acc
+    return sum((local_contribution(p, vid, tri, xi).sum
+                for vid, tri in tris.items()), IndicatorSum(p.dim, ()))
 
 
 def seeded_dual_heights(p: Polytope, seed: int) -> list[Fraction]:
@@ -242,109 +236,38 @@ def seeded_dual_heights(p: Polytope, seed: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Positive + conic checker
+# Positive + conic check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PositiveConicReport:
-    directions_checked: int
-    structurally_conic: bool
-    violations: list[dict]
-
-    @property
-    def success(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "directions_checked": self.directions_checked,
-            "structurally_conic": self.structurally_conic,
-            "success": self.success,
-            "violations": self.violations,
-        }
-
-
-def _direction_grid(dim: int, radius: int = 2):
-    for t in product(range(-radius, radius + 1), repeat=dim):
-        if any(t):
-            yield t
-
-
-def _piece_direction_probes(pc, v: Vector, xi: IntVector) -> list[IntVector]:
-    """Directions aimed at a piece: one in its relative interior, and one in
-    the part of the piece where the functional decreases (if any)."""
-    dim = len(v)
-    probes = []
-    levels = project((), [Halfspace(h.normal, Fraction(1))
-                          for h in pc.constraints], dim)
-    if levels is None:
-        # piece too thin for strict interior; settle for the closure
-        levels = project((), [Halfspace(h.normal, Fraction(0), h.strict)
-                              for h in pc.constraints], dim)
-    decrease = Halfspace(tuple(-a for a in xi), Fraction(1))
-    for lv in (levels, levels and project(levels, [decrease], dim)):
-        if lv is not None and any(t := witness(lv)):
-            probes.append(primitive(t))
-    return probes
-
-
 def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
-                         xi: Sequence, direction_samples: int = 32,
-                         seed: int = 0) -> PositiveConicReport:
-    """Certify a family of per-vertex functions as conic and positive.
+                         xi: Sequence) -> list[VerificationReport]:
+    """Decide that each local contribution is conic and positive at its
+    vertex v: one exact report, positive@v<id>, per vertex.
 
-    Conic: the value along v + λ·t does not change with λ > 0 (checked at
-    λ = 1/2, 1, 3 and structurally: every piece's constraints are tight at
-    the vertex).  Positive: the value at v + t vanishes whenever the
-    perturbed functional decreases along t, that is when perturbed_key(ξ, t)
-    is below (0, …, 0).  Directions sweep a small integer grid, seeded
-    random vectors, and exact probes into each piece (in particular into
-    any part of a piece on which the functional decreases), so a wrongly
-    flipped piece cannot hide between grid points.
+    Conic: every constraint of every piece is tight at v, so each piece is
+    a cone at v; a constraint that is not raises ValueError.  Positive: the
+    contribution vanishes where perturbed_key(ξ, x − v) < (0, …, 0).  That
+    set is the disjoint union of N₀ = {ξ·x < ξ·v} and, for k = 1..d,
+    Nₖ = {ξ·x = ξ·v, x_j = v_j for j < k, x_k < v_k}; so the contribution
+    is positive iff the sum of its restrictions to them is the empty sum,
+    which `verify_identity_exact` decides.
     """
     xi = as_functional(xi)
-    if isinstance(contribs, dict):
-        family = [contribs[k] for k in sorted(contribs)]
-    else:
-        family = list(contribs)
-    if not family:
-        raise ValueError("empty family")
-    dim = len(family[0].vertex)
-    rng = random.Random(seed)
-    base_dirs = list(_direction_grid(dim))
-    for _ in range(direction_samples):
-        t = tuple(rng.randint(-5, 5) for _ in range(dim))
-        if any(t) and t not in base_dirs:
-            base_dirs.append(t)
-    structural = True
-    violations: list[dict] = []
-    lambdas = ((1, 2), (1, 1), (3, 1))  # λ = p/q
-    total_dirs = 0
-    for lc in family:
-        v = lc.vertex
-        e, (a,) = _scaled([v])  # v = a/e
-        cells = Arrangement((lc.sum,))
-        dirs = list(base_dirs)
-        for _c, pc in lc.sum.terms:
-            for h in pc.constraints:
-                if dot(h.normal, v) != h.offset:
-                    structural = False
-            for probe in _piece_direction_probes(pc, v, xi):
-                if probe not in dirs:
-                    dirs.append(probe)
-        total_dirs += len(dirs)
-        for t in dirs:  # v + (p/q)·t = (q·a + p·e·t) / (q·e)
-            vals = [cells.values(cells.signs(
-                [q * x + p * e * y for x, y in zip(a, t)], q * e))[0]
-                for p, q in lambdas]
-            if not (vals[0] == vals[1] == vals[2]):
-                violations.append({
-                    "kind": "conic", "vertex": [str(c) for c in v],
-                    "direction": list(t),
-                    "values": [repr(x) for x in vals]})
-                continue
-            if perturbed_key(xi, t) < (0,) * (dim + 1) and not vals[1].is_zero():
-                violations.append({
-                    "kind": "positive", "vertex": [str(c) for c in v],
-                    "direction": list(t), "value": repr(vals[1])})
-    return PositiveConicReport(total_dirs, structural, violations)
+    d = len(xi)
+    axes = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    reports = []
+    for lc in contribs.values() if isinstance(contribs, dict) else contribs:
+        v, below, flat = lc.vertex, IndicatorSum(d, ()), []
+        for h in (h for _c, pc in lc.sum.terms for h in pc.constraints):
+            if dot(h.normal, v) != h.offset:
+                raise ValueError(
+                    f"the contribution at vertex {lc.vertex_id} is not conic: "
+                    f"{vec_str(h.normal)}·x {'>' if h.strict else '≥'} "
+                    f"{h.offset} is not tight at {vec_str(v)}")
+        for n in (xi, *axes):  # perturbed_key's entries: N₀, N₁, …, N_d
+            c, neg = dot(n, v), tuple(-a for a in n)
+            below += lc.sum.restrict(flat + [Halfspace(neg, -c, True)])
+            flat += [Halfspace(n, c), Halfspace(neg, -c)]
+        reports.append(verify_identity_exact(
+            below, IndicatorSum(d, ()), name=f"positive@v{lc.vertex_id}"))
+    return reports

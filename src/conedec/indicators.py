@@ -184,6 +184,16 @@ class IndicatorSum:
                 out.append((ZPoly.const(int(v)), p))
         return IndicatorSum(self.dim, tuple(out))
 
+    def restrict(self, rows: Iterable[Halfspace]) -> "IndicatorSum":
+        """The sum times the indicator of the rows: each piece cut by them,
+        canonical as `piece` makes it, and the empty cuts dropped."""
+        rows = tuple(rows)
+        cuts = [(c, tuple(sorted(binding(pc.constraints + rows))))
+                for c, pc in self.terms]
+        return IndicatorSum(self.dim, tuple(
+            (c, LocallyClosedPiece(self.dim, cons)) for c, cons in cuts
+            if feasible_point(cons, self.dim) is not None))
+
 
 def indicator_of_polytope(p: Polytope) -> IndicatorSum:
     pc = piece(p.dim, p.facets, witness=p.barycenter())
@@ -216,14 +226,11 @@ def gram_decomposition(p: Polytope) -> IndicatorSum:
 
 def relative_interior_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
     """Relative interior of a face: tight facets as equalities, the rest strict."""
-    cons: list[Halfspace] = []
     fset = set(f.facet_ids)
-    for i, h in enumerate(p.facets):
-        if i in fset:
-            cons.append(Halfspace(h.normal, h.offset, False))
-            cons.append(Halfspace(tuple(-a for a in h.normal), -h.offset, False))
-        else:
-            cons.append(Halfspace(h.normal, h.offset, True))
+    cons = [Halfspace(h.normal, h.offset, i not in fset)
+            for i, h in enumerate(p.facets)]
+    cons += [Halfspace(tuple(-a for a in p.facets[i].normal),
+                       -p.facets[i].offset) for i in f.facet_ids]
     return piece(p.dim, cons, witness=p.barycenter(f))
 
 

@@ -18,26 +18,46 @@ def rat_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _vector(row, dim: int, where: str) -> list:
+    """dim exact rationals; a bad row is refused by where it is."""
+    if not isinstance(row, list) or len(row) != dim:
+        raise ValueError(f"{where} must be a list of {dim} rationals, "
+                         f"got {row!r}")
+    try:
+        return [frac(x) for x in row]
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def polytope_from_json(obj: dict) -> Polytope:
+    """A polytope from {"dim", "vertices"} or from {"dim", "inequalities"},
+    each inequality {"normal", "offset"} for normal·x ≥ offset.  A ValueError
+    names the field at fault."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("polytope JSON needs a 'dim' field")
     dim = obj["dim"]
-    if type(dim) is not int:  # a float or a bool would pass int()
-        raise ValueError(f"'dim' must be an integer, got {dim!r}")
-    if "vertices" in obj:
-        verts = [[frac(x) for x in row] for row in obj["vertices"]]
-        if any(len(v) != dim for v in verts):
-            raise ValueError("vertex dimension disagrees with 'dim'")
-        return polytope_from_vertices(verts)
-    if "inequalities" in obj:
-        hs = []
-        for ineq in obj["inequalities"]:
-            normal = [frac(x) for x in ineq["normal"]]
-            if len(normal) != dim:
-                raise ValueError("normal dimension disagrees with 'dim'")
-            hs.append(halfspace(normal, frac(ineq["offset"])))
-        return polytope_from_halfspaces(hs)
-    raise ValueError("polytope JSON needs 'vertices' or 'inequalities'")
+    if type(dim) is not int or dim < 1:  # a float or a bool would pass int()
+        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
+    field = next((f for f in ("vertices", "inequalities") if f in obj), None)
+    if field is None:
+        raise ValueError("polytope JSON needs 'vertices' or 'inequalities'")
+    if not isinstance(rows := obj[field], list):
+        raise ValueError(f"'{field}' must be a list, got {rows!r}")
+    if field == "vertices":
+        return polytope_from_vertices([_vector(row, dim, f"vertices[{i}]")
+                                       for i, row in enumerate(rows)])
+    hs = []
+    for i, ineq in enumerate(rows):
+        at = f"inequalities[{i}]"
+        if not isinstance(ineq, dict) or not {"normal", "offset"} <= ineq.keys():
+            raise ValueError(f"{at} must be an object with 'normal' and "
+                             f"'offset', got {ineq!r}")
+        normal = _vector(ineq["normal"], dim, f"{at}.normal")
+        (offset,) = _vector([ineq["offset"]], 1, f"{at}.offset")
+        if not any(normal):
+            raise ValueError(f"{at}.normal is zero")
+        hs.append(halfspace(normal, offset))
+    return polytope_from_halfspaces(hs)
 
 
 def halfspace_to_json(h: Halfspace) -> dict:

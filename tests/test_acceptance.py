@@ -215,19 +215,19 @@ def test_criterion_09_positive_conic_checker(pyramid_poly):
     sq = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
     families.append(local_contributions(sq, (1, 2)))
     for fam in families:
-        rep = positive_conic_check(fam, (4, 2, 0) if len(fam) == 5 else (1, 2),
-                                   16, 41)
-        assert rep.success, rep.violations
+        reports = positive_conic_check(
+            fam, (4, 2, 0) if len(fam) == 5 else (1, 2))
+        assert all(r.success for r in reports), reports
     mutated = dict(families[0])
     mutated[0] = flip_one_constraint(mutated[0], 0, 0)
-    rep = positive_conic_check(mutated, xi, 16, 41)
-    assert not rep.success
-    witness = rep.violations[0]
-    assert witness["kind"] == "positive"
-    t = tuple(witness["direction"])
+    rep = positive_conic_check(mutated, xi)[0]
+    assert not rep.success and rep.identity == "positive@v0"
+    x = tuple(Fraction(c) for c in rep.counterexample["point"])
+    t = tuple(a - b for a, b in zip(x, mutated[0].vertex))
     assert (dot(xi, t), *t) < (0, 0, 0, 0)  # the perturbed ξ decreases
-    report(9, f"all generated families certified; mutated family rejected "
-              f"with witness direction {tuple(witness['direction'])}")
+    assert not evaluate(mutated[0].sum, x).is_zero()
+    report(9, f"all generated families certified exactly; mutated family "
+              f"rejected with witness point {rep.counterexample['point']}")
 
 
 def test_criterion_10_line_containing_cones_vanish():

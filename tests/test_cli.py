@@ -192,9 +192,10 @@ class TestVerify:
         assert main(["verify", "--input", segment_file, "--identity", "lv",
                      "--xi", "1", "--exact-cells"]) == 0
 
-    @pytest.mark.parametrize("identity", list(cli.IDENTITIES))
+    @pytest.mark.parametrize("identity", [*cli.IDENTITIES, "positive-conic"])
     def test_exact_cells_honoured(self, identity, request, capsys):
-        # eq6 needs a non-simple vertex; every other identity holds on the cube
+        # eq6 needs a non-simple vertex; every other identity holds on the
+        # cube; positive-conic is exact with or without the flag
         fixture = "pyramid_file" if identity == "eq6" else "cube_file"
         path = request.getfixturevalue(fixture)
         assert main(["verify", "--input", path, "--identity", identity,
@@ -205,9 +206,8 @@ class TestVerify:
             assert r["parameters"] == {"mode": "exact-cells"}, r["identity"]
 
     def test_exact_cells_refused_without_indicator_sums(self, pyramid_file):
-        for identity in ("brion", "positive-conic"):
-            assert main(["verify", "--input", pyramid_file, "--identity",
-                         identity, "--xi", "4,2,0", "--exact-cells"]) == 2
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "brion", "--xi", "4,2,0", "--exact-cells"]) == 2
 
     def test_identity_choices_are_the_table(self):
         assert option_choices("verify", "--identity") == [
@@ -248,10 +248,20 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["shift"] == ["0", "0", "-4/5"]
 
-    def test_positive_conic(self, pyramid_file):
+    def test_positive_conic(self, pyramid_file, capsys):
+        # one exact report per vertex, as JSON like every other identity's
         assert main(["verify", "--input", pyramid_file, "--identity",
-                     "positive-conic", "--xi", "4,2,0",
-                     "--samples", "8"]) == 0
+                     "positive-conic", "--xi", "4,2,0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["success"] and payload["xi"] == [4, 2, 0]
+        assert [r["identity"] for r in payload["reports"]] == [
+            f"positive@v{v}" for v in range(5)]
+        # the grid options do not apply: the output does not change
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "positive-conic", "--xi", "4,2,0", "--json",
+                     "--samples", "8", "--box", "-1,1", "--step", "1",
+                     "--exact-cells"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
 
     def test_brion_identity(self, pyramid_file):
         assert main(["verify", "--input", pyramid_file,
@@ -309,6 +319,13 @@ class TestVerify:
         assert main(["verify", "--input", pyramid_file, "--identity",
                      identity, "--heights", "v0=1,1,1,1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["success"]
+
+    def test_repeated_heights_refused(self, pyramid_file, capsys):
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     "nonsimple", "--heights", "v0=1,1,0,0",
+                     "--heights", "v0=0,0,1,1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --heights gives v0 twice\n"
 
     def test_tied_dual_heights_are_pulled(self, tmp_path, capsys):
         path = tmp_path / "octahedron.json"
@@ -410,6 +427,36 @@ class TestBadInput:
         argv = [a.format(bad=bad, pyramid=pyramid_file) for a in argv]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("polytope, message", [
+        ({"dim": 1, "inequalities": [{"normal": ["1"]}]},
+         "inequalities[0] must be an object with 'normal' and 'offset'"),
+        ({"dim": 1, "vertices": 5}, "'vertices' must be a list, got 5"),
+        ({"dim": 2, "vertices": [["0", "0"], 5]},
+         "vertices[1] must be a list of 2 rationals, got 5"),
+        ({"dim": 2, "vertices": [["0", "0"], ["1"]]},
+         "vertices[1] must be a list of 2 rationals, got ['1']"),
+        ({"dim": 2, "vertices": [["0", "0"], ["x", "0"]]},
+         "vertices[1]: Invalid literal for Fraction: 'x'"),
+        ({"dim": 0, "vertices": [[]]},
+         "'dim' must be a positive integer, got 0"),
+        ({"dim": 1, "inequalities": {"normal": ["1"], "offset": "0"}},
+         "'inequalities' must be a list, got {"),
+        ({"dim": 1, "inequalities": [{"normal": ["0"], "offset": "1"}]},
+         "inequalities[0].normal is zero"),
+        ({"dim": 1, "inequalities": [{"normal": ["1"], "offset": 0.5}]},
+         "inequalities[0].offset: expected exact rational, got float: 0.5"),
+    ], ids=["no-offset", "vertices-not-list", "vertex-not-list",
+            "short-vertex", "bad-literal", "dim-0", "inequalities-not-list",
+            "zero-normal", "float-offset"])
+    def test_malformed_polytope_json_names_the_field(self, polytope, message,
+                                                     tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(polytope))
+        assert main(["count", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
 
     @pytest.mark.parametrize("polytope", [
         {"dim": 1, "vertices": [[True], [3]]},

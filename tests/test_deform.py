@@ -6,19 +6,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conedec.triangulation as triangulation
+import positive_conic_oracle
 import triangulation_oracle
 from conedec.cli import IDENTITIES, InputError, build_parser
 from conedec.corpus import build_corpus
-from conedec.deform import (compatible_decomposition, compatible_from_dual,
-                            local_contribution, local_contributions,
-                            nonsimple_decomposition, normal_cone_rays,
-                            perturbed_key, positive_conic_check,
+from conedec.deform import (LocalContribution, compatible_decomposition,
+                            compatible_from_dual, local_contribution,
+                            local_contributions, nonsimple_decomposition,
+                            normal_cone_rays, positive_conic_check,
                             seeded_dual_heights, simple_cone_frame, t_sigma,
                             vertex_triangulation)
-from conedec.indicators import (default_box, grid_points,
+from conedec.indicators import (ONE, IndicatorSum, default_box, grid_points,
                                 indicator_of_polytope, tangent_cone_piece,
                                 verify_identity, verify_identity_exact)
-from conedec.linalg import dot, kernel_basis, primitive, rank, vsub
+from conedec.linalg import (dot, kernel_basis, perturbed_key, primitive, rank,
+                            vsub)
 from conedec.polar import (SimplicityError, lv_decomposition,
                            rearrange_for_vertex)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
@@ -608,20 +610,34 @@ class TestTiedFunctionals:
                     assert rep.success, (name, xi, label, rep.counterexample)
 
 
+def positive_witness(reports, lc, xi):
+    """The counterexample of the first failing report: a point x where the
+    perturbed ξ decreases from lc's vertex and lc's sum is nonzero."""
+    bad = next(r for r in reports if not r.success)
+    assert bad.identity == f"positive@v{lc.vertex_id}"
+    x = tuple(Fraction(c) for c in bad.counterexample["point"])
+    assert perturbed_key(lc.xi, vsub(x, lc.vertex)) < (0,) * (len(x) + 1)
+    assert not evaluate(lc.sum, x).is_zero()
+    return x
+
+
 class TestPositiveConic:
     def test_lv_family_passes(self):
         sq = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
         contribs = local_contributions(sq, (1, 2))
-        rep = positive_conic_check(contribs, (1, 2), 16, 0)
-        assert rep.success and rep.structurally_conic
+        reports = positive_conic_check(contribs, (1, 2))
+        assert [r.identity for r in reports] == [f"positive@v{v}"
+                                                 for v in range(4)]
+        assert all(r.success for r in reports)
+        assert all(r.parameters == {"mode": "exact-cells"} for r in reports)
 
     def test_pyramid_families_pass(self, pyramid_poly):
         p = pyramid_poly
         for heights in ([1, 1, 0, 0], [0, 0, 1, 1]):
             hs = {0: pyramid_heights(p, heights)}
             contribs = local_contributions(p, (4, 2, 0), hs)
-            rep = positive_conic_check(contribs, (4, 2, 0), 16, 1)
-            assert rep.success, rep.violations
+            reports = positive_conic_check(contribs, (4, 2, 0))
+            assert all(r.success for r in reports), reports
 
     def test_mutated_family_rejected_with_witness(self, pyramid_poly):
         p = pyramid_poly
@@ -629,30 +645,98 @@ class TestPositiveConic:
                                        {0: pyramid_heights(p, [1, 1, 0, 0])})
         bad = dict(contribs)
         bad[0] = flip_one_constraint(bad[0], 0, 0)
-        rep = positive_conic_check(bad, (4, 2, 0), 16, 1)
-        assert not rep.success
-        vio = rep.violations[0]
-        assert vio["kind"] == "positive"
-        t = tuple(vio["direction"])
-        assert (dot((4, 2, 0), t), *t) < (0, 0, 0, 0)  # perturbed ξ decreases
-        x = tuple(Fraction(a) + b for a, b in zip((0, 0, 0), t))
-        assert not evaluate(bad[0].sum, x).is_zero()
-
+        assert not positive_conic_oracle.positive_conic_check(
+            bad, (4, 2, 0), 16, 1).success
+        reports = positive_conic_check(bad, (4, 2, 0))
+        assert [r.success for r in reports] == [False] + [True] * 4
+        positive_witness(reports, bad[0], (4, 2, 0))
 
     def test_tied_functional_mutation_rejected(self):
         # ξ = (1, 0) is 0 along the square's vertical edges; positivity is
-        # checked where the perturbed ξ decreases, so also along (0, −2)
+        # decided where the perturbed ξ decreases, so also on the line x₁ = 0
+        # below the vertex
         sq = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
         contribs = local_contributions(sq, (1, 0))
-        assert positive_conic_check(contribs, (1, 0), 16, 0).success
+        assert all(r.success for r in positive_conic_check(contribs, (1, 0)))
         bad = dict(contribs)
         bad[0] = flip_one_constraint(contribs[0], 0, 0)
-        rep = positive_conic_check(bad, (1, 0), 16, 0)
-        assert not rep.success
-        vio = rep.violations[0]
-        assert vio["kind"] == "positive" and vio["direction"] == [0, -2]
-        assert evaluate(contribs[0].sum, (0, -2)).is_zero()
-        assert not evaluate(bad[0].sum, (0, -2)).is_zero()
+        assert not positive_conic_oracle.positive_conic_check(
+            bad, (1, 0), 16, 0).success
+        x = positive_witness(positive_conic_check(bad, (1, 0)), bad[0], (1, 0))
+        v = bad[0].vertex
+        assert x[0] == v[0] and x[1] < v[1]
+        assert evaluate(contribs[0].sum, x).is_zero()
+
+    def test_piece_off_its_vertex_is_not_conic(self):
+        sq = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+        lc = local_contributions(sq, (1, 2))[0]
+        moved = LocalContribution(lc.vertex_id, (Fraction(1, 2), Fraction(0)),
+                                  lc.xi, lc.cell_indices, lc.sum)
+        with pytest.raises(ValueError, match=r"^the contribution at vertex 0 "
+                           r"is not conic: \(1, 0\)·x ≥ 0 is not tight at "
+                           r"\(1/2, 0\)$"):
+            positive_conic_check([moved], (1, 2))
+
+    def test_unpolarized_tangent_cones_rejected(self, corpus):
+        # the tangent cone passes only at the vertex where the perturbed
+        # ξ = (3, 4, -8) is least, whose cone lies on its positive side
+        xi = (3, 4, -8)
+        rejected = {}
+        for entry, p in corpus:
+            if p.dim != 3:
+                continue
+            cones = [LocalContribution(
+                vid, p.vertices[vid], xi, (0,),
+                IndicatorSum(3, ((ONE, tangent_cone_piece(p, p.faces[vid])),)))
+                for vid in range(len(p.vertices))]
+            reports = positive_conic_check(cones, xi)
+            rejected[entry.name] = (sum(not r.success for r in reports),
+                                    len(reports))
+            for lc, r in zip(cones, reports):
+                if not r.success:
+                    positive_witness([r], lc, xi)
+        assert rejected == {"cube": (7, 8), "simplex-3d": (3, 4),
+                            "octahedron": (5, 6), "pyramid": (4, 5),
+                            "pentagon-cone": (5, 6), "random01-3d": (5, 6)}
+
+
+@st.composite
+def flipped_families(draw):
+    """A polygon or 3-d polytope with small integer vertices, a nonzero
+    functional, seeded contributions and one constraint of one piece
+    flipped."""
+    dim = draw(st.sampled_from([2, 3]))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                        min_size=dim + 1, max_size=dim + 3, unique=True))
+    try:
+        p = polytope_from_vertices(pts)
+    except DegenerateInput:
+        assume(False)
+    xi = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(any))
+    contribs = local_contributions(p, xi, seed=draw(st.integers(0, 3)))
+    vid = draw(st.sampled_from(sorted(contribs)))
+    terms = contribs[vid].sum.terms
+    k = draw(st.integers(0, len(terms) - 1))
+    j = draw(st.integers(0, len(terms[k][1].constraints) - 1))
+    return xi, contribs, vid, flip_one_constraint(contribs[vid], k, j)
+
+
+@given(flipped_families(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_exact_check_rejects_what_sampling_rejects(case, seed):
+    """The exact check passes every unflipped family, and rejects a flipped
+    one wherever the sampled oracle does, with a witness where the perturbed
+    ξ decreases and the flipped sum is nonzero."""
+    xi, contribs, vid, flipped = case
+    assert all(r.success for r in positive_conic_check(contribs, xi))
+    bad = {**contribs, vid: flipped}
+    reports = positive_conic_check(bad, xi)
+    assert all(r.success for v, r in zip(sorted(bad), reports) if v != vid)
+    if not positive_conic_oracle.positive_conic_check(bad, xi, 8,
+                                                      seed).success:
+        assert not reports[sorted(bad).index(vid)].success
+    if not all(r.success for r in reports):
+        positive_witness(reports, flipped, xi)
 
 
 class TestUniqueness:
@@ -680,7 +764,7 @@ class TestUniqueness:
              for vid, tri in tris.items()}
         b = local_contributions(octa, xi, seed=13)
         for fam in (a, b):
-            assert positive_conic_check(fam, xi, 8, 2).success
+            assert all(r.success for r in positive_conic_check(fam, xi))
         reports = [verify_identity(a[v].sum, b[v].sum, default_box(octa),
                                    Fraction(1, 2), extra_samples=40)
                    for v in sorted(a)]

@@ -77,6 +77,18 @@ class TestPieces:
         pc = piece(1, [halfspace((1,), 0), halfspace((1,), 2)])
         assert pc.constraints == (Halfspace((1,), Fraction(2)),)
 
+    def test_restrict_cuts_each_piece_and_drops_empty_cuts(self, pyramid_poly):
+        # the relative interiors of the faces on x₁ ≤ 0 or x₂ ≥ 1 are cut away
+        s = weighted_indicator(pyramid_poly)
+        rows = [halfspace((1, 0, 0), 0, True), halfspace((0, -1, 0), -1, True)]
+        cut = s.restrict(rows)
+        assert 0 < len(cut.terms) < len(s.terms)
+        assert all(piece(3, pc.constraints) == pc for _c, pc in cut.terms)
+        for nums, den in grid_points(default_box(pyramid_poly), Fraction(1, 2)):
+            x = tuple(Fraction(n, den) for n in nums)
+            inside = all(h.satisfied(x) for h in rows)
+            assert evaluate(cut, x) == (evaluate(s, x) if inside else ZPoly())
+
     def test_scaled_membership_agrees(self, corpus):
         for entry, p in corpus:
             sums = (gram_decomposition(p), weighted_indicator(p))
