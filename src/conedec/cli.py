@@ -302,8 +302,9 @@ def _report_exit(reports: list, as_json: bool, extra: dict) -> int:
                **extra}
     lines = []
     for r in reports:
+        unit = "cells" if r.parameters.get("mode") == "exact-cells" else "points"
         lines.append(f"[{'ok' if r.success else 'FAIL'}] {r.identity}: "
-                     f"{r.points_checked} points ({r.wall_time:.3f}s)")
+                     f"{r.points_checked} {unit} ({r.wall_time:.3f}s)")
         if r.counterexample:
             lines.append(f"       counterexample: {r.counterexample}")
     _emit(payload, lines, as_json)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, piece, verify_identity_exact)
 from .linalg import (IntVector, Vector, dot, dual_basis, frac, primitive, vadd,
-                     vec, vec_str, vneg, vsub)
+                     vec, vec_str, vsub)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
                             seeded_heights)
@@ -131,9 +131,9 @@ def vertex_triangulation(p: Polytope, vid: int,
                          seed: int = 0) -> LiftedTriangulation:
     """Regular triangulation of the normal cone at a vertex.
 
-    Explicit heights (one per tight facet, facet order) reproduce a chosen
-    triangulation; otherwise heights are drawn from the seed.  Tied heights
-    are refined by pulling the rays in facet order.
+    Explicit heights lift the rays, the tight facet normals in facet order,
+    and reproduce a chosen triangulation; otherwise heights are drawn from
+    the seed.  Tied heights are refined by pulling the rays in facet order.
     """
     rays = normal_cone_rays(p, vid)
     if heights is None:
@@ -201,9 +201,9 @@ def compatible_from_dual(p: Polytope, dual_heights: Sequence
     The facet of the dual polytope corresponding to a vertex v lies in the
     hyperplane {y : v·y = 1}; lifting the dual vertices (one per facet of the
     polytope, which is where the heights live) and restricting the lower hull
-    to that facet triangulates the normal cone of v.  The restriction is
-    realized by slicing the normal cone with -v, which carries the facet's
-    vertices exactly (up to central reflection, which preserves cells).
+    to that facet triangulates the normal cone of v.  Tight facet j's dual
+    vertex is n_j/c_j, c_j = n_j·v < 0; up to central reflection, which keeps
+    cells, lifting it by h_j lifts the ray n_j by h_j·(−c_j).
     """
     origin = tuple(Fraction(0) for _ in range(p.dim))
     if not p.contains_interior(origin):
@@ -213,12 +213,10 @@ def compatible_from_dual(p: Polytope, dual_heights: Sequence
     if len(heights) != len(p.facets):
         raise ValueError(f"need one dual height per facet "
                          f"({len(p.facets)}), got {len(heights)}")
-    out = {}
-    for vid, v in enumerate(p.vertices):
-        restricted = [heights[i] for i in p.tight_facets(vid)]
-        out[vid] = regular_triangulation(normal_cone_rays(p, vid), restricted,
-                                         slice_normal=vneg(v))
-    return out
+    return {vid: regular_triangulation(
+                normal_cone_rays(p, vid),
+                [-heights[i] * p.facets[i].offset for i in p.tight_facets(vid)])
+            for vid in range(len(p.vertices))}
 
 
 def compatible_decomposition(p: Polytope, xi: Sequence, dual_heights: Sequence

@@ -14,8 +14,7 @@ from .polyhedra import (Halfspace, Polytope, halfspace, polytope_from_halfspaces
 
 
 def rat_str(x) -> str:
-    x = frac(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(frac(x))
 
 
 def _vector(row, dim: int, where: str) -> list:

@@ -1,18 +1,18 @@
 """Regular triangulations of pointed cones by lifting.
 
-A cone is cut by a transversal hyperplane {w·x = 1}; each ray lands at a
-slice point, slice points get lifted to their heights, and the cells are the
-lower-hull simplices of the lifted configuration, coned back at the apex.
-The lower hull is read off ``polyhedra.cone_facets`` of the lifted rays: a
-facet whose normal has a positive last coordinate is a lower face.  A face
-with more than d rays (tied heights) is refined by pulling its rays in index
-order: the regular refinement for heights h − (ε, ε², …) as ε → 0⁺.  A ray
-that lifts above the lower hull is rejected if ``polyhedra.irredundant``
-finds it not extreme.  Brion's cones need no heights:
-``pulling_triangulation`` of all their rays.  It reads only the top-level
-cone's facets, as ray-index sets (Brion's come from the face lattice): a
-facet of a face is a maximal proper intersection of the face with them, so
-no face below the top is ever hulled.
+Each primitive ray r is lifted to (r, h_r) and the cells are the lower faces
+of the lifted vector configuration, projected back: the regular subdivision
+of De Loera, Rambau and Santos (*Triangulations*, ch. 2 and 9).  The lower
+faces are read off ``polyhedra.cone_facets`` of the lifted rays: a facet
+whose normal has a positive last coordinate is a lower face.  The same hull
+tells whether the cone is pointed.  A face with more than d rays (tied
+heights) is refined by pulling its rays in index order: the regular
+refinement for heights h − (ε, ε², …) as ε → 0⁺.  A ray that lifts above the
+lower hull is rejected if ``polyhedra.irredundant`` finds it not extreme.
+Brion's cones need no heights: ``pulling_triangulation`` of all their rays.
+It reads only the top-level cone's facets, as ray-index sets (Brion's come
+from the face lattice): a facet of a face is a maximal proper intersection
+of the face with them, so no face below the top is ever hulled.
 
 ``half_open_inverses`` makes the cells half-open so that they tile the cone
 disjointly, by the tie-break of ``linalg.perturbed_key``, from one dual basis.
@@ -23,38 +23,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Optional, Sequence
+from typing import Collection, Sequence
 
-from .feasibility import feasible_point
-from .linalg import (IntVector, Vector, dot, dual_basis, frac, primitive, rank,
-                     vec, vec_str)
-from .polyhedra import DegenerateInput, cone_facets, halfspace, irredundant
+from .linalg import IntVector, dual_basis, frac, primitive, rank, vec_str
+from .polyhedra import DegenerateInput, cone_facets, irredundant
 
 
 @dataclass(frozen=True)
 class LiftedTriangulation:
-    """Regular triangulation of the cone spanned by `rays`; cells are index
-    sets into `rays`."""
+    """Regular triangulation of the cone spanned by `rays`, each lifted by
+    its height; cells are index sets into `rays`."""
     rays: tuple[IntVector, ...]
     heights: tuple[Fraction, ...]
-    slice_normal: Vector
     cells: tuple[tuple[int, ...], ...]
 
 
-def positive_functional(rays: Sequence[IntVector], dim: int) -> Optional[Vector]:
-    """Some w with w·r > 0 for every ray; None when the cone is not pointed."""
-    return feasible_point([halfspace(r, 1) for r in rays], dim)
-
-
-def regular_triangulation(rays: Sequence, heights: Sequence,
-                          slice_normal: Optional[Sequence] = None
+def regular_triangulation(rays: Sequence, heights: Sequence
                           ) -> LiftedTriangulation:
-    """Lower-hull triangulation of a pointed full-dimensional cone.
-
-    Heights attach to the slice points ray/(w·ray).  A custom slice normal
-    `w` may be supplied (it must be positive on every ray); by default one is
-    found by exact feasibility search.
-    """
+    """Lower-hull triangulation of a pointed full-dimensional cone, each
+    primitive ray r lifted to (r, h_r).  The cone is pointed iff the lifted
+    cone holds no line and no vertical ray; heights linear on the rays lift
+    it flat, onto a copy of itself."""
     rays = tuple(primitive(r) for r in rays)
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")
@@ -64,27 +53,23 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
     heights = tuple(frac(h) for h in heights)
     if len(heights) != len(rays):
         raise ValueError(f"{len(rays)} rays but {len(heights)} heights")
-    if slice_normal is None:
-        w = positive_functional(rays, dim)
-        if w is None:
-            raise DegenerateInput("cone is not pointed")
-    else:
-        w = vec(slice_normal)
-        if any(dot(w, r) <= 0 for r in rays):
-            raise ValueError("slice normal must be strictly positive on all rays")
-    # primitive(r/(w·r) + (h,)) is primitive(r + (h·(w·r),)): one Fraction
-    lifted = []
-    for r, h in zip(rays, heights):
-        t = h * dot(w, r)
-        lifted.append(primitive([x * t.denominator for x in r] + [t.numerator]))
-    if rank(lifted) == dim:  # heights linear on the slice: one lower face
+    if len(rays) == dim:  # simplicial, so pointed: one cell
+        return LiftedTriangulation(rays, heights, (tuple(range(dim)),))
+    lifted = [primitive([x * h.denominator for x in r] + [h.numerator])
+              for r, h in zip(rays, heights)]
+    if rank(lifted) == dim:  # heights linear on the rays: one lower face
+        hull = cone_facets(rays, dim)
         faces = [range(len(rays))]
-        facets = [on for _, on in cone_facets(rays, dim)] \
-            if len(rays) > dim else []
+        pointed = rank([n for n, _ in hull]) == dim
     else:  # the lower faces are faces of the lifted cone: pull in it
         hull = cone_facets(lifted, dim + 1)
         faces = [on for n, on in hull if n[-1] > 0]
-        facets = [on for _, on in hull]
+        # normals that span, with last coordinates of both signs
+        pointed = (rank([n for n, _ in hull]) == dim + 1 and bool(faces)
+                   and any(n[-1] < 0 for n, _ in hull))
+    if not pointed:
+        raise DegenerateInput("cone is not pointed")
+    facets = [on for _, on in hull]
     cells = sorted(cell for face in faces
                    for cell in pulling_triangulation(sorted(face), dim, facets))
     if not cells:
@@ -96,7 +81,7 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
             raise DegenerateInput(f"ray {vec_str(rays[j])} is not an extreme "
                                   "ray of the cone, and no cell uses it")
         raise AssertionError("a ray is missing from every cell")
-    return LiftedTriangulation(rays, heights, w, tuple(cells))
+    return LiftedTriangulation(rays, heights, tuple(cells))
 
 
 def pulling_triangulation(face: Sequence[int], fdim: int,

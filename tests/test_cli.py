@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -205,6 +206,19 @@ class TestVerify:
         for r in reports:
             assert r["parameters"] == {"mode": "exact-cells"}, r["identity"]
 
+    def test_exact_reports_count_cells_and_grid_ones_points(self, segment_file,
+                                                             capsys):
+        # points_checked counts arrangement cells in an exact report
+        runs = [(["lv", "--exact-cells"], "lv xi=1", "cells"),
+                (["positive-conic"], "positive@v0", "cells"),
+                (["lv"], "lv xi=1", "points")]
+        for extra, identity, unit in runs:
+            assert main(["verify", "--input", segment_file, "--xi", "1",
+                         "--identity", *extra]) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            assert re.fullmatch(rf"\[ok\] {identity}: \d+ {unit} "
+                                r"\(\d+\.\d{3}s\)", first), first
+
     def test_exact_cells_refused_without_indicator_sums(self, pyramid_file):
         assert main(["verify", "--input", pyramid_file, "--identity",
                      "brion", "--xi", "4,2,0", "--exact-cells"]) == 2
@@ -298,7 +312,8 @@ class TestVerify:
     @pytest.mark.parametrize("entry, extra", [
         ("random01-4d", ["--xi=7,6,-4,-6", "--seed=1"]),
         ("random01-4d", ["--xi=7,6,-4,-6", "--seed=3"]),
-        ("pentagon-cone", ["--xi=1,2,5", "--heights", "v0=1,0,1,1,1"]),
+        # heights 1, 0, 1, 1, 1 on the slice of w = e₃, times w·r
+        ("pentagon-cone", ["--xi=1,2,5", "--heights", "v0=1,0,3,4,4"]),
     ], ids=["random01-4d-seed1", "random01-4d-seed3", "pentagon-cone"])
     def test_functional_constant_on_a_triangulation_ray(self, entry, extra,
                                                         tmp_path, capsys):

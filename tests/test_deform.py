@@ -102,10 +102,13 @@ class TestRegularTriangulation:
 
     def test_point_on_a_hyperplane_that_is_no_lower_face(self,
                                                          pentagon_cone_poly):
-        # slice point 0 lies on the lifted plane of rays (2, 3, 4), which
-        # another point lies below, so that plane bounds no lower face
+        # lifted ray 0 lies in the span of lifted rays (2, 3, 4), which
+        # another lifted ray lies below, so that span bounds no lower face:
+        # heights 1, 0, 1, 1, 1 on the slice of w = e₃, times w·r
         rays = normal_cone_rays(pentagon_cone_poly, 0)
-        tri = regular_triangulation(rays, [1, 0, 1, 1, 1])
+        assert triangulation_oracle.ray_heights(
+            rays, [1, 0, 1, 1, 1], (0, 0, 1)) == [1, 0, 3, 4, 4]
+        tri = regular_triangulation(rays, [1, 0, 3, 4, 4])
         assert tri.cells == ((0, 1, 2), (1, 2, 3), (1, 3, 4))
         assert triangulation_oracle.verify_certificates(tri)
 
@@ -116,21 +119,48 @@ class TestRegularTriangulation:
             regular_triangulation([(0, 1), (-1, 1), (-2, 1)], [0, 1, 0])
 
     def test_missing_extreme_ray_is_a_broken_invariant(self, monkeypatch):
-        # drop the lower facet through ray 0 from the lifted hull
+        # the lifted hull forgets ray 0 on its facets, the lower one too;
+        # its normals, and so the pointedness they show, stay right
         real = triangulation.cone_facets
 
         def without_ray_0(gens, dim):
             facets = real(gens, dim)
             if dim == 3:
-                return tuple((n, on) for n, on in facets if 0 not in on)
+                return tuple((n, on - {0}) for n, on in facets)
             return facets
         monkeypatch.setattr(triangulation, "cone_facets", without_ray_0)
         with pytest.raises(AssertionError, match="missing from every cell"):
             regular_triangulation([(0, 1), (-1, 1), (-2, 1)], [0, -1, 0])
 
     def test_non_pointed_rejected(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="^cone is not pointed$"):
             regular_triangulation([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("rays, heights", [
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 2, 3, 4]),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [-1, -2, -3, -4]),
+        ([(1, 0), (-1, 0), (0, 1), (1, 1)], [1, -1, 0, 5]),
+        ([(1, 0), (-1, 0), (0, 1)], [1, -1, 0]),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, -1, 2, -2]),
+    ], ids=["vertical-up", "vertical-down", "line", "flat-half-plane",
+            "flat-plane"])
+    def test_non_pointed_rejected_as_the_search_does(self, rays, heights):
+        # the lifted cone holds an upward or a downward vertical ray, or a
+        # line; or the heights are linear and the cone itself holds a line
+        with pytest.raises(DegenerateInput, match="^cone is not pointed$"):
+            regular_triangulation(rays, heights)
+        with pytest.raises(DegenerateInput, match="^cone is not pointed$"):
+            triangulation_oracle.regular_triangulation(rays, heights)
+
+    def test_pointed_cone_with_linear_heights_is_pulled(self):
+        # heights (1, 2, 3)·r lift APEX_RAYS flat: one lower face, pulled
+        heights = [dot((1, 2, 3), r) for r in APEX_RAYS]
+        assert heights == [4, 2, 5, 1]
+        tri = regular_triangulation(APEX_RAYS, heights)
+        assert tri.cells == ((0, 1, 2), (0, 1, 3))
+        assert tri.cells == triangulation_oracle.regular_triangulation(
+            APEX_RAYS, heights).cells
+        assert triangulation_oracle.verify_certificates(tri)
 
     def test_cells_tile_the_cone(self):
         tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
@@ -148,7 +178,8 @@ class TestRegularTriangulation:
             calls.append(dim)
             return real(gens, dim)
         monkeypatch.setattr(triangulation, "cone_facets", counted)
-        tri = regular_triangulation(rays, heights, (0, 0, 0, 1))
+        # the oracle's slice normal e₄ is 1 on every ray: the same heights
+        tri = regular_triangulation(rays, heights)
         assert calls == [5]
         oracle = triangulation_oracle.regular_triangulation(
             rays, heights, (0, 0, 0, 1))
@@ -168,8 +199,9 @@ class TestRegularTriangulation:
 @st.composite
 def lifted_cones(draw):
     """Pointed cones (last coordinate ≥ 1 on every ray) with heights from a
-    small range, so that non-generic heights occur, and a slice normal that
-    is left to the search, is the last axis, or is skewed."""
+    small range, so that non-generic heights occur, and a slice normal for
+    the oracle that is left to its search, is the last axis, or is
+    skewed."""
     dim = draw(st.integers(2, 4))
     ray = st.tuples(*[st.integers(-3, 3)] * (dim - 1), st.integers(1, 3))
     rays = draw(st.lists(ray, min_size=max(3, dim), max_size=8,
@@ -181,32 +213,57 @@ def lifted_cones(draw):
     return rays, heights, w
 
 
-def triangulation_outcome(fn, rays, heights, w):
+def slice_normal(rays, w):
+    """The drawn slice normal, or the oracle's search's."""
+    if w is None:
+        w = triangulation_oracle.positive_functional(
+            [primitive(r) for r in rays], len(rays[0]))
+    return w
+
+
+def triangulation_outcome(fn, *args):
     try:
-        t = fn(rays, heights, w)
+        t = fn(*args)
     except (DegenerateInput, ValueError,
             AssertionError) as exc:  # a ray inside the cone can be unused
         return type(exc).__name__, str(exc)
-    return t.rays, t.heights, t.slice_normal, \
-        triangulation_oracle.slice_points(t), t.cells, \
-        triangulation_oracle.certificates(t)
+    return t.rays, t.cells, triangulation_oracle.certificates(t)
+
+
+def on_the_slice(outcome, w):
+    """A triangulation's outcome with heights on the rays, as the oracle's
+    for the same cells with heights on the slice of w: a certificate's
+    ε^(j+1)-coefficient scales by w·r_j, its constant term stays."""
+    if isinstance(outcome[0], str):
+        return outcome
+    rays, cells, certs = outcome
+    scales = [1] + [dot(w, r) for r in rays]
+    return rays, cells, tuple(
+        None if g is None else tuple(tuple(s * x for x in gc)
+                                     for s, gc in zip(scales, g))
+        for g in certs)
 
 
 @given(lifted_cones())
 @settings(max_examples=300, deadline=None)
 def test_triangulation_matches_subset_oracle(cone):
-    """Cells, certificates and slice points equal the subset-loop oracle's,
-    tied heights included.  A ray that is not extreme and lifts above the
-    lower hull is a broken invariant to the oracle and bad input to the
-    program."""
+    """Heights h on the rays give the cells of the subset-loop oracle for
+    heights h_r/(w·r) on the slice of w, and its certificates up to the
+    scaling of their ε-terms, tied heights included.  A ray that is not
+    extreme and lifts above the lower hull is a broken invariant to the
+    oracle and bad input to the program."""
+    rays, heights, w = cone
+    w = slice_normal(rays, w)
     oracle = triangulation_oracle.regular_triangulation
-    ours = triangulation_outcome(regular_triangulation, *cone)
-    theirs = triangulation_outcome(oracle, *cone)
+    ours = triangulation_outcome(regular_triangulation, rays, heights)
+    theirs = triangulation_outcome(
+        oracle, rays,
+        triangulation_oracle.slice_heights(rays, heights, w), w)
     if theirs == ("AssertionError", "a ray is missing from every cell"):
         assert ours[0] == "DegenerateInput"
         assert "is not an extreme ray" in ours[1]
     else:
-        assert ours == theirs
+        assert on_the_slice(ours, w) == theirs
 
 
 @given(lifted_cones())
@@ -214,8 +271,10 @@ def test_triangulation_matches_subset_oracle(cone):
 def test_half_open_cells_tile_triangulated_cones(cone):
     """The open facets picked by the perturbed point tile every cone that
     the triangulation accepts, whether or not q lies on a wall."""
+    rays, heights, w = cone
     try:
-        tri = regular_triangulation(*cone)
+        tri = regular_triangulation(rays, triangulation_oracle.ray_heights(
+            rays, heights, slice_normal(rays, w)))
     except (DegenerateInput, ValueError):
         return
     dim = len(tri.rays[0])
@@ -401,7 +460,8 @@ class TestNonsimpleDecomposition:
     def test_pentagon_cone_apex_heights_with_a_point_on_a_non_face(
             self, pentagon_cone_poly):
         p = pentagon_cone_poly
-        dec = nonsimple_decomposition(p, (5, 3, 1), {0: [1, 0, 1, 1, 1]})
+        # heights 1, 0, 1, 1, 1 on the slice of w = e₃, times w·r
+        dec = nonsimple_decomposition(p, (5, 3, 1), {0: [1, 0, 3, 4, 4]})
         rep = verify_identity(dec, indicator_of_polytope(p), default_box(p),
                               Fraction(1, 2), 80, 9)
         assert rep.success
@@ -487,6 +547,21 @@ class TestCompatible:
                             frozenset({(1, 0, 1), (-1, 0, 1), (0, -1, 1)})})
         assert both <= {delta1, delta2}
         assert len(both) >= 1
+
+    @pytest.mark.parametrize("name", ["octahedron", "pyramid",
+                                      "pentagon-cone", "random01-3d"])
+    def test_cells_are_the_dual_lifting_sliced_at_minus_v(self, name):
+        # lifting ray n_j by h_j·(−c_j) lifts its slice point of w = −v,
+        # n_j/(−c_j), by h_j: the dual polytope's facet at v, reflected
+        p, _ = center_at_barycenter(
+            next(e.build() for e in build_corpus() if e.name == name))
+        for seed in range(3):
+            dh = seeded_dual_heights(p, seed)
+            for vid, tri in compatible_from_dual(p, dh).items():
+                sliced = triangulation_oracle.regular_triangulation(
+                    tri.rays, [dh[i] for i in p.tight_facets(vid)],
+                    tuple(-x for x in p.vertices[vid]))
+                assert tri.cells == sliced.cells, (name, seed, vid)
 
     def test_octahedron_equal_dual_heights(self):
         # the dual cube lifts flat: each vertex's square normal cone is

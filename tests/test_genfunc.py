@@ -358,15 +358,14 @@ class TestBrion:
 
     def test_counting_needs_no_heights_or_slice_normal(self, corpus,
                                                        monkeypatch):
-        # the cells come from pulling alone: no seeded heights, no search
-        # for a slice normal and no lifted lower hull
+        # the cells come from pulling alone: no seeded heights and no
+        # lifted lower hull
         cube = next(p for entry, p in corpus if entry.name == "cube")
         dec = nonsimple_decomposition(cube, (3, 4, -8))
 
         def fail(*args, **kwargs):
             raise AssertionError("not on the counting path")
-        for name in ("positive_functional", "feasible_point",
-                     "seeded_heights", "regular_triangulation"):
+        for name in ("seeded_heights", "regular_triangulation"):
             monkeypatch.setattr(triangulation, name, fail)
         for entry, p in corpus:
             g = brion_gf(p)

@@ -1,28 +1,65 @@
 """Reference regular triangulation by enumerating every d-subset, and the
 certificates that check a triangulation's cells.
 
-``regular_triangulation`` is the lower-hull search
+``regular_triangulation`` is the lower-hull search that
 ``conedec.triangulation.regular_triangulation`` used before it read the
-lower facets off ``polyhedra.cone_facets``, kept as an oracle: for the same
-rays, heights and slice normal both must return the same cells,
-certificates and slice points.  It lifts ray j to the symbolic height
-h_j − ε^(j+1) and compares exactly, coefficient by coefficient of
-(1, ε, ε², …), so no lifting is ever tied: tied heights give the pulling
-refinement in index order.  A cell's certificate is the linear functional
-g, one vector per coefficient, with g·p = height on the cell's slice points
-and g·p < height on all the others.
+lower facets off ``polyhedra.cone_facets`` and before it lifted the rays
+themselves, kept as an oracle.  It cuts the cone by a hyperplane
+{w·x = 1}, found by an exact feasibility search unless given, and lifts
+each slice point ray/(w·ray) to its height.  Heights H on the slice points
+and heights H_r·(w·r) on the rays give the same cells, tied heights
+included, since scaling each ε-term of the pulling refinement by a positive
+factor keeps its order; ``ray_heights`` and ``slice_heights`` convert.  The
+oracle lifts point j to the symbolic height h_j − ε^(j+1) and compares
+exactly, coefficient by coefficient of (1, ε, ε², …), so no lifting is ever
+tied: tied heights give the pulling refinement in index order.  A cell's
+certificate is the linear functional g, one vector per coefficient, with
+g·p = height on the cell's lifted points and g·p < height on all the
+others; the lifted points are the slice points of the oracle's result and
+the rays of a ``LiftedTriangulation``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from conedec.linalg import Vector, dot, frac, primitive, rank, vec
-from conedec.polyhedra import DegenerateInput
-from conedec.triangulation import LiftedTriangulation, positive_functional
+from conedec.feasibility import feasible_point
+from conedec.linalg import IntVector, Vector, dot, frac, primitive, rank, vec
+from conedec.polyhedra import DegenerateInput, halfspace
+from conedec.triangulation import LiftedTriangulation
 from linalg_oracle import solve_linear
+
+
+@dataclass(frozen=True)
+class SlicedTriangulation:
+    """The oracle's triangulation: heights attach to the slice points
+    ray/(w·ray) of the slice normal w; cells are index sets into `rays`."""
+    rays: tuple[IntVector, ...]
+    heights: tuple[Fraction, ...]
+    slice_normal: Vector
+    cells: tuple[tuple[int, ...], ...]
+
+
+def positive_functional(rays: Sequence[IntVector], dim: int) -> Optional[Vector]:
+    """Some w with w·r > 0 for every ray; None when the cone is not pointed."""
+    return feasible_point([halfspace(r, 1) for r in rays], dim)
+
+
+def ray_heights(rays: Sequence, heights: Sequence, w: Sequence
+                ) -> list[Fraction]:
+    """The heights H_r·(w·r) on the primitive rays that give the cells of
+    the heights H on the slice points of w."""
+    return [frac(h) * dot(w, primitive(r)) for r, h in zip(rays, heights)]
+
+
+def slice_heights(rays: Sequence, heights: Sequence, w: Sequence
+                  ) -> list[Fraction]:
+    """The heights h_r/(w·r) on the slice points of w that give the cells of
+    the heights h on the primitive rays."""
+    return [frac(h) / dot(w, primitive(r)) for r, h in zip(rays, heights)]
 
 
 def symbolic_heights(heights: Sequence) -> tuple[tuple[Fraction, ...], ...]:
@@ -50,7 +87,7 @@ def lifted_value(g: Sequence[Vector], p: Vector) -> tuple[Fraction, ...]:
 
 def regular_triangulation(rays: Sequence, heights: Sequence,
                           slice_normal: Optional[Sequence] = None
-                          ) -> LiftedTriangulation:
+                          ) -> SlicedTriangulation:
     """Lower-hull triangulation of a pointed full-dimensional cone.
 
     Heights attach to the slice points ray/(w·ray).  A custom slice normal
@@ -93,27 +130,37 @@ def regular_triangulation(rays: Sequence, heights: Sequence,
         used.update(c)
     if used != set(range(len(rays))):
         raise AssertionError("a ray is missing from every cell")
-    return LiftedTriangulation(rays, heights, w, tuple(cells))
+    return SlicedTriangulation(rays, heights, w, tuple(cells))
 
 
-def slice_points(tri: LiftedTriangulation) -> tuple[Vector, ...]:
+def slice_points(tri: SlicedTriangulation) -> tuple[Vector, ...]:
     """Where each ray meets the slice {w·x = 1}; heights attach here."""
     return tuple(tuple(x / dot(tri.slice_normal, r) for x in r)
                  for r in tri.rays)
 
 
-def certificates(tri: LiftedTriangulation
+def lifted_points(tri: SlicedTriangulation | LiftedTriangulation
+                  ) -> tuple[Vector, ...]:
+    """Where the heights attach: the slice points of the oracle's result,
+    the rays themselves of the program's."""
+    if isinstance(tri, LiftedTriangulation):
+        return tri.rays
+    return slice_points(tri)
+
+
+def certificates(tri: SlicedTriangulation | LiftedTriangulation
                  ) -> tuple[Optional[tuple[Vector, ...]], ...]:
-    """Each cell's functional g with g·p = symbolic height on its slice
+    """Each cell's functional g with g·p = symbolic height on its lifted
     points."""
-    points, lifted = slice_points(tri), symbolic_heights(tri.heights)
+    points, lifted = lifted_points(tri), symbolic_heights(tri.heights)
     return tuple(certificate(points, lifted, c) for c in tri.cells)
 
 
-def verify_certificates(tri: LiftedTriangulation) -> bool:
-    """Every cell's affine span of lifted points lies strictly below every
-    other lifted point, so the cells are lower-hull faces."""
-    points, lifted = slice_points(tri), symbolic_heights(tri.heights)
+def verify_certificates(tri: SlicedTriangulation | LiftedTriangulation
+                        ) -> bool:
+    """Every cell's span of lifted points lies strictly below every other
+    lifted point, so the cells are lower-hull faces."""
+    points, lifted = lifted_points(tri), symbolic_heights(tri.heights)
     for cell, g in zip(tri.cells, certificates(tri)):
         if g is None:
             return False
