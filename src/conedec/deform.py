@@ -23,12 +23,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, piece, verify_identity_exact)
-from .linalg import (IntVector, Vector, dot, dual_basis, frac, primitive, vadd,
-                     vec, vec_str, vsub)
+from .linalg import (IntVector, Vector, _scaled, dot, dual_basis, frac,
+                     primitive, vec, vec_str)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
                             seeded_heights)
@@ -85,20 +86,22 @@ def frame_piece(frame: SimpleConeFrame, pattern: Sequence[str]
     Its witness is apex + Σ ±rays[i]: + on a kept facet, − on a flipped
     one, nothing on an equality.
     """
+    q, (apex,) = _scaled([frame.apex])
     cons = []
-    witness = frame.apex
+    witness = list(apex)  # q times the witness
     for n, r, how in zip(frame.normals, frame.rays, pattern):
-        c = dot(n, frame.apex)
+        c = Fraction(sum(map(mul, n, apex)), q)
         neg = tuple(-a for a in n)
         if how == EQUAL:
             cons += [Halfspace(n, c, False), Halfspace(neg, -c, False)]
         elif how == FLIPPED:
             cons.append(Halfspace(neg, -c, True))
-            witness = vsub(witness, r)
+            witness = [w - q * x for w, x in zip(witness, r)]
         else:
             cons.append(Halfspace(n, c, how == STRICT))
-            witness = vadd(witness, r)
-    return piece(len(frame.apex), cons, witness=witness)
+            witness = [w + q * x for w, x in zip(witness, r)]
+    return piece(len(apex), cons,
+                 witness=tuple(Fraction(w, q) for w in witness))
 
 
 def polarized_piece(frame: SimpleConeFrame) -> LocallyClosedPiece:

@@ -20,7 +20,7 @@ from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import feasible_point, project, witness
-from .linalg import _scaled, frac
+from .linalg import DimensionError, _scaled, frac, vec
 from .polyhedra import Face, Halfspace, Polytope, binding
 
 
@@ -135,7 +135,11 @@ class LocallyClosedPiece:
     constraints: tuple[Halfspace, ...]
 
     def contains(self, x: Sequence) -> bool:
-        return all(h.satisfied(x) for h in self.constraints)
+        den, (nums,) = _scaled([vec(x)])
+        if len(nums) != self.dim:
+            raise DimensionError(f"point of dimension {len(nums)}, "
+                                 f"piece of dimension {self.dim}")
+        return all(h.side(nums, den) >= h.strict for h in self.constraints)
 
 
 def piece(dim: int, constraints: Iterable[Halfspace],
@@ -261,24 +265,26 @@ class Arrangement:
     """
 
     def __init__(self, sums: Sequence[IndicatorSum]):
-        index: dict[Halfspace, int] = {}
+        index: dict[tuple, int] = {}  # (normal, offset) -> plane
+        zero = (0,) * (sums[0].dim if sums else 0)
         # each sum as (coefficients, requirements) terms; a requirement
-        # (i, o, t) holds iff o·(sign at plane i) ≥ t, t = 1 when strict
+        # (i, o, t) holds iff o·(sign at plane i) ≥ t, t = 1 when strict and
+        # o = -1 when the constraint's leading coordinate is negative
         self._sums: list[list[tuple[tuple[int, ...], tuple]]] = []
         for s in sums:
             terms = []
             for coeff, pc in s.terms:
                 reqs = []
                 for h in pc.constraints:
-                    up = max(h, h.complement())  # leading coordinate > 0
-                    i = index.setdefault(Halfspace(up.normal, up.offset),
-                                         len(index))
-                    reqs.append((i, 1 if up.normal == h.normal else -1,
+                    n, off, o = h.normal, h.offset, 1
+                    if n < zero:
+                        n, off, o = tuple(-a for a in n), -off, -1
+                    reqs.append((index.setdefault((n, off), len(index)), o,
                                  int(h.strict)))
                 terms.append((coeff.coeffs, tuple(reqs)))
             self._sums.append(terms)
         # closed halfspaces n·x ≥ off, one per hyperplane, in first-use order
-        self.planes: list[Halfspace] = list(index)
+        self.planes: list[Halfspace] = [Halfspace(*key) for key in index]
         # n·x ≥ p/q scaled to q·n·x ≥ p: a point nums/den needs integers only
         self._rows = [(tuple(a * h.offset.denominator for a in h.normal),
                        h.offset.numerator) for h in self.planes]
@@ -345,14 +351,14 @@ def default_box(p: Polytope) -> Box:
     return p.bounding_box(inflate=1)
 
 
-def grid_points(box: Box, step: Fraction):
+def grid_points(box: Box, step: Fraction, samples: int = 0):
     """Lattice step·Z^d clipped to the box, in lexicographic order.
 
     Returns an iterator of (nums, den) pairs: the point is nums/den
-    coordinatewise.  A grid of more than GRID_POINT_BUDGET points is
-    refused before any point is made.
+    coordinatewise.  A grid whose points, with `samples` points checked
+    after it, exceed GRID_POINT_BUDGET is refused before any is made.
     """
-    q, last, lines = _grid_lines((), box, step, cap_points=True)
+    q, last, lines = _grid_lines((), box, step, samples)
     heads = map(repeat, map(itemgetter(0), lines), repeat(len(last)))
     tails = map(zip, repeat(last))  # per line, the 1-tuples (k,) of its axis
     return zip(map(add, chain.from_iterable(heads), chain.from_iterable(tails)),
@@ -406,11 +412,11 @@ def lattice_runs(p: Polytope):
             yield pre[:w], ends[w][0] + j, n, pre[w:]
 
 
-def _grid_lines(rows: Sequence, box: Box, step, cap_points: bool = False):
+def _grid_lines(rows: Sequence, box: Box, step, samples=None):
     """(den, last axis, lines along it in lexicographic order): a line is
     (prefix, vals), vals[i] = n·nums − off·den for row i = (n, off) at the
     line's first point nums/den.  Refuses a grid over GRID_POINT_BUDGET
-    lines, or points if cap_points."""
+    lines, or, unless samples is None, whose points and samples exceed it."""
     step = frac(step)
     if step <= 0:
         raise ValueError("step must be positive")
@@ -418,10 +424,12 @@ def _grid_lines(rows: Sequence, box: Box, step, cap_points: bool = False):
             for lo, hi in box]
     size = prod(sizes := [max(0, k1 - k0 + 1) for k0, k1 in ends])
     sides = " x ".join(f"[{lo}, {hi}]" for lo, hi in box)
-    if cap_points and size > GRID_POINT_BUDGET:
-        raise ValueError(f"grid of {size} points (box {sides}, step {step}) "
-                         f"exceeds the budget of {GRID_POINT_BUDGET}; use a "
-                         "coarser --step, a smaller --box or --exact-cells")
+    if samples is not None and size + samples > GRID_POINT_BUDGET:
+        more = f" and {samples} samples" if size <= GRID_POINT_BUDGET else ""
+        raise ValueError(f"grid of {size} points{more} (box {sides}, step "
+                         f"{step}) exceeds the budget of {GRID_POINT_BUDGET}; "
+                         "use " + ("fewer --samples" if more else "a coarser "
+                                   "--step, a smaller --box or --exact-cells"))
     if size and (lines := prod(sizes[:-1])) > GRID_POINT_BUDGET:
         raise ValueError(f"grid of {lines} lines (box {sides}, step {step}) "
                          f"exceeds the budget of {GRID_POINT_BUDGET}")
@@ -455,16 +463,18 @@ def random_rational_points(box: Box, count: int, seed: int):
     box; an empty box yields none.
     """
     rng = random.Random(seed)
-    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
-    if any(lo > hi for lo, hi in box):
+    # lo = a/b and hi = c/e: ⌈lo·den⌉ = −(−a·den // b), ⌊hi·den⌋ = c·den // e
+    axes = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+            for lo, hi in ((Fraction(lo), Fraction(hi)) for lo, hi in box)]
+    if any(a * e > c * b for a, b, c, e in axes):
         return
     for _ in range(count):
         den = rng.randint(1, 6)
-        for lo, hi in box:
-            if ceil(lo * den) > floor(hi * den):
-                den *= lo.denominator
-        yield tuple(rng.randint(ceil(lo * den), floor(hi * den))
-                    for lo, hi in box), den
+        for a, b, c, e in axes:
+            if -(-a * den // b) > c * den // e:
+                den *= b
+        yield tuple(rng.randint(-(-a * den // b), c * den // e)
+                    for a, b, c, e in axes), den
 
 
 def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
@@ -507,7 +517,8 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
                 next(islice(points, length - 1, length - 1), None)
         return None
 
-    bad = run(grid_points(box, step), grid_runs(cells._rows, box, step))
+    bad = run(grid_points(box, step, extra_samples),
+              grid_runs(cells._rows, box, step))
     if bad is None and extra_samples > 0:
         samples, again = tee(random_rational_points(box, extra_samples, seed))
         bad = run(samples, zip(repeat(()), repeat(0), repeat(1),

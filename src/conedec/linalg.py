@@ -61,12 +61,6 @@ def vadd(u: Sequence, v: Sequence) -> Vector:
     return tuple(frac(a) + frac(b) for a, b in zip(u, v))
 
 
-def vsub(u: Sequence, v: Sequence) -> Vector:
-    if len(u) != len(v):
-        raise DimensionError(f"vsub: {len(u)} vs {len(v)}")
-    return tuple(frac(a) - frac(b) for a, b in zip(u, v))
-
-
 def vneg(u: Sequence) -> Vector:
     return tuple(-frac(a) for a in u)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (DimensionError, IntVector, Vector, _scaled, dot, frac,
@@ -42,9 +42,12 @@ class Halfspace:
     offset: Fraction
     strict: bool = False
 
-    def satisfied(self, x: Sequence) -> bool:
-        s = dot(self.normal, x)
-        return s > self.offset if self.strict else s >= self.offset
+    def side(self, nums: Sequence[int], den: int) -> int:
+        """The sign (1, 0 or -1) of normal·x − offset at x = nums/den, den > 0,
+        from the integer normal·nums·q − p·den for the offset p/q."""
+        v = (sum(map(mul, self.normal, nums)) * self.offset.denominator
+             - self.offset.numerator * den)
+        return (v > 0) - (v < 0)
 
     def complement(self) -> "Halfspace":
         """The complementary halfspace (closed flips to strict and back)."""
@@ -162,7 +165,8 @@ class Polytope:
         return self.faces[vid].facet_ids
 
     def contains_interior(self, x: Sequence) -> bool:
-        return all(dot(h.normal, x) > h.offset for h in self.facets)
+        den, (nums,) = _scaled([vec(x)])
+        return all(h.side(nums, den) > 0 for h in self.facets)
 
     def vertex_edges(self, vid: int) -> tuple[tuple[IntVector, Face], ...]:
         """(primitive direction away from the vertex, edge) for each edge at
@@ -170,8 +174,13 @@ class Polytope:
         return tuple(self._vertex_edges[vid])
 
     @cached_property
+    def _ints(self) -> tuple[int, list[IntVector]]:
+        """(q, the vertices times q), q their common denominator."""
+        return _scaled(self.vertices)
+
+    @cached_property
     def _vertex_edges(self) -> list[list[tuple[IntVector, Face]]]:
-        ints, out = _scaled(self.vertices)[1], [[] for _ in self.vertices]
+        ints, out = self._ints[1], [[] for _ in self.vertices]
         for e in (f for f in self.faces if f.dim == 1):
             if len(e.vertex_ids) != 2:
                 raise AssertionError("edge without exactly two vertices")
@@ -183,9 +192,10 @@ class Polytope:
 
     def barycenter(self, face: Optional[Face] = None) -> Vector:
         """Average of the vertices of the polytope, or of one of its faces."""
+        q, ints = self._ints
         ids = range(len(self.vertices)) if face is None else face.vertex_ids
-        pts = [self.vertices[i] for i in ids]
-        return tuple(sum(q[i] for q in pts) / len(pts) for i in range(self.dim))
+        n = len(ids) * q
+        return tuple(Fraction(sum(c), n) for c in zip(*(ints[i] for i in ids)))
 
     def bounding_box(self, inflate: int = 0) -> list[tuple[Fraction, Fraction]]:
         box = []
@@ -242,14 +252,15 @@ def _face_lattice(nverts: int, tights: list[frozenset[int]],
 
 def _build(dim: int, vertices: list[Vector], facets: list[Halfspace],
            tights: list[frozenset[int]]) -> Polytope:
-    faces = _face_lattice(len(vertices), tights, _scaled(vertices)[1])
-    if len([f for f in faces if f.dim == 0]) != len(vertices):
+    p = Polytope(dim, tuple(vertices), tuple(facets), ())
+    p.faces = _face_lattice(len(vertices), tights, p._ints[1])
+    if len([f for f in p.faces if f.dim == 0]) != len(vertices):
         raise AssertionError("face lattice lost a vertex")
-    for v, f in zip(vertices, faces):
+    for v, f in zip(vertices, p.faces):
         if rank([facets[j].normal for j in f.facet_ids]) != dim:
             raise AssertionError(f"point {vec_str(v)} is not a vertex of "
                                  "the result")
-    return Polytope(dim, tuple(vertices), tuple(facets), faces)
+    return p
 
 
 def polytope_from_vertices(points: Iterable[Sequence]) -> Polytope:

@@ -6,21 +6,60 @@ side term by term at every point, and the exact-cells check solves every
 branch of the arrangement from scratch and evaluates each side at the
 cell's witness.  Kept unchanged as an oracle: for the same inputs both
 must give the same report.
+
+``satisfied``, ``contains``, ``random_rational_points`` and ``barycenter``
+are the ``Fraction`` bodies that ``Halfspace.satisfied``,
+``LocallyClosedPiece.contains``, ``indicators.random_rational_points`` and
+``Polytope.barycenter`` had before the program scaled each point once to
+integers; the integer versions must agree with them exactly.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
 from conedec.feasibility import feasible_point
-from conedec.indicators import (IndicatorSum, LocallyClosedPiece,
-                                VerificationReport, ZPoly, grid_points,
-                                random_rational_points)
-from conedec.linalg import frac, vec
-from conedec.polyhedra import Halfspace
+from conedec.indicators import (Box, IndicatorSum, LocallyClosedPiece,
+                                VerificationReport, ZPoly, grid_points)
+from conedec.linalg import Vector, dot, frac, vec
+from conedec.polyhedra import Face, Halfspace, Polytope
+
+
+def satisfied(h: Halfspace, x: Sequence) -> bool:
+    """Whether the rational point x lies in h, by a ``Fraction`` dot."""
+    s = dot(h.normal, x)
+    return s > h.offset if h.strict else s >= h.offset
+
+
+def contains(pc: LocallyClosedPiece, x: Sequence) -> bool:
+    return all(satisfied(h, x) for h in pc.constraints)
+
+
+def random_rational_points(box: Box, count: int, seed: int):
+    """Seeded rational samples in the box with small random denominators,
+    each bound multiplied out in ``Fraction``."""
+    rng = random.Random(seed)
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    if any(lo > hi for lo, hi in box):
+        return
+    for _ in range(count):
+        den = rng.randint(1, 6)
+        for lo, hi in box:
+            if ceil(lo * den) > floor(hi * den):
+                den *= lo.denominator
+        yield tuple(rng.randint(ceil(lo * den), floor(hi * den))
+                    for lo, hi in box), den
+
+
+def barycenter(p: Polytope, face: Optional[Face] = None) -> Vector:
+    """Average of the vertices of the polytope, or of one of its faces."""
+    ids = range(len(p.vertices)) if face is None else face.vertex_ids
+    pts = [p.vertices[i] for i in ids]
+    return tuple(sum(q[i] for q in pts) / len(pts) for i in range(p.dim))
 
 
 def satisfied_scaled(h: Halfspace, nums: Sequence[int], den: int) -> bool:

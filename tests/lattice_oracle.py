@@ -13,10 +13,11 @@ from math import ceil, floor
 
 from conedec.linalg import IntVector
 from conedec.polyhedra import Polytope
+from indicator_oracle import satisfied
 
 
 def lattice_points(p: Polytope) -> list[IntVector]:
     """All integer points of the polytope, in lexicographic order."""
     ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in p.bounding_box()]
     return [pt for pt in product(*ranges)
-            if all(h.satisfied(pt) for h in p.facets)]
+            if all(satisfied(h, pt) for h in p.facets)]

@@ -1,13 +1,13 @@
 """Rational linear algebra that only the tests use.
 
-``determinant``, ``mat_vec``, ``mat_inverse`` and ``solve_linear`` lived
-in ``conedec.linalg`` until the program stopped calling them; they are
-kept here unchanged, as oracles: ``mat_inverse``'s primitive rows are what
-the duals ``linalg.dual_basis`` must return, the parallelepiped oracle
-walks its cells with them, and the triangulation oracle solves for its
-certificates with ``solve_linear``.  ``residue_box`` is the minor-gcd body
-``linalg.residue_box`` had before it read the Hermite normal form, the
-oracle for that form's diagonal.
+``determinant``, ``mat_vec``, ``mat_inverse``, ``solve_linear`` and
+``vsub`` lived in ``conedec.linalg`` until the program stopped calling
+them; they are kept here unchanged, as oracles: ``mat_inverse``'s
+primitive rows are what the duals ``linalg.dual_basis`` must return, the
+parallelepiped oracle walks its cells with them, and the triangulation
+oracle solves for its certificates with ``solve_linear``.
+``residue_box`` is the minor-gcd body ``linalg.residue_box`` had before it
+read the Hermite normal form, the oracle for that form's diagonal.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ from typing import Optional, Sequence
 
 from conedec.linalg import (DimensionError, IntVector, Vector, _bareiss,
                             _int_rows, dot, frac, integer_inverse)
+
+
+def vsub(u: Sequence, v: Sequence) -> Vector:
+    if len(u) != len(v):
+        raise DimensionError(f"vsub: {len(u)} vs {len(v)}")
+    return tuple(frac(a) - frac(b) for a, b in zip(u, v))
 
 
 def mat_vec(a: Sequence[Sequence], x: Sequence) -> Vector:

@@ -12,8 +12,8 @@ from itertools import product
 from math import ceil, floor
 from typing import Optional, Sequence
 
-from conedec.linalg import IntVector, rank, vec, vsub
-from linalg_oracle import mat_inverse, mat_vec, residue_box
+from conedec.linalg import IntVector, rank, vec
+from linalg_oracle import mat_inverse, mat_vec, residue_box, vsub
 
 
 def enumerate_parallelepiped(generators: Sequence[Sequence[int]],

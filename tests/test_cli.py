@@ -542,6 +542,20 @@ class TestBadInput:
         assert run.stderr.startswith("error: grid of ")
         assert float(run.stdout) < 1.0
 
+    def test_too_many_samples_is_input_error(self, tmp_path):
+        # 2·10⁷ samples would run for minutes; with the default box's 49
+        # grid points they exceed the budget and are refused before any point
+        unit = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+        run = self.run_capped_on(tmp_path, "unit", unit,
+                                 ["verify", "--identity", "gram",
+                                  "--samples", "20000000"], 1500 * 10 ** 6)
+        assert run.returncode == 2
+        assert run.stderr == (
+            "error: grid of 49 points and 20000000 samples (box [-1, 2] x "
+            "[-1, 2], step 1/2) exceeds the budget of "
+            f"{GRID_POINT_BUDGET}; use fewer --samples\n")
+        assert float(run.stdout) < 1.0
+
     @pytest.mark.parametrize("k", [9, 18])
     def test_oversized_cell_is_input_error(self, tmp_path, k):
         # Brion's cone at (0, 1) has index 10^k: refused before its walk

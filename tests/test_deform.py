@@ -10,8 +10,10 @@ import positive_conic_oracle
 import triangulation_oracle
 from conedec.cli import IDENTITIES, InputError, build_parser
 from conedec.corpus import build_corpus
-from conedec.deform import (LocalContribution, compatible_decomposition,
-                            compatible_from_dual, local_contribution,
+from conedec.deform import (CLOSED, EQUAL, FLIPPED, STRICT, LocalContribution,
+                            compatible_decomposition,
+                            compatible_from_dual, frame_piece,
+                            local_contribution,
                             local_contributions, nonsimple_decomposition,
                             normal_cone_rays, positive_conic_check,
                             seeded_dual_heights, simple_cone_frame, t_sigma,
@@ -19,8 +21,7 @@ from conedec.deform import (LocalContribution, compatible_decomposition,
 from conedec.indicators import (ONE, IndicatorSum, default_box, grid_points,
                                 indicator_of_polytope, tangent_cone_piece,
                                 verify_identity, verify_identity_exact)
-from conedec.linalg import (dot, kernel_basis, perturbed_key, primitive, rank,
-                            vsub)
+from conedec.linalg import dot, kernel_basis, perturbed_key, primitive, rank
 from conedec.polar import (SimplicityError, lv_decomposition,
                            rearrange_for_vertex)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
@@ -31,8 +32,9 @@ from conedec.triangulation import (half_open_inverses, pulling_triangulation,
 
 from conftest import seeded_generic_functionals
 from helpers import edges, flip_one_constraint, vertex_index
-from indicator_oracle import evaluate
-from linalg_oracle import determinant, mat_inverse, mat_vec
+from indicator_oracle import contains as oracle_contains
+from indicator_oracle import evaluate, satisfied
+from linalg_oracle import determinant, mat_inverse, mat_vec, vsub
 
 APEX_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
 BOX6 = [(Fraction(-6), Fraction(6))] * 3
@@ -351,6 +353,39 @@ class TestLocalContribution:
             local_contribution(pyramid_poly, 0, tri, (4, 2, 0))
 
 
+@st.composite
+def patterned_frames(draw):
+    """A simple cone's frame at a rational apex and a pattern per facet."""
+    dim = draw(st.integers(1, 4))
+    normals = draw(st.lists(st.lists(st.integers(-4, 4), min_size=dim,
+                                     max_size=dim).filter(any).map(primitive),
+                            min_size=dim, max_size=dim))
+    assume(rank(normals) == dim)
+    apex = draw(st.lists(st.builds(Fraction, st.integers(-30, 30),
+                                   st.integers(1, 12)),
+                         min_size=dim, max_size=dim))
+    pattern = draw(st.lists(st.sampled_from((CLOSED, STRICT, FLIPPED, EQUAL)),
+                            min_size=dim, max_size=dim))
+    return simple_cone_frame(apex, normals), pattern
+
+
+@given(patterned_frames())
+@settings(max_examples=150, deadline=None)
+def test_frame_piece_witness_lies_in_its_piece(case):
+    # frame_piece builds its witness and offsets from the apex scaled to
+    # integers; the Fraction witness apex + Σ ±rays[i] lies in the piece,
+    # and every constraint's hyperplane passes through the apex
+    frame, pattern = case
+    pc = frame_piece(frame, pattern)
+    w = frame.apex
+    for r, how in zip(frame.rays, pattern):
+        sign = {CLOSED: 1, STRICT: 1, FLIPPED: -1, EQUAL: 0}[how]
+        w = tuple(a + sign * b for a, b in zip(w, r))
+    assert oracle_contains(pc, w)
+    assert all(dot(h.normal, frame.apex) == h.offset for h in pc.constraints)
+    assert len(pc.constraints) == len(pattern) + pattern.count(EQUAL)
+
+
 class TestTSigma:
     def test_cells_are_simple_cones(self, pyramid_poly):
         tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
@@ -366,7 +401,7 @@ class TestTSigma:
         for nums, den in grid_points(BOX6, Fraction(1)):
             x = tuple(Fraction(n, den) for n in nums)
             lhs = all(c.contains(x) for c in cones)
-            rhs = all(h.satisfied(x) for h in tangent)
+            rhs = all(satisfied(h, x) for h in tangent)
             assert lhs == rhs, x
 
     def test_simple_vertex_single_cell_is_tangent_cone(self, pyramid_poly):

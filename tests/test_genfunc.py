@@ -22,7 +22,7 @@ from conedec.genfunc import (LISTED_POINT_BUDGET, RationalGF, _bernoulli,
                              make_term, specialize, zero_gf)
 from conedec.indicators import (gram_decomposition, lattice_runs,
                                 whole_space_piece)
-from conedec.linalg import residue_box, vsub
+from conedec.linalg import residue_box
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import (DegenerateInput, cone_facets, halfspace,
                                polytope_from_halfspaces,
@@ -34,7 +34,7 @@ import triangulation_oracle
 from conftest import seeded_generic_functionals
 from helpers import edge_directions, edges, vertex_index
 from lattice_oracle import lattice_points
-from linalg_oracle import determinant, mat_inverse, mat_vec
+from linalg_oracle import determinant, mat_inverse, mat_vec, vsub
 import parallelepiped_oracle
 import specialize_oracle
 

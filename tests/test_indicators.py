@@ -1,24 +1,27 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import indicator_oracle
 from conedec import indicators
 from conedec.indicators import (CELL_MEMO_CAP, GRID_POINT_BUDGET, Arrangement,
-                                IndicatorSum, ZPoly, default_box,
+                                IndicatorSum, LocallyClosedPiece, ZPoly,
+                                default_box,
                                 gram_decomposition, grid_points,
                                 indicator_of_interior, indicator_of_polytope,
                                 piece, random_rational_points,
                                 verify_identity, verify_identity_exact,
                                 weighted_indicator, whole_space_piece)
+from conedec.linalg import DimensionError, dot
 from conedec.polyhedra import Halfspace, halfspace, polytope_from_vertices
-from indicator_oracle import evaluate
+from indicator_oracle import evaluate, satisfied
 
 SEG = polytope_from_vertices([(-3,), (5,)])
 ONE = ZPoly.const(1)
@@ -86,7 +89,7 @@ class TestPieces:
         assert all(piece(3, pc.constraints) == pc for _c, pc in cut.terms)
         for nums, den in grid_points(default_box(pyramid_poly), Fraction(1, 2)):
             x = tuple(Fraction(n, den) for n in nums)
-            inside = all(h.satisfied(x) for h in rows)
+            inside = all(satisfied(h, x) for h in rows)
             assert evaluate(cut, x) == (evaluate(s, x) if inside else ZPoly())
 
     def test_scaled_membership_agrees(self, corpus):
@@ -554,3 +557,96 @@ class TestAgainstOracle:
                 assert rep.success, entry.name
         assert empty and all(len(rows) == 1 and rows[0].strict
                              for rows in empty)
+
+
+def rationals(max_den):
+    return st.builds(Fraction, st.integers(-40, 40), st.integers(1, max_den))
+
+
+@st.composite
+def pieces_and_points(draw):
+    """A piece of closed and strict rows with offsets over denominators up to
+    10⁶, and points: some on a row's hyperplane, some anywhere."""
+    dim = draw(st.integers(1, 3))
+    normals = st.lists(st.integers(-5, 5), min_size=dim,
+                       max_size=dim).filter(any)
+    offsets = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                        st.integers(1, 10 ** 6))
+    rows = draw(st.lists(st.builds(halfspace, normals, offsets, st.booleans()),
+                         min_size=1, max_size=5))
+    points = draw(st.lists(st.lists(rationals(10 ** 6), min_size=dim,
+                                    max_size=dim), min_size=1, max_size=4))
+    for h in rows:  # move a coordinate so the point lies on h's hyperplane
+        x = list(draw(st.sampled_from(points)))
+        k = next(i for i, a in enumerate(h.normal) if a)
+        x[k] = 0
+        x[k] = (h.offset - dot(h.normal, x)) / h.normal[k]
+        points.append(x)
+    return LocallyClosedPiece(dim, tuple(rows)), points
+
+
+class TestIntegerPoints:
+    """Points are scaled once to integers nums/den and tested against integer
+    rows; the results are those of the Fraction bodies they replaced
+    (tests/indicator_oracle.py)."""
+
+    @given(pieces_and_points())
+    @settings(max_examples=200, deadline=None)
+    def test_contains_matches_the_fraction_test(self, case):
+        pc, points = case
+        for x in points:
+            assert pc.contains(x) == indicator_oracle.contains(pc, x)
+            den = lcm(*(c.denominator for c in x))
+            nums = [c.numerator * (den // c.denominator) for c in x]
+            for h in pc.constraints:
+                s = dot(h.normal, x) - h.offset
+                assert h.side(nums, den) == (s > 0) - (s < 0)
+
+    def test_contains_refuses_a_point_of_another_dimension(self):
+        pc = piece(2, [halfspace((1, 0), 0)])
+        with pytest.raises(DimensionError):
+            pc.contains((1,))
+
+    @given(st.lists(st.tuples(rationals(12), rationals(12)), min_size=1,
+                    max_size=3),
+           st.integers(0, 2 ** 32), st.integers(0, 40))
+    @example([(Fraction(1, 3), Fraction(2, 5))], 0, 40)
+    @example([(Fraction(1, 3), Fraction(1, 3)), (0, 5)], 7, 40)
+    @settings(max_examples=200, deadline=None)
+    def test_sampler_yields_the_fraction_stream(self, box, seed, count):
+        # unsorted axes make empty boxes, which yield nothing on both sides
+        assert (list(random_rational_points(box, count, seed))
+                == list(indicator_oracle.random_rational_points(box, count,
+                                                                seed)))
+
+    def test_sampler_raises_the_denominator(self):
+        # [1/3, 2/5] holds no multiple of 1/den for den = 1, 2 or 4, which
+        # are raised to 3, 6 and 12; it holds 1/3, 2/5 and 2/6
+        dens = {den for _nums, den in random_rational_points(
+            [(Fraction(1, 3), Fraction(2, 5))], 200, 0)}
+        assert dens == {3, 5, 6, 12}
+
+    def test_samples_count_against_the_grid_budget(self):
+        box = [(0, 9)]  # 10 grid points at step 1
+        assert next(grid_points(box, 1, GRID_POINT_BUDGET - 10)) == ((0,), 1)
+        with pytest.raises(ValueError) as exc:
+            grid_points(box, 1, GRID_POINT_BUDGET - 9)
+        assert str(exc.value) == (
+            f"grid of 10 points and {GRID_POINT_BUDGET - 9} samples (box "
+            f"[0, 9], step 1) exceeds the budget of {GRID_POINT_BUDGET}; "
+            "use fewer --samples")
+        # an oversized grid keeps its own message, whatever the samples
+        with pytest.raises(ValueError, match=r"^grid of 1000000000000000001 "
+                           r"points \(box"):
+            grid_points([(0, 10 ** 18)], 1, 5)
+
+    def test_verify_refuses_too_many_samples_before_any_point(self,
+                                                              monkeypatch):
+        drawn = []
+        monkeypatch.setattr(indicators, "random_rational_points",
+                            lambda *args: drawn.append(args) or iter(()))
+        s = indicator_of_polytope(SEG)
+        t = time.perf_counter()
+        with pytest.raises(ValueError, match="samples"):
+            verify_identity(s, s, default_box(SEG), 1, GRID_POINT_BUDGET)
+        assert time.perf_counter() - t < 1.0 and not drawn

@@ -12,7 +12,7 @@ from conedec.deform import normal_cone_rays
 from conedec.genfunc import _piece_cone, gf_of_piece, zero_gf
 from conedec.indicators import piece, tangent_cone_piece, whole_space_piece
 from conedec.linalg import (DimensionError, dot, idot, kernel_basis,
-                            primitive, rank, vsub)
+                            primitive, rank)
 from conedec.polar import is_generic
 from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                center_at_barycenter, cone_facets, halfspace,
@@ -21,7 +21,9 @@ from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                polytope_from_vertices)
 
 from helpers import edge_directions, edges, polar_dual, vertex_index
-from linalg_oracle import determinant
+from indicator_oracle import barycenter as barycenter_oracle
+from indicator_oracle import satisfied
+from linalg_oracle import determinant, vsub
 
 PYRAMID_VERTICES = [(0, 0, 0), (1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
 
@@ -214,6 +216,16 @@ class TestCorpusInvariants:
                         tight &= {j for j, v in enumerate(p.vertices)
                                   if dot(h.normal, v) == h.offset}
                     assert tight == set(f.vertex_ids), entry.name
+
+    def test_barycenter_is_the_fraction_mean(self, corpus):
+        # from the vertices scaled once to integers; the oracle averages them
+        # in Fraction, on the polytope and on each of its faces
+        for entry, p in corpus:
+            for q in (p, center_at_barycenter(p)[0]):
+                for f in (None, *q.faces):
+                    got = q.barycenter(f)
+                    assert got == barycenter_oracle(q, f), entry.name
+                    assert all(type(c) is Fraction for c in got), entry.name
 
     def test_simplicity_tags(self, corpus):
         for entry, p in corpus:
@@ -456,8 +468,8 @@ class TestHalfspaceCanonicalization:
         h = halfspace((1, 0), 2)
         c = h.complement()
         assert c.normal == (-1, 0) and c.offset == -2 and c.strict
-        assert not h.satisfied((1, 0)) and c.satisfied((1, 0))
-        assert h.satisfied((2, 0)) and not c.satisfied((2, 0))
+        assert not satisfied(h, (1, 0)) and satisfied(c, (1, 0))
+        assert satisfied(h, (2, 0)) and not satisfied(c, (2, 0))
 
     def test_zero_normal_rejected(self):
         for normal in ((0, Fraction(0)), (0, 0)):
