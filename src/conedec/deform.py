@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, piece, verify_identity_exact)
-from .linalg import (IntVector, Vector, _scaled, dot, dual_basis, frac,
+from .linalg import (IntVector, Vector, _scaled, dual_basis, frac, idot,
                      primitive, vec, vec_str)
 from .polyhedra import DegenerateInput, Halfspace, Polytope
 from .triangulation import (LiftedTriangulation, regular_triangulation,
@@ -259,14 +259,15 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
     reports = []
     for lc in contribs.values() if isinstance(contribs, dict) else contribs:
         v, below, flat = lc.vertex, IndicatorSum(d, ()), []
+        q, (a,) = _scaled([v])  # v = a/q
         for h in (h for _c, pc in lc.sum.terms for h in pc.constraints):
-            if dot(h.normal, v) != h.offset:
+            if h.side(a, q):
                 raise ValueError(
                     f"the contribution at vertex {lc.vertex_id} is not conic: "
                     f"{vec_str(h.normal)}·x {'>' if h.strict else '≥'} "
                     f"{h.offset} is not tight at {vec_str(v)}")
         for n in (xi, *axes):  # perturbed_key's entries: N₀, N₁, …, N_d
-            c, neg = dot(n, v), tuple(-a for a in n)
+            c, neg = Fraction(idot(n, a), q), tuple(-x for x in n)
             below += lc.sum.restrict(flat + [Halfspace(neg, -c, True)])
             flat += [Halfspace(n, c), Halfspace(neg, -c)]
         reports.append(verify_identity_exact(

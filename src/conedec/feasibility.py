@@ -11,9 +11,9 @@ projections onto x₁..x_j, j = d..1, each keeping one row per normal
 whose normal vanishes is decided at once.  `project` extends levels by new
 rows, combining only those and the rows they derive, so a search branch
 extends its parent's projection.  `witness` back-substitutes each x_k from
-the interval the projection onto x₁..x_k leaves it.  That interval depends
-only on the solution set, so levels built in one shot, row by row or in any
-order give the same point.
+the interval the projection onto x₁..x_k leaves it; it returns the point as
+integers (nums, den).  That interval depends only on the solution set, so
+levels built in one shot, row by row or in any order give the same point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .polyhedra import Halfspace, binds
 
@@ -89,9 +89,10 @@ def _sharpest(table: dict, nums: list[int], den: int):
     return best and (Fraction(best[0], best[1] * den), best[2])
 
 
-def witness(levels: Levels) -> tuple[Fraction, ...]:
+def witness(levels: Levels) -> tuple[tuple[int, ...], int]:
     """The point back-substitution picks in the set that nonempty levels
-    describe: each x_k is the midpoint of its interval, its one endpoint
+    describe, as (nums, den) for nums/den, den the lcm of the coordinates'
+    denominators: each x_k is the midpoint of its interval, its one endpoint
     (moved by 1 when open), or 0 when the interval is the whole line."""
     nums, den = [], 1  # the point so far is nums / den
     for lows, ups in levels:
@@ -107,12 +108,4 @@ def witness(levels: Levels) -> tuple[Fraction, ...]:
             x = Fraction(0)
         scale = lcm(den, x.denominator)
         nums, den = [v * (scale // den) for v in nums] + [int(x * scale)], scale
-    return tuple(Fraction(v, den) for v in nums)
-
-
-def feasible_point(system: Sequence[Halfspace], dim: int
-                   ) -> Optional[tuple[Fraction, ...]]:
-    """Exact rational point in every halfspace of the system, or None if
-    their intersection is empty."""
-    levels = project((), system, dim)
-    return None if levels is None else witness(levels)
+    return tuple(nums), den

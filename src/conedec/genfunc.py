@@ -21,8 +21,8 @@ from operator import add, mul, sub
 from typing import Collection, Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece, lattice_runs
-from .linalg import (IntVector, _scaled, dual_basis, frac, idot, primitive,
-                     rank, residue_box, vec, vec_str)
+from .linalg import (DimensionError, IntVector, _scaled, dual_basis, frac,
+                     idot, primitive, rank, residue_box, vec, vec_str)
 from .polyhedra import Polytope, homogenized_rays
 from .triangulation import half_open_inverses, pulling_triangulation
 
@@ -104,14 +104,18 @@ def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
     ⌈λ_i(r)⌉ − 1 on an open facet), with λ(r) = n/s for n, s in ``int``.
     The box is walked in columns along its longest side, on which n_i grows
     by a fixed step: each k_i, then each coordinate, is built a whole column
-    at a time, with no dot product per point.  There must be d flags.  A
-    cell of index over LISTED_POINT_BUDGET is refused before it is walked.
+    at a time, with no dot product per point.  There must be d flags and
+    d apex coordinates.  A cell of index over LISTED_POINT_BUDGET is refused
+    before it is walked.
     ``inverse``: the (det, adj) of the ``int`` generators, if the caller has it.
     """
     gens = [_ints(g, "generators") for g in generators]
     d = len(gens[0])
     cols = tuple(zip(*gens))  # generator matrix: column i is generator i
     det, adj = inverse or dual_basis(gens)[0]
+    if len(apex) != d:
+        raise DimensionError(f"apex {vec_str(apex)} of dimension {len(apex)} "
+                             f"for generators of dimension {d}")
     _check_cell(det, apex)
     box = residue_box(cols)
     if prod(box) != abs(det):

@@ -19,8 +19,8 @@ from math import ceil, floor, gcd, prod
 from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
-from .feasibility import feasible_point, project, witness
-from .linalg import DimensionError, _scaled, frac, vec
+from .feasibility import project, witness
+from .linalg import DimensionError, _scaled, frac, vec, vec_str
 from .polyhedra import Face, Halfspace, Polytope, binding
 
 
@@ -148,16 +148,27 @@ def piece(dim: int, constraints: Iterable[Halfspace],
 
     Duplicate constraints are removed and parallel constraints collapse to
     the binding one.  Nonemptiness is certified either by the supplied
-    witness or by exact feasibility search.
+    witness or by exact feasibility search.  A constraint of another
+    dimension is refused.
     """
     canon = tuple(sorted(binding(constraints)))
+    _check_rows(canon, dim, "piece")
     pc = LocallyClosedPiece(dim, canon)
     if witness is not None:
         if not pc.contains(witness):
             raise ValueError(f"piece witness {witness} not inside the piece")
-    elif feasible_point(canon, dim) is None:
+    elif project((), canon, dim) is None:
         raise ValueError("piece is empty")
     return pc
+
+
+def _check_rows(rows: Sequence[Halfspace], dim: int, what: str) -> None:
+    for h in rows:
+        if len(h.normal) != dim:
+            raise DimensionError(
+                f"constraint {vec_str(h.normal)}·x {'>' if h.strict else '≥'} "
+                f"{h.offset} of dimension {len(h.normal)} on a {what} of "
+                f"dimension {dim}")
 
 
 def whole_space_piece(dim: int) -> LocallyClosedPiece:
@@ -190,13 +201,15 @@ class IndicatorSum:
 
     def restrict(self, rows: Iterable[Halfspace]) -> "IndicatorSum":
         """The sum times the indicator of the rows: each piece cut by them,
-        canonical as `piece` makes it, and the empty cuts dropped."""
+        canonical as `piece` makes it, and the empty cuts dropped.  A row
+        of another dimension is refused."""
         rows = tuple(rows)
+        _check_rows(rows, self.dim, "sum")
         cuts = [(c, tuple(sorted(binding(pc.constraints + rows))))
                 for c, pc in self.terms]
         return IndicatorSum(self.dim, tuple(
             (c, LocallyClosedPiece(self.dim, cons)) for c, cons in cuts
-            if feasible_point(cons, self.dim) is not None))
+            if project((), cons, self.dim) is not None))
 
 
 def indicator_of_polytope(p: Polytope) -> IndicatorSum:
@@ -262,9 +275,13 @@ class Arrangement:
     A piece contains a point iff the point lies on the side of each plane
     that the piece's constraint there asks for, so every sum is constant on
     each cell of the arrangement and one evaluation per cell decides it.
+    Sums of different dimensions are refused.
     """
 
     def __init__(self, sums: Sequence[IndicatorSum]):
+        if len({s.dim for s in sums}) > 1:
+            raise DimensionError("sums of dimensions "
+                                 f"{', '.join(str(s.dim) for s in sums)}")
         index: dict[tuple, int] = {}  # (normal, offset) -> plane
         zero = (0,) * (sums[0].dim if sums else 0)
         # each sum as (coefficients, requirements) terms; a requirement
@@ -489,7 +506,8 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
     sides' values, which are kept for the last CELL_MEMO_CAP cells met.
     Every point checked is drawn from grid_points or random_rational_points
     (a run reads its first point and passes over the rest), so the items
-    those two yield count the points checked.
+    those two yield count the points checked.  A box of another dimension
+    than the sums is refused.
     """
     t0 = time.monotonic()
     step = frac(step)
@@ -500,18 +518,23 @@ def verify_identity(lhs: IndicatorSum, rhs: IndicatorSum, box: Box,
         "seed": seed,
     }
     cells = Arrangement((lhs, rhs))
-    values = lru_cache(CELL_MEMO_CAP)(cells.values)
+    if len(box) != lhs.dim:
+        raise DimensionError(f"box of dimension {len(box)} for sums of "
+                             f"dimension {lhs.dim}")
     checked = 0
+
+    @lru_cache(CELL_MEMO_CAP)
+    def mismatch(key):  # both sides' values on a cell, None where equal
+        a, b = cells.values(key)
+        return None if a == b else (a, b)
 
     def run(points, runs) -> Optional[dict]:
         nonlocal checked
         for _prefix, _j, length, key in runs:
             nums, den = next(points)
-            a, b = values(key)
-            if a != b:
+            if (ab := mismatch(key)) is not None:
                 checked += 1
-                pt = [str(Fraction(n, den)) for n in nums]
-                return {"point": pt, "lhs": repr(a), "rhs": repr(b)}
+                return _counterexample(nums, den, *ab)
             checked += length
             if length > 1:  # pass over the run's other points
                 next(islice(points, length - 1, length - 1), None)
@@ -566,8 +589,7 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
         a, b = values
         if a == b:
             return None
-        w = witness(project(levels, rows, dim))  # the canonical witness
-        return {"point": [str(c) for c in w], "lhs": repr(a), "rhs": repr(b)}
+        return _counterexample(*witness(project(levels, rows, dim)), a, b)
 
     bad = check(cells.values(()), (), []) if last < 0 else None
     # (sign vector so far, levels, rows not yet projected, the normals of
@@ -590,8 +612,7 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
                            basis + (eq,) if side == 0 else basis, w)}
             for s in ((1, -1) if side == 0 else (-side,)):
                 if (lv := project(levels, sides[k][s], dim)) is not None:
-                    den, (nums,) = _scaled([witness(lv) if inner else ()])
-                    kids[s] = (lv, [], basis, (nums, den) if inner else None)
+                    kids[s] = (lv, [], basis, witness(lv) if inner else None)
             if side and -side in kids:  # between two strict points
                 u = kids[-side][3]
                 kids[0] = (levels, sides[k][0], basis + (eq,),
@@ -605,6 +626,12 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
                 break
     return VerificationReport(name, {"mode": "exact-cells"}, checked,
                               bad is None, bad, time.monotonic() - t0)
+
+
+def _counterexample(nums: Sequence[int], den: int, a, b) -> dict:
+    """A mismatch's report: the point nums/den and both sides' values."""
+    pt = [str(Fraction(n, den)) for n in nums]
+    return {"point": pt, "lhs": repr(a), "rhs": repr(b)}
 
 
 def _reduce(basis: tuple, normal: Sequence[int]) -> Optional[tuple]:

@@ -23,8 +23,7 @@ from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, SimpleConeFrame,
                      normal_cone_rays, polarized_piece, simple_cone_frame)
 from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
                          tangent_cone_piece, whole_space_piece)
-from .linalg import (DimensionError, dot, dual_basis, idot, perturbed_key,
-                     vec_str)
+from .linalg import DimensionError, dual_basis, idot, perturbed_key, vec_str
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
 
@@ -58,7 +57,7 @@ def polarization(p: Polytope, vid: int, xi: Sequence) -> SimpleConeFrame:
                               f"in dim {p.dim}")
     paired = set()
     for t in dirs:
-        hits = [i for i, n in enumerate(frame.normals) if dot(n, t) != 0]
+        hits = [i for i, n in enumerate(frame.normals) if idot(n, t) != 0]
         if len(hits) != 1 or frame.rays[hits[0]] != t:
             raise AssertionError(f"edge direction {t} at vertex {vec_str(v)} "
                                  "is not the ray off a single tight facet")

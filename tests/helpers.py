@@ -1,12 +1,14 @@
 """Test-only helpers: vertex lookup, the polar dual, a deliberately
-corrupted local contribution, the CLI parser's option choices, and the
-JSON writer and readers that only tests use."""
+corrupted local contribution, the CLI parser's option choices, the JSON
+writer and readers that only tests use, and a system's Fourier–Motzkin
+witness as a ``Fraction`` point."""
 
 import argparse
 from fractions import Fraction
 
 from conedec.cli import build_parser
 from conedec.deform import LocalContribution
+from conedec.feasibility import project, witness
 from conedec.genfunc import RationalGF, make_term
 from conedec.indicators import IndicatorSum, LocallyClosedPiece, ZPoly
 from conedec.jsonio import rat_str
@@ -65,6 +67,16 @@ def flip_one_constraint(lc: LocalContribution, term_index: int = 0,
     terms[term_index] = (coeff, LocallyClosedPiece(pc.dim, tuple(sorted(cons))))
     return LocalContribution(lc.vertex_id, lc.vertex, lc.xi, lc.cell_indices,
                              IndicatorSum(lc.sum.dim, tuple(terms)))
+
+
+def feasible_point(system, dim: int):
+    """The witness of a system of ``Halfspace`` rows as a ``Fraction``
+    point, or None when the system is empty."""
+    levels = project((), system, dim)
+    if levels is None:
+        return None
+    nums, den = witness(levels)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def option_choices(command: str, option: str) -> list:

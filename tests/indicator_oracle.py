@@ -22,11 +22,11 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
-from conedec.feasibility import feasible_point
 from conedec.indicators import (Box, IndicatorSum, LocallyClosedPiece,
                                 VerificationReport, ZPoly, grid_points)
 from conedec.linalg import Vector, dot, frac, vec
 from conedec.polyhedra import Face, Halfspace, Polytope
+from helpers import feasible_point
 
 
 def satisfied(h: Halfspace, x: Sequence) -> bool:

@@ -59,7 +59,7 @@ def _piece_direction_probes(pc, v: Vector, xi: IntVector) -> list[IntVector]:
                               for h in pc.constraints], dim)
     decrease = Halfspace(tuple(-a for a in xi), Fraction(1))
     for lv in (levels, levels and project(levels, [decrease], dim)):
-        if lv is not None and any(t := witness(lv)):
+        if lv is not None and any(t := witness(lv)[0]):  # t = nums
             probes.append(primitive(t))
     return probes
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fm_oracle
 from indicator_oracle import satisfied
-from conedec.feasibility import feasible_point, project, witness
+from conedec.feasibility import project, witness
 from conedec.polyhedra import Halfspace, halfspace
+from helpers import feasible_point
 
 F = Fraction
 
@@ -95,14 +97,29 @@ def test_matches_triple_oracle(system):
             == fm_oracle.feasible_point(triples, dim))
 
 
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_witness_is_the_oracle_point_over_its_lcm(system):
+    dim, rows = system
+    triples = [(tuple(F(a) for a in n), F(off), s) for n, off, s in rows]
+    want = fm_oracle.feasible_point(triples, dim)
+    levels = project((), [con(n, off, s) for n, off, s in rows], dim)
+    assert (levels is None) == (want is None)
+    if want is not None:
+        den = lcm(*(x.denominator for x in want))
+        assert witness(levels) == (tuple(int(x * den) for x in want), den)
+
+
 def solve_in_chunks(rows, dim, cuts):
-    """Witness of rows added to the levels one chunk at a time."""
+    """Witness of rows added to the levels one chunk at a time, as a
+    ``Fraction`` point."""
     levels = ()
     for lo, hi in zip((0,) + cuts, cuts + (len(rows),)):
         levels = project(levels, rows[lo:hi], dim)
         if levels is None:
             return None
-    return witness(project(levels, [], dim))
+    nums, den = witness(project(levels, [], dim))
+    return tuple(F(n, den) for n in nums)
 
 
 @given(systems(), st.data())

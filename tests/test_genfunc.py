@@ -22,7 +22,7 @@ from conedec.genfunc import (LISTED_POINT_BUDGET, RationalGF, _bernoulli,
                              make_term, specialize, zero_gf)
 from conedec.indicators import (gram_decomposition, lattice_runs,
                                 whole_space_piece)
-from conedec.linalg import residue_box
+from conedec.linalg import DimensionError, residue_box
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import (DegenerateInput, cone_facets, halfspace,
                                polytope_from_halfspaces,
@@ -85,6 +85,11 @@ class TestParallelepiped:
 
     def test_open_flag_1d(self):
         assert enumerate_parallelepiped([(1,)], (0,), [True]) == [(1,)]
+
+    def test_apex_of_another_dimension_refused(self):
+        with pytest.raises(DimensionError, match=r"apex \(0, 0, 5\) of "
+                           "dimension 3 for generators of dimension 2"):
+            enumerate_parallelepiped([(1, 0), (0, 2)], (0, 0, 5))
 
     def test_matches_brute_oracle(self):
         cases = [
@@ -215,6 +220,10 @@ class TestSimplicialConeGF:
     def test_orthant(self):
         g = gf_simplicial_cone((0, 0), [(1, 0), (0, 1)])
         assert g.terms == (make_term(1, [(0, 0)], [(1, 0), (0, 1)]),)
+
+    def test_apex_of_another_dimension_refused(self):
+        with pytest.raises(DimensionError, match=r"apex \(0\) of dimension 1"):
+            gf_simplicial_cone((0,), [(1, 0), (0, 1)])
 
     def test_numerator_count_is_det(self):
         g = gf_simplicial_cone((0, 0), [(1, 1), (1, -2)])

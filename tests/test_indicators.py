@@ -80,6 +80,17 @@ class TestPieces:
         pc = piece(1, [halfspace((1,), 0), halfspace((1,), 2)])
         assert pc.constraints == (Halfspace((1,), Fraction(2)),)
 
+    def test_piece_refuses_a_constraint_of_another_dimension(self):
+        with pytest.raises(DimensionError, match=r"constraint \(1\)·x ≥ 0 "
+                           "of dimension 1 on a piece of dimension 2"):
+            piece(2, [halfspace((1,), 0)])
+
+    def test_restrict_refuses_a_row_of_another_dimension(self):
+        s = indicator(2, halfspace((1, 0), 0))
+        with pytest.raises(DimensionError, match=r"constraint \(0, 0, 1\)·x "
+                           "> 3 of dimension 3 on a sum of dimension 2"):
+            s.restrict([halfspace((1, 0), 1), halfspace((0, 0, 1), 3, True)])
+
     def test_restrict_cuts_each_piece_and_drops_empty_cuts(self, pyramid_poly):
         # the relative interiors of the faces on x₁ ≤ 0 or x₂ ≥ 1 are cut away
         s = weighted_indicator(pyramid_poly)
@@ -165,6 +176,21 @@ class TestVerifyIdentity:
         rep = verify_identity(s, s, default_box(SEG), Fraction(1, 2), 10, 0)
         # box [-4, 6] at step 1/2 has 21 grid points, plus the random ones
         assert rep.success and rep.points_checked == 21 + 10
+
+    def test_exact_cells_refuse_sums_of_different_dimensions(self):
+        lhs = indicator(2, halfspace((1, 0), 0))
+        rhs = indicator(1, halfspace((1,), 0))
+        with pytest.raises(DimensionError, match="sums of dimensions 2, 1"):
+            verify_identity_exact(lhs, rhs)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_grid_refuses_a_box_of_another_dimension(self, dim, monkeypatch):
+        # refused before any grid point is made
+        monkeypatch.setattr(indicators, "grid_points", None)
+        s = indicator(2, halfspace((1, 0), 0))
+        with pytest.raises(DimensionError, match=f"box of dimension {dim} "
+                           "for sums of dimension 2"):
+            verify_identity(s, s, [(Fraction(-1), Fraction(1))] * dim, 1)
 
     def test_mismatch_reported_at_first_grid_point(self):
         s01 = indicator(1, halfspace((1,), 0), halfspace((-1,), -1))
@@ -497,7 +523,8 @@ class TestAgainstOracle:
         # for a branch the parent's witness misses, against the oracle's one
         # feasible_point call per branch
         import conedec.indicators
-        from conedec.feasibility import feasible_point, witness
+        from conedec.feasibility import witness
+        from helpers import feasible_point
         solved, calls = [], []
 
         def counted_witness(levels):
