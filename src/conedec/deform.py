@@ -100,8 +100,7 @@ def frame_piece(frame: SimpleConeFrame, pattern: Sequence[str]
         else:
             cons.append(Halfspace(n, c, how == STRICT))
             witness = [w + q * x for w, x in zip(witness, r)]
-    return piece(len(apex), cons,
-                 witness=tuple(Fraction(w, q) for w in witness))
+    return piece(len(apex), cons, tuple(Fraction(w, q) for w in witness))
 
 
 def polarized_piece(frame: SimpleConeFrame) -> LocallyClosedPiece:

@@ -1,11 +1,12 @@
 """Exact feasibility of mixed strict/closed rational linear systems.
 
-A system is a sequence of canonical ``Halfspace`` rows ``normal·x ≥ offset``
-(``>`` when strict), decided by Fourier–Motzkin elimination: exponential in
-general, but the systems here are tiny (dimension ≤ 4), and it needs no
-numerics and gives an exact rational witness.  Rows are eliminated in
-integers (a primitive normal, an offset p/q, a strict flag), so combining
-two rows costs integer products and two gcds.  A system's *levels* are its
+Its two callers are ``IndicatorSum.restrict`` and ``verify_identity_exact``
+in ``indicators``; every piece is built from a point inside it.  A system is
+a sequence of canonical ``Halfspace`` rows ``normal·x ≥ offset`` (``>`` when
+strict), decided by Fourier–Motzkin elimination: exponential in general, but
+the systems here are tiny (dimension ≤ 4).  Rows are eliminated in integers
+(a primitive normal, an offset p/q, a strict flag), so combining two rows
+costs integer products and two gcds.  A system's *levels* are its
 projections onto x₁..x_j, j = d..1, each keeping one row per normal
 (`polyhedra.binds`) among those whose last variable is x_j; a combined row
 whose normal vanishes is decided at once.  `project` extends levels by new

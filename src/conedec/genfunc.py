@@ -68,7 +68,8 @@ class RationalGF:
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise DimensionError("generating functions of dimensions "
+                                 f"{self.dim} and {other.dim}")
         return RationalGF(self.dim, self.terms + other.terms)
 
     def __neg__(self) -> "RationalGF":

@@ -129,7 +129,7 @@ class LocallyClosedPiece:
 
     Constraints are kept in a canonical sorted, deduplicated form so that
     syntactic equality of pieces is meaningful.  Pieces are nonempty by
-    construction (checked with an exact feasibility witness).
+    construction: `piece` builds each from a point inside it.
     """
     dim: int
     constraints: tuple[Halfspace, ...]
@@ -143,22 +143,19 @@ class LocallyClosedPiece:
 
 
 def piece(dim: int, constraints: Iterable[Halfspace],
-          witness: Optional[Sequence] = None) -> LocallyClosedPiece:
-    """Canonicalize and validate a locally closed piece.
+          witness: Sequence) -> LocallyClosedPiece:
+    """Canonicalize a locally closed piece built from a point inside it.
 
     Duplicate constraints are removed and parallel constraints collapse to
-    the binding one.  Nonemptiness is certified either by the supplied
-    witness or by exact feasibility search.  A constraint of another
-    dimension is refused.
+    the binding one.  Every builder has a point inside at hand (an apex
+    moved along the rays, a barycenter, a vertex); a witness outside the
+    piece, or a constraint of another dimension, is refused.
     """
     canon = tuple(sorted(binding(constraints)))
     _check_rows(canon, dim, "piece")
     pc = LocallyClosedPiece(dim, canon)
-    if witness is not None:
-        if not pc.contains(witness):
-            raise ValueError(f"piece witness {witness} not inside the piece")
-    elif project((), canon, dim) is None:
-        raise ValueError("piece is empty")
+    if not pc.contains(witness):
+        raise ValueError(f"piece witness {witness} not inside the piece")
     return pc
 
 
@@ -187,7 +184,8 @@ class IndicatorSum:
 
     def __add__(self, other: "IndicatorSum") -> "IndicatorSum":
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise DimensionError(f"sums of dimensions {self.dim} and "
+                                 f"{other.dim}")
         return IndicatorSum(self.dim, self.terms + other.terms)
 
     def substitute(self, z_value: int) -> "IndicatorSum":
@@ -227,8 +225,7 @@ def tangent_cone_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
     polytope itself)."""
     if f.dim == p.dim:
         return whole_space_piece(p.dim)
-    return piece(p.dim, (p.facets[i] for i in f.facet_ids),
-                 witness=p.barycenter(f))
+    return piece(p.dim, (p.facets[i] for i in f.facet_ids), p.barycenter(f))
 
 
 def gram_decomposition(p: Polytope) -> IndicatorSum:

@@ -144,10 +144,11 @@ def _bareiss(m: list[list[int]], reduce: bool = False) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    if all(type(x) is int for r in rows for x in r):
-        return len(_bareiss([list(r) for r in rows])[0])
-    return len(_bareiss(_int_rows(rows))[0])
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows; a Fraction, float or bool is refused."""
+    if any(type(x) is not int for r in rows for x in r):
+        raise TypeError(f"rank: rows must be integers, got {rows!r}")
+    return len(_bareiss([list(r) for r in rows])[0])
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[Vector]:

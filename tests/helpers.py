@@ -1,10 +1,12 @@
 """Test-only helpers: vertex lookup, the polar dual, a deliberately
 corrupted local contribution, the CLI parser's option choices, the JSON
-writer and readers that only tests use, and a system's Fourier–Motzkin
-witness as a ``Fraction`` point."""
+writer and readers that only tests use, a system's Fourier–Motzkin
+witness as a ``Fraction`` point, and a rational matrix scaled to integer
+rows."""
 
 import argparse
 from fractions import Fraction
+from math import lcm
 
 from conedec.cli import build_parser
 from conedec.deform import LocalContribution
@@ -77,6 +79,13 @@ def feasible_point(system, dim: int):
         return None
     nums, den = witness(levels)
     return tuple(Fraction(n, den) for n in nums)
+
+
+def integer_rows(rows) -> list:
+    """Each row of a rational matrix times the lcm of its denominators:
+    integer rows of the same rank, as ``linalg.rank`` takes them."""
+    return [[int(x * q) for x in r] for r in map(vec, rows)
+            for q in (lcm(*(x.denominator for x in r)),)]
 
 
 def option_choices(command: str, option: str) -> list:

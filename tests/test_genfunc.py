@@ -475,6 +475,11 @@ class TestEquality:
         g2 = RationalGF(1, (make_term(2, [(0,)], [(1,)]),))
         assert not gf_equal_as_functions(g1, g2)
 
+    def test_sums_of_different_dimensions_are_refused(self):
+        with pytest.raises(DimensionError, match="^generating functions of "
+                           "dimensions 2 and 1$"):
+            RationalGF(2) + RationalGF(1)
+
     def test_segment_brion_vs_brute(self):
         assert gf_equal_as_functions(brion_gf(SEG), gf_brute_force(SEG))
 
@@ -495,7 +500,8 @@ class TestIndicatorImage:
         # faces of positive dimension contribute nothing
         from conedec.indicators import piece
         e = edges(pyramid_poly)[0]
-        pc = piece(3, (pyramid_poly.facets[i] for i in e.facet_ids))
+        pc = piece(3, (pyramid_poly.facets[i] for i in e.facet_ids),
+                   pyramid_poly.barycenter(e))
         assert gf_of_piece(pc).terms == ()
 
     @pytest.mark.parametrize("redundant", [(1, 1), (1, 1, 0), (1, 1, 1)])

@@ -21,6 +21,7 @@ from conedec.indicators import (CELL_MEMO_CAP, GRID_POINT_BUDGET, Arrangement,
                                 weighted_indicator, whole_space_piece)
 from conedec.linalg import DimensionError, dot
 from conedec.polyhedra import Halfspace, halfspace, polytope_from_vertices
+from helpers import feasible_point
 from indicator_oracle import evaluate, satisfied
 
 SEG = polytope_from_vertices([(-3,), (5,)])
@@ -28,7 +29,8 @@ ONE = ZPoly.const(1)
 
 
 def indicator(dim, *halfspaces):
-    return IndicatorSum(dim, ((ONE, piece(dim, halfspaces)),))
+    pc = piece(dim, halfspaces, feasible_point(halfspaces, dim))
+    return IndicatorSum(dim, ((ONE, pc),))
 
 
 class TestZPoly:
@@ -55,8 +57,8 @@ class TestEvaluate:
 
     def test_halfline_overlap_minus_line(self):
         s = IndicatorSum(1, (
-            (ONE, piece(1, [halfspace((1,), -3)])),
-            (ONE, piece(1, [halfspace((-1,), -5)])),
+            (ONE, piece(1, [halfspace((1,), -3)], (0,))),
+            (ONE, piece(1, [halfspace((-1,), -5)], (0,))),
             (-ONE, whole_space_piece(1)),
         ))
         assert evaluate(s, (0,)) == ONE
@@ -67,23 +69,43 @@ class TestEvaluate:
 
 
 class TestPieces:
-    def test_empty_piece_rejected(self):
-        with pytest.raises(ValueError):
-            piece(1, [halfspace((1,), 1), halfspace((-1,), 1)])
+    def test_empty_system_has_no_point(self):
+        assert feasible_point([halfspace((1,), 1), halfspace((-1,), 1)],
+                              1) is None
+        assert feasible_point([halfspace((1,), 0, True),
+                               halfspace((-1,), 0)], 1) is None
+
+    def test_piece_needs_its_witness(self):
+        with pytest.raises(TypeError):
+            piece(1, [halfspace((1,), 0)])
+
+    def test_witness_outside_the_piece_is_refused(self):
+        rows = [halfspace((1,), 1), halfspace((-1,), -3)]
+        assert piece(1, rows, (2,)).contains((3,))
+        for w in ((0,), (4,), (Fraction(1, 2),)):
+            with pytest.raises(ValueError, match="not inside the piece"):
+                piece(1, rows, w)
+        with pytest.raises(ValueError, match="not inside the piece"):
+            piece(1, [Halfspace((1,), Fraction(0), True)], (0,))
+
+    def test_sums_of_different_dimensions_are_refused(self):
+        with pytest.raises(DimensionError, match="^sums of dimensions 2 and "
+                           "1$"):
+            IndicatorSum(2) + IndicatorSum(1)
 
     def test_strict_boundary_is_exact(self):
-        pc = piece(1, [Halfspace((1,), Fraction(0), True)])
+        pc = piece(1, [Halfspace((1,), Fraction(0), True)], (1,))
         assert not pc.contains((0,))
         assert pc.contains((Fraction(1, 10**9),))
 
     def test_parallel_constraints_collapse(self):
-        pc = piece(1, [halfspace((1,), 0), halfspace((1,), 2)])
+        pc = piece(1, [halfspace((1,), 0), halfspace((1,), 2)], (2,))
         assert pc.constraints == (Halfspace((1,), Fraction(2)),)
 
     def test_piece_refuses_a_constraint_of_another_dimension(self):
         with pytest.raises(DimensionError, match=r"constraint \(1\)·x ≥ 0 "
                            "of dimension 1 on a piece of dimension 2"):
-            piece(2, [halfspace((1,), 0)])
+            piece(2, [halfspace((1,), 0)], (0, 0))
 
     def test_restrict_refuses_a_row_of_another_dimension(self):
         s = indicator(2, halfspace((1, 0), 0))
@@ -97,7 +119,9 @@ class TestPieces:
         rows = [halfspace((1, 0, 0), 0, True), halfspace((0, -1, 0), -1, True)]
         cut = s.restrict(rows)
         assert 0 < len(cut.terms) < len(s.terms)
-        assert all(piece(3, pc.constraints) == pc for _c, pc in cut.terms)
+        assert all(piece(3, pc.constraints,
+                         feasible_point(pc.constraints, 3)) == pc
+                   for _c, pc in cut.terms)
         for nums, den in grid_points(default_box(pyramid_poly), Fraction(1, 2)):
             x = tuple(Fraction(n, den) for n in nums)
             inside = all(satisfied(h, x) for h in rows)
@@ -267,7 +291,7 @@ class TestVerifyIdentity:
         # lines x = k and y = k for k < 16 cut the box into 33 × 33 cells,
         # nearly one per grid point and far more than the memo keeps
         walls = IndicatorSum(2, tuple(
-            (ONE, piece(2, [halfspace(n, k)]))
+            (ONE, piece(2, [halfspace(n, k)], tuple(k * a for a in n)))
             for k in range(16) for n in ((1, 0), (0, 1))))
         box = [(Fraction(-1), Fraction(16))] * 2
         assert 33 * 33 > 4 * CELL_MEMO_CAP
@@ -426,11 +450,10 @@ def identities(draw, max_dim=3, flat=False):
         for (c0, c1), rows in terms:
             cons = [halfspace(tuple(o * a for a in pool[i][0]),
                               o * pool[i][1], strict) for i, o, strict in rows]
-            try:
-                pc = piece(dim, cons)
-            except ValueError:  # an empty piece
+            if (w := feasible_point(cons, dim)) is None:  # an empty piece
                 continue
-            out.append((ZPoly.const(c0) + ZPoly.z_power(1) * c1, pc))
+            out.append((ZPoly.const(c0) + ZPoly.z_power(1) * c1,
+                        piece(dim, cons, w)))
         return IndicatorSum(dim, tuple(out))
 
     return dim, build(raw), build(other)
@@ -630,7 +653,7 @@ class TestIntegerPoints:
                 assert h.side(nums, den) == (s > 0) - (s < 0)
 
     def test_contains_refuses_a_point_of_another_dimension(self):
-        pc = piece(2, [halfspace((1, 0), 0)])
+        pc = piece(2, [halfspace((1, 0), 0)], (0, 0))
         with pytest.raises(DimensionError):
             pc.contains((1,))
 

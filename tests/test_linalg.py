@@ -11,6 +11,7 @@ from conedec.linalg import (DimensionError, dot, dual_basis, frac, hermite,
                             integer_inverse, kernel_basis, perturbed_key,
                             primitive, rank, residue_box)
 import linalg_oracle
+from helpers import integer_rows
 from linalg_oracle import determinant, mat_inverse, mat_vec, solve_linear
 
 
@@ -297,16 +298,23 @@ class TestAgainstReferenceElimination:
     @given(rational_matrices())
     @settings(max_examples=100, deadline=None)
     def test_rank(self, a):
-        assert rank(a) == len(_rref(a)[1])
+        assert rank(integer_rows(a)) == len(_rref(a)[1])
+
+    @pytest.mark.parametrize("entry", [Fraction(1), Fraction(1, 2), 1.0, True])
+    def test_rank_refuses_a_non_integer_entry(self, entry):
+        with pytest.raises(TypeError, match="^rank: rows must be integers"):
+            rank([[1, 0], [0, entry]])
 
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),
         min_size=1, max_size=5)))
     @settings(max_examples=100, deadline=None)
     def test_int_rows_take_the_same_answers(self, a):
-        # rank and primitive skip the Fraction round trip on int entries
+        # rank takes int rows as they are, and primitive skips the Fraction
+        # round trip on them
         as_fractions = [[Fraction(x) for x in r] for r in a]
-        assert rank(a) == rank(as_fractions) == len(_rref(as_fractions)[1])
+        assert rank(a) == rank(integer_rows(as_fractions)) == \
+            len(_rref(as_fractions)[1])
         for r, f in zip(a, as_fractions):
             if any(r):
                 assert primitive(r) == primitive(f)

@@ -20,7 +20,8 @@ from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                is_simple_vertex, polytope_from_halfspaces,
                                polytope_from_vertices)
 
-from helpers import edge_directions, edges, polar_dual, vertex_index
+from helpers import (edge_directions, edges, integer_rows, polar_dual,
+                     vertex_index)
 from indicator_oracle import barycenter as barycenter_oracle
 from indicator_oracle import satisfied
 from linalg_oracle import determinant, vsub
@@ -287,15 +288,17 @@ class TestTangentCone:
         assert lineality([], 2) == 2
         assert lineality([(1,)], 1) == 0
         # a piece whose closure holds a line has generating function zero
-        assert gf_of_piece(piece(2, [halfspace((1, 0), 0)])) == zero_gf(2)
+        assert gf_of_piece(piece(2, [halfspace((1, 0), 0)],
+                                 (0, 0))) == zero_gf(2)
         assert gf_of_piece(whole_space_piece(2)) == zero_gf(2)
-        assert gf_of_piece(piece(1, [halfspace((1,), 0)])) != zero_gf(1)
+        assert gf_of_piece(piece(1, [halfspace((1,), 0)], (0,))) != zero_gf(1)
 
 
 def fraction_affine_rank(points):
     """The oracle of every face's dim: the rank of the differences to the
-    first point, taken in ``Fraction``."""
-    return rank([vsub(q, points[0]) for q in points[1:]]) if points else 0
+    first point, taken in ``Fraction`` and scaled to integer rows."""
+    return rank(integer_rows(vsub(q, points[0]) for q in points[1:])
+                ) if points else 0
 
 
 @st.composite
