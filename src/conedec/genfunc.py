@@ -79,11 +79,6 @@ class RationalGF:
     def __sub__(self, other: "RationalGF") -> "RationalGF":
         return self + (-other)
 
-    def scaled(self, c) -> "RationalGF":
-        c = frac(c)
-        return RationalGF(self.dim, tuple(
-            GFTerm(c * t.coeff, t.numerators, t.denominators) for t in self.terms))
-
 
 def zero_gf(dim: int) -> RationalGF:
     return RationalGF(dim, ())
@@ -306,6 +301,9 @@ def specialize(gf: RationalGF, direction: Sequence[int], order: int
     set).
     """
     lam = _ints(direction, "the direction")
+    if len(lam) != gf.dim:
+        raise DimensionError(f"direction of length {len(lam)} for a "
+                             f"generating function of dimension {gf.dim}")
     max_pole = max((len(t.denominators) for t in gf.terms), default=0)
     series = []  # (first power of s, integer series, scale) per term
     for t in gf.terms:

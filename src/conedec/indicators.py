@@ -49,24 +49,7 @@ class ZPoly:
             out = out * ZPoly((1, -1))
         return out
 
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [0] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return ZPoly(_trim(cs))
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ZPoly":
-        if isinstance(other, int):
-            return ZPoly(_trim([c * other for c in self.coeffs]))
+    def __mul__(self, other: "ZPoly") -> "ZPoly":
         cs = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:
@@ -74,17 +57,12 @@ class ZPoly:
                     cs[i + j] += a * b
         return ZPoly(_trim(cs))
 
-    __rmul__ = __mul__
-
     def __call__(self, z) -> Fraction:
         z = frac(z)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def at_one(self) -> int:
         return sum(self.coeffs)

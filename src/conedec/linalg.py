@@ -1,9 +1,9 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers.
 
-Scalars are ``fractions.Fraction`` (always reduced, positive denominator,
-arbitrary precision), vectors are tuples of Fractions, matrices are tuples
-of row tuples.  Everything in this module is a pure function; nothing
-rounds, ever.
+``frac`` and ``vec`` coerce input (an int, a ``"p/q"`` string or a
+``Fraction``) to ``Fraction`` at the boundary; everything else runs in
+``int``, with matrices as tuples of row tuples, and ``kernel_basis`` is the
+last ``Fraction`` path.  Every function here is pure; nothing rounds, ever.
 """
 
 from __future__ import annotations
@@ -44,25 +44,9 @@ def vec(xs: Iterable) -> Vector:
     return tuple(frac(x) for x in xs)
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionError(f"dot: {len(u)} vs {len(v)}")
-    return sum((frac(a) * frac(b) for a, b in zip(u, v)), Fraction(0))
-
-
 def idot(u: Sequence[int], v: Sequence[int]) -> int:
     """Integer dot product (no coercion, hot path)."""
     return sum(a * b for a, b in zip(u, v))
-
-
-def vadd(u: Sequence, v: Sequence) -> Vector:
-    if len(u) != len(v):
-        raise DimensionError(f"vadd: {len(u)} vs {len(v)}")
-    return tuple(frac(a) + frac(b) for a, b in zip(u, v))
-
-
-def vneg(u: Sequence) -> Vector:
-    return tuple(-frac(a) for a in u)
 
 
 def vec_str(v: Sequence) -> str:

@@ -13,12 +13,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from .linalg import (DimensionError, IntVector, Vector, _scaled, dot, frac,
-                     idot, kernel_basis, primitive, rank, vadd, vec, vec_str,
-                     vneg)
+from .linalg import (DimensionError, IntVector, Vector, _scaled, frac, idot,
+                     kernel_basis, primitive, rank, vec, vec_str)
 
 
 # Most subsets one cone_facets call may walk (the 5-cube's V-to-H: C(32, 5))
@@ -166,6 +165,9 @@ class Polytope:
 
     def contains_interior(self, x: Sequence) -> bool:
         den, (nums,) = _scaled([vec(x)])
+        if len(nums) != self.dim:
+            raise DimensionError(f"point of dimension {len(nums)}, "
+                                 f"polytope of dimension {self.dim}")
         return all(h.side(nums, den) > 0 for h in self.facets)
 
     def vertex_edges(self, vid: int) -> tuple[tuple[IntVector, Face], ...]:
@@ -206,9 +208,12 @@ class Polytope:
 
     def translate(self, shift: Sequence) -> "Polytope":
         s = vec(shift)
-        verts = tuple(vadd(v, s) for v in self.vertices)
-        facets = tuple(Halfspace(h.normal, h.offset + dot(h.normal, s), h.strict)
-                       for h in self.facets)
+        if len(s) != self.dim:
+            raise DimensionError(f"shift of dimension {len(s)}, "
+                                 f"polytope of dimension {self.dim}")
+        verts = tuple(tuple(map(add, v, s)) for v in self.vertices)
+        facets = tuple(Halfspace(h.normal, h.offset + sum(map(mul, h.normal, s)),
+                                 h.strict) for h in self.facets)
         return Polytope(self.dim, verts, facets, self.faces)
 
     def __repr__(self) -> str:
@@ -346,5 +351,5 @@ def center_at_barycenter(p: Polytope) -> tuple[Polytope, Vector]:
     Returns the shifted polytope and the applied shift s (new = old + s), so
     results can be mapped back by translating by -s.
     """
-    s = vneg(p.barycenter())
+    s = tuple(-x for x in p.barycenter())
     return p.translate(s), s

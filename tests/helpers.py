@@ -1,8 +1,8 @@
 """Test-only helpers: vertex lookup, the polar dual, a deliberately
 corrupted local contribution, the CLI parser's option choices, the JSON
 writer and readers that only tests use, a system's Fourier–Motzkin
-witness as a ``Fraction`` point, and a rational matrix scaled to integer
-rows."""
+witness as a ``Fraction`` point, a rational matrix scaled to integer rows,
+and the ``Fraction`` dot product of the oracles."""
 
 import argparse
 from fractions import Fraction
@@ -14,9 +14,16 @@ from conedec.feasibility import project, witness
 from conedec.genfunc import RationalGF, make_term
 from conedec.indicators import IndicatorSum, LocallyClosedPiece, ZPoly
 from conedec.jsonio import rat_str
-from conedec.linalg import frac, vec, vneg
+from conedec.linalg import DimensionError, frac, vec
 from conedec.polyhedra import (DegenerateInput, Polytope, halfspace,
                                polytope_from_halfspaces)
+
+
+def dot(u, v) -> Fraction:
+    """⟨u, v⟩ of two rational vectors of the same length, in ``Fraction``."""
+    if len(u) != len(v):
+        raise DimensionError(f"dot: {len(u)} vs {len(v)}")
+    return sum((frac(a) * frac(b) for a, b in zip(u, v)), Fraction(0))
 
 
 def vertex_index(p: Polytope, point) -> int:
@@ -47,7 +54,8 @@ def polar_dual(p: Polytope) -> Polytope:
     if not p.contains_interior(origin):
         raise DegenerateInput("polar dual needs the origin strictly inside; "
                               "translate first (center_at_barycenter)")
-    dual_hs = [halfspace(vneg(v), Fraction(-1)) for v in p.vertices]
+    dual_hs = [halfspace(tuple(-x for x in v), Fraction(-1))
+               for v in p.vertices]
     dual = polytope_from_halfspaces(dual_hs)
     expected = {tuple(a / h.offset for a in h.normal) for h in p.facets}
     if set(dual.vertices) != expected or len(dual.facets) != len(p.vertices):

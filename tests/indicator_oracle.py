@@ -19,14 +19,15 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
 from conedec.indicators import (Box, IndicatorSum, LocallyClosedPiece,
                                 VerificationReport, ZPoly, grid_points)
-from conedec.linalg import Vector, dot, frac, vec
+from conedec.linalg import Vector, frac, vec
 from conedec.polyhedra import Face, Halfspace, Polytope
-from helpers import feasible_point
+from helpers import dot, feasible_point
 
 
 def satisfied(h: Halfspace, x: Sequence) -> bool:
@@ -81,11 +82,14 @@ def contains_scaled(pc: LocallyClosedPiece, nums: Sequence[int], den: int
 
 
 def evaluate_scaled(s: IndicatorSum, nums: Sequence[int], den: int):
-    acc = ZPoly(())
-    for coeff, pc in s.terms:
-        if contains_scaled(pc, nums, den):
-            acc = acc + coeff
-    return acc
+    """The value of s at nums/den: the weights of the pieces holding the
+    point, added coefficient by coefficient and trimmed."""
+    held = [coeff.coeffs for coeff, pc in s.terms
+            if contains_scaled(pc, nums, den)]
+    cs = [sum(col) for col in zip_longest(*held, fillvalue=0)]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return ZPoly(tuple(cs))
 
 
 def evaluate(s: IndicatorSum, x: Sequence):

@@ -18,7 +18,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from conedec.linalg import (DimensionError, IntVector, Vector, _bareiss,
-                            _int_rows, dot, frac, integer_inverse)
+                            _int_rows, frac, integer_inverse)
+from helpers import dot
 
 
 def vsub(u: Sequence, v: Sequence) -> Vector:

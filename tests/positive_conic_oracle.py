@@ -16,9 +16,9 @@ from typing import Sequence
 from conedec.deform import LocalContribution, as_functional
 from conedec.feasibility import project, witness
 from conedec.indicators import Arrangement
-from conedec.linalg import (IntVector, Vector, _scaled, dot, perturbed_key,
-                            primitive)
+from conedec.linalg import IntVector, Vector, _scaled, perturbed_key, primitive
 from conedec.polyhedra import Halfspace
+from helpers import dot
 
 
 @dataclass
@@ -119,7 +119,7 @@ def positive_conic_check(contribs: dict[int, LocalContribution] | Sequence,
                     "direction": list(t),
                     "values": [repr(x) for x in vals]})
                 continue
-            if perturbed_key(xi, t) < (0,) * (dim + 1) and not vals[1].is_zero():
+            if perturbed_key(xi, t) < (0,) * (dim + 1) and vals[1].coeffs:
                 violations.append({
                     "kind": "positive", "vertex": [str(c) for c in v],
                     "direction": list(t), "value": repr(vals[1])})

@@ -13,7 +13,8 @@ from math import factorial
 from typing import Sequence
 
 from conedec.genfunc import RationalGF, _bernoulli
-from conedec.linalg import dot, idot
+from conedec.linalg import idot
+from helpers import dot
 
 
 def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:

@@ -18,10 +18,11 @@ from conedec.deform import (CLOSED, EQUAL, FLIPPED, STRICT, LocalContribution,
                             normal_cone_rays, positive_conic_check,
                             seeded_dual_heights, simple_cone_frame, t_sigma,
                             vertex_triangulation)
-from conedec.indicators import (ONE, IndicatorSum, default_box, grid_points,
-                                indicator_of_polytope, tangent_cone_piece,
-                                verify_identity, verify_identity_exact)
-from conedec.linalg import dot, kernel_basis, perturbed_key, primitive, rank
+from conedec.indicators import (ONE, IndicatorSum, ZPoly, default_box,
+                                grid_points, indicator_of_polytope,
+                                tangent_cone_piece, verify_identity,
+                                verify_identity_exact)
+from conedec.linalg import kernel_basis, perturbed_key, primitive, rank
 from conedec.polar import (SimplicityError, lv_decomposition,
                            rearrange_for_vertex)
 from conedec.polyhedra import (DegenerateInput, center_at_barycenter,
@@ -31,7 +32,7 @@ from conedec.triangulation import (half_open_inverses, pulling_triangulation,
                                    regular_triangulation, seeded_heights)
 
 from conftest import seeded_generic_functionals
-from helpers import edges, flip_one_constraint, vertex_index
+from helpers import dot, edges, flip_one_constraint, vertex_index
 from indicator_oracle import contains as oracle_contains
 from indicator_oracle import evaluate, satisfied
 from linalg_oracle import determinant, mat_inverse, mat_vec, vsub
@@ -727,7 +728,7 @@ def positive_witness(reports, lc, xi):
     assert bad.identity == f"positive@v{lc.vertex_id}"
     x = tuple(Fraction(c) for c in bad.counterexample["point"])
     assert perturbed_key(lc.xi, vsub(x, lc.vertex)) < (0,) * (len(x) + 1)
-    assert not evaluate(lc.sum, x).is_zero()
+    assert evaluate(lc.sum, x) != ZPoly(())
     return x
 
 
@@ -775,7 +776,7 @@ class TestPositiveConic:
         x = positive_witness(positive_conic_check(bad, (1, 0)), bad[0], (1, 0))
         v = bad[0].vertex
         assert x[0] == v[0] and x[1] < v[1]
-        assert evaluate(contribs[0].sum, x).is_zero()
+        assert evaluate(contribs[0].sum, x) == ZPoly(())
 
     def test_piece_off_its_vertex_is_not_conic(self):
         sq = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])

@@ -13,7 +13,7 @@ from conedec.deform import nonsimple_decomposition
 import conedec.genfunc as genfunc
 import conedec.linalg as linalg
 import conedec.triangulation as triangulation
-from conedec.genfunc import (LISTED_POINT_BUDGET, RationalGF, _bernoulli,
+from conedec.genfunc import (LISTED_POINT_BUDGET, GFTerm, RationalGF, _bernoulli,
                              _series_mul, brion_gf,
                              brute_force_count, count_lattice_points,
                              enumerate_parallelepiped, gf_brute_force,
@@ -642,6 +642,14 @@ class TestSpecialize:
         with pytest.raises(TypeError, match="the direction must be integers"):
             specialize(cone, direction, 1)
 
+    @pytest.mark.parametrize("direction", [[1, 3, 5], [1]])
+    def test_direction_of_another_length_rejected(self, direction):
+        tri = polytope_from_vertices([(0, 0), (4, 0), (0, 4)])
+        with pytest.raises(DimensionError, match=f"^direction of length "
+                           f"{len(direction)} for a generating function of "
+                           "dimension 2$"):
+            specialize(brion_gf(tri), direction, 0)
+
     def test_errors_match_fraction_oracle(self):
         cone = gf_simplicial_cone((0, 0), [(1, 0), (1, 2)])
         for direction, match in (([0, 1], "degenerates denominator"),
@@ -662,6 +670,12 @@ def specialize_outcome(fn, gf, direction, order):
         return fn(gf, direction, order)
     except ValueError as exc:
         return "ValueError", str(exc)
+
+
+def scaled(gf, c):
+    """gf times the rational c, term by term."""
+    return RationalGF(gf.dim, tuple(
+        GFTerm(c * t.coeff, t.numerators, t.denominators) for t in gf.terms))
 
 
 @st.composite
@@ -685,12 +699,12 @@ def cone_sums(draw):
     for eps in subsets:
         shifted = [a + sum(e * g[i] for e, g in zip(eps, gens))
                    for i, a in enumerate(apex)]
-        acc = acc + gf_simplicial_cone(shifted, gens, flags).scaled(
-            (-1) ** sum(eps))
+        acc = acc + scaled(gf_simplicial_cone(shifted, gens, flags),
+                           (-1) ** sum(eps))
     scale = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6)
                  .filter(lambda c: c != 0))
     direction = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
-    return acc.scaled(scale), direction
+    return scaled(acc, scale), direction
 
 
 @given(cone_sums(), st.integers(0, 2))

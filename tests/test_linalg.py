@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conedec.linalg import (DimensionError, dot, dual_basis, frac, hermite,
+from conedec.linalg import (DimensionError, dual_basis, frac, hermite,
                             integer_inverse, kernel_basis, perturbed_key,
                             primitive, rank, residue_box)
 import linalg_oracle
-from helpers import integer_rows
+from helpers import dot, integer_rows
 from linalg_oracle import determinant, mat_inverse, mat_vec, solve_linear
 
 

@@ -11,8 +11,7 @@ from conedec import polyhedra
 from conedec.deform import normal_cone_rays
 from conedec.genfunc import _piece_cone, gf_of_piece, zero_gf
 from conedec.indicators import piece, tangent_cone_piece, whole_space_piece
-from conedec.linalg import (DimensionError, dot, idot, kernel_basis,
-                            primitive, rank)
+from conedec.linalg import DimensionError, idot, kernel_basis, primitive, rank
 from conedec.polar import is_generic
 from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                center_at_barycenter, cone_facets, halfspace,
@@ -20,7 +19,7 @@ from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                is_simple_vertex, polytope_from_halfspaces,
                                polytope_from_vertices)
 
-from helpers import (edge_directions, edges, integer_rows, polar_dual,
+from helpers import (dot, edge_directions, edges, integer_rows, polar_dual,
                      vertex_index)
 from indicator_oracle import barycenter as barycenter_oracle
 from indicator_oracle import satisfied
@@ -56,6 +55,21 @@ class TestFromVertices:
     def test_lower_dimensional_rejected(self):
         with pytest.raises(DegenerateInput):
             polytope_from_vertices([(0, 0), (1, 1), (2, 2)])
+
+    def test_point_of_another_dimension_is_refused(self):
+        tri = polytope_from_vertices([(0, 0), (4, 0), (0, 4)])
+        assert tri.contains_interior((1, 1))
+        for x in ((1, 1, 100), (1,)):
+            with pytest.raises(DimensionError, match=f"^point of dimension "
+                               f"{len(x)}, polytope of dimension 2$"):
+                tri.contains_interior(x)
+
+    def test_shift_of_another_dimension_is_refused(self):
+        tri = polytope_from_vertices([(0, 0), (4, 0), (0, 4)])
+        for s in ((1, 2, 3), (1,)):
+            with pytest.raises(DimensionError, match=f"^shift of dimension "
+                               f"{len(s)}, polytope of dimension 2$"):
+                tri.translate(s)
 
 
 class TestFromHalfspaces:
@@ -217,6 +231,17 @@ class TestCorpusInvariants:
                         tight &= {j for j, v in enumerate(p.vertices)
                                   if dot(h.normal, v) == h.offset}
                     assert tight == set(f.vertex_ids), entry.name
+
+    def test_translate_matches_the_hull_of_the_shifted_vertices(self, corpus):
+        shift = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2), Fraction(1))
+        for entry, p in corpus:
+            for s in (shift[:p.dim], center_at_barycenter(p)[1]):
+                moved = p.translate(s)
+                hull = polytope_from_vertices(
+                    [tuple(a + b for a, b in zip(v, s)) for v in p.vertices])
+                assert moved.vertices == hull.vertices, entry.name
+                assert moved.facets == hull.facets, entry.name
+                assert moved.faces == hull.faces, entry.name
 
     def test_barycenter_is_the_fraction_mean(self, corpus):
         # from the vertices scaled once to integers; the oracle averages them

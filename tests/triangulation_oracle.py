@@ -26,10 +26,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from conedec.linalg import IntVector, Vector, dot, frac, primitive, rank, vec
+from conedec.linalg import IntVector, Vector, frac, primitive, rank, vec
 from conedec.polyhedra import DegenerateInput, halfspace
 from conedec.triangulation import LiftedTriangulation
-from helpers import feasible_point
+from helpers import dot, feasible_point
 from linalg_oracle import solve_linear
 
 
