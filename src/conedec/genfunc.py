@@ -21,8 +21,9 @@ from operator import add, mul, sub
 from typing import Collection, Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece, lattice_runs
-from .linalg import (DimensionError, IntVector, _scaled, dual_basis, frac,
-                     idot, primitive, rank, residue_box, vec, vec_str)
+from .linalg import (DimensionError, IntVector, _scaled, _series_mul,
+                     dual_basis, frac, idot, primitive, rank, residue_box,
+                     vec, vec_str)
 from .polyhedra import Polytope, homogenized_rays
 from .triangulation import half_open_inverses, pulling_triangulation
 
@@ -258,16 +259,6 @@ def brion_gf(p: Polytope) -> RationalGF:
 # ---------------------------------------------------------------------------
 # Specialization z_j := exp(s·λ_j)
 # ---------------------------------------------------------------------------
-
-def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    """Product of two integer power series, truncated after s^order."""
-    out = [0] * (order + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b[:order + 1 - i]):
-                out[i + j] += x * y
-    return out
-
 
 @cache
 def _bernoulli(n: int) -> Fraction:

@@ -13,14 +13,15 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, islice, repeat, starmap, tee
 from math import ceil, floor, gcd, prod
 from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .feasibility import project, witness
-from .linalg import DimensionError, _scaled, frac, vec, vec_str
+from .linalg import (DimensionError, _scaled, _series_mul, frac, rank, vec,
+                     vec_str)
 from .polyhedra import Face, Halfspace, Polytope, binding
 
 
@@ -50,12 +51,8 @@ class ZPoly:
         return out
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
-        cs = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    cs[i + j] += a * b
-        return ZPoly(_trim(cs))
+        a, b = self.coeffs, other.coeffs
+        return ZPoly(_trim(_series_mul(a, b, len(a) + len(b))))
 
     def __call__(self, z) -> Fraction:
         z = frac(z)
@@ -283,11 +280,7 @@ class Arrangement:
 
     def signs(self, nums: Sequence[int], den: int) -> tuple[int, ...]:
         """The side (1, 0 or -1) of each plane on which nums/den lies."""
-        out = []
-        for n, p in self._rows:
-            v = sum(map(mul, n, nums)) - p * den
-            out.append((v > 0) - (v < 0))
-        return tuple(out)
+        return tuple(h.side(nums, den) for h in self.planes)
 
     def values(self, signs: Sequence[int]) -> tuple[ZPoly, ...]:
         """Each sum's value on the cell with the given sign vector."""
@@ -366,12 +359,9 @@ def grid_runs(rows: Sequence, box: Box, step):
     only at ⌊−a/b⌋ + 1, or at r and r + 1 when r = −a/b is an integer."""
     _q, last, lines = _grid_lines(rows, box, step)
     n = -(-(last.stop - last.start) // last.step)  # len() overflows past 2⁶³
-    grow = [row[-1] * last.step for row, _off in rows] if n > 1 else []
+    grow = [row[-1] * last.step for row, _off in rows]
     for prefix, vals in lines:
         signs = [(a > 0) - (a < 0) for a in vals]
-        if not grow:
-            yield prefix, 0, n, tuple(signs)
-            continue
         cuts: dict[int, list] = {}
         for i, (a, b) in enumerate(zip(vals, grow)):
             if b:
@@ -536,10 +526,11 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
 
     The cells are searched depth first, plane by plane; the side of the
     plane that the node's point lies on is a child.  If the plane's normal
-    lies in the span of the node's `=` normals, n·x is constant on the cell
-    and that side is the only child.  Else the plane cuts across the cell's
-    flat, and the cell, relatively open and convex, meets it exactly when
-    it has points strictly on both sides.  So only strict sides are decided
+    lies in the span of the normals of the node's `=` planes (linalg.rank,
+    once per such set and plane), n·x is constant on the cell and that side
+    is the only child.  Else the plane cuts across the cell's flat, and the
+    cell, relatively open and convex, meets it exactly when it has points
+    strictly on both sides.  So only strict sides are decided
     by projection (feasibility.project) and get a point (feasibility.witness):
     both if the point is on the plane, else the opposite one; if that is
     nonempty, the `=` side is a child where the segment between the two
@@ -566,32 +557,33 @@ def verify_identity_exact(lhs: IndicatorSum, rhs: IndicatorSum,
             return None
         return _counterexample(*witness(project(levels, rows, dim)), a, b)
 
+    @cache
+    def spans(eqs: tuple, k: int) -> bool:  # plane k's normal is in their span
+        return rank([cells._rows[i][0] for i in eqs + (k,)]) == len(eqs)
+
     bad = check(cells.values(()), (), []) if last < 0 else None
-    # (sign vector so far, levels, rows not yet projected, the normals of
-    # the `=` planes in echelon form, a point nums/den in the cell)
+    # (sign vector so far, levels, rows not yet projected, the indices of
+    # the `=` planes, a point nums/den in the cell)
     stack = [((), (), [], (), ((0,) * dim, 1))] if last >= 0 else []
     while stack and bad is None:
-        signs, levels, rows, basis, w = stack.pop()
+        signs, levels, rows, eqs, w = stack.pop()
         k = len(signs)
         inner = k < last  # the children need points of their own
-        normal, off = cells._rows[k]
-        v = sum(map(mul, normal, w[0])) - off * w[1]
-        side = (v > 0) - (v < 0)
-        eq = _reduce(basis, normal)
-        if eq is None:  # n·x is constant on the cell: its rows imply side
-            kids = {side: (levels, rows, basis, w)}
+        side = cells.planes[k].side(*w)
+        if spans(eqs, k):  # n·x is constant on the cell: its rows imply side
+            kids = {side: (levels, rows, eqs, w)}
         else:
             if rows:
                 levels = project(levels, rows, dim)
             kids = {side: (levels, sides[k][side],
-                           basis + (eq,) if side == 0 else basis, w)}
+                           eqs + (k,) if side == 0 else eqs, w)}
             for s in ((1, -1) if side == 0 else (-side,)):
                 if (lv := project(levels, sides[k][s], dim)) is not None:
-                    kids[s] = (lv, [], basis, witness(lv) if inner else None)
+                    kids[s] = (lv, [], eqs, witness(lv) if inner else None)
             if side and -side in kids:  # between two strict points
                 u = kids[-side][3]
-                kids[0] = (levels, sides[k][0], basis + (eq,),
-                           _crossing(normal, off, w, u) if inner else None)
+                kids[0] = (levels, sides[k][0], eqs + (k,),
+                           _crossing(*cells._rows[k], w, u) if inner else None)
         order = [s for s in (1, 0, -1) if s in kids]
         if inner:
             stack.extend((signs + (s,), *kids[s]) for s in reversed(order))
@@ -607,21 +599,6 @@ def _counterexample(nums: Sequence[int], den: int, a, b) -> dict:
     """A mismatch's report: the point nums/den and both sides' values."""
     pt = [str(Fraction(n, den)) for n in nums]
     return {"point": pt, "lhs": repr(a), "rhs": repr(b)}
-
-
-def _reduce(basis: tuple, normal: Sequence[int]) -> Optional[tuple]:
-    """The normal reduced fraction-free against an echelon basis of
-    (pivot, row) pairs, each row zero at the pivots before its own, as the
-    pair that extends the basis; None when the normal lies in its span."""
-    n = normal
-    for piv, b in basis:
-        if c := n[piv]:
-            n = [b[piv] * x - c * y for x, y in zip(n, b)]
-    piv = next((i for i, x in enumerate(n) if x), None)
-    if piv is None:
-        return None
-    g = gcd(*n)
-    return piv, tuple(x // g for x in n)
 
 
 def _crossing(n: Sequence[int], off: int, wa: tuple, wb: tuple) -> tuple:

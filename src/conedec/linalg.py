@@ -135,6 +135,16 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_bareiss([list(r) for r in rows])[0])
 
 
+def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    """Product of two integer power series, truncated after s^order."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[:order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
 def kernel_basis(rows: Sequence[Sequence]) -> list[Vector]:
     """Basis of the right kernel {x : a·x = 0}, as rational vectors.
 
@@ -182,11 +192,15 @@ def dual_basis(gens: Sequence[IntVector], xi: Optional[Sequence] = None
     cone's facets from its rays, and the rays of a simple cone from its
     facet normals.  signs[i] is the sign (±1) of the perturbed functional
     ξ + εe₁ + … + εᵈe_d on duals[i], read from perturbed_key(ξ, duals[i]);
-    it is never 0, as duals[i] ≠ 0.  Without ξ, signs is empty.
+    it is never 0, as duals[i] ≠ 0.  Without ξ, signs is empty; a ξ of
+    another length is refused.
     """
     if any(len(g) != len(gens) for g in gens) or (
             inv := integer_inverse(tuple(zip(*gens)))) is None:
         raise ValueError("generators must be d linearly independent vectors")
+    if xi is not None and len(xi) != len(gens):
+        raise DimensionError(f"functional {vec_str(xi)} in dimension "
+                             f"{len(gens)}")
     det, adj = inv
     duals = tuple(tuple(x // g for x in row) for row in adj
                   for g in (gcd(*row) if det > 0 else -gcd(*row),))

@@ -487,6 +487,35 @@ class TestBadInput:
         assert captured.out == ""
         assert "expected exact rational, got bool: True" in captured.err
 
+    @pytest.mark.parametrize("identity, flag, value, message", [
+        ("nonsimple", "--xi", "a,b,c",
+         "--xi must be comma-separated integers, got 'a,b,c'"),
+        ("nonsimple", "--heights", "v0",
+         "--heights must look like v0=1,1,0,0, got 'v0'"),
+        ("nonsimple", "--heights", "x0=1,2",
+         "--heights key must be v<index>, got 'x0'"),
+        ("nonsimple", "--heights", "v0=1,a",
+         "cannot parse --heights item 'v0=1,a'"),
+        ("nonsimple", "--heights", "v9=1,1,1,1", "--heights: no vertex 9"),
+        ("nonsimple", "--heights", "v0=1,1",
+         "--heights v0 needs 4 values (one per tight facet), got 2"),
+        ("gram", "--box", "1,0",
+         "--box lower bound must be below upper bound"),
+        ("compatible", "--dual-heights", "1,x",
+         "--dual-heights must be comma-separated rationals"),
+        ("compatible", "--dual-heights", "1,2",
+         "--dual-heights needs 5 values (one per facet)"),
+    ], ids=["xi-letters", "heights-no-values", "heights-key",
+            "heights-letter", "heights-no-vertex", "heights-count",
+            "box-reversed", "dual-heights-letter", "dual-heights-count"])
+    def test_malformed_option_is_input_error(self, identity, flag, value,
+                                             message, pyramid_file, capsys):
+        assert main(["verify", "--input", pyramid_file, "--identity",
+                     identity, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_negative_samples_is_input_error(self, pyramid_file, capsys):
         assert main(["verify", "--input", pyramid_file, "--identity", "gram",
                      "--samples", "-3", "--json"]) == 2
@@ -713,6 +742,34 @@ class TestCorpus:
         assert captured.err == (
             f"error: {path}: corpus entry 'seg': 'expected_count' must be an "
             f"integer, got {count!r}\n")
+
+    def test_missing_expected_count_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{
+            "name": "seg",
+            "polytope": {"dim": 1, "vertices": [["-3"], ["5"]]}}]))
+        assert main(["corpus", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad corpus entry: 'expected_count'\n")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_flat_entry_is_an_error_row(self, as_json, tmp_path, capsys):
+        message = ("points do not affinely span the space; the polytope "
+                   "would be lower-dimensional")
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{
+            "name": "flat", "expected_count": 2,
+            "polytope": {"dim": 2, "vertices": [["0", "0"], ["1", "1"]]}}]))
+        assert main(["corpus", "--input", str(path)]
+                    + ["--json"] * as_json) == 1
+        out = capsys.readouterr().out
+        if as_json:
+            assert json.loads(out) == {"entries": [
+                {"error": message, "name": "flat", "ok": False}],
+                "failures": 1}
+        else:
+            assert re.search(rf"^flat +ERROR {message}$", out, re.M)
+            assert "0/1 corpus entries pass" in out
 
     def test_non_string_name_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "corpus.json"

@@ -135,6 +135,14 @@ class TestRegularTriangulation:
         with pytest.raises(AssertionError, match="missing from every cell"):
             regular_triangulation([(0, 1), (-1, 1), (-2, 1)], [0, -1, 0])
 
+    @pytest.mark.parametrize("rays, heights, message", [
+        ([(1, 0), (1, 0), (0, 1)], [0, 1, 2], "^duplicate rays$"),
+        ([(1, 0), (0, 1), (1, 1)], [0, 1], "^3 rays but 2 heights$"),
+    ], ids=["duplicate-rays", "heights-count"])
+    def test_malformed_input_refused(self, rays, heights, message):
+        with pytest.raises(ValueError, match=message):
+            regular_triangulation(rays, heights)
+
     def test_non_pointed_rejected(self):
         with pytest.raises(DegenerateInput, match="^cone is not pointed$"):
             regular_triangulation([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 2, 3, 4])
@@ -405,6 +413,12 @@ class TestTSigma:
             rhs = all(satisfied(h, x) for h in tangent)
             assert lhs == rhs, x
 
+    def test_non_cell_refused(self, pyramid_poly):
+        tri = regular_triangulation(APEX_RAYS, [1, 1, 0, 0])
+        with pytest.raises(ValueError, match=r"^\(0, 1, 9\) is not a cell "
+                           "of the triangulation$"):
+            t_sigma(pyramid_poly, 0, (0, 1, 9), tri)
+
     def test_simple_vertex_single_cell_is_tangent_cone(self, pyramid_poly):
         p = pyramid_poly
         vid = vertex_index(p, (1, 1, 1))
@@ -615,6 +629,12 @@ class TestCompatible:
     def test_origin_required(self, pyramid_poly):
         with pytest.raises(DegenerateInput):
             compatible_from_dual(pyramid_poly, [1] * 5)
+
+    def test_one_dual_height_per_facet_required(self, pyramid_poly):
+        shifted, _ = center_at_barycenter(pyramid_poly)
+        with pytest.raises(ValueError, match=r"^need one dual height per "
+                           r"facet \(5\), got 2$"):
+            compatible_from_dual(shifted, [1, 2])
 
     def test_simple_polytope_single_cells(self):
         cube = polytope_from_vertices(

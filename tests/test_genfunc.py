@@ -14,15 +14,14 @@ import conedec.genfunc as genfunc
 import conedec.linalg as linalg
 import conedec.triangulation as triangulation
 from conedec.genfunc import (LISTED_POINT_BUDGET, GFTerm, RationalGF, _bernoulli,
-                             _series_mul, brion_gf,
-                             brute_force_count, count_lattice_points,
+                             brion_gf, brute_force_count, count_lattice_points,
                              enumerate_parallelepiped, gf_brute_force,
                              gf_equal_as_functions, gf_of_indicator_sum,
                              gf_of_piece, gf_pretty, gf_simplicial_cone,
                              make_term, specialize, zero_gf)
 from conedec.indicators import (gram_decomposition, lattice_runs,
                                 whole_space_piece)
-from conedec.linalg import DimensionError, residue_box
+from conedec.linalg import DimensionError, _series_mul, residue_box
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import (DegenerateInput, cone_facets, halfspace,
                                polytope_from_halfspaces,
@@ -228,6 +227,12 @@ class TestSimplicialConeGF:
     def test_numerator_count_is_det(self):
         g = gf_simplicial_cone((0, 0), [(1, 1), (1, -2)])
         assert len(g.terms[0].numerators) == 3
+
+    @pytest.mark.parametrize("dens", [[(0, 0)], [(1, 0), (0, 0)]],
+                             ids=["only", "second"])
+    def test_zero_denominator_exponent_refused(self, dens):
+        with pytest.raises(ValueError, match="^zero denominator exponent$"):
+            make_term(1, [(0, 0)], dens)
 
     def test_list_exponents_make_the_tuple_term(self):
         for dens in ([[1, 0], [0, 1]], [[-1, 0], [0, 1]]):  # kept, flipped
@@ -474,6 +479,14 @@ class TestEquality:
         g1 = RationalGF(1, (make_term(1, [(0,)], [(1,)]),))
         g2 = RationalGF(1, (make_term(2, [(0,)], [(1,)]),))
         assert not gf_equal_as_functions(g1, g2)
+
+    def test_pole_free_difference_detected(self):
+        # both brute-force GFs are Laurent polynomials: their difference has
+        # no pole and a nonzero value, one lattice point
+        square = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+        triangle = polytope_from_vertices([(0, 0), (1, 0), (0, 1)])
+        assert not gf_equal_as_functions(gf_brute_force(square),
+                                         gf_brute_force(triangle))
 
     def test_sums_of_different_dimensions_are_refused(self):
         with pytest.raises(DimensionError, match="^generating functions of "

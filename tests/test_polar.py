@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from conedec.deform import (local_contribution, nonsimple_decomposition,
+                            vertex_triangulation)
 from conedec.indicators import (ZPoly, default_box, indicator_of_interior,
                                 indicator_of_polytope, verify_identity,
                                 verify_identity_exact, weighted_indicator)
@@ -21,6 +23,7 @@ SEG = polytope_from_vertices([(-3,), (5,)])
 SQUARE = polytope_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 CUBE = polytope_from_vertices(
     [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+TRIANGLE = polytope_from_vertices([(0, 0), (4, 0), (0, 4)])
 
 
 class TestGenericity:
@@ -36,6 +39,21 @@ class TestGenericity:
     def test_functional_of_another_dimension_rejected(self):
         with pytest.raises(DimensionError):
             is_generic((1, 2), CUBE)
+
+    @pytest.mark.parametrize("xi", [(1, 2, 3), (1,)], ids=["long", "short"])
+    @pytest.mark.parametrize("build", [
+        lv_decomposition, nonsimple_decomposition, weighted_lv_decomposition,
+        lambda p, xi: local_contribution(p, 0, vertex_triangulation(p, 0), xi),
+        lambda p, xi: polarization(p, 0, xi),
+        lambda p, xi: rearrange_for_vertex(p, 0, xi),
+    ], ids=["lv", "nonsimple", "weighted", "local_contribution",
+            "polarization", "rearrange"])
+    def test_builder_refuses_functional_of_another_length(self, build, xi):
+        # a zip against each dual would drop extra coordinates or ignore
+        # missing ones
+        with pytest.raises(DimensionError,
+                           match=r"functional \(.*\) in dimension 2"):
+            build(TRIANGLE, xi)
 
     def test_nongeneric_ties_broken_lexicographically(self):
         # (1, 0) is constant on two edges; each is flipped when its first

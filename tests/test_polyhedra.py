@@ -56,6 +56,14 @@ class TestFromVertices:
         with pytest.raises(DegenerateInput):
             polytope_from_vertices([(0, 0), (1, 1), (2, 2)])
 
+    @pytest.mark.parametrize("points, error, message", [
+        ([], DegenerateInput, "^no points given$"),
+        ([(0, 0), (1,)], DimensionError, "^points of mixed dimension$"),
+    ], ids=["no-points", "mixed-dimension"])
+    def test_malformed_point_list_refused(self, points, error, message):
+        with pytest.raises(error, match=message):
+            polytope_from_vertices(points)
+
     def test_point_of_another_dimension_is_refused(self):
         tri = polytope_from_vertices([(0, 0), (4, 0), (0, 4)])
         assert tri.contains_interior((1, 1))
@@ -100,6 +108,21 @@ class TestFromHalfspaces:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInput):
             polytope_from_halfspaces([halfspace((1,), 1), halfspace((-1,), 1)])
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([halfspace((1, 0), 0, strict=True), halfspace((0, 1), 0),
+          halfspace((-1, -1), -1)], ValueError,
+         "^polytope facets must be closed halfspaces$"),
+        ([], DegenerateInput, "^no halfspaces given$"),
+        ([halfspace((1, 0), 0), halfspace((-1, 0), -1)], DegenerateInput,
+         "^unbounded: facet normals do not span$"),
+        ([halfspace((1, 0), 0), halfspace((-1, 0), -1), halfspace((0, 1), 0),
+          halfspace((0, -1), 0)], DegenerateInput,
+         "^intersection is lower-dimensional$"),
+    ], ids=["strict-row", "no-rows", "slab", "segment"])
+    def test_malformed_rows_refused(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            polytope_from_halfspaces(rows)
 
     def test_redundant_halfspace_dropped(self):
         p = polytope_from_halfspaces([
