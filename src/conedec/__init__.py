@@ -16,13 +16,12 @@ from .deform import (LiftedTriangulation, LocalContribution, SimpleConeFrame,
 from .genfunc import (GFTerm, RationalGF, brion_gf, brute_force_count,
                       count_lattice_points, enumerate_parallelepiped,
                       gf_brute_force, gf_equal_as_functions,
-                      gf_of_indicator_sum, gf_of_piece, gf_pretty,
-                      gf_simplicial_cone, make_term, specialize)
+                      gf_of_indicator_sum, gf_pretty, make_term, specialize)
 from .indicators import (IndicatorSum, LocallyClosedPiece, VerificationReport,
                          ZPoly, default_box, gram_decomposition,
                          indicator_of_interior, indicator_of_polytope, piece,
                          verify_identity, verify_identity_exact,
-                         weighted_indicator, whole_space_piece)
+                         weighted_indicator)
 from .linalg import frac, kernel_basis, primitive, rank
 from .polar import (SimplicityError, is_generic, lv_decomposition,
                     polarization, polarized_tangent_cone, rearrange_for_vertex,

@@ -364,13 +364,15 @@ def _corpus_entries(args):
         data = _read_json(args.input)
         if not isinstance(data, list) or not data:
             raise InputError(f"{args.input}: corpus must be a nonempty list")
-        entries = []
+        entries, keys = [], ("name", "expected_count", "polytope")
         for i, row in enumerate(data):
-            try:
-                name, expected = row["name"], row["expected_count"]
-                pj = row["polytope"]
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"{args.input}: bad corpus entry: {exc}")
+            if not isinstance(row, dict):
+                raise InputError(f"{args.input}: corpus entry {i} must be an "
+                                 f"object, got {row!r}")
+            if missing := [k for k in keys if k not in row]:
+                raise InputError(f"{args.input}: corpus entry {i} has no "
+                                 f"{missing[0]!r}")
+            name, expected, pj = map(row.__getitem__, keys)
             if type(name) is not str:
                 raise InputError(f"{args.input}: corpus entry {i}: 'name' "
                                  f"must be a string, got {name!r}")

@@ -84,8 +84,11 @@ def frame_piece(frame: SimpleConeFrame, pattern: Sequence[str]
     """The piece a per-facet pattern cuts out of the frame's hyperplanes.
 
     Its witness is apex + Σ ±rays[i]: + on a kept facet, − on a flipped
-    one, nothing on an equality.
+    one, nothing on an equality.  A pattern of another length is refused.
     """
+    if len(pattern) != len(frame.normals):
+        raise ValueError(f"pattern of {len(pattern)} for "
+                         f"{len(frame.normals)} facets")
     q, (apex,) = _scaled([frame.apex])
     cons = []
     witness = list(apex)  # q times the witness

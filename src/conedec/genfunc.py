@@ -22,8 +22,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from .indicators import IndicatorSum, LocallyClosedPiece, lattice_runs
 from .linalg import (DimensionError, IntVector, _scaled, _series_mul,
-                     dual_basis, frac, idot, primitive, rank, residue_box,
-                     vec, vec_str)
+                     dual_basis, frac, idot, rank, residue_box, vec, vec_str)
 from .polyhedra import Polytope, homogenized_rays
 from .triangulation import half_open_inverses, pulling_triangulation
 
@@ -81,12 +80,8 @@ class RationalGF:
         return self + (-other)
 
 
-def zero_gf(dim: int) -> RationalGF:
-    return RationalGF(dim, ())
-
-
 # ---------------------------------------------------------------------------
-# Fundamental parallelepipeds and simplicial cones
+# Fundamental parallelepipeds
 # ---------------------------------------------------------------------------
 
 def enumerate_parallelepiped(generators: Sequence[Sequence[int]],
@@ -161,18 +156,6 @@ def _check_cell(det: int, apex: Sequence) -> None:
                          f"exceeds the budget of {LISTED_POINT_BUDGET} points")
 
 
-def gf_simplicial_cone(apex: Sequence, generators: Sequence[Sequence[int]],
-                       open_flags: Optional[Sequence[bool]] = None) -> RationalGF:
-    """Generating function of a half-open simplicial cone: one term whose
-    numerator lists the fundamental-parallelepiped points and whose
-    denominator factors are the generators, walked by ``_cones_gf`` as a
-    one-cell cone."""
-    gens = [primitive(g) for g in generators]
-    cell = (gens, dual_basis(gens)[0], open_flags)
-    return _cones_gf(len(gens[0]), [(1, apex, [cell])], "the cone's cell",
-                     "apex")
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracle and Brion sum
 # ---------------------------------------------------------------------------
@@ -191,7 +174,7 @@ def gf_brute_force(p: Polytope) -> RationalGF:
         raise ValueError(f"{total} lattice points exceed the budget of "
                          f"{LISTED_POINT_BUDGET} points to list")
     if not total:
-        return zero_gf(p.dim)
+        return RationalGF(p.dim)
     pts = [(*head, k + j, *tail)
            for head, k, n, tail in lattice_runs(p) for j in range(n)]
     return RationalGF(p.dim, (make_term(1, pts, ()),))
@@ -400,23 +383,11 @@ def _piece_cone(pc: LocallyClosedPiece) -> Optional[tuple]:
                              {h.normal for h in pc.constraints if h.strict})
 
 
-def gf_of_piece(pc: LocallyClosedPiece) -> RationalGF:
-    """Generating function of a locally closed piece that is a shifted cone.
-
-    Pieces whose closure contains a line have generating function zero.
-    Everything else must have a unique apex (all constraint hyperplanes
-    concurrent); pointed pieces are triangulated if necessary, with strict
-    constraints turning the matching facets open.
-    """
-    cone = _piece_cone(pc)
-    return _cones_gf(pc.dim, [(1, *cone)] if cone else [], "the piece's cells",
-                     "apex")
-
-
 def gf_of_indicator_sum(s: IndicatorSum) -> RationalGF:
     """Map each piece to its generating function (z := 1 in coefficients);
-    line-containing pieces drop out.  Every piece's cells are planned, and
-    the plan checked against the budget, before any cell is walked."""
+    pieces whose closure contains a line drop out, and any other must be a
+    shifted cone.  Every piece's cells are planned, and the plan checked
+    against the budget, before any cell is walked."""
     cones = [(w, *cone) for coeff, pc in s.terms
              if (w := coeff.at_one()) != 0 and (cone := _piece_cone(pc))]
     return _cones_gf(s.dim, cones, "the pieces' cells", "apex")

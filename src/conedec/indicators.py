@@ -143,10 +143,6 @@ def _check_rows(rows: Sequence[Halfspace], dim: int, what: str) -> None:
                 f"dimension {dim}")
 
 
-def whole_space_piece(dim: int) -> LocallyClosedPiece:
-    return LocallyClosedPiece(dim, ())
-
-
 # ---------------------------------------------------------------------------
 # Indicator sums
 # ---------------------------------------------------------------------------
@@ -198,8 +194,6 @@ def indicator_of_interior(p: Polytope) -> IndicatorSum:
 def tangent_cone_piece(p: Polytope, f: Face) -> LocallyClosedPiece:
     """Tangent cone of a face: the facets tight on it (all of space for the
     polytope itself)."""
-    if f.dim == p.dim:
-        return whole_space_piece(p.dim)
     return piece(p.dim, (p.facets[i] for i in f.facet_ids), p.barycenter(f))
 
 

@@ -31,15 +31,16 @@ def _vector(row, dim: int, where: str) -> list:
 def polytope_from_json(obj: dict) -> Polytope:
     """A polytope from {"dim", "vertices"} or from {"dim", "inequalities"},
     each inequality {"normal", "offset"} for normal·x ≥ offset.  A ValueError
-    names the field at fault."""
+    names the field at fault; an object with both fields is refused."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ValueError("polytope JSON needs a 'dim' field")
     dim = obj["dim"]
     if type(dim) is not int or dim < 1:  # a float or a bool would pass int()
         raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
     field = next((f for f in ("vertices", "inequalities") if f in obj), None)
-    if field is None:
-        raise ValueError("polytope JSON needs 'vertices' or 'inequalities'")
+    if field is None or (field == "vertices" and "inequalities" in obj):
+        raise ValueError("polytope JSON needs 'vertices' or 'inequalities'"
+                         + (", not both" if field else ""))
     if not isinstance(rows := obj[field], list):
         raise ValueError(f"'{field}' must be a list, got {rows!r}")
     if field == "vertices":

@@ -21,8 +21,8 @@ from typing import Sequence
 from .deform import (CLOSED, EQUAL, FLIPPED, STRICT, SimpleConeFrame,
                      as_functional, frame_piece, nonsimple_decomposition,
                      normal_cone_rays, polarized_piece, simple_cone_frame)
-from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly,
-                         tangent_cone_piece, whole_space_piece)
+from .indicators import (IndicatorSum, LocallyClosedPiece, ZPoly, piece,
+                         tangent_cone_piece)
 from .linalg import DimensionError, dual_basis, idot, perturbed_key, vec_str
 from .polyhedra import Polytope, is_simple_polytope, is_simple_vertex
 
@@ -174,5 +174,5 @@ def partition_identity(p: Polytope, vid: int
     sign-pattern pieces, and the whole space."""
     lhs = IndicatorSum(p.dim, tuple((ZPoly.const(1), pc)
                                     for pc in partition_pieces(p, vid)))
-    rhs = IndicatorSum(p.dim, ((ZPoly.const(1), whole_space_piece(p.dim)),))
-    return lhs, rhs
+    whole = piece(p.dim, (), p.vertices[vid])
+    return lhs, IndicatorSum(p.dim, ((ZPoly.const(1), whole),))

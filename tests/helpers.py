@@ -2,19 +2,21 @@
 corrupted local contribution, the CLI parser's option choices, the JSON
 writer and readers that only tests use, a system's Fourier–Motzkin
 witness as a ``Fraction`` point, a rational matrix scaled to integer rows,
-and the ``Fraction`` dot product of the oracles."""
+the ``Fraction`` dot product of the oracles, and the generating function
+of one piece or of one half-open simplicial cone."""
 
 import argparse
 from fractions import Fraction
 from math import lcm
 
 from conedec.cli import build_parser
-from conedec.deform import LocalContribution
+from conedec.deform import (CLOSED, STRICT, LocalContribution, frame_piece,
+                            simple_cone_frame)
 from conedec.feasibility import project, witness
-from conedec.genfunc import RationalGF, make_term
-from conedec.indicators import IndicatorSum, LocallyClosedPiece, ZPoly
+from conedec.genfunc import RationalGF, gf_of_indicator_sum, make_term
+from conedec.indicators import ONE, IndicatorSum, LocallyClosedPiece, ZPoly
 from conedec.jsonio import rat_str
-from conedec.linalg import DimensionError, frac, vec
+from conedec.linalg import DimensionError, dual_basis, frac, vec
 from conedec.polyhedra import (DegenerateInput, Polytope, halfspace,
                                polytope_from_halfspaces)
 
@@ -104,15 +106,15 @@ def option_choices(command: str, option: str) -> list:
                 if option in a.option_strings)
 
 
-def polytope_to_json(p: Polytope) -> dict:
-    """Both forms of a polytope, readable by ``jsonio.polytope_from_json``."""
-    return {
-        "dim": p.dim,
-        "vertices": [[rat_str(x) for x in v] for v in p.vertices],
-        "inequalities": [
-            {"normal": [str(a) for a in h.normal], "offset": rat_str(h.offset)}
-            for h in p.facets],
-    }
+def polytope_to_json(p: Polytope, field: str = "vertices") -> dict:
+    """One form of a polytope, its "vertices" or its "inequalities",
+    readable by ``jsonio.polytope_from_json``."""
+    if field == "vertices":
+        rows = [[rat_str(x) for x in v] for v in p.vertices]
+    else:
+        rows = [{"normal": [str(a) for a in h.normal],
+                 "offset": rat_str(h.offset)} for h in p.facets]
+    return {"dim": p.dim, field: rows}
 
 
 def indicator_sum_from_json(obj: list, dim: int) -> IndicatorSum:
@@ -136,3 +138,18 @@ def gf_from_json(obj: dict) -> RationalGF:
                             [tuple(b) for b in t["denominators"]])
                   for t in obj["terms"])
     return RationalGF(int(obj["dim"]), terms)
+
+
+def piece_gf(pc: LocallyClosedPiece) -> RationalGF:
+    """The generating function of one piece, as the sum of it alone."""
+    return gf_of_indicator_sum(IndicatorSum(pc.dim, ((ONE, pc),)))
+
+
+def simplicial_cone_gf(apex, generators, open_flags=None) -> RationalGF:
+    """The generating function of the half-open cone apex + cone(generators)
+    whose facet off generator i is open where open_flags[i] is set: one
+    frame piece, its normals the dual basis of the generators."""
+    normals = dual_basis(generators)[1]
+    flags = [False] * len(normals) if open_flags is None else open_flags
+    return piece_gf(frame_piece(simple_cone_frame(apex, normals),
+                                [STRICT if f else CLOSED for f in flags]))

@@ -16,18 +16,17 @@ from conedec.deform import (compatible_decomposition, compatible_from_dual,
                             vertex_triangulation)
 from conedec.genfunc import (brion_gf, brute_force_count, count_lattice_points,
                              gf_brute_force, gf_equal_as_functions,
-                             gf_of_indicator_sum, gf_of_piece, make_term)
+                             gf_of_indicator_sum, make_term)
 from conedec.indicators import (ZPoly, default_box, gram_decomposition,
                                 indicator_of_interior, indicator_of_polytope,
-                                verify_identity, weighted_indicator,
-                                whole_space_piece)
+                                piece, verify_identity, weighted_indicator)
 from conedec.polar import (lv_decomposition, partition_identity,
                            rearrange_for_vertex, weighted_lv_decomposition)
 from conedec.polyhedra import center_at_barycenter, polytope_from_vertices
 from conedec.triangulation import regular_triangulation
 
 from conftest import seeded_generic_functionals
-from helpers import dot, flip_one_constraint
+from helpers import dot, flip_one_constraint, piece_gf
 from indicator_oracle import evaluate
 from lattice_oracle import lattice_points
 from triangulation_oracle import verify_certificates
@@ -231,7 +230,7 @@ def test_criterion_09_positive_conic_checker(pyramid_poly):
 
 def test_criterion_10_line_containing_cones_vanish():
     seg = polytope_from_vertices([(-3,), (5,)])
-    assert gf_of_piece(whole_space_piece(1)).terms == ()
+    assert piece_gf(piece(1, (), (0,))).terms == ()
     image = gf_of_indicator_sum(gram_decomposition(seg))
     assert set(image.terms) == {make_term(1, [(-3,)], [(1,)]),
                                 make_term(-1, [(6,)], [(1,)])}

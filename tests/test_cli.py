@@ -461,9 +461,12 @@ class TestBadInput:
          "inequalities[0].normal is zero"),
         ({"dim": 1, "inequalities": [{"normal": ["1"], "offset": 0.5}]},
          "inequalities[0].offset: expected exact rational, got float: 0.5"),
+        ({"dim": 1, "vertices": [["0"], ["1"]],
+          "inequalities": [{"normal": ["1"], "offset": "5"}]},
+         "polytope JSON needs 'vertices' or 'inequalities', not both"),
     ], ids=["no-offset", "vertices-not-list", "vertex-not-list",
             "short-vertex", "bad-literal", "dim-0", "inequalities-not-list",
-            "zero-normal", "float-offset"])
+            "zero-normal", "float-offset", "both-forms"])
     def test_malformed_polytope_json_names_the_field(self, polytope, message,
                                                      tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -750,7 +753,22 @@ class TestCorpus:
             "polytope": {"dim": 1, "vertices": [["-3"], ["5"]]}}]))
         assert main(["corpus", "--input", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: bad corpus entry: 'expected_count'\n")
+            f"error: {path}: corpus entry 0 has no 'expected_count'\n")
+
+    @pytest.mark.parametrize("key", ["name", "polytope", None])
+    def test_entry_without_a_key_or_not_an_object(self, key, tmp_path,
+                                                  capsys):
+        # the second entry is at fault; the test above drops 'expected_count'
+        entry = {"name": "seg", "expected_count": 9,
+                 "polytope": {"dim": 1, "vertices": [["-3"], ["5"]]}}
+        row = "x" if key is None else {k: v for k, v in entry.items()
+                                       if k != key}
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([entry, row]))
+        assert main(["corpus", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: corpus entry 1 " + (
+            "must be an object, got 'x'\n" if key is None
+            else f"has no {key!r}\n")
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_flat_entry_is_an_error_row(self, as_json, tmp_path, capsys):

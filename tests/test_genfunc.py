@@ -17,10 +17,9 @@ from conedec.genfunc import (LISTED_POINT_BUDGET, GFTerm, RationalGF, _bernoulli
                              brion_gf, brute_force_count, count_lattice_points,
                              enumerate_parallelepiped, gf_brute_force,
                              gf_equal_as_functions, gf_of_indicator_sum,
-                             gf_of_piece, gf_pretty, gf_simplicial_cone,
-                             make_term, specialize, zero_gf)
-from conedec.indicators import (gram_decomposition, lattice_runs,
-                                whole_space_piece)
+                             gf_pretty, make_term, specialize)
+from conedec.indicators import (ONE, IndicatorSum, LocallyClosedPiece,
+                                gram_decomposition, lattice_runs, piece)
 from conedec.linalg import DimensionError, _series_mul, residue_box
 from conedec.polar import lv_decomposition
 from conedec.polyhedra import (DegenerateInput, cone_facets, halfspace,
@@ -31,7 +30,8 @@ from conedec.triangulation import (half_open_inverses, pulling_triangulation,
 import triangulation_oracle
 
 from conftest import seeded_generic_functionals
-from helpers import edge_directions, edges, vertex_index
+from helpers import (edge_directions, edges, piece_gf, simplicial_cone_gf,
+                     vertex_index)
 from lattice_oracle import lattice_points
 from linalg_oracle import determinant, mat_inverse, mat_vec, vsub
 import parallelepiped_oracle
@@ -120,7 +120,7 @@ class TestParallelepiped:
             enumerate_parallelepiped(gens, (0,) * len(gens))
         with pytest.raises(ValueError, match="^generators must be d "
                                              "linearly independent vectors$"):
-            gf_simplicial_cone((0,) * len(gens), gens)
+            simplicial_cone_gf((0,) * len(gens), gens)
 
     @pytest.mark.parametrize("gens", [[(Fraction(3, 2), 0), (0, 1)],
                                       [(1.9, 0), (0, 1)], [(True, 0), (0, 1)]])
@@ -195,8 +195,8 @@ class TestParallelepiped:
         gens, apex = [(2, 1), (1, 3)], (5, -7)
         with pytest.raises(ValueError, match="open flags"):
             enumerate_parallelepiped(gens, apex, flags)
-        with pytest.raises(ValueError, match="open flags"):
-            gf_simplicial_cone(apex, gens, flags)
+        with pytest.raises(ValueError, match="^pattern of .* for 2 facets$"):
+            simplicial_cone_gf(apex, gens, flags)
 
     def test_short_residue_box_is_a_broken_invariant(self, monkeypatch):
         def one_short(cols):
@@ -209,23 +209,24 @@ class TestParallelepiped:
 
 class TestSimplicialConeGF:
     def test_upward_halfline(self):
-        g = gf_simplicial_cone((-3,), [(1,)])
+        g = simplicial_cone_gf((-3,), [(1,)])
         assert g.terms == (make_term(1, [(-3,)], [(1,)]),)
 
     def test_downward_halfline_flips(self):
-        g = gf_simplicial_cone((5,), [(-1,)])
+        g = simplicial_cone_gf((5,), [(-1,)])
         assert g.terms == (make_term(-1, [(6,)], [(1,)]),)
 
     def test_orthant(self):
-        g = gf_simplicial_cone((0, 0), [(1, 0), (0, 1)])
+        g = simplicial_cone_gf((0, 0), [(1, 0), (0, 1)])
         assert g.terms == (make_term(1, [(0, 0)], [(1, 0), (0, 1)]),)
 
     def test_apex_of_another_dimension_refused(self):
-        with pytest.raises(DimensionError, match=r"apex \(0\) of dimension 1"):
-            gf_simplicial_cone((0,), [(1, 0), (0, 1)])
+        with pytest.raises(DimensionError, match=r"of dimension 2 on a piece "
+                                                 r"of dimension 1$"):
+            simplicial_cone_gf((0,), [(1, 0), (0, 1)])
 
     def test_numerator_count_is_det(self):
-        g = gf_simplicial_cone((0, 0), [(1, 1), (1, -2)])
+        g = simplicial_cone_gf((0, 0), [(1, 1), (1, -2)])
         assert len(g.terms[0].numerators) == 3
 
     @pytest.mark.parametrize("dens", [[(0, 0)], [(1, 0), (0, 0)]],
@@ -404,7 +405,7 @@ class TestCount:
 
     def test_invalid_gf_detected(self):
         # a bare half-line has a genuine pole at z = 1
-        g = gf_simplicial_cone((0,), [(1,)])
+        g = simplicial_cone_gf((0,), [(1,)])
         with pytest.raises(ValueError):
             count_lattice_points(g)
 
@@ -503,7 +504,7 @@ class TestEquality:
 
 class TestIndicatorImage:
     def test_line_piece_maps_to_zero(self):
-        assert gf_of_piece(whole_space_piece(1)).terms == ()
+        assert piece_gf(piece(1, (), (0,))).terms == ()
 
     def test_segment_gram_image_is_brion(self):
         image = gf_of_indicator_sum(gram_decomposition(SEG))
@@ -511,40 +512,48 @@ class TestIndicatorImage:
 
     def test_edge_tangent_cone_killed(self, pyramid_poly):
         # faces of positive dimension contribute nothing
-        from conedec.indicators import piece
         e = edges(pyramid_poly)[0]
         pc = piece(3, (pyramid_poly.facets[i] for i in e.facet_ids),
                    pyramid_poly.barycenter(e))
-        assert gf_of_piece(pc).terms == ()
+        assert piece_gf(pc).terms == ()
 
     @pytest.mark.parametrize("redundant", [(1, 1), (1, 1, 0), (1, 1, 1)])
     def test_redundant_constraint_of_a_piece(self, redundant):
         # the orthant with one more constraint tight on a smaller face only
         # (the apex, or the ray e₃): closed, it leaves the cells alone;
         # strict, it supports no facet and is refused
-        from conedec.indicators import piece
         d = len(redundant)
         orthant = [halfspace(e, 0) for e in
                    (tuple(int(i == j) for j in range(d)) for i in range(d))]
         ones = (1,) * d
-        plain = gf_of_piece(piece(d, orthant, witness=ones))
-        assert gf_of_piece(piece(d, orthant + [halfspace(redundant, 0)],
-                                 witness=ones)) == plain
+        plain = piece_gf(piece(d, orthant, witness=ones))
+        assert piece_gf(piece(d, orthant + [halfspace(redundant, 0)],
+                              witness=ones)) == plain
         strict = piece(d, orthant + [halfspace(redundant, 0, strict=True)],
                        witness=ones)
         with pytest.raises(ValueError, match="does not support a facet"):
-            gf_of_piece(strict)
+            piece_gf(strict)
 
     @pytest.mark.parametrize("rows", [
         [((1, 0), 0), ((0, 1), 0), ((1, 0), -1)],      # x₁ ≥ −1 misses (0, 0)
         [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]])   # a triangle's facets
     def test_piece_without_a_common_apex_is_refused(self, rows):
-        from conedec.indicators import LocallyClosedPiece
         pc = LocallyClosedPiece(2, tuple(sorted(halfspace(n, c)
                                                 for n, c in rows)))
         with pytest.raises(ValueError, match=r"^piece is not a shifted cone "
                                              r"\(no common apex\)$"):
-            gf_of_piece(pc)
+            piece_gf(pc)
+
+    def test_plan_over_the_budget_refused_before_any_walk(self):
+        # two copies of one cone, each cell of index 1500000 within the
+        # budget on its own, their 3000000 points over it
+        pc = piece(2, [halfspace((0, 1), 0), halfspace((1500000, -1), 0)],
+                   (2, 1))
+        with pytest.raises(ValueError, match=(
+                r"^the pieces' cells hold 3000000 parallelepiped points, over "
+                r"the budget of 2000000; 1500000 of them are in the cone at "
+                r"apex \(0, 0\)$")):
+            gf_of_indicator_sum(IndicatorSum(2, ((ONE, pc), (ONE, pc))))
 
     def test_gram_image_counts(self, corpus):
         for entry, p in corpus:
@@ -651,7 +660,7 @@ class TestSpecialize:
                                            (1.5, 2.5), (True, 2)])
     def test_non_integer_direction_rejected(self, direction):
         # int() would answer for λ = (1, 2)
-        cone = gf_simplicial_cone((0, 0), [(1, 0), (1, 2)])
+        cone = simplicial_cone_gf((0, 0), [(1, 0), (1, 2)])
         with pytest.raises(TypeError, match="the direction must be integers"):
             specialize(cone, direction, 1)
 
@@ -664,7 +673,7 @@ class TestSpecialize:
             specialize(brion_gf(tri), direction, 0)
 
     def test_errors_match_fraction_oracle(self):
-        cone = gf_simplicial_cone((0, 0), [(1, 0), (1, 2)])
+        cone = simplicial_cone_gf((0, 0), [(1, 0), (1, 2)])
         for direction, match in (([0, 1], "degenerates denominator"),
                                  ([1, 1], "pole of order 2 does not cancel")):
             with pytest.raises(ValueError, match=match) as ours:
@@ -675,7 +684,7 @@ class TestSpecialize:
 
     def test_pretty(self):
         assert gf_pretty(brion_gf(SEG)) == "x^-3/(1-x) - x^6/(1-x)"
-        assert gf_pretty(zero_gf(2)) == "0"
+        assert gf_pretty(RationalGF(2)) == "0"
 
 
 def specialize_outcome(fn, gf, direction, order):
@@ -708,11 +717,11 @@ def cone_sums(draw):
     if not draw(st.booleans()):
         subsets = draw(st.lists(st.sampled_from(subsets), min_size=1,
                                 max_size=4))
-    acc = zero_gf(d)
+    acc = RationalGF(d)
     for eps in subsets:
         shifted = [a + sum(e * g[i] for e, g in zip(eps, gens))
                    for i, a in enumerate(apex)]
-        acc = acc + scaled(gf_simplicial_cone(shifted, gens, flags),
+        acc = acc + scaled(simplicial_cone_gf(shifted, gens, flags),
                            (-1) ** sum(eps))
     scale = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6)
                  .filter(lambda c: c != 0))

@@ -18,7 +18,7 @@ from conedec.indicators import (CELL_MEMO_CAP, GRID_POINT_BUDGET, Arrangement,
                                 indicator_of_interior, indicator_of_polytope,
                                 piece, random_rational_points,
                                 verify_identity, verify_identity_exact,
-                                weighted_indicator, whole_space_piece)
+                                weighted_indicator)
 from conedec.linalg import DimensionError
 from conedec.polyhedra import Halfspace, halfspace, polytope_from_vertices
 from helpers import dot, feasible_point
@@ -58,7 +58,7 @@ class TestEvaluate:
         s = IndicatorSum(1, (
             (ONE, piece(1, [halfspace((1,), -3)], (0,))),
             (ONE, piece(1, [halfspace((-1,), -5)], (0,))),
-            (ZPoly((-1,)), whole_space_piece(1)),
+            (ZPoly((-1,)), piece(1, (), (0,))),
         ))
         assert evaluate(s, (0,)) == ONE
 

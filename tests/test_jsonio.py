@@ -20,15 +20,12 @@ def test_rat_str():
 
 def test_polytope_roundtrip_via_vertices(corpus):
     for entry, p in corpus:
-        obj = json.loads(json.dumps(polytope_to_json(p)))
-        q = polytope_from_json({"dim": obj["dim"], "vertices": obj["vertices"]})
+        q = polytope_from_json(json.loads(json.dumps(polytope_to_json(p))))
         assert set(q.vertices) == set(p.vertices), entry.name
 
 
 def test_polytope_roundtrip_via_inequalities(pyramid_poly):
-    obj = polytope_to_json(pyramid_poly)
-    q = polytope_from_json({"dim": obj["dim"],
-                            "inequalities": obj["inequalities"]})
+    q = polytope_from_json(polytope_to_json(pyramid_poly, "inequalities"))
     assert set(q.vertices) == set(pyramid_poly.vertices)
 
 
@@ -74,3 +71,12 @@ def test_bad_polytope_json_rejected():
                                                      ["0", "1"]]})
     with pytest.raises(ValueError):
         polytope_from_json({"dim": True, "vertices": [["0"], ["1"]]})
+
+
+def test_both_forms_refused():
+    # the inequality x₁ ≥ 5 misses the triangle, which loaded on its own
+    with pytest.raises(ValueError, match="^polytope JSON needs 'vertices' or "
+                                         "'inequalities', not both$"):
+        polytope_from_json({
+            "dim": 2, "vertices": [["0", "0"], ["4", "0"], ["0", "4"]],
+            "inequalities": [{"normal": ["1", "0"], "offset": "5"}]})

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conedec import polyhedra
 from conedec.deform import normal_cone_rays
-from conedec.genfunc import _piece_cone, gf_of_piece, zero_gf
-from conedec.indicators import piece, tangent_cone_piece, whole_space_piece
+from conedec.genfunc import RationalGF, _piece_cone
+from conedec.indicators import piece, tangent_cone_piece
 from conedec.linalg import DimensionError, idot, kernel_basis, primitive, rank
 from conedec.polar import is_generic
 from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
@@ -19,8 +19,8 @@ from conedec.polyhedra import (DegenerateInput, Halfspace, binding,
                                is_simple_vertex, polytope_from_halfspaces,
                                polytope_from_vertices)
 
-from helpers import (dot, edge_directions, edges, integer_rows, polar_dual,
-                     vertex_index)
+from helpers import (dot, edge_directions, edges, integer_rows, piece_gf,
+                     polar_dual, vertex_index)
 from indicator_oracle import barycenter as barycenter_oracle
 from indicator_oracle import satisfied
 from linalg_oracle import determinant, vsub
@@ -336,10 +336,10 @@ class TestTangentCone:
         assert lineality([], 2) == 2
         assert lineality([(1,)], 1) == 0
         # a piece whose closure holds a line has generating function zero
-        assert gf_of_piece(piece(2, [halfspace((1, 0), 0)],
-                                 (0, 0))) == zero_gf(2)
-        assert gf_of_piece(whole_space_piece(2)) == zero_gf(2)
-        assert gf_of_piece(piece(1, [halfspace((1,), 0)], (0,))) != zero_gf(1)
+        assert piece_gf(piece(2, [halfspace((1, 0), 0)],
+                              (0, 0))) == RationalGF(2)
+        assert piece_gf(piece(2, (), (0, 0))) == RationalGF(2)
+        assert piece_gf(piece(1, [halfspace((1,), 0)], (0,))) != RationalGF(1)
 
 
 def fraction_affine_rank(points):
